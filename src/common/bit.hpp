@@ -5,10 +5,8 @@
  * The CAT structures lean on power-of-two arithmetic everywhere (row
  * spans, jump-table prefixes, packed child slots), so the same handful
  * of log2/ctz helpers kept reappearing as file-local lambdas.  They
- * live here once, in the constexpr table-driven style of the classic
- * integer-log bit hacks (a 256-entry byte table resolves the top set
- * bit after three shift probes) so Debug builds do not pay a loop per
- * lookup either.
+ * live here once, on the count-leading-zeros builtins, which are
+ * constexpr on GCC and Clang and a single instruction at run time.
  */
 
 #ifndef CATSIM_COMMON_BIT_HPP
@@ -26,52 +24,11 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-namespace detail
-{
-
-/** log2 of the top set bit per byte value (log2Byte[0] unused). */
-struct Log2ByteTable
-{
-    std::uint8_t entry[256] = {};
-
-    constexpr Log2ByteTable()
-    {
-        // entry[v] = floor(log2(v)): each power-of-two block of byte
-        // values shares one result, filled without a nested loop so
-        // the table stays constexpr-friendly under C++17.
-        for (unsigned v = 1; v < 256; ++v) {
-            unsigned l = 0;
-            for (unsigned probe = v; probe > 1; probe >>= 1)
-                ++l;
-            entry[v] = static_cast<std::uint8_t>(l);
-        }
-    }
-};
-
-constexpr Log2ByteTable kLog2Byte{};
-
-} // namespace detail
-
 /** floor(log2(v)); 0 for v == 0. */
 constexpr std::uint32_t
 floorLog2(std::uint64_t v)
 {
-    // Table-driven integer log: narrow to the top non-zero byte with
-    // three branch probes, then one table load finishes the job.
-    std::uint32_t shift = 0;
-    if (v >> 32) {
-        v >>= 32;
-        shift += 32;
-    }
-    if (v >> 16) {
-        v >>= 16;
-        shift += 16;
-    }
-    if (v >> 8) {
-        v >>= 8;
-        shift += 8;
-    }
-    return shift + detail::kLog2Byte.entry[v & 0xFF];
+    return v ? 63 - static_cast<std::uint32_t>(__builtin_clzll(v)) : 0;
 }
 
 /** ceil(log2(v)); 0 for v <= 1. */

@@ -50,4 +50,15 @@ crc32(const void *data, std::size_t len)
     return c.value();
 }
 
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
 } // namespace catsim

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace catsim
 {
@@ -38,6 +39,12 @@ class Crc32
 
 /** CRC32 of one contiguous buffer. */
 std::uint32_t crc32(const void *data, std::size_t len);
+
+/**
+ * 64-bit FNV-1a of @p s: collision-proofs the journal and baseline
+ * cache file names.  A name hash, not an integrity check.
+ */
+std::uint64_t fnv1a(const std::string &s);
 
 } // namespace catsim
 

@@ -1,5 +1,6 @@
 #include "address_mapping.hpp"
 
+#include "common/bit.hpp"
 #include "common/logging.hpp"
 
 namespace catsim
@@ -8,24 +9,17 @@ namespace catsim
 std::uint32_t
 AddressMapper::log2u(std::uint64_t v)
 {
-    std::uint32_t l = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++l;
-    }
-    return l;
+    return floorLog2(v);
 }
 
 AddressMapper::AddressMapper(const DramGeometry &geometry,
                              MappingPolicy policy)
     : geometry_(geometry), policy_(policy)
 {
-    auto pow2 = [](std::uint64_t v) {
-        return v != 0 && (v & (v - 1)) == 0;
-    };
-    if (!pow2(geometry.lineBytes) || !pow2(geometry.colsPerRow)
-        || !pow2(geometry.channels) || !pow2(geometry.banksPerRank)
-        || !pow2(geometry.ranksPerChannel) || !pow2(geometry.rowsPerBank))
+    if (!isPow2(geometry.lineBytes) || !isPow2(geometry.colsPerRow)
+        || !isPow2(geometry.channels) || !isPow2(geometry.banksPerRank)
+        || !isPow2(geometry.ranksPerChannel)
+        || !isPow2(geometry.rowsPerBank))
         CATSIM_FATAL("address mapping requires power-of-two geometry");
 
     offsetBits_ = log2u(geometry.lineBytes);

@@ -53,20 +53,39 @@ struct SchemeStats
     Count counterDramReads = 0;     //!< counter-cache misses -> DRAM
     Count counterDramWrites = 0;    //!< counter-cache writebacks
 
+    /**
+     * Every field, in the order the journal and baseline-cache codecs
+     * store them (BlobWriter::putStats).  The one field list: add(),
+     * operator== and the codecs all walk it.
+     */
+    static constexpr Count SchemeStats::*kFields[] = {
+        &SchemeStats::activations,
+        &SchemeStats::refreshEvents,
+        &SchemeStats::victimRowsRefreshed,
+        &SchemeStats::sramAccesses,
+        &SchemeStats::prngBits,
+        &SchemeStats::splits,
+        &SchemeStats::merges,
+        &SchemeStats::epochResets,
+        &SchemeStats::counterDramReads,
+        &SchemeStats::counterDramWrites,
+    };
+
     /** Accumulate another instance field by field. */
     void
     add(const SchemeStats &o)
     {
-        activations += o.activations;
-        refreshEvents += o.refreshEvents;
-        victimRowsRefreshed += o.victimRowsRefreshed;
-        sramAccesses += o.sramAccesses;
-        prngBits += o.prngBits;
-        splits += o.splits;
-        merges += o.merges;
-        epochResets += o.epochResets;
-        counterDramReads += o.counterDramReads;
-        counterDramWrites += o.counterDramWrites;
+        for (const auto field : kFields)
+            this->*field += o.*field;
+    }
+
+    bool
+    operator==(const SchemeStats &o) const
+    {
+        for (const auto field : kFields)
+            if (this->*field != o.*field)
+                return false;
+        return true;
     }
 };
 

@@ -2,32 +2,11 @@
 
 #include <cmath>
 
+#include "common/bit.hpp"
 #include "common/logging.hpp"
 
 namespace catsim
 {
-
-namespace
-{
-
-bool
-isPow2(std::uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-std::uint32_t
-log2u(std::uint32_t v)
-{
-    std::uint32_t l = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++l;
-    }
-    return l;
-}
-
-} // namespace
 
 bool
 splitThresholdsCalibrated(std::uint32_t num_counters,
@@ -47,8 +26,7 @@ computeSplitThresholds(std::uint32_t num_counters,
     // the next power up, so the uneven deepest pre-split level (depth
     // m-1, see cat_tree.hpp) still gets a real split threshold and a
     // power-of-two M reproduces the historical schedule exactly.
-    const std::uint32_t m =
-        log2u(num_counters) + (isPow2(num_counters) ? 0 : 1);
+    const std::uint32_t m = ceilLog2(num_counters);
     const std::uint32_t L = max_levels;
     if (L < m + 1)
         CATSIM_FATAL("CAT max levels (", L, ") must exceed ceil(log2(M))=",

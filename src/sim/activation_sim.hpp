@@ -32,6 +32,12 @@ struct ReplayResult
     Count banks = 0;
     Count epochs = 0;
 
+    bool
+    operator==(const ReplayResult &o) const
+    {
+        return stats == o.stats && banks == o.banks && epochs == o.epochs;
+    }
+
     /** Per-bank average of a stat (for per-bank CMRPO). */
     double
     perBank(Count v) const

@@ -13,6 +13,7 @@
 #include "common/durable_io.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace catsim
 {
@@ -22,44 +23,6 @@ namespace
 
 /** Bump on any layout change; stale files are silently recomputed. */
 constexpr std::uint64_t kMagic = 0x43415453494D4231ULL; // "CATSIMB1"
-
-void
-putU64(std::ostream &os, std::uint64_t v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
-void
-putDouble(std::ostream &os, double v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
-bool
-getU64(std::istream &is, std::uint64_t *v)
-{
-    is.read(reinterpret_cast<char *>(v), sizeof *v);
-    return static_cast<bool>(is);
-}
-
-bool
-getDouble(std::istream &is, double *v)
-{
-    is.read(reinterpret_cast<char *>(v), sizeof *v);
-    return static_cast<bool>(is);
-}
-
-/** FNV-1a, for collision-proofing the sanitized file name. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -94,45 +57,34 @@ saveBaseline(const std::string &path, const std::string &key,
 
     // Serialize into memory first so the CRC32 trailer covers the
     // exact bytes that hit the disk.
-    std::ostringstream payload(std::ios::binary);
-    putU64(payload, kMagic);
-    putU64(payload, kBaselineModelVersion);
-    putU64(payload, key.size());
-    payload.write(key.data(), static_cast<std::streamsize>(key.size()));
-    putDouble(payload, scale);
+    BlobWriter w;
+    w.putU64(kMagic);
+    w.putU64(kBaselineModelVersion);
+    w.putU64(key.size());
+    w.putBytes(key.data(), key.size());
+    w.putDouble(scale);
 
-    putU64(payload, result.execCycles);
-    putDouble(payload, result.execSeconds);
-    putU64(payload, result.epochs);
-    putU64(payload, result.controller.reads);
-    putU64(payload, result.controller.writes);
-    putU64(payload, result.controller.writeDrains);
-    putU64(payload, result.controller.victimRefreshEvents);
-    putU64(payload, result.controller.victimRowsRefreshed);
-    putU64(payload, result.controller.lastCompletion);
-    putU64(payload, result.scheme.activations);
-    putU64(payload, result.scheme.refreshEvents);
-    putU64(payload, result.scheme.victimRowsRefreshed);
-    putU64(payload, result.scheme.sramAccesses);
-    putU64(payload, result.scheme.prngBits);
-    putU64(payload, result.scheme.splits);
-    putU64(payload, result.scheme.merges);
-    putU64(payload, result.scheme.epochResets);
-    putU64(payload, result.scheme.counterDramReads);
-    putU64(payload, result.scheme.counterDramWrites);
-    putU64(payload, result.totalActivations);
-    putU64(payload, result.victimRowsRefreshed);
+    const ControllerStats &c = result.controller;
+    w.putU64(result.execCycles);
+    w.putDouble(result.execSeconds);
+    w.putU64(result.epochs);
+    w.putU64(c.reads);
+    w.putU64(c.writes);
+    w.putU64(c.writeDrains);
+    w.putU64(c.victimRefreshEvents);
+    w.putU64(c.victimRowsRefreshed);
+    w.putU64(c.lastCompletion);
+    w.putStats(result.scheme);
+    w.putU64(result.totalActivations);
+    w.putU64(result.victimRowsRefreshed);
 
-    putU64(payload, result.bankStreams.size());
+    w.putU64(result.bankStreams.size());
     for (const auto &stream : result.bankStreams) {
-        putU64(payload, stream.size());
-        payload.write(reinterpret_cast<const char *>(stream.data()),
-                      static_cast<std::streamsize>(stream.size()
-                                                   * sizeof(RowAddr)));
+        w.putU64(stream.size());
+        w.putBytes(stream.data(), stream.size() * sizeof(RowAddr));
     }
-    std::string blob = payload.str();
-    const std::uint32_t crc = crc32(blob.data(), blob.size());
-    blob.append(reinterpret_cast<const char *>(&crc), sizeof crc);
+    w.putCrc32();
+    const std::string &blob = w.str();
 
     if (fault::shouldFail("baseline_write_enospc")) {
         CATSIM_WARN("baseline cache: cannot write ", path,
@@ -197,12 +149,7 @@ loadBaseline(const std::string &path, const std::string &key,
     // field below, so a corrupt file can never trigger a huge
     // allocation.
     std::string image;
-    {
-        std::ostringstream os;
-        os << file.rdbuf();
-        image = os.str();
-    }
-    if (image.size() < sizeof(std::uint32_t))
+    if (!readImage(file, &image) || image.size() < sizeof(std::uint32_t))
         return false;
     std::uint32_t storedCrc = 0;
     std::memcpy(&storedCrc,
@@ -211,66 +158,50 @@ loadBaseline(const std::string &path, const std::string &key,
     const std::size_t payloadSize = image.size() - sizeof storedCrc;
     if (crc32(image.data(), payloadSize) != storedCrc)
         return false; // torn, truncated, or bit-flipped: recompute
-    const std::uint64_t fileSize = payloadSize;
 
-    std::istringstream is(image.substr(0, payloadSize),
-                          std::ios::binary);
-
+    BlobReader r(std::string_view(image.data(), payloadSize));
     std::uint64_t magic = 0, version = 0, keyLen = 0;
-    if (!getU64(is, &magic) || magic != kMagic || !getU64(is, &version)
-        || version != kBaselineModelVersion || !getU64(is, &keyLen)
-        || keyLen > 4096)
-        return false;
-    std::string storedKey(keyLen, '\0');
-    is.read(storedKey.data(), static_cast<std::streamsize>(keyLen));
+    std::string_view storedKey;
     double storedScale = 0.0;
-    if (!is || storedKey != key || !getDouble(is, &storedScale)
+    if (!r.getU64(&magic) || magic != kMagic || !r.getU64(&version)
+        || version != kBaselineModelVersion || !r.getU64(&keyLen)
+        || keyLen > 4096 || !r.getBytes(keyLen, &storedKey)
+        || storedKey != key || !r.getDouble(&storedScale)
         || storedScale != scale)
         return false;
 
-    TimingResult r;
-    bool ok = getU64(is, &r.execCycles) && getDouble(is, &r.execSeconds)
-              && getU64(is, &r.epochs) && getU64(is, &r.controller.reads)
-              && getU64(is, &r.controller.writes)
-              && getU64(is, &r.controller.writeDrains)
-              && getU64(is, &r.controller.victimRefreshEvents)
-              && getU64(is, &r.controller.victimRowsRefreshed)
-              && getU64(is, &r.controller.lastCompletion)
-              && getU64(is, &r.scheme.activations)
-              && getU64(is, &r.scheme.refreshEvents)
-              && getU64(is, &r.scheme.victimRowsRefreshed)
-              && getU64(is, &r.scheme.sramAccesses)
-              && getU64(is, &r.scheme.prngBits)
-              && getU64(is, &r.scheme.splits)
-              && getU64(is, &r.scheme.merges)
-              && getU64(is, &r.scheme.epochResets)
-              && getU64(is, &r.scheme.counterDramReads)
-              && getU64(is, &r.scheme.counterDramWrites)
-              && getU64(is, &r.totalActivations)
-              && getU64(is, &r.victimRowsRefreshed);
+    TimingResult t;
+    ControllerStats &c = t.controller;
+    const bool ok = r.getU64(&t.execCycles) && r.getDouble(&t.execSeconds)
+                    && r.getU64(&t.epochs) && r.getU64(&c.reads)
+                    && r.getU64(&c.writes) && r.getU64(&c.writeDrains)
+                    && r.getU64(&c.victimRefreshEvents)
+                    && r.getU64(&c.victimRowsRefreshed)
+                    && r.getU64(&c.lastCompletion) && r.getStats(&t.scheme)
+                    && r.getU64(&t.totalActivations)
+                    && r.getU64(&t.victimRowsRefreshed);
     if (!ok)
         return false;
 
     std::uint64_t banks = 0;
-    if (!getU64(is, &banks) || banks > 65536)
+    if (!r.getU64(&banks) || banks > 65536)
         return false;
-    r.bankStreams.resize(banks);
-    for (auto &stream : r.bankStreams) {
+    t.bankStreams.resize(banks);
+    for (auto &stream : t.bankStreams) {
         std::uint64_t len = 0;
-        if (!getU64(is, &len) || len > fileSize / sizeof(RowAddr))
+        std::string_view rows;
+        if (!r.getU64(&len) || len > payloadSize / sizeof(RowAddr)
+            || !r.getBytes(len * sizeof(RowAddr), &rows))
             return false;
         stream.resize(len);
-        is.read(reinterpret_cast<char *>(stream.data()),
-                static_cast<std::streamsize>(len * sizeof(RowAddr)));
-        if (!is)
-            return false;
+        if (len != 0)
+            std::memcpy(stream.data(), rows.data(), rows.size());
     }
     // Reject trailing garbage (e.g. a truncated-then-appended file).
-    is.peek();
-    if (!is.eof())
+    if (!r.atEnd())
         return false;
 
-    *out = std::move(r);
+    *out = std::move(t);
     return true;
 }
 

@@ -1,16 +1,17 @@
 #include "checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/durable_io.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 
 namespace catsim
 {
@@ -24,94 +25,30 @@ constexpr std::uint64_t kJournalVersion = 1;
 constexpr std::uint64_t kMaxKeyLen = 1u << 20;
 constexpr std::uint64_t kMaxBlobLen = 1u << 28;
 
-void
-appendU64(std::string *buf, std::uint64_t v)
-{
-    char raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    buf->append(raw, sizeof v);
-}
-
-void
-appendU32(std::string *buf, std::uint32_t v)
-{
-    char raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    buf->append(raw, sizeof v);
-}
-
-/** Cursor over an in-memory file image. */
-struct Cursor
-{
-    const std::string &data;
-    std::size_t pos = 0;
-
-    bool
-    readU64(std::uint64_t *v)
-    {
-        if (data.size() - pos < sizeof *v)
-            return false;
-        std::memcpy(v, data.data() + pos, sizeof *v);
-        pos += sizeof *v;
-        return true;
-    }
-
-    bool
-    readU32(std::uint32_t *v)
-    {
-        if (data.size() - pos < sizeof *v)
-            return false;
-        std::memcpy(v, data.data() + pos, sizeof *v);
-        pos += sizeof *v;
-        return true;
-    }
-
-    bool
-    readBytes(std::string *out, std::uint64_t len)
-    {
-        if (data.size() - pos < len)
-            return false;
-        out->assign(data.data() + pos, len);
-        pos += len;
-        return true;
-    }
-};
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /** Serialized header for @p runKey (magic..runKey plus CRC). */
 std::string
 makeHeader(const std::string &runKey)
 {
-    std::string h;
-    appendU64(&h, kJournalMagic);
-    appendU64(&h, kJournalVersion);
-    appendU64(&h, runKey.size());
-    h += runKey;
-    appendU32(&h, crc32(h.data(), h.size()));
-    return h;
+    BlobWriter w;
+    w.putU64(kJournalMagic);
+    w.putU64(kJournalVersion);
+    w.putU64(runKey.size());
+    w.putBytes(runKey.data(), runKey.size());
+    w.putCrc32();
+    return w.str();
 }
 
 /** Serialized record for (key, blob): lengths, bytes, CRC. */
 std::string
 makeRecord(const std::string &key, const std::string &blob)
 {
-    std::string r;
-    appendU64(&r, key.size());
-    appendU64(&r, blob.size());
-    r += key;
-    r += blob;
-    appendU32(&r, crc32(r.data(), r.size()));
-    return r;
+    BlobWriter w;
+    w.putU64(key.size());
+    w.putU64(blob.size());
+    w.putBytes(key.data(), key.size());
+    w.putBytes(blob.data(), blob.size());
+    w.putCrc32();
+    return w.str();
 }
 
 } // namespace
@@ -123,6 +60,13 @@ checkpointDirFromEnv()
     return env ? env : "";
 }
 
+bool
+keepGoingFromEnv()
+{
+    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
+    return env && std::string(env) == "1";
+}
+
 std::string
 checkpointFileName(const std::string &runKey)
 {
@@ -130,6 +74,20 @@ checkpointFileName(const std::string &runKey)
     std::snprintf(name, sizeof name, "run-%016llx.catj",
                   static_cast<unsigned long long>(fnv1a(runKey)));
     return name;
+}
+
+bool
+readImage(std::ifstream &in, std::string *image)
+{
+    in.seekg(0, std::ios::end);
+    const std::streamoff size = in.tellg();
+    in.seekg(0);
+    if (!in || size < 0)
+        return false;
+    image->resize(static_cast<std::size_t>(size));
+    in.read(image->data(), size);
+    image->resize(static_cast<std::size_t>(in.gcount()));
+    return static_cast<bool>(in);
 }
 
 CheckpointJournal::CheckpointJournal(const std::string &dir,
@@ -146,11 +104,8 @@ CheckpointJournal::CheckpointJournal(const std::string &dir,
     std::string image;
     {
         std::ifstream is(path_, std::ios::binary);
-        if (is) {
-            std::ostringstream os;
-            os << is.rdbuf();
-            image = os.str();
-        }
+        if (is)
+            readImage(is, &image);
     }
 
     const std::string header = makeHeader(runKey);
@@ -167,36 +122,37 @@ CheckpointJournal::CheckpointJournal(const std::string &dir,
 
     std::size_t validEnd = header.size();
     if (!fresh) {
-        Cursor cur{image, header.size()};
-        while (cur.pos < image.size()) {
-            const std::size_t recordStart = cur.pos;
+        BlobReader r(std::string_view(image).substr(header.size()));
+        while (!r.atEnd()) {
+            const std::size_t recordStart = r.pos();
             if (fault::shouldFail("checkpoint_replay_short"))
                 break; // models a read failing mid-replay
             std::uint64_t keyLen = 0, blobLen = 0;
-            std::string key, blob;
+            std::string_view key, blob;
             std::uint32_t storedCrc = 0;
-            if (!cur.readU64(&keyLen) || !cur.readU64(&blobLen)
+            if (!r.getU64(&keyLen) || !r.getU64(&blobLen)
                 || keyLen > kMaxKeyLen || blobLen > kMaxBlobLen
-                || !cur.readBytes(&key, keyLen)
-                || !cur.readBytes(&blob, blobLen)
-                || !cur.readU32(&storedCrc)) {
+                || !r.getBytes(keyLen, &key) || !r.getBytes(blobLen, &blob)
+                || !r.getU32(&storedCrc)) {
                 CATSIM_WARN("checkpoint journal ", path_,
-                            ": torn record at offset ", recordStart,
+                            ": torn record at offset ",
+                            header.size() + recordStart,
                             "; truncating tail");
                 break;
             }
-            const std::uint32_t computed = crc32(
-                image.data() + recordStart,
-                cur.pos - recordStart - sizeof storedCrc);
+            const std::uint32_t computed =
+                crc32(image.data() + header.size() + recordStart,
+                      r.pos() - recordStart - sizeof storedCrc);
             if (computed != storedCrc) {
                 CATSIM_WARN("checkpoint journal ", path_,
-                            ": CRC mismatch at offset ", recordStart,
+                            ": CRC mismatch at offset ",
+                            header.size() + recordStart,
                             "; truncating tail");
                 break;
             }
-            index_[key] = std::move(blob);
+            index_[std::string(key)] = std::string(blob);
             ++replayed_;
-            validEnd = cur.pos;
+            validEnd = header.size() + r.pos();
         }
     }
 
@@ -265,38 +221,158 @@ CheckpointJournal::append(const std::string &key, const std::string &blob)
 }
 
 void
-BlobWriter::putU64(std::uint64_t v)
+BlobWriter::putStats(const SchemeStats &s)
 {
-    appendU64(&buf_, v);
+    for (const auto field : SchemeStats::kFields)
+        putU64(s.*field);
 }
 
 void
-BlobWriter::putDouble(double v)
+BlobWriter::putCrc32()
 {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v, "double is 64-bit");
-    std::memcpy(&bits, &v, sizeof bits);
-    appendU64(&buf_, bits);
+    putU32(crc32(buf_.data(), buf_.size()));
 }
 
 bool
-BlobReader::getU64(std::uint64_t *v)
+BlobReader::getStats(SchemeStats *s)
 {
-    if (buf_.size() - pos_ < sizeof *v)
-        return false;
-    std::memcpy(v, buf_.data() + pos_, sizeof *v);
-    pos_ += sizeof *v;
+    for (const auto field : SchemeStats::kFields)
+        if (!getU64(&(s->*field)))
+            return false;
     return true;
 }
 
-bool
-BlobReader::getDouble(double *v)
+CellError
+currentCellError(std::size_t index, const std::string &label, int attempts)
 {
-    std::uint64_t bits = 0;
-    if (!getU64(&bits))
-        return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
+    CellError err{index, label, "unknown error", attempts};
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        err.message = e.what();
+    } catch (...) {
+    }
+    return err;
+}
+
+JournaledRunner::JournaledRunner(std::size_t jobs)
+    : jobs_(jobs ? jobs : 1), dir_(checkpointDirFromEnv()),
+      keepGoing_(keepGoingFromEnv())
+{
+}
+
+std::unique_ptr<CheckpointJournal>
+JournaledRunner::begin(const JournaledGrid &grid)
+{
+    errors_.clear();
+    resumed_ = 0;
+    if (dir_.empty())
+        return nullptr;
+    return std::make_unique<CheckpointJournal>(dir_, grid.runKey);
+}
+
+void
+JournaledRunner::append(CheckpointJournal &journal,
+                        const JournaledGrid &grid, std::size_t i,
+                        const std::string &blob) const
+{
+    try {
+        journal.append(grid.keys[i], blob);
+    } catch (const std::exception &e) {
+        // Losing a record only costs a re-run on resume, so keep-going
+        // carries on; fail-fast dies loudly, because a broken journal
+        // would make every later resume silently partial.
+        if (!keepGoing_)
+            throw;
+        CATSIM_WARN("checkpoint append failed for ", grid.labels[i], ": ",
+                    e.what());
+    }
+}
+
+void
+JournaledRunner::run(
+    const JournaledGrid &grid,
+    const std::function<bool(std::size_t, const std::string &)> &restore,
+    const std::function<void(std::size_t)> &eval,
+    const std::function<std::string(std::size_t)> &encode)
+{
+    const std::size_t n = grid.keys.size();
+    const std::unique_ptr<CheckpointJournal> journal = begin(grid);
+
+    // Replay: journaled cells (validated by key + CRC at open) are
+    // decoded in place and never re-run.
+    std::vector<std::size_t> pending;
+    pending.reserve(n);
+    std::string blob;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (journal && journal->lookup(grid.keys[i], &blob)
+            && restore(i, blob))
+            ++resumed_;
+        else
+            pending.push_back(i);
+    }
+    if (resumed_ > 0)
+        CATSIM_INFORM("checkpoint: resumed ", resumed_, "/", n, " ",
+                      grid.what, " from ", journal->path());
+
+    std::vector<CellError> errors;
+    std::mutex errMutex;
+    const int maxAttempts = keepGoing_ ? 2 : 1;
+    const auto runCell = [&](std::size_t pi) {
+        const std::size_t i = pending[pi];
+        for (int attempt = 1;; ++attempt) {
+            try {
+                fault::maybeThrow(grid.failSite);
+                eval(i);
+                if (journal)
+                    append(*journal, grid, i, encode(i));
+                return;
+            } catch (...) {
+                if (attempt < maxAttempts)
+                    continue; // transient? one retry
+                {
+                    std::lock_guard<std::mutex> lock(errMutex);
+                    errors.push_back(
+                        currentCellError(i, grid.labels[i], attempt));
+                }
+                if (!keepGoing_)
+                    throw; // poisons the grid: no new cells start
+                return;    // failed cells are never journaled
+            }
+        }
+    };
+    try {
+        parallelFor(pending.size(), runCell, jobs_);
+    } catch (...) {
+        // parallelFor names the failure by its position among the
+        // pending cells; report() names it by its grid index instead.
+        if (keepGoing_ || errors.empty())
+            throw;
+    }
+    report(grid, std::move(errors));
+}
+
+void
+JournaledRunner::report(const JournaledGrid &grid,
+                        std::vector<CellError> errors)
+{
+    std::sort(errors.begin(), errors.end(),
+              [](const CellError &a, const CellError &b) {
+                  return a.index < b.index;
+              });
+    errors_ = std::move(errors);
+    if (errors_.empty())
+        return;
+    if (!keepGoing_) {
+        const CellError &e = errors_.front();
+        throw std::runtime_error("cell " + std::to_string(e.index) + " ("
+                                 + e.label + "): " + e.message);
+    }
+    CATSIM_WARN("keep-going: ", errors_.size(), "/", grid.keys.size(), " ",
+                grid.what, " failed permanently and were not checkpointed");
+    for (const auto &e : errors_)
+        CATSIM_WARN("  cell ", e.index, " (", e.label, "), ", e.attempts,
+                    " attempts: ", e.message);
 }
 
 } // namespace catsim

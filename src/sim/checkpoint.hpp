@@ -1,9 +1,10 @@
 /**
  * @file
- * Crash-safe run journal for sweeps and Monte-Carlo campaigns.
+ * Crash-safe run journal, its binary codec, and the journaled-task
+ * runner shared by sweeps and fleet shards.
  *
- * Every SweepRunner cell and Monte-Carlo trial batch is a pure
- * deterministic function of its spec, so a long run can be made
+ * Every SweepRunner cell, fleet shard and Monte-Carlo trial batch is a
+ * pure deterministic function of its spec, so a long run can be made
  * crash-safe by journaling each completed unit of work: one record
  * per cell, appended (and fsync'd) the moment the cell finishes.  On
  * restart the journal is replayed, every record whose key and CRC32
@@ -33,9 +34,17 @@
 #define CATSIM_SIM_CHECKPOINT_HPP
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "core/mitigation.hpp"
 
 namespace catsim
 {
@@ -43,8 +52,17 @@ namespace catsim
 /** Checkpoint directory from CATSIM_CHECKPOINT ("" = disabled). */
 std::string checkpointDirFromEnv();
 
+/** Keep-going mode from CATSIM_SWEEP_KEEP_GOING (=1 enables). */
+bool keepGoingFromEnv();
+
 /** Journal file name (not path) for a run key: hash-suffixed. */
 std::string checkpointFileName(const std::string &runKey);
+
+/**
+ * Read the whole file behind @p in into @p image with one allocation.
+ * False on a read error; @p image then holds the bytes read before it.
+ */
+bool readImage(std::ifstream &in, std::string *image);
 
 /**
  * One append-only journal of completed work records.
@@ -90,34 +108,188 @@ class CheckpointJournal
     std::mutex appendMutex_;
 };
 
+static_assert(sizeof(double) == sizeof(std::uint64_t),
+              "blobs store doubles as 8 bytes");
+
 /**
- * Little-endian binary blob builder/reader for journal payloads.
- * Doubles are stored bit-exactly, so a value decoded from the journal
- * is the value the original run computed - byte-identical resumes.
+ * Little-endian binary blob builder/reader: journal framing and
+ * payloads, and the baseline cache files (sim/baseline_io).  Doubles
+ * are stored bit-exactly, so a value decoded from disk is the value
+ * the original run computed - byte-identical resumes.
  */
 class BlobWriter
 {
   public:
-    void putU64(std::uint64_t v);
-    void putDouble(double v);
+    void putU32(std::uint32_t v) { putBytes(&v, sizeof v); }
+    void putU64(std::uint64_t v) { putBytes(&v, sizeof v); }
+    void putDouble(double v) { putBytes(&v, sizeof v); }
+    void
+    putBytes(const void *data, std::size_t len)
+    {
+        buf_.append(static_cast<const char *>(data), len);
+    }
+    /** Every SchemeStats field as a u64, in SchemeStats::kFields order. */
+    void putStats(const SchemeStats &s);
+    /** Append the CRC32 of every byte written so far. */
+    void putCrc32();
     const std::string &str() const { return buf_; }
 
   private:
     std::string buf_;
 };
 
+/**
+ * Reads a BlobWriter image in place.  A failed get consumes nothing
+ * and never reads past the end.  The image must outlive the reader.
+ */
 class BlobReader
 {
   public:
-    explicit BlobReader(const std::string &buf) : buf_(buf) {}
-    bool getU64(std::uint64_t *v);
-    bool getDouble(double *v);
+    explicit BlobReader(std::string_view buf) : buf_(buf) {}
+    bool getU32(std::uint32_t *v) { return getRaw(v); }
+    bool getU64(std::uint64_t *v) { return getRaw(v); }
+    bool getDouble(double *v) { return getRaw(v); }
+    /** The next @p len bytes, viewed in place. */
+    bool
+    getBytes(std::uint64_t len, std::string_view *bytes)
+    {
+        if (buf_.size() - pos_ < len)
+            return false;
+        *bytes = buf_.substr(pos_, len);
+        pos_ += len;
+        return true;
+    }
+    bool getStats(SchemeStats *s);
+    /** Bytes consumed so far. */
+    std::size_t pos() const { return pos_; }
     /** True when every byte was consumed (length sanity check). */
     bool atEnd() const { return pos_ == buf_.size(); }
 
   private:
-    const std::string &buf_;
+    template <typename T>
+    bool
+    getRaw(T *v)
+    {
+        std::string_view bytes;
+        if (!getBytes(sizeof *v, &bytes))
+            return false;
+        std::memcpy(v, bytes.data(), sizeof *v);
+        return true;
+    }
+
+    std::string_view buf_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * One cell that failed permanently: which cell, what it was, and what
+ * its final attempt threw.  A cell is a sweep grid point or a fleet
+ * shard.  Failed cells are NOT journaled, so a checkpointed resume
+ * re-runs exactly them.
+ */
+struct CellError
+{
+    std::size_t index = 0;  //!< position in the grid (sweep cell, shard)
+    std::string label;      //!< cell label for the error report
+    std::string message;    //!< what() of the last attempt
+    int attempts = 0;       //!< evaluation attempts made (max 2)
+};
+
+/** A CellError for cell @p index from the exception being handled. */
+CellError currentCellError(std::size_t index, const std::string &label,
+                           int attempts);
+
+/**
+ * One grid for JournaledRunner::run: cell i is journaled under keys[i]
+ * and named labels[i] in error reports.
+ */
+struct JournaledGrid
+{
+    std::string what;          //!< log noun, e.g. "cmrpo cells"
+    std::string runKey;        //!< journal identity, see checkpointFileName
+    const char *failSite = ""; //!< fail point fired before each attempt
+    std::vector<std::string> keys;
+    std::vector<std::string> labels;
+};
+
+/**
+ * The journaled-task runner behind SweepRunner::run* and
+ * ShardedSim::run.  run() replays the journal, evaluates the missing
+ * cells on parallelFor, journals each cell the moment it finishes, and
+ * reports failures:
+ *
+ *  - fail-fast (default): the first failure stops the hand-out of new
+ *    cells and is rethrown as "cell <grid index> (<label>): <what>";
+ *    cells finished before it stay journaled.
+ *  - keep-going (CATSIM_SWEEP_KEEP_GOING=1): a failing cell is retried
+ *    once, then recorded as a CellError while the rest of the grid
+ *    completes; lastErrors() lists them by grid index.
+ *
+ * Results live with the caller: run() only calls back into it, by cell
+ * index, to restore, evaluate and encode a cell.  Not thread-safe
+ * against concurrent run() calls on one runner.
+ */
+class JournaledRunner
+{
+  public:
+    /** The journal dir and keep-going mode default to the environment
+     *  (CATSIM_CHECKPOINT, CATSIM_SWEEP_KEEP_GOING). */
+    explicit JournaledRunner(std::size_t jobs);
+
+    std::size_t jobs() const { return jobs_; }
+    void setCheckpointDir(const std::string &dir) { dir_ = dir; }
+    const std::string &checkpointDir() const { return dir_; }
+    void setKeepGoing(bool keepGoing) { keepGoing_ = keepGoing; }
+    bool keepGoing() const { return keepGoing_; }
+
+    /**
+     * Invocation number of @p kind in this process, a run-key part:
+     * it tells repeated grids apart and is reproduced by a re-run of
+     * the same program, so resume matches.
+     */
+    std::uint64_t nextSeq(const std::string &kind) { return seq_[kind]++; }
+
+    /**
+     * Run every cell of @p grid (see the class comment): @p restore
+     * decodes a journal blob into cell i's result (false re-runs the
+     * cell), @p eval evaluates cell i, and @p encode returns cell i's
+     * result as a journal blob.
+     */
+    void run(const JournaledGrid &grid,
+             const std::function<bool(std::size_t, const std::string &)>
+                 &restore,
+             const std::function<void(std::size_t)> &eval,
+             const std::function<std::string(std::size_t)> &encode);
+
+    /**
+     * Building blocks of run(), for loops that cannot retry a cell
+     * (the streamed fleet replay).  begin() clears the last run's
+     * errors and opens the journal (null when checkpointing is off).
+     */
+    std::unique_ptr<CheckpointJournal> begin(const JournaledGrid &grid);
+
+    /** Journal cell @p i; a failed append throws in fail-fast mode and
+     *  only warns in keep-going mode (the result itself is valid). */
+    void append(CheckpointJournal &journal, const JournaledGrid &grid,
+                std::size_t i, const std::string &blob) const;
+
+    /** Sort @p errors into lastErrors(); fail-fast rethrows the first,
+     *  keep-going warns about each. */
+    void report(const JournaledGrid &grid, std::vector<CellError> errors);
+
+    /** Errors of the most recent run, sorted by cell index. */
+    const std::vector<CellError> &lastErrors() const { return errors_; }
+
+    /** Cells served from the journal by the most recent run. */
+    std::size_t lastResumed() const { return resumed_; }
+
+  private:
+    std::size_t jobs_;
+    std::string dir_;
+    bool keepGoing_;
+    std::map<std::string, std::uint64_t> seq_;
+    std::vector<CellError> errors_;
+    std::size_t resumed_ = 0;
 };
 
 } // namespace catsim

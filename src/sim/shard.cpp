@@ -7,7 +7,6 @@
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace catsim
 {
@@ -27,28 +26,12 @@ defaultShards()
 namespace
 {
 
-bool
-keepGoingFromEnv()
-{
-    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
-    return env && std::string(env) == "1";
-}
-
 /** Journal blob codec for one shard's ReplayResult (all integers). */
 std::string
 encodeReplay(const ReplayResult &r)
 {
     BlobWriter w;
-    w.putU64(r.stats.activations);
-    w.putU64(r.stats.refreshEvents);
-    w.putU64(r.stats.victimRowsRefreshed);
-    w.putU64(r.stats.sramAccesses);
-    w.putU64(r.stats.prngBits);
-    w.putU64(r.stats.splits);
-    w.putU64(r.stats.merges);
-    w.putU64(r.stats.epochResets);
-    w.putU64(r.stats.counterDramReads);
-    w.putU64(r.stats.counterDramWrites);
+    w.putStats(r.stats);
     w.putU64(r.banks);
     w.putU64(r.epochs);
     return w.str();
@@ -58,30 +41,8 @@ bool
 decodeReplay(const std::string &blob, ReplayResult *r)
 {
     BlobReader rd(blob);
-    return rd.getU64(&r->stats.activations)
-           && rd.getU64(&r->stats.refreshEvents)
-           && rd.getU64(&r->stats.victimRowsRefreshed)
-           && rd.getU64(&r->stats.sramAccesses)
-           && rd.getU64(&r->stats.prngBits)
-           && rd.getU64(&r->stats.splits)
-           && rd.getU64(&r->stats.merges)
-           && rd.getU64(&r->stats.epochResets)
-           && rd.getU64(&r->stats.counterDramReads)
-           && rd.getU64(&r->stats.counterDramWrites)
-           && rd.getU64(&r->banks) && rd.getU64(&r->epochs)
-           && rd.atEnd();
-}
-
-std::string
-currentExceptionMessage()
-{
-    try {
-        throw;
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown error";
-    }
+    return rd.getStats(&r->stats) && rd.getU64(&r->banks)
+           && rd.getU64(&r->epochs) && rd.atEnd();
 }
 
 /**
@@ -148,44 +109,41 @@ ShardPlan::spec() const
 ShardedSim::ShardedSim(SchemeConfig scheme, RowAddr rows_per_bank,
                        ShardPlan plan, std::size_t jobs)
     : scheme_(std::move(scheme)), rowsPerBank_(rows_per_bank),
-      plan_(std::move(plan)), jobs_(jobs ? jobs : 1),
-      checkpointDir_(checkpointDirFromEnv()),
-      keepGoing_(keepGoingFromEnv())
+      plan_(std::move(plan)), tasks_(jobs)
 {
 }
 
-std::vector<std::string>
-ShardedSim::shardKeys(const char *kind) const
+JournaledGrid
+ShardedSim::shardGrid(const char *kind, const std::string &tag,
+                      std::uint64_t seq) const
 {
-    std::vector<std::string> keys;
-    keys.reserve(plan_.numShards());
+    JournaledGrid grid;
+    grid.what = std::string("fleet ") + kind + " shards";
+    grid.failSite = "shard_task";
+    std::ostringstream runKey;
+    runKey << "fleet-" << kind << "|tag=" << tag << "|seq=" << seq << '|'
+           << scheme_.format() << "|rows=" << rowsPerBank_ << '|'
+           << plan_.spec();
     for (std::size_t i = 0; i < plan_.numShards(); ++i) {
         const ShardRange &r = plan_.shards()[i];
-        keys.push_back(std::string(kind) + "-shard#" + std::to_string(i)
-                       + "|first=" + std::to_string(r.firstBank)
-                       + "|n=" + std::to_string(r.numBanks));
+        grid.keys.push_back(std::string(kind) + "-shard#"
+                            + std::to_string(i) + "|first="
+                            + std::to_string(r.firstBank)
+                            + "|n=" + std::to_string(r.numBanks));
+        grid.labels.push_back("shard " + std::to_string(i));
+        runKey << '|' << grid.keys.back();
     }
-    return keys;
-}
-
-std::string
-ShardedSim::runKey(const char *kind, const std::string &tag,
-                   std::uint64_t seq,
-                   const std::vector<std::string> &keys) const
-{
-    std::ostringstream os;
-    os << "fleet-" << kind << "|tag=" << tag << "|seq=" << seq << '|'
-       << scheme_.format() << "|rows=" << rowsPerBank_ << '|'
-       << plan_.spec();
-    for (const auto &k : keys)
-        os << '|' << k;
-    return os.str();
+    grid.runKey = runKey.str();
+    return grid;
 }
 
 void
-ShardedSim::finishTotals(FleetResult *fleet,
-                         const std::vector<char> &live) const
+ShardedSim::finishTotals(FleetResult *fleet) const
 {
+    fleet->errors = tasks_.lastErrors();
+    std::vector<char> live(fleet->perShard.size(), 1);
+    for (const CellError &e : fleet->errors)
+        live[e.index] = 0;
     fleet->total = ReplayResult{};
     for (std::size_t i = 0; i < fleet->perShard.size(); ++i) {
         if (!live[i])
@@ -200,129 +158,30 @@ ShardedSim::finishTotals(FleetResult *fleet,
 }
 
 FleetResult
-ShardedSim::runShards(
-    const char *kind, const std::string &tag,
-    const std::function<ReplayResult(const ShardRange &, std::size_t)>
-        &eval_shard)
-{
-    const std::size_t n = plan_.numShards();
-    FleetResult fleet;
-    fleet.perShard.resize(n);
-    std::vector<char> done(n, 0);
-    std::vector<char> live(n, 1);
-    const std::uint64_t seq = callSeq_[std::string(kind) + '|' + tag]++;
-
-    std::unique_ptr<CheckpointJournal> journal;
-    const std::vector<std::string> keys = shardKeys(kind);
-    if (!checkpointDir_.empty()) {
-        journal = std::make_unique<CheckpointJournal>(
-            checkpointDir_, runKey(kind, tag, seq, keys));
-        std::string blob;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (journal->lookup(keys[i], &blob)
-                && decodeReplay(blob, &fleet.perShard[i])) {
-                done[i] = 1;
-                ++fleet.resumedShards;
-            }
-        }
-        if (fleet.resumedShards > 0)
-            CATSIM_INFORM("checkpoint: resumed ", fleet.resumedShards,
-                          "/", n, " fleet ", kind, " shards from ",
-                          journal->path());
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!done[i])
-            pending.push_back(i);
-
-    std::mutex errMutex;
-    ThreadPool pool(std::min(jobs_, std::max<std::size_t>(
-                                        pending.size(), 1)));
-    for (const std::size_t i : pending) {
-        pool.submit([this, i, &fleet, &live, &keys, &eval_shard,
-                     &journal, &errMutex] {
-            const ShardRange &range = plan_.shards()[i];
-            if (!keepGoing_) {
-                try {
-                    fault::maybeThrow("shard_task");
-                    fleet.perShard[i] = eval_shard(range, i);
-                } catch (const std::exception &e) {
-                    throw std::runtime_error(
-                        "shard " + std::to_string(i) + ": " + e.what());
-                }
-            } else {
-                int attempts = 0;
-                for (;;) {
-                    ++attempts;
-                    try {
-                        fault::maybeThrow("shard_task");
-                        fleet.perShard[i] = eval_shard(range, i);
-                        break;
-                    } catch (...) {
-                        if (attempts < 2)
-                            continue; // transient? one retry
-                        ShardError err;
-                        err.shard = i;
-                        err.message = currentExceptionMessage();
-                        err.attempts = attempts;
-                        {
-                            std::lock_guard<std::mutex> lock(errMutex);
-                            fleet.errors.push_back(std::move(err));
-                        }
-                        live[i] = 0;
-                        return; // failed shards are never journaled
-                    }
-                }
-            }
-            if (journal) {
-                try {
-                    journal->append(keys[i],
-                                    encodeReplay(fleet.perShard[i]));
-                } catch (const std::exception &e) {
-                    if (!keepGoing_)
-                        throw;
-                    CATSIM_WARN("checkpoint append failed for shard ",
-                                i, ": ", e.what());
-                }
-            }
-        });
-    }
-    pool.wait();
-    fleet.steals = pool.steals();
-
-    std::sort(fleet.errors.begin(), fleet.errors.end(),
-              [](const ShardError &a, const ShardError &b) {
-                  return a.shard < b.shard;
-              });
-    if (!fleet.errors.empty()) {
-        CATSIM_WARN("fleet keep-going: ", fleet.errors.size(), "/", n,
-                    " shards failed permanently; they are excluded "
-                    "from the merged totals and were not checkpointed");
-        for (const auto &e : fleet.errors)
-            CATSIM_WARN("  shard ", e.shard, ", ", e.attempts,
-                        " attempts: ", e.message);
-    }
-    finishTotals(&fleet, live);
-    return fleet;
-}
-
-FleetResult
 ShardedSim::run(const SourceFactory &make_source, const std::string &tag)
 {
     if (scheme_.kind == SchemeKind::None)
         CATSIM_FATAL("fleet replay needs a real scheme, not None");
-    return runShards(
-        "run", tag,
-        [this, &make_source](const ShardRange &range, std::size_t) {
+    FleetResult fleet;
+    fleet.perShard.resize(plan_.numShards());
+    tasks_.run(
+        shardGrid("run", tag, tasks_.nextSeq("run|" + tag)),
+        [&fleet](std::size_t i, const std::string &blob) {
+            return decodeReplay(blob, &fleet.perShard[i]);
+        },
+        [this, &fleet, &make_source](std::size_t i) {
+            const ShardRange &range = plan_.shards()[i];
             std::vector<std::unique_ptr<ActivationSource>> sources;
             sources.reserve(range.numBanks);
             for (std::uint32_t b = 0; b < range.numBanks; ++b)
                 sources.push_back(make_source(range.firstBank + b));
-            return replaySources(sources, scheme_, rowsPerBank_,
-                                 range.firstBank);
-        });
+            fleet.perShard[i] = replaySources(sources, scheme_,
+                                              rowsPerBank_, range.firstBank);
+        },
+        [&fleet](std::size_t i) { return encodeReplay(fleet.perShard[i]); });
+    fleet.resumedShards = tasks_.lastResumed();
+    finishTotals(&fleet);
+    return fleet;
 }
 
 FleetResult
@@ -350,33 +209,28 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
     const std::size_t n = plan_.numShards();
     FleetResult fleet;
     fleet.perShard.resize(n);
-    std::vector<char> live(n, 1);
-    const std::uint64_t seq = callSeq_[std::string("trace|") + tag]++;
+    // epoch_every changes the results (window size does not), so it is
+    // part of the run identity.
+    const JournaledGrid grid =
+        shardGrid("trace", tag + "|epoch=" + std::to_string(epoch_every),
+                  tasks_.nextSeq("trace|" + tag));
 
     // All-or-nothing resume: per-shard results only exist once the
     // whole trace has streamed, so a journal either replays the full
     // fleet (without touching the trace) or the run starts over.
-    std::unique_ptr<CheckpointJournal> journal;
-    const std::vector<std::string> keys = shardKeys("trace");
-    if (!checkpointDir_.empty()) {
-        // epoch_every changes the results (window size does not), so
-        // it is part of the run identity.
-        journal = std::make_unique<CheckpointJournal>(
-            checkpointDir_,
-            runKey("trace",
-                   tag + "|epoch=" + std::to_string(epoch_every), seq,
-                   keys));
+    const std::unique_ptr<CheckpointJournal> journal = tasks_.begin(grid);
+    if (journal) {
         std::string blob;
         std::size_t found = 0;
         for (std::size_t i = 0; i < n; ++i)
-            if (journal->lookup(keys[i], &blob)
+            if (journal->lookup(grid.keys[i], &blob)
                 && decodeReplay(blob, &fleet.perShard[i]))
                 ++found;
         if (found == n) {
             CATSIM_INFORM("checkpoint: resumed full fleet trace replay "
                           "(", n, " shards) from ", journal->path());
             fleet.resumedShards = n;
-            finishTotals(&fleet, live);
+            finishTotals(&fleet);
             return fleet;
         }
         for (auto &r : fleet.perShard)
@@ -396,14 +250,16 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
     TraceWindower windower(stream, mapper, geometry, epoch_every,
                            window_records);
     std::vector<std::vector<RowAddr>> window;
+    std::vector<char> live(n, 1);
+    std::vector<CellError> errors;
     std::mutex errMutex;
-    ThreadPool pool(std::min(jobs_, n));
-    while (windower.next(&window)) {
+    ThreadPool pool(std::min(tasks_.jobs(), n));
+    while ((tasks_.keepGoing() || errors.empty()) && windower.next(&window)) {
         for (std::size_t i = 0; i < n; ++i) {
             if (!live[i])
                 continue; // dead shards skip the rest of the stream
-            pool.submit([this, i, &schemes, &epochs, &window, &live,
-                         &fleet, &errMutex] {
+            pool.submit([this, i, &schemes, &epochs, &window, &live, &grid,
+                         &errors, &errMutex] {
                 const ShardRange &range = plan_.shards()[i];
                 try {
                     fault::maybeThrow("shard_task");
@@ -417,34 +273,21 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
                             epochs[i] += e;
                     }
                 } catch (...) {
-                    if (!keepGoing_) {
-                        try {
-                            throw;
-                        } catch (const std::exception &e) {
-                            throw std::runtime_error(
-                                "shard " + std::to_string(i) + ": "
-                                + e.what());
-                        }
-                    }
                     // No retry here: the shard's scheme state may
                     // already hold part of this window, so a re-feed
                     // would double-count.  Record and drop the shard;
-                    // the rest of the fleet keeps streaming.
-                    ShardError err;
-                    err.shard = i;
-                    err.message = currentExceptionMessage();
-                    err.attempts = 1;
-                    {
-                        std::lock_guard<std::mutex> lock(errMutex);
-                        fleet.errors.push_back(std::move(err));
-                    }
+                    // in keep-going mode the rest of the fleet keeps
+                    // streaming.
+                    std::lock_guard<std::mutex> lock(errMutex);
+                    errors.push_back(
+                        currentCellError(i, grid.labels[i], 1));
                     live[i] = 0;
                 }
             });
         }
         pool.wait();
     }
-    fleet.steals = pool.steals();
+    tasks_.report(grid, std::move(errors));
 
     for (std::size_t i = 0; i < n; ++i) {
         if (!live[i])
@@ -455,30 +298,10 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
         for (const auto &s : schemes[i])
             if (s)
                 r.stats.add(s->stats());
-        if (journal) {
-            try {
-                journal->append(keys[i], encodeReplay(r));
-            } catch (const std::exception &e) {
-                if (!keepGoing_)
-                    throw;
-                CATSIM_WARN("checkpoint append failed for shard ", i,
-                            ": ", e.what());
-            }
-        }
+        if (journal)
+            tasks_.append(*journal, grid, i, encodeReplay(r));
     }
-
-    std::sort(fleet.errors.begin(), fleet.errors.end(),
-              [](const ShardError &a, const ShardError &b) {
-                  return a.shard < b.shard;
-              });
-    if (!fleet.errors.empty()) {
-        CATSIM_WARN("fleet keep-going: ", fleet.errors.size(), "/", n,
-                    " trace shards failed; they are excluded from the "
-                    "merged totals and were not checkpointed");
-        for (const auto &e : fleet.errors)
-            CATSIM_WARN("  shard ", e.shard, ": ", e.message);
-    }
-    finishTotals(&fleet, live);
+    finishTotals(&fleet);
     return fleet;
 }
 

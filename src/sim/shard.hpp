@@ -22,13 +22,14 @@
  * results.  Epoch counts are taken from the shard owning global bank
  * 0, matching the unsharded replay's bank-0 rule.
  *
- * Fleet runs checkpoint per shard through the PR 8 journal
- * (CATSIM_CHECKPOINT=dir): a SIGKILLed run resumes with finished
- * shards decoded from disk and only the rest re-run, byte-identically.
- * With CATSIM_SWEEP_KEEP_GOING=1 a failing shard is retried once and
- * then reported as a structured ShardError while the rest of the
- * fleet completes (the `shard_task` fail point injects such failures
- * deterministically).
+ * Fleet runs go through the same JournaledRunner as sweeps
+ * (sim/checkpoint.hpp), one cell per shard: with CATSIM_CHECKPOINT=dir
+ * a SIGKILLed run resumes with finished shards decoded from disk and
+ * only the rest re-run, byte-identically.  With
+ * CATSIM_SWEEP_KEEP_GOING=1 a failing shard is retried once and then
+ * reported as a CellError whose index is the shard, while the rest of
+ * the fleet completes (the `shard_task` fail point injects such
+ * failures deterministically).
  */
 
 #ifndef CATSIM_SIM_SHARD_HPP
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +47,7 @@
 #include "dram/geometry.hpp"
 #include "sim/activation_sim.hpp"
 #include "sim/activation_source.hpp"
+#include "sim/checkpoint.hpp"
 #include "trace/trace_ingest.hpp"
 
 namespace catsim
@@ -90,28 +91,19 @@ class ShardPlan
     std::uint32_t numBanks_ = 0;
 };
 
-/** A shard that failed permanently in keep-going mode. */
-struct ShardError
-{
-    std::size_t shard = 0;   //!< index into plan().shards()
-    std::string message;
-    int attempts = 0;
-};
-
 /** Merged fleet replay outcome. */
 struct FleetResult
 {
     ReplayResult total;                  //!< summed over live shards
     std::vector<ReplayResult> perShard;  //!< indexed by shard
-    std::vector<ShardError> errors;      //!< keep-going failures, by shard
-    std::uint64_t steals = 0;            //!< pool steals (telemetry)
+    std::vector<CellError> errors;       //!< keep-going failures, by shard
     std::size_t resumedShards = 0;       //!< decoded from the journal
 };
 
 /**
- * Runs a sharded replay: one job per shard on a work-stealing pool
- * (uneven shards - attacked banks run hot - are what the stealing is
- * for), merged into one FleetResult.
+ * Runs a sharded replay: one parallelFor cell per shard, handed out
+ * dynamically so uneven shards (attacked banks run hot) keep every
+ * worker busy, merged into one FleetResult.
  */
 class ShardedSim
 {
@@ -155,24 +147,17 @@ class ShardedSim
                             const std::string &tag);
 
   private:
-    FleetResult runShards(
-        const char *kind, const std::string &tag,
-        const std::function<ReplayResult(const ShardRange &,
-                                         std::size_t)> &eval_shard);
-    std::vector<std::string> shardKeys(const char *kind) const;
-    std::string runKey(const char *kind, const std::string &tag,
-                       std::uint64_t seq,
-                       const std::vector<std::string> &keys) const;
-    void finishTotals(FleetResult *fleet,
-                      const std::vector<char> &live) const;
+    /** The shards as a journaled grid; @p tag names the run. */
+    JournaledGrid shardGrid(const char *kind, const std::string &tag,
+                            std::uint64_t seq) const;
+    /** Fills in errors and the totals over the shards that did not
+     *  fail. */
+    void finishTotals(FleetResult *fleet) const;
 
     SchemeConfig scheme_;
     RowAddr rowsPerBank_;
     ShardPlan plan_;
-    std::size_t jobs_;
-    std::string checkpointDir_;
-    bool keepGoing_;
-    std::map<std::string, std::uint64_t> callSeq_;
+    JournaledRunner tasks_;
 };
 
 } // namespace catsim

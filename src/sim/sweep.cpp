@@ -1,28 +1,13 @@
 #include "sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <sstream>
-
-#include "common/fault_injection.hpp"
-#include "common/logging.hpp"
 
 namespace catsim
 {
 
 namespace
 {
-
-bool
-keepGoingFromEnv()
-{
-    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
-    return env && std::string(env) == "1";
-}
 
 /** Canonical spec string: the whole cell, so a changed grid misses. */
 std::string
@@ -57,83 +42,37 @@ cellLabel(const AdaptiveCell &c)
            + SystemConfig{c.preset, WorkloadSpec{}, c.scheme}.label();
 }
 
-template <typename Cell>
-std::vector<std::string>
-specsOf(const std::vector<Cell> &cells)
-{
-    std::vector<std::string> specs;
-    specs.reserve(cells.size());
-    for (const auto &c : cells)
-        specs.push_back(cellSpec(c));
-    return specs;
-}
-
-template <typename Cell>
-std::vector<std::string>
-labelsOf(const std::vector<Cell> &cells)
-{
-    std::vector<std::string> labels;
-    labels.reserve(cells.size());
-    for (const auto &c : cells)
-        labels.push_back(cellLabel(c));
-    return labels;
-}
-
 /** Journal blob codecs; doubles bit-exact so resumes are identical. */
-std::string
-encodeResult(double v)
+void
+putResult(BlobWriter &w, double v)
 {
-    BlobWriter w;
     w.putDouble(v);
-    return w.str();
 }
 
-bool
-decodeResult(const std::string &blob, double *v)
+void
+putResult(BlobWriter &w, const EvalResult &e)
 {
-    BlobReader r(blob);
-    return r.getDouble(v) && r.atEnd();
-}
-
-std::string
-encodeResult(const EvalResult &e)
-{
-    BlobWriter w;
     w.putDouble(e.cmrpo);
     w.putDouble(e.power.dynamic);
     w.putDouble(e.power.statik);
     w.putDouble(e.power.refresh);
     w.putDouble(e.baselineSeconds);
-    w.putU64(e.stats.activations);
-    w.putU64(e.stats.refreshEvents);
-    w.putU64(e.stats.victimRowsRefreshed);
-    w.putU64(e.stats.sramAccesses);
-    w.putU64(e.stats.prngBits);
-    w.putU64(e.stats.splits);
-    w.putU64(e.stats.merges);
-    w.putU64(e.stats.epochResets);
-    w.putU64(e.stats.counterDramReads);
-    w.putU64(e.stats.counterDramWrites);
-    return w.str();
+    w.putStats(e.stats);
 }
 
 bool
-decodeResult(const std::string &blob, EvalResult *e)
+getResult(BlobReader &r, double *v)
 {
-    BlobReader r(blob);
+    return r.getDouble(v);
+}
+
+bool
+getResult(BlobReader &r, EvalResult *e)
+{
     return r.getDouble(&e->cmrpo) && r.getDouble(&e->power.dynamic)
            && r.getDouble(&e->power.statik)
            && r.getDouble(&e->power.refresh)
-           && r.getDouble(&e->baselineSeconds)
-           && r.getU64(&e->stats.activations)
-           && r.getU64(&e->stats.refreshEvents)
-           && r.getU64(&e->stats.victimRowsRefreshed)
-           && r.getU64(&e->stats.sramAccesses)
-           && r.getU64(&e->stats.prngBits) && r.getU64(&e->stats.splits)
-           && r.getU64(&e->stats.merges)
-           && r.getU64(&e->stats.epochResets)
-           && r.getU64(&e->stats.counterDramReads)
-           && r.getU64(&e->stats.counterDramWrites) && r.atEnd();
+           && r.getDouble(&e->baselineSeconds) && r.getStats(&e->stats);
 }
 
 /** Mark a permanently-failed cell's result slot. */
@@ -150,144 +89,52 @@ markFailed(EvalResult *e)
     e->cmrpo = std::numeric_limits<double>::quiet_NaN();
 }
 
-/** what() of the in-flight exception (for CellError records). */
-std::string
-currentExceptionMessage()
-{
-    try {
-        throw;
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown error";
-    }
-}
-
 } // namespace
 
 SweepRunner::SweepRunner(double scale, std::size_t jobs)
-    : runner_(scale), jobs_(jobs ? jobs : 1),
-      checkpointDir_(checkpointDirFromEnv()),
-      keepGoing_(keepGoingFromEnv())
+    : runner_(scale), tasks_(jobs)
 {
 }
 
-template <typename Result>
+template <typename Result, typename Cell, typename Eval>
 std::vector<Result>
-SweepRunner::runJournaled(const char *kind,
-                          const std::vector<std::string> &specs,
-                          const std::vector<std::string> &labels,
-                          const std::function<Result(std::size_t)> &eval)
+SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
+                          const Eval &eval)
 {
-    const std::size_t n = specs.size();
-    std::vector<Result> results(n);
-    std::vector<char> done(n, 0);
-    errors_.clear();
-    resumedCells_ = 0;
-    const std::uint64_t seq = callSeq_[kind]++;
-
-    // Replay: journaled cells (validated by key + CRC at open) are
-    // decoded in place and never re-run.
-    std::unique_ptr<CheckpointJournal> journal;
-    std::vector<std::string> keys(n);
-    for (std::size_t i = 0; i < n; ++i)
-        keys[i] = std::string(kind) + '#' + std::to_string(i) + '|'
-                  + specs[i];
-    if (!checkpointDir_.empty()) {
+    const std::size_t n = cells.size();
+    JournaledGrid grid;
+    grid.what = std::string(kind) + " cells";
+    grid.failSite = "sweep_cell";
+    for (std::size_t i = 0; i < n; ++i) {
+        grid.keys.push_back(std::string(kind) + '#' + std::to_string(i)
+                            + '|' + cellSpec(cells[i]));
+        grid.labels.push_back(cellLabel(cells[i]));
+    }
+    const std::uint64_t seq = tasks_.nextSeq(kind);
+    if (!tasks_.checkpointDir().empty()) {
         std::ostringstream runKey;
         runKey << kind << "|seq=" << seq << "|scale=" << std::hexfloat
                << scale() << "|cells=" << n;
-        for (const auto &k : keys)
+        for (const auto &k : grid.keys)
             runKey << '|' << k;
-        journal = std::make_unique<CheckpointJournal>(checkpointDir_,
-                                                      runKey.str());
-        std::string blob;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (journal->lookup(keys[i], &blob)
-                && decodeResult(blob, &results[i])) {
-                done[i] = 1;
-                ++resumedCells_;
-            }
-        }
-        if (resumedCells_ > 0)
-            CATSIM_INFORM("checkpoint: resumed ", resumedCells_, "/", n,
-                          " ", kind, " cells from ", journal->path());
+        grid.runKey = runKey.str();
     }
 
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!done[i])
-            pending.push_back(i);
-
-    std::mutex errMutex;
-    parallelFor(
-        pending.size(),
-        [this, &pending, &results, &keys, &labels, &eval, &journal,
-         &errMutex](std::size_t pi) {
-            const std::size_t i = pending[pi];
-            if (!keepGoing_) {
-                // Fail-fast: the first cell failure aborts the grid
-                // (parallelFor attaches the failing index), but cells
-                // that finished before it are journaled below, so a
-                // checkpointed re-run picks up from them.
-                fault::maybeThrow("sweep_cell");
-                results[i] = eval(i);
-            } else {
-                int attempts = 0;
-                for (;;) {
-                    ++attempts;
-                    try {
-                        fault::maybeThrow("sweep_cell");
-                        results[i] = eval(i);
-                        break;
-                    } catch (...) {
-                        if (attempts < 2)
-                            continue; // transient? one retry
-                        CellError err;
-                        err.index = i;
-                        err.label = labels[i];
-                        err.message = currentExceptionMessage();
-                        err.attempts = attempts;
-                        {
-                            std::lock_guard<std::mutex> lock(errMutex);
-                            errors_.push_back(std::move(err));
-                        }
-                        markFailed(&results[i]);
-                        return; // failed cells are never journaled
-                    }
-                }
-            }
-            if (journal) {
-                try {
-                    journal->append(keys[i], encodeResult(results[i]));
-                } catch (const std::exception &e) {
-                    // The result itself is valid; losing its journal
-                    // record only costs a re-run on resume.  Keep
-                    // going quietly in keep-going mode, die loudly in
-                    // fail-fast (a broken journal would make every
-                    // later resume silently partial).
-                    if (!keepGoing_)
-                        throw;
-                    CATSIM_WARN("checkpoint append failed for ",
-                                labels[i], ": ", e.what());
-                }
-            }
+    std::vector<Result> results(n);
+    tasks_.run(
+        grid,
+        [&results](std::size_t i, const std::string &blob) {
+            BlobReader r(blob);
+            return getResult(r, &results[i]) && r.atEnd();
         },
-        jobs_);
-
-    std::sort(errors_.begin(), errors_.end(),
-              [](const CellError &a, const CellError &b) {
-                  return a.index < b.index;
-              });
-    if (!errors_.empty()) {
-        CATSIM_WARN("sweep keep-going: ", errors_.size(), "/", n, " ",
-                    kind, " cells failed permanently; their results "
-                    "are NaN and they were not checkpointed");
-        for (const auto &e : errors_)
-            CATSIM_WARN("  cell ", e.index, " (", e.label, "), ",
-                        e.attempts, " attempts: ", e.message);
-    }
+        [&](std::size_t i) { results[i] = eval(cells[i]); },
+        [&results](std::size_t i) {
+            BlobWriter w;
+            putResult(w, results[i]);
+            return w.str();
+        });
+    for (const CellError &e : tasks_.lastErrors())
+        markFailed(&results[e.index]);
     return results;
 }
 
@@ -295,9 +142,7 @@ std::vector<EvalResult>
 SweepRunner::runCmrpo(const std::vector<SweepCell> &cells)
 {
     return runJournaled<EvalResult>(
-        "cmrpo", specsOf(cells), labelsOf(cells),
-        [this, &cells](std::size_t i) {
-            const SweepCell &c = cells[i];
+        "cmrpo", cells, [this](const SweepCell &c) {
             return runner_.evalCmrpo(c.preset, c.workload, c.scheme);
         });
 }
@@ -306,9 +151,7 @@ std::vector<double>
 SweepRunner::runEto(const std::vector<SweepCell> &cells)
 {
     return runJournaled<double>(
-        "eto", specsOf(cells), labelsOf(cells),
-        [this, &cells](std::size_t i) {
-            const SweepCell &c = cells[i];
+        "eto", cells, [this](const SweepCell &c) {
             return runner_.evalEto(c.preset, c.workload, c.scheme);
         });
 }
@@ -317,9 +160,7 @@ std::vector<EvalResult>
 SweepRunner::runAdaptive(const std::vector<AdaptiveCell> &cells)
 {
     return runJournaled<EvalResult>(
-        "adaptive", specsOf(cells), labelsOf(cells),
-        [this, &cells](std::size_t i) {
-            const AdaptiveCell &c = cells[i];
+        "adaptive", cells, [this](const AdaptiveCell &c) {
             return runner_.evalAdaptive(c.preset, c.attack, c.scheme);
         });
 }
@@ -328,9 +169,7 @@ std::vector<double>
 SweepRunner::runAdaptiveEto(const std::vector<AdaptiveCell> &cells)
 {
     return runJournaled<double>(
-        "adaptive-eto", specsOf(cells), labelsOf(cells),
-        [this, &cells](std::size_t i) {
-            const AdaptiveCell &c = cells[i];
+        "adaptive-eto", cells, [this](const AdaptiveCell &c) {
             return runner_.evalAdaptiveEto(c.preset, c.attack, c.scheme);
         });
 }
@@ -342,10 +181,8 @@ SweepRunner::runAdaptiveMetric(
                                const AdaptiveCell &)> &fn)
 {
     return runJournaled<double>(
-        "adaptive-metric", specsOf(cells), labelsOf(cells),
-        [this, &cells, &fn](std::size_t i) {
-            return fn(runner_, cells[i]);
-        });
+        "adaptive-metric", cells,
+        [this, &fn](const AdaptiveCell &c) { return fn(runner_, c); });
 }
 
 std::vector<double>
@@ -355,10 +192,8 @@ SweepRunner::runMetric(
         &fn)
 {
     return runJournaled<double>(
-        "metric", specsOf(cells), labelsOf(cells),
-        [this, &cells, &fn](std::size_t i) {
-            return fn(runner_, cells[i]);
-        });
+        "metric", cells,
+        [this, &fn](const SweepCell &c) { return fn(runner_, c); });
 }
 
 } // namespace catsim

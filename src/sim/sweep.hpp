@@ -16,14 +16,16 @@
  * shared futures, so the first cell to need a baseline computes it and
  * concurrent cells block instead of duplicating the work.
  *
- * Crash safety: with CATSIM_CHECKPOINT=dir every finished cell is
- * journaled (sim/checkpoint.hpp) the moment it completes, and a
- * restarted run replays the journal and re-runs only the missing
- * cells - because each cell is a pure function of its spec, the
- * resumed output is byte-identical to an uninterrupted run.  With
+ * Crash safety: every run* call goes through the JournaledRunner
+ * (sim/checkpoint.hpp).  With CATSIM_CHECKPOINT=dir every finished
+ * cell is journaled the moment it completes, and a restarted run
+ * replays the journal and re-runs only the missing cells - because
+ * each cell is a pure function of its spec, the resumed output is
+ * byte-identical to an uninterrupted run.  With
  * CATSIM_SWEEP_KEEP_GOING=1 a failing cell is retried once and then
  * recorded as a structured CellError while the rest of the grid
- * completes (default remains fail-fast).
+ * completes; its result slot holds NaN (metric runs) or an EvalResult
+ * with cmrpo = NaN.  The default remains fail-fast.
  */
 
 #ifndef CATSIM_SIM_SWEEP_HPP
@@ -31,7 +33,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -71,21 +72,6 @@ struct AdaptiveCell
     SystemPreset preset = SystemPreset::DualCore2Ch;
     AdaptiveAttackSpec attack;
     SchemeConfig scheme;
-};
-
-/**
- * One cell that failed permanently under keep-going mode: which cell,
- * what it was, and what its final attempt threw.  The cell's result
- * slot holds NaN (metric runs) or an EvalResult with cmrpo = NaN, and
- * the cell is NOT journaled, so a checkpointed resume re-runs exactly
- * the failed cells.
- */
-struct CellError
-{
-    std::size_t index = 0;  //!< position in the cells vector
-    std::string label;      //!< cell label for the error report
-    std::string message;    //!< what() of the last attempt
-    int attempts = 0;       //!< evaluation attempts made (max 2)
 };
 
 /** Evaluates experiment grids concurrently. */
@@ -153,7 +139,7 @@ class SweepRunner
     /** The shared runner (baseline cache, counters, disk cache dir). */
     ExperimentRunner &runner() { return runner_; }
 
-    std::size_t jobs() const { return jobs_; }
+    std::size_t jobs() const { return tasks_.jobs(); }
     double scale() const { return runner_.scale(); }
 
     /**
@@ -161,8 +147,14 @@ class SweepRunner
      * checkpointing.  Defaults to the CATSIM_CHECKPOINT environment
      * variable.  Not thread-safe against in-flight runs.
      */
-    void setCheckpointDir(const std::string &dir) { checkpointDir_ = dir; }
-    const std::string &checkpointDir() const { return checkpointDir_; }
+    void setCheckpointDir(const std::string &dir)
+    {
+        tasks_.setCheckpointDir(dir);
+    }
+    const std::string &checkpointDir() const
+    {
+        return tasks_.checkpointDir();
+    }
 
     /**
      * Keep-going mode: a failing cell is retried once, then recorded
@@ -171,42 +163,36 @@ class SweepRunner
      * off means fail-fast (the first cell failure aborts the grid,
      * though cells finished before it are still journaled).
      */
-    void setKeepGoing(bool keepGoing) { keepGoing_ = keepGoing; }
-    bool keepGoing() const { return keepGoing_; }
+    void setKeepGoing(bool keepGoing) { tasks_.setKeepGoing(keepGoing); }
+    bool keepGoing() const { return tasks_.keepGoing(); }
 
     /**
      * Per-cell errors from the most recent run* call (empty on full
-     * success or in fail-fast mode, which throws instead).  Sorted by
-     * cell index.
+     * success; in fail-fast mode the first of them was thrown).
+     * Sorted by cell index.
      */
-    const std::vector<CellError> &lastErrors() const { return errors_; }
+    const std::vector<CellError> &lastErrors() const
+    {
+        return tasks_.lastErrors();
+    }
 
     /** Cells served from the journal by the most recent run* call. */
-    std::size_t lastResumedCells() const { return resumedCells_; }
+    std::size_t lastResumedCells() const { return tasks_.lastResumed(); }
 
   private:
     /**
-     * Shared engine behind every run* method: journal replay, cell
-     * evaluation across the pool, retry/keep-going handling, and
-     * per-cell journal appends.  @p kind names the run flavor (part
-     * of the journal run key); @p specs/@p labels are per-cell.
+     * Shared body of every run* method: builds the journal keys and
+     * hands the grid to the JournaledRunner, which calls @p eval on
+     * each cell to run.  @p kind names the run flavor (part of the
+     * journal run key).
      */
-    template <typename Result>
-    std::vector<Result> runJournaled(
-        const char *kind, const std::vector<std::string> &specs,
-        const std::vector<std::string> &labels,
-        const std::function<Result(std::size_t)> &eval);
+    template <typename Result, typename Cell, typename Eval>
+    std::vector<Result> runJournaled(const char *kind,
+                                     const std::vector<Cell> &cells,
+                                     const Eval &eval);
 
     ExperimentRunner runner_;
-    std::size_t jobs_;
-    std::string checkpointDir_;
-    bool keepGoing_ = false;
-    std::vector<CellError> errors_;
-    std::size_t resumedCells_ = 0;
-    /** Per-kind invocation counter: distinguishes repeated grids (and
-     *  different runMetric callbacks) within one process, and is
-     *  reproduced by a re-run of the same bench, so resume matches. */
-    std::map<std::string, std::uint64_t> callSeq_;
+    JournaledRunner tasks_;
 };
 
 } // namespace catsim

@@ -14,12 +14,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fault_injection.hpp"
 #include "reliability/montecarlo.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/shard.hpp"
 #include "sim/sweep.hpp"
 
 namespace catsim
@@ -94,6 +96,85 @@ tagMetric(const SweepCell &c)
            + static_cast<double>(c.tag);
 }
 
+void
+expectSameEval(const EvalResult &a, const EvalResult &b, std::size_t i)
+{
+    EXPECT_EQ(a.cmrpo, b.cmrpo) << "cell " << i;
+    EXPECT_EQ(a.baselineSeconds, b.baselineSeconds) << "cell " << i;
+    EXPECT_EQ(a.power.dynamic, b.power.dynamic) << "cell " << i;
+    EXPECT_EQ(a.power.statik, b.power.statik) << "cell " << i;
+    EXPECT_EQ(a.power.refresh, b.power.refresh) << "cell " << i;
+    EXPECT_EQ(a.stats, b.stats) << "cell " << i;
+}
+
+std::string
+toHex(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string hex;
+    for (unsigned char c : bytes) {
+        hex += digits[c >> 4];
+        hex += digits[c & 15];
+    }
+    return hex;
+}
+
+/** SchemeStats whose fields, in declaration order, count up from
+ *  @p first - a swapped or dropped field shows as a wrong value. */
+SchemeStats
+pinnedStats(Count first)
+{
+    SchemeStats s;
+    s.activations = first;
+    s.refreshEvents = first + 1;
+    s.victimRowsRefreshed = first + 2;
+    s.sramAccesses = first + 3;
+    s.prngBits = first + 4;
+    s.splits = first + 5;
+    s.merges = first + 6;
+    s.epochResets = first + 7;
+    s.counterDramReads = first + 8;
+    s.counterDramWrites = first + 9;
+    return s;
+}
+
+/** An EvalResult journal blob: cmrpo, power dynamic/static/refresh,
+ *  baselineSeconds, then pinnedStats(101). */
+std::string
+pinnedEvalBlob()
+{
+    BlobWriter w;
+    for (double v : {1.5, 2.5, 3.5, 4.5, 5.5})
+        w.putDouble(v);
+    for (std::uint64_t v = 101; v <= 110; ++v)
+        w.putU64(v);
+    return w.str();
+}
+
+/** A ReplayResult journal blob: pinnedStats(201), banks 211, epochs
+ *  212. */
+std::string
+pinnedReplayBlob()
+{
+    BlobWriter w;
+    for (std::uint64_t v = 201; v <= 212; ++v)
+        w.putU64(v);
+    return w.str();
+}
+
+/** HeaderAndRecordBytesArePinned's journal file, as hex. */
+const char *const kPinnedJournalHex =
+    "314a4d495354414301000000000000000a0000000000000070696e6e65642d72"
+    "756ea7a07d6907000000000000007800000000000000636d72706f2330000000"
+    "000000f83f00000000000004400000000000000c400000000000001240000000"
+    "0000001640650000000000000066000000000000006700000000000000680000"
+    "000000000069000000000000006a000000000000006b000000000000006c0000"
+    "00000000006d000000000000006e00000000000000ba58b7840b000000000000"
+    "00600000000000000072756e2d73686172642330c900000000000000ca000000"
+    "00000000cb00000000000000cc00000000000000cd00000000000000ce000000"
+    "00000000cf00000000000000d000000000000000d100000000000000d2000000"
+    "00000000d300000000000000d400000000000000db793320";
+
 } // namespace
 
 TEST(CheckpointBlob, RoundTripIsBitExact)
@@ -149,6 +230,26 @@ TEST(CheckpointJournalTest, DistinctRunKeysUseDistinctFiles)
 {
     EXPECT_NE(checkpointFileName("grid A"), checkpointFileName("grid B"));
     EXPECT_EQ(checkpointFileName("grid A"), checkpointFileName("grid A"));
+}
+
+/**
+ * The journal layout is an on-disk contract: a run killed under one
+ * binary must resume under the next.  Pins the header and record
+ * framing and the file name; the Pinned*RecordResumes tests below pin
+ * the blob layouts the sweep and fleet runners decode.
+ */
+TEST(CheckpointJournalTest, HeaderAndRecordBytesArePinned)
+{
+    const auto dir = freshDir("ckpt_pinned");
+    {
+        CheckpointJournal j(dir.string(), "pinned-run");
+        j.append("cmrpo#0", pinnedEvalBlob());
+        j.append("run-shard#0", pinnedReplayBlob());
+    }
+    EXPECT_EQ(checkpointFileName("pinned-run"), "run-b2effe8bd4967c05.catj");
+    EXPECT_EQ(toHex(readFile(dir / checkpointFileName("pinned-run"))),
+              kPinnedJournalHex);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointJournalTest, HeaderMismatchStartsFresh)
@@ -400,13 +501,8 @@ TEST(CheckpointSweep, CmrpoKillAndResumeBitIdentical)
     const auto got = resumed.runCmrpo(cells);
     EXPECT_EQ(resumed.lastResumedCells(), 2u);
     ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].cmrpo, expected[i].cmrpo) << "cell " << i;
-        EXPECT_EQ(got[i].baselineSeconds, expected[i].baselineSeconds);
-        EXPECT_EQ(got[i].power.dynamic, expected[i].power.dynamic);
-        EXPECT_EQ(got[i].stats.activations, expected[i].stats.activations);
-        EXPECT_EQ(got[i].stats.prngBits, expected[i].stats.prngBits);
-    }
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameEval(got[i], expected[i], i);
 
     // Fully journaled now: a third run resumes everything and never
     // computes a baseline.
@@ -415,8 +511,75 @@ TEST(CheckpointSweep, CmrpoKillAndResumeBitIdentical)
     const auto again = third.runCmrpo(cells);
     EXPECT_EQ(third.lastResumedCells(), 3u);
     EXPECT_EQ(third.runner().baselineComputeCount(), 0u);
+    ASSERT_EQ(again.size(), expected.size());
     for (std::size_t i = 0; i < again.size(); ++i)
-        EXPECT_EQ(again[i].cmrpo, expected[i].cmrpo) << "cell " << i;
+        expectSameEval(again[i], expected[i], i);
+    std::filesystem::remove_all(dir);
+}
+
+/** A journal holding pinnedEvalBlob() under the sweep's run and cell
+ *  keys resumes to exactly those values, field by field. */
+TEST(CheckpointSweep, PinnedEvalResultRecordResumes)
+{
+    const auto dir = freshDir("ckpt_pinned_eval");
+    SweepCell cell;
+    cell.workload.name = "comm1";
+    cell.scheme.kind = SchemeKind::Sca;
+    const std::string key = "cmrpo#0|" + cell.system().format() + "|tag=0";
+    std::ostringstream runKey;
+    runKey << "cmrpo|seq=0|scale=" << std::hexfloat << kTestScale
+           << "|cells=1|" << key;
+    CheckpointJournal(dir.string(), runKey.str())
+        .append(key, pinnedEvalBlob());
+
+    SweepRunner runner(kTestScale, 1);
+    runner.setCheckpointDir(dir.string());
+    const auto got = runner.runCmrpo({cell});
+    EXPECT_EQ(runner.lastResumedCells(), 1u);
+    EXPECT_EQ(runner.runner().baselineComputeCount(), 0u);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].cmrpo, 1.5);
+    EXPECT_EQ(got[0].power.dynamic, 2.5);
+    EXPECT_EQ(got[0].power.statik, 3.5);
+    EXPECT_EQ(got[0].power.refresh, 4.5);
+    EXPECT_EQ(got[0].baselineSeconds, 5.5);
+    EXPECT_EQ(got[0].stats, pinnedStats(101));
+    std::filesystem::remove_all(dir);
+}
+
+/** The fleet counterpart: a journaled ReplayResult resumes field by
+ *  field and the shard is never simulated. */
+TEST(CheckpointFleet, PinnedReplayResultRecordResumes)
+{
+    const auto dir = freshDir("ckpt_pinned_replay");
+    SchemeConfig cfg;
+    cfg.kind = SchemeKind::Prcat;
+    cfg.numCounters = 16;
+    cfg.maxLevels = 11;
+    cfg.threshold = 2048;
+    const ShardPlan plan = ShardPlan::make(4, 1);
+    const std::string key = "run-shard#0|first=0|n=4";
+    CheckpointJournal(dir.string(), "fleet-run|tag=pin|seq=0|"
+                                        + cfg.format() + "|rows=65536|"
+                                        + plan.spec() + "|" + key)
+        .append(key, pinnedReplayBlob());
+
+    ::setenv("CATSIM_CHECKPOINT", dir.c_str(), 1);
+    ShardedSim sim(cfg, 65536, plan, 1);
+    ::unsetenv("CATSIM_CHECKPOINT");
+    const FleetResult fleet = sim.run(
+        [](std::uint32_t) -> std::unique_ptr<ActivationSource> {
+            throw std::runtime_error("a journaled shard must not run");
+        },
+        "pin");
+    EXPECT_EQ(fleet.resumedShards, 1u);
+    ReplayResult expected;
+    expected.stats = pinnedStats(201);
+    expected.banks = 211;
+    expected.epochs = 212;
+    ASSERT_EQ(fleet.perShard.size(), 1u);
+    EXPECT_EQ(fleet.perShard[0], expected);
+    EXPECT_EQ(fleet.total, expected);
     std::filesystem::remove_all(dir);
 }
 
@@ -516,6 +679,42 @@ TEST(CheckpointSweep, FailFastNamesTheFailingCell)
         EXPECT_NE(what.find("cell 2"), std::string::npos) << what;
         EXPECT_NE(what.find("boom"), std::string::npos) << what;
     }
+}
+
+/**
+ * Fail-fast after a resume must name the failing cell by its grid
+ * index, not by its position among the cells left to run.
+ */
+TEST(CheckpointSweep, FailFastAfterResumeNamesTheGridCell)
+{
+    const auto dir = freshDir("ckpt_failfast_resume");
+    const auto cells = tagGrid(4);
+    const auto fn = [](ExperimentRunner &, const SweepCell &c) {
+        if (c.tag == 3)
+            throw std::runtime_error("boom");
+        return tagMetric(c);
+    };
+
+    // Keep-going journals cells 0-2; cell 3 fails and is not journaled.
+    SweepRunner first(kTestScale, 1);
+    first.setCheckpointDir(dir.string());
+    first.setKeepGoing(true);
+    first.runMetric(cells, fn);
+    ASSERT_EQ(first.lastErrors().size(), 1u);
+
+    SweepRunner second(kTestScale, 1);
+    second.setCheckpointDir(dir.string());
+    try {
+        second.runMetric(cells, fn);
+        FAIL() << "expected fail-fast throw";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("cell 3"), std::string::npos) << what;
+        EXPECT_EQ(what.find("cell 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("boom"), std::string::npos) << what;
+    }
+    EXPECT_EQ(second.lastResumedCells(), 3u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointMc, CampaignResumesAfterTornAppend)

@@ -106,27 +106,6 @@ unshardedRun(const SchemeConfig &cfg)
     return replaySources(sources, cfg, kRows);
 }
 
-void
-expectSameReplay(const ReplayResult &a, const ReplayResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.stats.activations, b.stats.activations) << what;
-    EXPECT_EQ(a.stats.refreshEvents, b.stats.refreshEvents) << what;
-    EXPECT_EQ(a.stats.victimRowsRefreshed, b.stats.victimRowsRefreshed)
-        << what;
-    EXPECT_EQ(a.stats.sramAccesses, b.stats.sramAccesses) << what;
-    EXPECT_EQ(a.stats.prngBits, b.stats.prngBits) << what;
-    EXPECT_EQ(a.stats.splits, b.stats.splits) << what;
-    EXPECT_EQ(a.stats.merges, b.stats.merges) << what;
-    EXPECT_EQ(a.stats.epochResets, b.stats.epochResets) << what;
-    EXPECT_EQ(a.stats.counterDramReads, b.stats.counterDramReads)
-        << what;
-    EXPECT_EQ(a.stats.counterDramWrites, b.stats.counterDramWrites)
-        << what;
-    EXPECT_EQ(a.banks, b.banks) << what;
-    EXPECT_EQ(a.epochs, b.epochs) << what;
-}
-
 /** The scheme configs the corpus cares about, new baselines included. */
 std::vector<SchemeConfig>
 schemeMatrix()
@@ -224,9 +203,8 @@ TEST(CloudMix, ShardedRunMatchesUnshardedForEveryScheme)
         const ReplayResult oracle = unshardedRun(cfg);
         ShardedSim sim(cfg, kRows, ShardPlan::make(kBanks, 4), 4);
         const FleetResult fleet = sim.run(makeCloudSource, "cloud");
-        expectSameReplay(fleet.total, oracle,
-                         "scheme " + std::to_string(static_cast<int>(
-                             cfg.kind)));
+        EXPECT_EQ(fleet.total, oracle)
+            << "scheme " << static_cast<int>(cfg.kind);
         EXPECT_TRUE(fleet.errors.empty());
     }
 }
@@ -247,10 +225,10 @@ TEST(CloudMix, FleetCheckpointResumesByteIdentically)
     ShardedSim second(cfg, kRows, ShardPlan::make(kBanks, 4), 2);
     const FleetResult warm = second.run(makeCloudSource, "cloud_ck");
     EXPECT_EQ(warm.resumedShards, 4u);
-    expectSameReplay(warm.total, cold.total, "resumed cloud fleet");
+    EXPECT_EQ(warm.total, cold.total) << "resumed cloud fleet";
     for (std::size_t i = 0; i < cold.perShard.size(); ++i)
-        expectSameReplay(warm.perShard[i], cold.perShard[i],
-                         "resumed shard " + std::to_string(i));
+        EXPECT_EQ(warm.perShard[i], cold.perShard[i])
+            << "resumed shard " << i;
     std::filesystem::remove_all(dir);
 }
 

@@ -96,27 +96,6 @@ unshardedRun(const SchemeConfig &cfg)
     return replaySources(sources, cfg, kRows);
 }
 
-void
-expectSameReplay(const ReplayResult &a, const ReplayResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.stats.activations, b.stats.activations) << what;
-    EXPECT_EQ(a.stats.refreshEvents, b.stats.refreshEvents) << what;
-    EXPECT_EQ(a.stats.victimRowsRefreshed, b.stats.victimRowsRefreshed)
-        << what;
-    EXPECT_EQ(a.stats.sramAccesses, b.stats.sramAccesses) << what;
-    EXPECT_EQ(a.stats.prngBits, b.stats.prngBits) << what;
-    EXPECT_EQ(a.stats.splits, b.stats.splits) << what;
-    EXPECT_EQ(a.stats.merges, b.stats.merges) << what;
-    EXPECT_EQ(a.stats.epochResets, b.stats.epochResets) << what;
-    EXPECT_EQ(a.stats.counterDramReads, b.stats.counterDramReads)
-        << what;
-    EXPECT_EQ(a.stats.counterDramWrites, b.stats.counterDramWrites)
-        << what;
-    EXPECT_EQ(a.banks, b.banks) << what;
-    EXPECT_EQ(a.epochs, b.epochs) << what;
-}
-
 } // namespace
 
 TEST(ShardPlan, CoversAllBanksContiguously)
@@ -170,8 +149,7 @@ TEST(Shard, RunMatchesUnshardedAtEveryShardCount)
     for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
         ShardedSim sim(cfg, kRows, ShardPlan::make(kBanks, shards), 4);
         const FleetResult fleet = sim.run(makeSkewedSource, "t");
-        expectSameReplay(fleet.total, oracle,
-                         "shards=" + std::to_string(shards));
+        EXPECT_EQ(fleet.total, oracle) << "shards=" << shards;
         EXPECT_TRUE(fleet.errors.empty());
     }
 }
@@ -183,10 +161,9 @@ TEST(Shard, RunMatchesAcrossJobCounts)
     ShardedSim parallel(cfg, kRows, ShardPlan::make(kBanks, 4), 8);
     const FleetResult a = serial.run(makeSkewedSource, "t");
     const FleetResult b = parallel.run(makeSkewedSource, "t");
-    expectSameReplay(a.total, b.total, "jobs 1 vs 8");
+    EXPECT_EQ(a.total, b.total) << "jobs 1 vs 8";
     for (std::size_t i = 0; i < a.perShard.size(); ++i)
-        expectSameReplay(a.perShard[i], b.perShard[i],
-                         "shard " + std::to_string(i));
+        EXPECT_EQ(a.perShard[i], b.perShard[i]) << "shard " << i;
 }
 
 TEST(Shard, PooledConfigShardsAlongPoolGroups)
@@ -200,7 +177,7 @@ TEST(Shard, PooledConfigShardsAlongPoolGroups)
                    ShardPlan::make(kBanks, 2, cfg.banksPerPool), 2);
     ASSERT_EQ(sim.plan().shards()[1].firstBank, 8u);
     const FleetResult fleet = sim.run(makeSkewedSource, "t");
-    expectSameReplay(fleet.total, oracle, "pooled shards=2");
+    EXPECT_EQ(fleet.total, oracle) << "pooled shards=2";
 }
 
 TEST(ShardDeath, MisalignedPoolShardIsFatal)
@@ -228,10 +205,10 @@ TEST(Shard, FleetCheckpointResumesByteIdentically)
     ShardedSim second(cfg, kRows, ShardPlan::make(kBanks, 4), 2);
     const FleetResult warm = second.run(makeSkewedSource, "ckpt");
     EXPECT_EQ(warm.resumedShards, 4u);
-    expectSameReplay(warm.total, cold.total, "resumed fleet");
+    EXPECT_EQ(warm.total, cold.total) << "resumed fleet";
     for (std::size_t i = 0; i < cold.perShard.size(); ++i)
-        expectSameReplay(warm.perShard[i], cold.perShard[i],
-                         "resumed shard " + std::to_string(i));
+        EXPECT_EQ(warm.perShard[i], cold.perShard[i])
+            << "resumed shard " << i;
     std::filesystem::remove_all(dir);
 }
 
@@ -254,7 +231,7 @@ TEST(Shard, PartialJournalRerunsOnlyMissingShards)
         ShardedSim crashy(cfg, kRows, ShardPlan::make(kBanks, 4), 1);
         const FleetResult broken = crashy.run(makeSkewedSource, "part");
         ASSERT_EQ(broken.errors.size(), 1u);
-        EXPECT_EQ(broken.errors[0].shard, 0u);
+        EXPECT_EQ(broken.errors[0].index, 0u);
         EXPECT_EQ(broken.errors[0].attempts, 2);
         EXPECT_LT(broken.total.banks, kBanks);
     }
@@ -265,7 +242,7 @@ TEST(Shard, PartialJournalRerunsOnlyMissingShards)
     ShardedSim resumed(cfg, kRows, ShardPlan::make(kBanks, 4), 1);
     const FleetResult fixed = resumed.run(makeSkewedSource, "part");
     EXPECT_EQ(fixed.resumedShards, 3u);
-    expectSameReplay(fixed.total, oracle, "healed fleet");
+    EXPECT_EQ(fixed.total, oracle) << "healed fleet";
     std::filesystem::remove_all(dir);
 }
 
@@ -281,7 +258,7 @@ TEST(Shard, KeepGoingRetriesTransientShardFaultOnce)
     ShardedSim sim(cfg, kRows, ShardPlan::make(kBanks, 4), 1);
     const FleetResult fleet = sim.run(makeSkewedSource, "t");
     EXPECT_TRUE(fleet.errors.empty());
-    expectSameReplay(fleet.total, unshardedRun(cfg), "after retry");
+    EXPECT_EQ(fleet.total, unshardedRun(cfg)) << "after retry";
 }
 
 TEST(Shard, FailFastNamesTheFailingShard)
@@ -352,8 +329,7 @@ TEST(Shard, StreamedTraceReplayMatchesInRamPath)
                        ShardPlan::make(geom.totalBanks(), shards), 4);
         const FleetResult fleet =
             sim.replayTrace(reader, mapper, geom, 1000, 8192, "t");
-        expectSameReplay(fleet.total, oracle,
-                         "trace shards=" + std::to_string(shards));
+        EXPECT_EQ(fleet.total, oracle) << "trace shards=" << shards;
         // The whole point: the 60k-record trace was never resident.
         EXPECT_LE(reader.peakBuffered(), 4096u);
     }
@@ -388,7 +364,7 @@ TEST(Shard, StreamedTraceReplayCheckpointResumes)
     const FleetResult warm =
         second.replayTrace(empty, mapper, geom, 1000, 8192, "tr");
     EXPECT_EQ(warm.resumedShards, 4u);
-    expectSameReplay(warm.total, cold.total, "trace resume");
+    EXPECT_EQ(warm.total, cold.total) << "trace resume";
     std::filesystem::remove_all(dir);
 }
 

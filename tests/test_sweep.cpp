@@ -32,6 +32,18 @@ const bool kEnvScrubbed = [] {
 
 constexpr double kTestScale = 0.02;
 
+/** SweepDiskCache.FileBytesArePinned's cache file, as hex. */
+const char *const kPinnedBaselineHex =
+    "31424d495354414302000000000000000a00000000000000302f636f6d6d312f"
+    "3432000000000000d03fe903000000000000000000000000d83fea0300000000"
+    "0000eb03000000000000ec03000000000000ed03000000000000ee0300000000"
+    "0000ef03000000000000f003000000000000d107000000000000d20700000000"
+    "0000d307000000000000d407000000000000d507000000000000d60700000000"
+    "0000d707000000000000d807000000000000d907000000000000da0700000000"
+    "0000f103000000000000f2030000000000000200000000000000040000000000"
+    "00000500000006000000ffffffff0700000001000000000000000900000060c5"
+    "68d9";
+
 std::vector<SweepCell>
 smallGrid()
 {
@@ -61,12 +73,7 @@ expectBitIdentical(const EvalResult &a, const EvalResult &b,
     EXPECT_EQ(a.power.dynamic, b.power.dynamic) << "cell " << i;
     EXPECT_EQ(a.power.statik, b.power.statik) << "cell " << i;
     EXPECT_EQ(a.power.refresh, b.power.refresh) << "cell " << i;
-    EXPECT_EQ(a.stats.activations, b.stats.activations) << "cell " << i;
-    EXPECT_EQ(a.stats.victimRowsRefreshed, b.stats.victimRowsRefreshed)
-        << "cell " << i;
-    EXPECT_EQ(a.stats.prngBits, b.stats.prngBits) << "cell " << i;
-    EXPECT_EQ(a.stats.sramAccesses, b.stats.sramAccesses)
-        << "cell " << i;
+    EXPECT_EQ(a.stats, b.stats) << "cell " << i;
 }
 
 /** Fresh scratch dir under the test temp root. */
@@ -298,6 +305,72 @@ TEST(SweepDiskCache, ScaleMismatchMissesCache)
         << "a different scale must not reuse cached streams";
     EXPECT_EQ(other.baselineComputeCount(), 1u);
 
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * The cache file layout is an on-disk contract: files written by an
+ * older binary must keep loading.  kPinnedBaselineHex is the file for
+ * this TimingResult (2 banks, every counter distinct), so a codec change
+ * that moves, drops or resizes a field fails here.
+ */
+TEST(SweepDiskCache, FileBytesArePinned)
+{
+    TimingResult t;
+    t.execCycles = 1001;
+    t.execSeconds = 0.375;
+    t.epochs = 1002;
+    t.controller.reads = 1003;
+    t.controller.writes = 1004;
+    t.controller.writeDrains = 1005;
+    t.controller.victimRefreshEvents = 1006;
+    t.controller.victimRowsRefreshed = 1007;
+    t.controller.lastCompletion = 1008;
+    t.scheme.activations = 2001;
+    t.scheme.refreshEvents = 2002;
+    t.scheme.victimRowsRefreshed = 2003;
+    t.scheme.sramAccesses = 2004;
+    t.scheme.prngBits = 2005;
+    t.scheme.splits = 2006;
+    t.scheme.merges = 2007;
+    t.scheme.epochResets = 2008;
+    t.scheme.counterDramReads = 2009;
+    t.scheme.counterDramWrites = 2010;
+    t.totalActivations = 1009;
+    t.victimRowsRefreshed = 1010;
+    t.bankStreams = {{5, 6, kEpochMarker, 7}, {9}};
+
+    const auto dir = freshCacheDir("sweep_cache_pinned");
+    const std::string path = (dir / "pinned.catb").string();
+    ASSERT_TRUE(saveBaseline(path, "0/comm1/42", 0.25, t));
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::string hex;
+    for (unsigned char c : bytes) {
+        static const char digits[] = "0123456789abcdef";
+        hex += digits[c >> 4];
+        hex += digits[c & 15];
+    }
+    EXPECT_EQ(hex, kPinnedBaselineHex);
+
+    TimingResult back;
+    ASSERT_TRUE(loadBaseline(path, "0/comm1/42", 0.25, &back));
+    EXPECT_EQ(back.execCycles, t.execCycles);
+    EXPECT_EQ(back.execSeconds, t.execSeconds);
+    EXPECT_EQ(back.epochs, t.epochs);
+    EXPECT_EQ(back.controller.reads, t.controller.reads);
+    EXPECT_EQ(back.controller.writes, t.controller.writes);
+    EXPECT_EQ(back.controller.writeDrains, t.controller.writeDrains);
+    EXPECT_EQ(back.controller.victimRefreshEvents,
+              t.controller.victimRefreshEvents);
+    EXPECT_EQ(back.controller.victimRowsRefreshed,
+              t.controller.victimRowsRefreshed);
+    EXPECT_EQ(back.controller.lastCompletion, t.controller.lastCompletion);
+    EXPECT_EQ(back.scheme, t.scheme);
+    EXPECT_EQ(back.totalActivations, t.totalActivations);
+    EXPECT_EQ(back.victimRowsRefreshed, t.victimRowsRefreshed);
+    EXPECT_EQ(back.bankStreams, t.bankStreams);
     std::filesystem::remove_all(dir);
 }
 
