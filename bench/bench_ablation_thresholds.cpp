@@ -25,7 +25,6 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/cat_tree.hpp"
 #include "core/split_thresholds.hpp"
 #include "bench_common.hpp"
 
@@ -66,7 +65,8 @@ makeSchedule(Schedule kind, std::uint32_t M, std::uint32_t L,
 }
 
 /** Victim rows per bank per epoch for one (schedule, workload) cell:
- *  replay the cached baseline streams through a custom-schedule CAT. */
+ *  replay the cached baseline streams through a custom-schedule
+ *  DRCAT_64/L11. */
 double
 victimRowsMetric(ExperimentRunner &runner, const SweepCell &cell)
 {
@@ -79,27 +79,12 @@ victimRowsMetric(ExperimentRunner &runner, const SweepCell &cell)
     const RowAddr rows =
         makeSystem(SystemPreset::DualCore2Ch).geometry.rowsPerBank;
 
-    CatTree::Params p;
-    p.numRows = rows;
-    p.numCounters = 64;
-    p.maxLevels = 11;
-    p.refreshThreshold = T;
-    p.splitThresholds = makeSchedule(
-        static_cast<Schedule>(cell.tag), 64, 11, T);
-    p.enableWeights = true;
-
-    Count victims = 0;
-    for (const auto &stream : base.bankStreams) {
-        CatTree tree(p);
-        for (const RowAddr r : stream) {
-            if (r == kEpochMarker) {
-                tree.resetCountsOnly();
-                continue;
-            }
-            victims += tree.access(r).rowsRefreshed;
-        }
-    }
-    return static_cast<double>(victims) / norm;
+    SchemeConfig cfg = mkScheme(SchemeKind::Drcat, 64, 11, T);
+    cfg.splitThresholds =
+        makeSchedule(static_cast<Schedule>(cell.tag), 64, 11, T);
+    const ReplayResult replay =
+        replayActivations(base.bankStreams, cfg, rows);
+    return static_cast<double>(replay.stats.victimRowsRefreshed) / norm;
 }
 
 const char *

@@ -213,7 +213,8 @@ void
 BM_TreeBundleLanes(benchmark::State &state)
 {
     const auto schemes = makeBundleGroup(0);
-    TreeBundle *bundle = schemes[0]->bundleHint().bundle;
+    TreeBundle *bundle =
+        &static_cast<BundledCatScheme &>(*schemes[0]).bundle();
     const auto &streams = bankStreams();
     // Grow every lane to steady state before timing.
     for (std::uint32_t b = 0; b < kBundleBanks; ++b)
@@ -517,7 +518,8 @@ emitBundleSpeedupMetrics()
         kActsPerPass);
 
     const auto bundled = makeBundleGroup(0);
-    TreeBundle *bundle = bundled[0]->bundleHint().bundle;
+    TreeBundle *bundle =
+        &static_cast<BundledCatScheme &>(*bundled[0]).bundle();
     std::vector<TreeBundle::LaneBatch> batches(kBundleBanks);
     const double bundleRate = actsPerSec(
         [&] {

@@ -52,8 +52,7 @@ SchemeConfig::label() const
         os << "RFM_" << rfmBudget;
         break;
     }
-    if (banksPerPool > 1
-        && (kind == SchemeKind::Prcat || kind == SchemeKind::Drcat))
+    if (sharesPool())
         os << "_rank" << banksPerPool;
     return os.str();
 }
@@ -215,14 +214,6 @@ makeOne(const SchemeConfig &config, RowAddr num_rows,
     CATSIM_PANIC("unreachable scheme kind");
 }
 
-bool
-wantsSharedPool(const SchemeConfig &config)
-{
-    return config.banksPerPool > 1
-           && (config.kind == SchemeKind::Prcat
-               || config.kind == SchemeKind::Drcat);
-}
-
 /**
  * Banks per TreeBundle for this config, 1 meaning "standalone trees".
  * Pooled groups must be covered by one bundle (the bundle maintains
@@ -235,7 +226,7 @@ resolveBundleWidth(const SchemeConfig &config)
     if (config.kind != SchemeKind::Prcat
         && config.kind != SchemeKind::Drcat)
         return 1;
-    if (wantsSharedPool(config)) {
+    if (config.sharesPool()) {
         if (config.bundleWidth != 0 && config.bundleWidth != 1
             && config.bundleWidth != config.banksPerPool)
             CATSIM_FATAL("bundleWidth=", config.bundleWidth,
@@ -252,7 +243,7 @@ resolveBundleWidth(const SchemeConfig &config)
 std::unique_ptr<MitigationScheme>
 makeScheme(const SchemeConfig &config, RowAddr num_rows)
 {
-    if (wantsSharedPool(config))
+    if (config.sharesPool())
         CATSIM_FATAL("banksPerPool=", config.banksPerPool,
                      " needs makeBankSchemes (a single instance cannot "
                      "share a counter pool)");
@@ -265,7 +256,7 @@ makeBankSchemes(const SchemeConfig &config, RowAddr num_rows,
 {
     std::vector<std::unique_ptr<MitigationScheme>> schemes;
     schemes.reserve(num_banks);
-    const bool pooled = wantsSharedPool(config);
+    const bool pooled = config.sharesPool();
     const std::uint32_t width = resolveBundleWidth(config);
     if (pooled && first_bank % config.banksPerPool != 0)
         CATSIM_FATAL("first_bank=", first_bank,

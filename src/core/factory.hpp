@@ -62,6 +62,15 @@ struct SchemeConfig
      * makeScheme is a configuration error.
      */
     std::uint32_t banksPerPool = 0;
+
+    /** True when CAT banks share counter pools (banksPerPool > 1). */
+    bool
+    sharesPool() const
+    {
+        return banksPerPool > 1
+               && (kind == SchemeKind::Prcat || kind == SchemeKind::Drcat);
+    }
+
     /**
      * CAT bundling width for makeBankSchemes: how many consecutive
      * banks share one structure-of-arrays TreeBundle (see

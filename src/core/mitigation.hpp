@@ -21,8 +21,6 @@
 namespace catsim
 {
 
-class TreeBundle;
-
 /**
  * Victim-refresh order returned by a scheme for one activation.
  *
@@ -90,24 +88,6 @@ struct SchemeStats
 };
 
 /**
- * How a scheme instance relates to batched multi-bank execution
- * (MitigationScheme::bundleHint).  A bundle-backed scheme is one lane
- * of a shared structure-of-arrays TreeBundle; drivers that hold a
- * whole bank group (replay, sweeps) can collect lanes of the same
- * bundle and step them together through TreeBundle::onActivateLanes
- * instead of per-bank calls.
- */
-struct BundleHint
-{
-    /** Shared bundle backing this scheme; null for standalone ones. */
-    TreeBundle *bundle = nullptr;
-    /** This scheme's lane within the bundle. */
-    std::uint32_t lane = 0;
-
-    bool bundled() const { return bundle != nullptr; }
-};
-
-/**
  * Base class for all mitigation schemes.  One instance per bank.
  *
  * The primary entry point is `onActivateBatch`: drivers that own a
@@ -163,13 +143,6 @@ class MitigationScheme
 
     /** Scheme name for reports, e.g. "DRCAT_64". */
     virtual std::string name() const = 0;
-
-    /**
-     * Bundle-capability query: non-null `bundle` means this instance
-     * is a lane of a shared TreeBundle and a group driver may batch
-     * it with sibling lanes.  Standalone schemes return the default.
-     */
-    virtual BundleHint bundleHint() const { return {}; }
 
     /** Event counts so far (bundle-backed schemes override to read
      *  their lane's accumulator inside the shared bundle). */

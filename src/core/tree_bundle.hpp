@@ -230,9 +230,9 @@ class TreeBundle
  *
  * makeBankSchemes hands these out in place of standalone Prcat/Drcat
  * instances when a bank group is bundle-backed; per-bank callers see
- * the exact scheme semantics (onActivate feedback, stats, names),
- * while group drivers discover the shared bundle through bundleHint()
- * and step whole groups per call.
+ * the exact scheme semantics (onActivate feedback, stats, names).
+ * bundle() and lane() expose the shared arena, so benches can time
+ * the multi-lane TreeBundle::onActivateLanes directly.
  */
 class BundledCatScheme : public MitigationScheme
 {
@@ -264,14 +264,6 @@ class BundledCatScheme : public MitigationScheme
         return bundle_->laneName(lane_);
     }
 
-    BundleHint bundleHint() const override
-    {
-        BundleHint h;
-        h.bundle = bundle_.get();
-        h.lane = lane_;
-        return h;
-    }
-
     const SchemeStats &stats() const override
     {
         return bundle_->laneStats(lane_);
@@ -284,6 +276,11 @@ class BundledCatScheme : public MitigationScheme
     {
         return bundle_->sharedPool();
     }
+
+    /** The shared bundle this scheme is one lane of. */
+    TreeBundle &bundle() const { return *bundle_; }
+    /** This scheme's lane within bundle(). */
+    std::uint32_t lane() const { return lane_; }
 
   private:
     std::shared_ptr<TreeBundle> bundle_;

@@ -14,9 +14,7 @@ schemePower(const SchemeConfig &config, const SchemeStats &stats,
 
     HwCost hw = HwModel::cost(config.kind, config.numCounters,
                               config.maxLevels, config.threshold);
-    if (config.banksPerPool > 1
-        && (config.kind == SchemeKind::Prcat
-            || config.kind == SchemeKind::Drcat)) {
+    if (config.sharesPool()) {
         // Rank-shared counter pool: one structure of k x M counters
         // serves k banks.  Every activation pays the bigger array's
         // dynamic access energy (plus the arbitration access already

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "core/tree_bundle.hpp"
-#include "sim/event_engine.hpp"
 
 namespace catsim
 {
@@ -24,235 +22,49 @@ namespace
  */
 constexpr std::size_t kPoolQuantum = 1024;
 
-/**
- * Private-pool replay bank.  Every event consumes ONE source chunk and
- * re-arms at the same time (= the bank index), so the engine's FIFO
- * rule for same-actor-same-time events runs each bank to completion
- * before the next bank's first event - the historical sequential
- * order.  The scheme is built lazily on the first event and torn down
- * at End, so at most one bank's scheme is alive at a time (a
- * CounterCache instance carries a per-row backing array; keeping all
- * banks' schemes alive would multiply peak memory for nothing).  The
- * per-bank seed derivation matches makeBankSchemes.
- */
-class SequentialBankActor : public SimActor
-{
-  public:
-    SequentialBankActor(EventEngine &engine, ActivationSource &source,
-                        const SchemeConfig &scheme_config,
-                        RowAddr rows_per_bank, std::uint32_t bank_idx,
-                        std::uint32_t global_bank)
-        : engine_(engine), source_(source), config_(scheme_config),
-          rowsPerBank_(rows_per_bank), bankIdx_(bank_idx)
-    {
-        config_.seed = scheme_config.seed * 1000003ULL + global_bank;
-        id_ = engine_.addActor(this, EventEngine::ActorRole::Source);
-        engine_.schedule(id_, static_cast<SimTime>(bank_idx));
-    }
+} // namespace
 
-    void
-    onEvent(SimTime now) override
-    {
-        if (!scheme_) {
-            scheme_ = makeScheme(config_, rowsPerBank_);
-            if (!scheme_)
-                CATSIM_FATAL("replay needs a real scheme, not None");
+bool
+ReplayLane::step(std::size_t budget)
+{
+    if (ended_)
+        return false;
+    const bool closed = source_->closedLoop();
+    while (budget > 0) {
+        if (pending_ == 0) {
+            const SourceChunk chunk = source_->next(&rows_, &pending_);
+            if (chunk == SourceChunk::End) {
+                ended_ = true;
+                return false;
+            }
+            if (chunk == SourceChunk::Epoch) {
+                scheme_->onEpoch();
+                ++epochs_;
+                continue;
+            }
         }
-        const RowAddr *rows = nullptr;
-        std::size_t count = 0;
-        const SourceChunk chunk = source_.next(&rows, &count);
-        if (chunk == SourceChunk::End) {
-            stats_ = scheme_->stats();
-            scheme_.reset();
-            engine_.retire(id_);
-            return;
-        }
-        if (chunk == SourceChunk::Epoch) {
-            scheme_->onEpoch();
-            ++epochs_;
-        } else if (source_.closedLoop()) {
+        const std::size_t take = std::min(budget, pending_);
+        if (closed) {
             // Per-activation loop: the source sees every
             // RefreshAction, which is what lets adaptive attackers
             // react.
-            for (std::size_t i = 0; i < count; ++i) {
-                const RefreshAction act = scheme_->onActivate(rows[i]);
-                source_.onRefreshAction(rows[i], act);
+            for (std::size_t i = 0; i < take; ++i) {
+                const RefreshAction act = scheme_->onActivate(rows_[i]);
+                source_->onRefreshAction(rows_[i], act);
             }
         } else {
             // Epoch markers are rare (one per 64 ms of simulated
             // time), so nearly the whole stream goes through tight
             // per-scheme inner loops instead of one virtual call per
             // activation.
-            scheme_->onActivateBatch(rows, count);
+            scheme_->onActivateBatch(rows_, take);
         }
-        engine_.schedule(id_, now);
+        rows_ += take;
+        pending_ -= take;
+        budget -= take;
     }
-
-    std::uint32_t bankIdx() const { return bankIdx_; }
-    Count epochs() const { return epochs_; }
-    const SchemeStats &stats() const { return stats_; }
-
-  private:
-    EventEngine &engine_;
-    ActivationSource &source_;
-    SchemeConfig config_;
-    RowAddr rowsPerBank_;
-    std::uint32_t bankIdx_;
-    ActorId id_ = 0;
-    std::unique_ptr<MitigationScheme> scheme_;
-    SchemeStats stats_;
-    Count epochs_ = 0;
-};
-
-/**
- * Rank-pooled replay bank.  Every event plays one kPoolQuantum-sized
- * turn against an externally owned scheme and re-arms one turn later;
- * registration in bank order makes the engine's actor-id tie-break
- * visit live banks round-robin within each turn - the historical
- * interleaved order.
- */
-class PooledBankActor : public SimActor
-{
-  public:
-    PooledBankActor(EventEngine &engine, ActivationSource &source,
-                    MitigationScheme &scheme, std::uint32_t bank_idx)
-        : engine_(engine), source_(source), scheme_(scheme),
-          bankIdx_(bank_idx)
-    {
-        id_ = engine_.addActor(this, EventEngine::ActorRole::Source);
-        engine_.schedule(id_, 0.0);
-    }
-
-    void
-    onEvent(SimTime now) override
-    {
-        const bool closed = source_.closedLoop();
-        std::size_t budget = kPoolQuantum;
-        while (budget > 0) {
-            if (pending_ == 0) {
-                const SourceChunk chunk =
-                    source_.next(&rows_, &pending_);
-                if (chunk == SourceChunk::End) {
-                    engine_.retire(id_);
-                    return;
-                }
-                if (chunk == SourceChunk::Epoch) {
-                    scheme_.onEpoch();
-                    ++epochs_;
-                    pending_ = 0;
-                    continue;
-                }
-            }
-            const std::size_t take = std::min(budget, pending_);
-            if (closed) {
-                for (std::size_t i = 0; i < take; ++i) {
-                    const RefreshAction act =
-                        scheme_.onActivate(rows_[i]);
-                    source_.onRefreshAction(rows_[i], act);
-                }
-            } else {
-                scheme_.onActivateBatch(rows_, take);
-            }
-            rows_ += take;
-            pending_ -= take;
-            budget -= take;
-        }
-        engine_.schedule(id_, now + 1.0);
-    }
-
-    std::uint32_t bankIdx() const { return bankIdx_; }
-    Count epochs() const { return epochs_; }
-
-  private:
-    EventEngine &engine_;
-    ActivationSource &source_;
-    MitigationScheme &scheme_;
-    std::uint32_t bankIdx_;
-    ActorId id_ = 0;
-    const RowAddr *rows_ = nullptr;
-    std::size_t pending_ = 0;
-    Count epochs_ = 0;
-};
-
-/**
- * Bundle-backed replay group.  One actor drives ALL banks of one
- * TreeBundle: every event pulls one chunk per live lane and steps the
- * whole group through the arena's lockstep walk
- * (TreeBundle::onActivateLanes) - one event-engine dispatch per bank
- * GROUP, not per bank.  Non-pooled lanes are fully independent, so the
- * interleaving is invisible in the results; closed-loop lanes fall
- * back to the per-activation feedback loop within the same turn.
- */
-class BundleGroupActor : public SimActor
-{
-  public:
-    struct Lane
-    {
-        ActivationSource *source;
-        MitigationScheme *scheme;
-        std::uint32_t bundleLane;
-        std::uint32_t bankIdx;
-        Count epochs = 0;
-        bool done = false;
-    };
-
-    BundleGroupActor(EventEngine &engine, TreeBundle &bundle,
-                     std::vector<Lane> lanes)
-        : engine_(engine), bundle_(bundle), lanes_(std::move(lanes))
-    {
-        id_ = engine_.addActor(this, EventEngine::ActorRole::Source);
-        engine_.schedule(id_, 0.0);
-    }
-
-    void
-    onEvent(SimTime now) override
-    {
-        batches_.clear();
-        std::size_t live = 0;
-        for (Lane &lane : lanes_) {
-            if (lane.done)
-                continue;
-            const RowAddr *rows = nullptr;
-            std::size_t count = 0;
-            const SourceChunk chunk = lane.source->next(&rows, &count);
-            if (chunk == SourceChunk::End) {
-                lane.done = true;
-                continue;
-            }
-            ++live;
-            if (chunk == SourceChunk::Epoch) {
-                lane.scheme->onEpoch();
-                ++lane.epochs;
-            } else if (lane.source->closedLoop()) {
-                for (std::size_t i = 0; i < count; ++i) {
-                    const RefreshAction act =
-                        lane.scheme->onActivate(rows[i]);
-                    lane.source->onRefreshAction(rows[i], act);
-                }
-            } else {
-                batches_.push_back({lane.bundleLane, rows, count});
-            }
-        }
-        if (!batches_.empty())
-            bundle_.onActivateLanes(batches_.data(), batches_.size());
-        if (live == 0) {
-            engine_.retire(id_);
-            return;
-        }
-        engine_.schedule(id_, now + 1.0);
-    }
-
-    const std::vector<Lane> &lanes() const { return lanes_; }
-
-  private:
-    EventEngine &engine_;
-    TreeBundle &bundle_;
-    std::vector<Lane> lanes_;
-    std::vector<TreeBundle::LaneBatch> batches_;
-    ActorId id_ = 0;
-};
-
-} // namespace
+    return true;
+}
 
 ReplayResult
 replaySources(
@@ -263,106 +75,42 @@ replaySources(
     ReplayResult res;
     res.banks = sources.size();
 
-    EventEngine engine;
-    const bool pooled = scheme_config.banksPerPool > 1
-                        && (scheme_config.kind == SchemeKind::Prcat
-                            || scheme_config.kind == SchemeKind::Drcat);
-    if (pooled) {
-        // Banks sharing a counter pool are built together (one pool
-        // per bank group) and interleaved round-robin so contention
-        // resolves roughly in parallel (see PooledBankActor).
-        auto schemes = makeBankSchemes(
-            scheme_config, rows_per_bank,
-            static_cast<std::uint32_t>(sources.size()), first_bank);
-        for (std::size_t b = 0; b < sources.size(); ++b)
-            if (sources[b] && !schemes[b])
-                CATSIM_FATAL("replay needs a real scheme, not None");
-
-        std::vector<std::unique_ptr<PooledBankActor>> actors;
-        actors.reserve(sources.size());
-        for (std::size_t b = 0; b < sources.size(); ++b) {
-            if (!sources[b])
-                continue;
-            actors.push_back(std::make_unique<PooledBankActor>(
-                engine, *sources[b], *schemes[b],
-                static_cast<std::uint32_t>(b)));
-        }
-        engine.run();
-
-        for (const auto &actor : actors)
-            if (actor->bankIdx() == 0)
-                res.epochs = actor->epochs();
-        for (std::size_t b = 0; b < sources.size(); ++b)
-            if (sources[b])
-                res.stats.add(schemes[b]->stats());
-        return res;
-    }
-
-    const bool catFamily = scheme_config.kind == SchemeKind::Prcat
-                           || scheme_config.kind == SchemeKind::Drcat;
-    if (catFamily && scheme_config.bundleWidth != 1) {
-        // Private-pool CAT banks come back bundle-backed from the
-        // factory: drive each bundle's banks as ONE group actor so a
-        // single event dispatch steps the whole group through the
-        // arena's lockstep walk.  CAT trees are small, so holding
-        // every bank's scheme at once (unlike the sequential path's
-        // one-at-a-time rule, which exists for CounterCache's per-row
-        // arrays) costs nothing.
-        auto schemes = makeBankSchemes(
-            scheme_config, rows_per_bank,
-            static_cast<std::uint32_t>(sources.size()), first_bank);
-        std::vector<std::unique_ptr<BundleGroupActor>> groups;
-        std::vector<BundleGroupActor::Lane> lanes;
-        TreeBundle *current = nullptr;
-        auto flush = [&]() {
-            if (!lanes.empty())
-                groups.push_back(std::make_unique<BundleGroupActor>(
-                    engine, *current, std::move(lanes)));
-            lanes.clear();
-        };
-        for (std::size_t b = 0; b < sources.size(); ++b) {
-            const BundleHint hint = schemes[b]->bundleHint();
-            if (!hint.bundled())
-                CATSIM_FATAL("factory returned a non-bundled CAT "
-                             "scheme for bundleWidth != 1");
-            if (hint.bundle != current) {
-                flush();
-                current = hint.bundle;
-            }
-            if (sources[b])
-                lanes.push_back({sources[b].get(), schemes[b].get(),
-                                 hint.lane,
-                                 static_cast<std::uint32_t>(b)});
-        }
-        flush();
-        engine.run();
-
-        for (const auto &group : groups)
-            for (const auto &lane : group->lanes())
-                if (lane.bankIdx == 0)
-                    res.epochs = lane.epochs;
-        for (std::size_t b = 0; b < sources.size(); ++b)
-            if (sources[b])
-                res.stats.add(schemes[b]->stats());
-        return res;
-    }
-
-    std::vector<std::unique_ptr<SequentialBankActor>> actors;
-    actors.reserve(sources.size());
-    for (std::size_t b = 0; b < sources.size(); ++b) {
-        if (!sources[b])
+    const auto numBanks = static_cast<std::uint32_t>(sources.size());
+    const std::uint32_t groupBanks =
+        scheme_config.sharesPool() ? scheme_config.banksPerPool : 1;
+    const std::size_t quantum =
+        groupBanks > 1 ? kPoolQuantum : ReplayLane::kWholeStream;
+    for (std::uint32_t g = 0; g < numBanks; g += groupBanks) {
+        const std::uint32_t n = std::min(groupBanks, numBanks - g);
+        if (std::none_of(sources.begin() + g, sources.begin() + g + n,
+                         [](const auto &s) { return s != nullptr; }))
             continue;
-        actors.push_back(std::make_unique<SequentialBankActor>(
-            engine, *sources[b], scheme_config, rows_per_bank,
-            static_cast<std::uint32_t>(b),
-            first_bank + static_cast<std::uint32_t>(b)));
-    }
-    engine.run();
-
-    for (const auto &actor : actors) {
-        if (actor->bankIdx() == 0)
-            res.epochs = actor->epochs();
-        res.stats.add(actor->stats());
+        // Only this group's schemes are alive: a CounterCache carries
+        // a per-row backing array, so keeping every bank's scheme
+        // would multiply peak memory for nothing.
+        const auto schemes =
+            makeBankSchemes(scheme_config, rows_per_bank, n, first_bank + g);
+        std::vector<ReplayLane> lanes;
+        for (std::uint32_t b = 0; b < n; ++b) {
+            if (!sources[g + b])
+                continue;
+            if (!schemes[b])
+                CATSIM_FATAL("replay needs a real scheme, not None");
+            lanes.emplace_back(*sources[g + b], *schemes[b]);
+        }
+        // Round-robin turns in bank order until every lane has ended;
+        // a private bank plays its whole stream in one turn.
+        for (bool live = true; live;) {
+            live = false;
+            for (ReplayLane &lane : lanes)
+                live |= lane.step(quantum);
+        }
+        // Epochs follow bank 0, which is then the group's first lane.
+        if (g == 0 && sources[0])
+            res.epochs = lanes.front().epochs();
+        for (std::uint32_t b = 0; b < n; ++b)
+            if (sources[g + b])
+                res.stats.add(schemes[b]->stats());
     }
     return res;
 }

@@ -13,6 +13,7 @@
 #ifndef CATSIM_SIM_ACTIVATION_SIM_HPP
 #define CATSIM_SIM_ACTIVATION_SIM_HPP
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -48,6 +49,45 @@ struct ReplayResult
 };
 
 /**
+ * One bank's replay cursor: its source, its scheme, and the unplayed
+ * rest of the current chunk.  Every replay path - whole-stream,
+ * rank-pooled round robin, and streamed trace windows - steps lanes,
+ * so there is exactly one loop that hands activations to a scheme.
+ */
+class ReplayLane
+{
+  public:
+    /** Budget that plays a lane to the end of its stream. */
+    static constexpr std::size_t kWholeStream = ~std::size_t{0};
+
+    /** Both must outlive the lane. */
+    ReplayLane(ActivationSource &source, MitigationScheme &scheme)
+        : source_(&source), scheme_(&scheme)
+    {
+    }
+
+    /**
+     * Feed up to @p budget activations.  Open-loop rows go through
+     * onActivateBatch; closed-loop rows go through onActivate one at a
+     * time, and the source gets each RefreshAction back.  Epoch chunks
+     * reset the scheme and cost no budget.  Returns false once the
+     * source has reached End (and on every later call).
+     */
+    bool step(std::size_t budget);
+
+    /** Epoch boundaries played so far. */
+    Count epochs() const { return epochs_; }
+
+  private:
+    ActivationSource *source_;
+    MitigationScheme *scheme_;
+    const RowAddr *rows_ = nullptr;
+    std::size_t pending_ = 0;
+    Count epochs_ = 0;
+    bool ended_ = false;
+};
+
+/**
  * Replay recorded bank streams (rows + kEpochMarker sentinels) through
  * fresh per-bank instances of the given scheme.
  */
@@ -57,11 +97,14 @@ ReplayResult replayActivations(
 
 /**
  * Drive one ActivationSource per bank through fresh per-bank scheme
- * instances (sources[i] is bank i's stream).  Open-loop sources go
- * through the onActivateBatch fast path; closed-loop sources are
- * stepped one activation at a time and receive the scheme's
- * RefreshAction after each - this is how adaptive attackers observe
- * the defense.  Null entries are skipped (bank idle).
+ * instances (sources[i] is bank i's stream), one ReplayLane per bank;
+ * closed-loop sources thereby observe the defense (see ReplayLane).
+ * Null entries are skipped (bank idle).  Banks replay one pool group
+ * at a time - a single bank when pools are private - and only the
+ * current group's schemes are alive.  The banks of a shared counter
+ * pool take round-robin turns of a fixed activation quantum, so they
+ * contend for the pool roughly in parallel; private banks run to the
+ * end of their streams one after the other.
  *
  * @param first_bank Global flat-bank index of sources[0].  A shard
  *     replaying banks [first_bank, first_bank + n) produces exactly

@@ -1,6 +1,6 @@
 /**
  * @file
- * Pluggable per-bank activation sources for the replay engine.
+ * Pluggable per-bank activation sources for replay (ReplayLane).
  *
  * A mitigation scheme consumes one bank's row-activation stream; an
  * ActivationSource produces it.  Three families exist:
@@ -65,7 +65,7 @@ class ActivationSource
                              std::size_t *count) = 0;
 
     /**
-     * Feedback for one activation the replay engine just played
+     * Feedback for one activation the replay lane just played
      * (closed-loop sources only): the row and the scheme's response.
      */
     virtual void
@@ -177,7 +177,7 @@ class SyntheticAttackSource : public AttackSourceBase
 
 /**
  * Closed-loop TRR-style adaptive attacker.  Emits one activation at a
- * time; after each, the replay engine reports the scheme's
+ * time; after each, the replay lane reports the scheme's
  * RefreshAction.  A triggered refresh whose victim range covers the
  * neighborhood of one of the attacker's aggressors means the defense
  * has located that aggressor - the attacker rotates it to a fresh row

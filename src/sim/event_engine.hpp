@@ -1,12 +1,14 @@
 /**
  * @file
- * Unified discrete-event engine shared by every simulation front end.
+ * Discrete-event engine shared by the timing front ends (runTiming and
+ * runTimingOnSources).  Replay needs no clock: it steps ReplayLanes in
+ * a plain loop (sim/activation_sim.hpp).
  *
  * The engine owns one priority queue of events ordered by
  * (time, actor-id, insertion-seq); actors - cores, the refresh/epoch
- * timer, the memory controller's stimulus sources, replay banks - are
- * first-class participants that schedule themselves and consume their
- * own events.  The tie-break order is part of the contract:
+ * timer, the memory controller's stimulus sources - are first-class
+ * participants that schedule themselves and consume their own events.
+ * The tie-break order is part of the contract:
  *
  *   1. earlier time first;
  *   2. at equal time, the actor registered first (lower actor id);
@@ -17,9 +19,7 @@
  * the cores, so an epoch boundary fires before any core whose clock
  * has reached it (the old `earliest->time() >= nextEpoch` test), and
  * ties between cores resolve to the lowest core id exactly as the old
- * linear scan did.  Rule 3 is what lets the sequential replay front
- * end run one bank to completion before the next (all of bank b's
- * events sit at time b and drain in insertion order).
+ * linear scan did.  Rule 3 makes the order total.
  *
  * Two actor roles exist: Source actors (cores, stimulus sources) keep
  * the engine alive and must retire() when done; Timer actors (the
@@ -42,7 +42,7 @@
 namespace catsim
 {
 
-/** Simulated timestamp: bus cycles for timing runs, turns for replay. */
+/** Simulated timestamp in bus cycles. */
 using SimTime = double;
 
 /** Index assigned by EventEngine::addActor (registration order). */

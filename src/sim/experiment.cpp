@@ -498,9 +498,7 @@ ExperimentRunner::evalAdaptiveDisturbance(SystemPreset preset,
     // rank-shared pool would be drained by the first bank (the
     // starvation artifact replaySources interleaves away), so reject
     // it rather than report a biased metric.
-    if (sim.banksPerPool > 1
-        && (sim.kind == SchemeKind::Prcat
-            || sim.kind == SchemeKind::Drcat))
+    if (sim.sharesPool())
         CATSIM_FATAL("disturbance eval does not support rank-shared "
                      "counter pools (banksPerPool=", sim.banksPerPool,
                      ")");

@@ -45,30 +45,6 @@ decodeReplay(const std::string &blob, ReplayResult *r)
            && rd.getU64(&r->epochs) && rd.atEnd();
 }
 
-/**
- * Feed one bank's window slice (rows + kEpochMarker sentinels) to its
- * persistent scheme.  Batch boundaries are semantically per-row, so
- * splitting at window edges is invisible in the results.
- */
-Count
-feedWindowSlice(MitigationScheme &scheme, const std::vector<RowAddr> &rows)
-{
-    Count epochs = 0;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i] != kEpochMarker)
-            continue;
-        if (i > start)
-            scheme.onActivateBatch(rows.data() + start, i - start);
-        scheme.onEpoch();
-        ++epochs;
-        start = i + 1;
-    }
-    if (start < rows.size())
-        scheme.onActivateBatch(rows.data() + start, rows.size() - start);
-    return epochs;
-}
-
 } // namespace
 
 ShardPlan
@@ -193,9 +169,7 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
 {
     if (scheme_.kind == SchemeKind::None)
         CATSIM_FATAL("fleet replay needs a real scheme, not None");
-    if (scheme_.banksPerPool > 1
-        && (scheme_.kind == SchemeKind::Prcat
-            || scheme_.kind == SchemeKind::Drcat))
+    if (scheme_.sharesPool())
         CATSIM_FATAL(
             "streamed trace replay cannot reproduce the pooled "
             "round-robin interleave window by window; use the in-RAM "
@@ -267,10 +241,14 @@ ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
                         const auto &rows = window[range.firstBank + b];
                         if (rows.empty())
                             continue;
-                        const Count e =
-                            feedWindowSlice(*schemes[i][b], rows);
+                        // Chunk boundaries are semantically per-row, so
+                        // cutting the stream at window edges is
+                        // invisible in the results.
+                        RecordedStreamSource slice(rows);
+                        ReplayLane lane(slice, *schemes[i][b]);
+                        lane.step(ReplayLane::kWholeStream);
                         if (range.firstBank + b == 0)
-                            epochs[i] += e;
+                            epochs[i] += lane.epochs();
                     }
                 } catch (...) {
                     // No retry here: the shard's scheme state may

@@ -8,7 +8,7 @@
  * recorded streams from external tools can drive the schemes.  Records
  * are normalized into the native gap-based form (gap = cycle delta),
  * and `traceBankStreams` maps them through an AddressMapper into the
- * per-bank row-activation streams the replay engine consumes.
+ * per-bank row-activation streams that replay consumes.
  *
  * Two ingestion modes exist.  The batch readers (readTraceFile,
  * readDramSimTrace) materialize the whole file - fine for test-sized

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/drcat.hpp"
 #include "core/sca.hpp"
@@ -260,6 +268,298 @@ TEST(ActivationSim, DrcatReplayKeepsInvariantStats)
     const auto res = replayActivations(base.bankStreams, cfg, 65536);
     EXPECT_EQ(res.stats.activations, base.totalActivations);
     EXPECT_GT(res.stats.sramAccesses, 2 * res.stats.activations - 1);
+}
+
+namespace
+{
+
+/**
+ * Marker-laced recorded streams for the pinned cases: each bank
+ * hammers its own 16-row hot set over uniform filler, with an epoch
+ * marker every 6000 activations.
+ */
+std::vector<std::vector<RowAddr>>
+pinnedStreams(std::uint32_t banks)
+{
+    std::vector<std::vector<RowAddr>> streams(banks);
+    for (std::uint32_t b = 0; b < banks; ++b) {
+        Xoshiro256StarStar rng(900 + b);
+        const RowAddr hot = 1000 + 4099 * b;
+        for (std::size_t i = 0; i < 20000; ++i) {
+            if (i > 0 && i % 6000 == 0)
+                streams[b].push_back(kEpochMarker);
+            streams[b].push_back(
+                rng.nextDouble() < 0.7
+                    ? hot + static_cast<RowAddr>(rng.nextBounded(16))
+                    : static_cast<RowAddr>(rng.nextBounded(65536)));
+        }
+    }
+    return streams;
+}
+
+SchemeConfig
+pinnedConfig(SchemeKind kind, std::uint32_t banks_per_pool = 0,
+             std::uint32_t bundle_width = 0)
+{
+    SchemeConfig cfg;
+    cfg.kind = kind;
+    const bool cat = kind == SchemeKind::Prcat || kind == SchemeKind::Drcat;
+    cfg.numCounters = cat ? 16 : 64;
+    cfg.threshold = 256;
+    cfg.banksPerPool = banks_per_pool;
+    cfg.bundleWidth = bundle_width;
+    return cfg;
+}
+
+std::vector<std::unique_ptr<ActivationSource>>
+recordedSources(const std::vector<std::vector<RowAddr>> &streams)
+{
+    std::vector<std::unique_ptr<ActivationSource>> sources;
+    for (const auto &s : streams)
+        sources.push_back(std::make_unique<RecordedStreamSource>(s));
+    return sources;
+}
+
+/** Every pinned replay case, in table order. */
+std::vector<std::pair<std::string, ReplayResult>>
+pinnedReplays()
+{
+    constexpr RowAddr kRows = 65536;
+    std::vector<std::pair<std::string, ReplayResult>> out;
+    const auto streams10 = pinnedStreams(10);
+
+    // Rank-pooled CAT over groups of 4, 4 and 2 banks, bundle-backed
+    // (width 0) and standalone (width 1).
+    for (const auto kind : {SchemeKind::Prcat, SchemeKind::Drcat})
+        for (const std::uint32_t width : {0u, 1u}) {
+            const SchemeConfig cfg = pinnedConfig(kind, 4, width);
+            out.emplace_back(cfg.label() + " width" + std::to_string(width),
+                             replayActivations(streams10, cfg, kRows));
+        }
+
+    // Idle banks: bank 0 on a private config, and banks 0 and 5
+    // inside pool groups.
+    {
+        auto sources = recordedSources(streams10);
+        sources[0].reset();
+        sources[7].reset();
+        const SchemeConfig cfg = pinnedConfig(SchemeKind::Drcat);
+        out.emplace_back("idle 0,7 " + cfg.label(),
+                         replaySources(sources, cfg, kRows));
+    }
+    {
+        auto sources = recordedSources(streams10);
+        sources[0].reset();
+        sources[5].reset();
+        const SchemeConfig cfg = pinnedConfig(SchemeKind::Prcat, 4);
+        out.emplace_back("idle 0,5 " + cfg.label(),
+                         replaySources(sources, cfg, kRows));
+    }
+
+    // Closed-loop attackers contending for shared pools (groups of 4
+    // and 2 banks).
+    {
+        std::vector<std::unique_ptr<ActivationSource>> sources;
+        for (std::uint32_t b = 0; b < 6; ++b) {
+            AttackSourceParams p;
+            p.numRows = kRows;
+            p.targets = {500 + 300 * b, 502 + 300 * b, 9000 + 77 * b};
+            p.targetFraction = 0.6;
+            p.actsPerEpoch = 5000;
+            p.epochs = 3;
+            p.seed = 7 + b;
+            sources.push_back(
+                std::make_unique<RefreshAwareAttackerSource>(p));
+        }
+        const SchemeConfig cfg = pinnedConfig(SchemeKind::Drcat, 4);
+        out.emplace_back("refresh-aware " + cfg.label(),
+                         replaySources(sources, cfg, kRows));
+    }
+
+    // Every private kind once.
+    const auto streams4 = pinnedStreams(4);
+    for (const auto kind :
+         {SchemeKind::Sca, SchemeKind::Pra, SchemeKind::CounterCache,
+          SchemeKind::MisraGries, SchemeKind::Rfm, SchemeKind::Prcat,
+          SchemeKind::Drcat}) {
+        const SchemeConfig cfg = pinnedConfig(kind);
+        out.emplace_back(cfg.label(),
+                         replayActivations(streams4, cfg, kRows));
+    }
+    return out;
+}
+
+/** A case as a kPinned table row. */
+std::string
+pinnedRow(const std::string &name, const ReplayResult &r)
+{
+    std::ostringstream os;
+    os << "{\"" << name << "\", {";
+    const char *sep = "";
+    for (const auto field : SchemeStats::kFields) {
+        os << sep << r.stats.*field;
+        sep = ", ";
+    }
+    os << "}, " << r.epochs << "},";
+    return os.str();
+}
+
+/** One pinned replay: the full SchemeStats (in kFields order) plus
+ *  the epoch count. */
+struct PinnedReplay
+{
+    const char *name;
+    SchemeStats stats;
+    Count epochs;
+};
+
+// clang-format off
+const PinnedReplay kPinned[] = {
+    {"PRCAT_16_rank4 width0", {200000, 531, 502821, 1392685, 0, 476, 0, 30, 0, 0}, 3},
+    {"PRCAT_16_rank4 width1", {200000, 531, 502821, 1392685, 0, 476, 0, 30, 0, 0}, 3},
+    {"DRCAT_16_rank4 width0", {200000, 538, 1673716, 1174890, 0, 80, 0, 30, 0, 0}, 3},
+    {"DRCAT_16_rank4 width1", {200000, 538, 1673716, 1174890, 0, 80, 0, 30, 0, 0}, 3},
+    {"idle 0,7 DRCAT_16", {160000, 421, 60361, 1066936, 0, 64, 2, 24, 0, 0}, 0},
+    {"idle 0,5 PRCAT_16_rank4", {160000, 423, 232270, 1172593, 0, 462, 0, 24, 0, 0}, 0},
+    {"refresh-aware DRCAT_16_rank4", {90000, 272, 1819296, 324438, 0, 48, 0, 18, 0, 0}, 3},
+    {"SCA_64", {80000, 212, 217459, 160000, 0, 0, 0, 0, 0, 0}, 3},
+    {"PRA_0.002", {80000, 142, 284, 0, 720000, 0, 0, 0, 0, 0}, 3},
+    {"CC_64", {80000, 129, 258, 160000, 0, 0, 0, 0, 24204, 23948}, 3},
+    {"MG_64", {80000, 129, 258, 190592, 0, 0, 0, 12, 0, 0}, 3},
+    {"RFM_64", {80000, 1240, 2480, 160000, 0, 0, 0, 12, 0, 0}, 3},
+    {"PRCAT_16", {80000, 211, 15782, 549833, 0, 128, 0, 12, 0, 0}, 3},
+    {"DRCAT_16", {80000, 210, 14756, 556145, 0, 32, 0, 12, 0, 0}, 3},
+};
+// clang-format on
+
+/** Logs every scheme call the replay loop makes. */
+class RecordingScheme : public MitigationScheme
+{
+  public:
+    RecordingScheme() : MitigationScheme(65536) {}
+
+    /** Orders a refresh of rowCount == row, so feedback is traceable. */
+    RefreshAction
+    onActivate(RowAddr row) override
+    {
+        calls.push_back("act(" + std::to_string(row) + ")");
+        RefreshAction act;
+        act.rowCount = row;
+        return act;
+    }
+
+    void
+    onActivateBatch(const RowAddr *rows, std::size_t count) override
+    {
+        calls.push_back("batch(" + std::to_string(count) + ")");
+        played.insert(played.end(), rows, rows + count);
+    }
+
+    void onEpoch() override { calls.push_back("epoch"); }
+    std::string name() const override { return "recording"; }
+
+    /** The calls since the last take(), then cleared. */
+    std::vector<std::string>
+    take()
+    {
+        return std::exchange(calls, {});
+    }
+
+    std::vector<std::string> calls;
+    std::vector<RowAddr> played;
+};
+
+/** A recorded stream that asks for per-activation feedback. */
+class FeedbackSource : public RecordedStreamSource
+{
+  public:
+    using RecordedStreamSource::RecordedStreamSource;
+
+    bool closedLoop() const override { return true; }
+
+    void
+    onRefreshAction(RowAddr row, const RefreshAction &act) override
+    {
+        feedback.emplace_back(row, act.rowCount);
+    }
+
+    std::vector<std::pair<RowAddr, Count>> feedback;
+};
+
+using Calls = std::vector<std::string>;
+
+} // namespace
+
+TEST(ReplayLane, StepsWithinBudgetAndEpochsCostNothing)
+{
+    const std::vector<RowAddr> stream = {1, 2, 3, kEpochMarker, 4, 5};
+    RecordedStreamSource source(stream);
+    RecordingScheme scheme;
+    ReplayLane lane(source, scheme);
+
+    EXPECT_TRUE(lane.step(2));
+    EXPECT_EQ(scheme.take(), (Calls{"batch(2)"}));
+    EXPECT_TRUE(lane.step(2));
+    EXPECT_EQ(scheme.take(), (Calls{"batch(1)", "epoch", "batch(1)"}));
+    EXPECT_FALSE(lane.step(2));
+    EXPECT_EQ(scheme.take(), (Calls{"batch(1)"}));
+    EXPECT_EQ(scheme.played, (std::vector<RowAddr>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(lane.epochs(), 1u);
+
+    // An ended lane stays ended and touches nothing.
+    EXPECT_FALSE(lane.step(2));
+    EXPECT_TRUE(scheme.take().empty());
+}
+
+TEST(ReplayLane, ClosedLoopSourceGetsOneRefreshActionPerActivation)
+{
+    const std::vector<RowAddr> stream = {1, 2, 3, kEpochMarker, 4, 5};
+    for (const std::size_t budget :
+         {std::size_t{2}, ReplayLane::kWholeStream}) {
+        FeedbackSource source(stream);
+        RecordingScheme scheme;
+        ReplayLane lane(source, scheme);
+        while (lane.step(budget)) {
+        }
+        EXPECT_EQ(scheme.take(),
+                  (Calls{"act(1)", "act(2)", "act(3)", "epoch", "act(4)",
+                         "act(5)"}))
+            << "budget " << budget;
+        const std::vector<std::pair<RowAddr, Count>> expected = {
+            {1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}};
+        EXPECT_EQ(source.feedback, expected) << "budget " << budget;
+    }
+}
+
+TEST(ReplayPinned, ResultsMatchTheirPinnedValues)
+{
+    // Replay orders the benchmark grids never reach: rank pools with a
+    // short tail group at both bundle widths, idle banks (including
+    // bank 0, which owns the epoch count), closed-loop sources sharing
+    // a pool, and every private kind.  Any change to the replay loop
+    // that moves a counter fails here; the rows print in table form.
+    const auto cases = pinnedReplays();
+    EXPECT_EQ(cases.size(), std::size(kPinned));
+    for (const auto &[name, result] : cases) {
+        const auto *pinned = std::find_if(
+            std::begin(kPinned), std::end(kPinned),
+            [&name = name](const PinnedReplay &p) { return name == p.name; });
+        const bool same = pinned != std::end(kPinned)
+                          && result.stats == pinned->stats
+                          && result.epochs == pinned->epochs;
+        EXPECT_TRUE(same) << "actual: " << pinnedRow(name, result);
+    }
+}
+
+TEST(ReplayDeathTest, LiveSourceWithoutSchemeIsFatal)
+{
+    const std::vector<RowAddr> stream = {1, 2, 3};
+    std::vector<std::unique_ptr<ActivationSource>> sources;
+    sources.push_back(std::make_unique<RecordedStreamSource>(stream));
+    SchemeConfig cfg;
+    cfg.kind = SchemeKind::None;
+    EXPECT_EXIT(replaySources(sources, cfg, 65536),
+                ::testing::ExitedWithCode(1), "replay needs a real scheme");
 }
 
 } // namespace catsim

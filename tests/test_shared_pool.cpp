@@ -171,11 +171,10 @@ TEST(SharedPoolFactory, GroupsConsecutiveBanksPerPool)
     for (const auto &s : schemes) {
         // Pooled CAT groups come back bundle-backed by default; the
         // group's pool is reachable either way.
-        const auto hint = s->bundleHint();
-        pools.push_back(hint.bundled()
-                            ? hint.bundle->sharedPool()
-                            : dynamic_cast<const Prcat &>(*s)
-                                  .sharedPool());
+        const auto *bundled = dynamic_cast<const BundledCatScheme *>(s.get());
+        pools.push_back(bundled ? bundled->bundle().sharedPool()
+                                : dynamic_cast<const Prcat &>(*s)
+                                      .sharedPool());
     }
     // Banks 0-3 share, 4-7 share, 8-9 form a short tail group.
     for (int b = 1; b < 4; ++b)

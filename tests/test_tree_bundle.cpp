@@ -377,22 +377,26 @@ TEST(TreeBundleFactory, BundleBackedSchemesExposeTheirBundle)
     auto schemes = makeBankSchemes(cfg, 65536, 10);
     ASSERT_EQ(schemes.size(), 10u);
 
-    // Groups of 4, 4, 2: lanes number within each bundle.
-    const BundleHint h0 = schemes[0]->bundleHint();
-    ASSERT_TRUE(h0.bundled());
-    EXPECT_EQ(h0.lane, 0u);
-    EXPECT_EQ(schemes[3]->bundleHint().bundle, h0.bundle);
-    EXPECT_EQ(schemes[3]->bundleHint().lane, 3u);
-    EXPECT_NE(schemes[4]->bundleHint().bundle, h0.bundle);
-    EXPECT_EQ(schemes[4]->bundleHint().lane, 0u);
-    EXPECT_EQ(schemes[8]->bundleHint().bundle->lanes(), 2u);
+    // Groups of 4, 4, 2: lanes number within each bundle (a
+    // standalone scheme would throw std::bad_cast here).
+    const auto lane = [&](std::size_t b) -> const BundledCatScheme & {
+        return dynamic_cast<const BundledCatScheme &>(*schemes[b]);
+    };
+    const TreeBundle *b0 = &lane(0).bundle();
+    EXPECT_EQ(lane(0).lane(), 0u);
+    EXPECT_EQ(&lane(3).bundle(), b0);
+    EXPECT_EQ(lane(3).lane(), 3u);
+    EXPECT_NE(&lane(4).bundle(), b0);
+    EXPECT_EQ(lane(4).lane(), 0u);
+    EXPECT_EQ(lane(8).bundle().lanes(), 2u);
     EXPECT_EQ(schemes[0]->name(), "DRCAT_16");
-    EXPECT_GT(h0.bundle->arenaBytes(), 0u);
+    EXPECT_GT(b0->arenaBytes(), 0u);
 
-    // Standalone schemes report no bundle.
+    // Standalone schemes are not bundle-backed.
     cfg.bundleWidth = 1;
     auto lone = makeBankSchemes(cfg, 65536, 2);
-    EXPECT_FALSE(lone[0]->bundleHint().bundled());
+    EXPECT_EQ(dynamic_cast<const BundledCatScheme *>(lone[0].get()),
+              nullptr);
 }
 
 } // namespace catsim
