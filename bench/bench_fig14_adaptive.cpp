@@ -218,7 +218,7 @@ main()
                  "table shows every deterministic scheme holding the "
                  "attacker at the threshold while PRA does not.\n";
 
-    // Closed-loop ETO (the event-engine stimulus path): unlike the
+    // Closed-loop ETO (the runTimingOnSources stimulus path): unlike the
     // open-loop ETO table above - where the attacker is a recorded
     // trace that cannot react - every cell here runs two full timing
     // legs (baseline fleet vs mitigated fleet) with the attacker

@@ -29,7 +29,7 @@
 #include "core/drcat.hpp"
 #include "core/pra.hpp"
 #include "core/prcat.hpp"
-#include "core/reference_cat_tree.hpp"
+#include "oracles/reference_cat_tree.hpp"
 #include "core/sca.hpp"
 #include "core/split_thresholds.hpp"
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "sim/event_engine.hpp"
 
 namespace catsim
 {
@@ -13,98 +12,73 @@ namespace
 {
 
 /**
- * One trace-driven core as an engine actor.  Every event consumes one
- * trace record; the actor re-arms at the core's advanced clock, so the
- * queue order reproduces the historical earliest-core scan (see the
- * tie-break contract in event_engine.hpp).
+ * The auto-refresh epoch clock both front ends share.  fireUpTo(t)
+ * runs every boundary at or before the next issue time t, so a
+ * boundary wins a tie with the issue; the loops call it only while a
+ * core or source is live, so none fires after the last one ends.
  */
-class CoreActor : public SimActor
+class EpochClock
 {
   public:
-    CoreActor(EventEngine &engine, CoreModel &core)
-        : engine_(engine), core_(core)
+    EpochClock(const TimingConfig &config, MemoryController &mc,
+               TimingResult &res)
+        : epochCycles_(
+              static_cast<double>(config.timing.refreshIntervalCycles())
+              * config.epochScale),
+          next_(epochCycles_), mc_(mc), res_(res)
     {
-        id_ = engine_.addActor(this, EventEngine::ActorRole::Source);
-        engine_.schedule(id_, core_.time());
+        if (epochCycles_ < 1.0)
+            CATSIM_FATAL("epoch scale too small");
     }
 
     void
-    onEvent(SimTime) override
+    fireUpTo(double t)
     {
-        if (core_.step())
-            engine_.schedule(id_, core_.time());
-        else
-            engine_.retire(id_);
+        while (next_ <= t) {
+            mc_.onEpoch();
+            // No streams to mark unless the run records them.
+            appendEpochMarkers(res_.bankStreams);
+            ++res_.epochs;
+            next_ += epochCycles_;
+        }
     }
 
   private:
-    EventEngine &engine_;
-    CoreModel &core_;
-    ActorId id_ = 0;
+    double epochCycles_;
+    double next_;
+    MemoryController &mc_;
+    TimingResult &res_;
+};
+
+/** One stimulus-driven bank: its source and place in the chunk. */
+struct BankLane
+{
+    ActivationSource *source;
+    MappedAddr loc;
+    const RowAddr *rows = nullptr;
+    std::size_t pending = 0;
 };
 
 /**
- * One DRAM bank hammered by an ActivationSource at the fastest legal
- * cadence (one ACT per tRC of local time).  The DRAM timeline pushes
- * actual issue later whenever the bank is blocked by victim refreshes,
- * which is exactly the slowdown ETO measures.
+ * Issue the lane's next ACT at @p clock; false once its source ends.
+ * The source's own Epoch chunks are pacing metadata here - real
+ * boundaries come from the EpochClock.
  */
-class BankSourceActor : public SimActor
+bool
+issueAct(BankLane &lane, double clock, MemoryController &mc)
 {
-  public:
-    BankSourceActor(EventEngine &engine, ActivationSource &source,
-                    MemoryController &mc, const MappedAddr &loc,
-                    double act_cycles)
-        : engine_(engine), source_(source), mc_(mc), loc_(loc),
-          actCycles_(act_cycles)
-    {
-        id_ = engine_.addActor(this, EventEngine::ActorRole::Source);
-        engine_.schedule(id_, clock_);
+    while (lane.pending == 0) {
+        if (lane.source->next(&lane.rows, &lane.pending)
+            == SourceChunk::End)
+            return false;
     }
-
-    void
-    onEvent(SimTime) override
-    {
-        while (pending_ == 0) {
-            const SourceChunk chunk = source_.next(&rows_, &pending_);
-            if (chunk == SourceChunk::End) {
-                engine_.retire(id_);
-                return;
-            }
-            // The source's own Epoch chunks are pacing metadata on the
-            // timing path; real boundaries come from the engine-owned
-            // epoch timer.
-        }
-        MemRequest req;
-        req.loc = loc_;
-        req.loc.row = rows_[0];
-        req.arrival = static_cast<Cycle>(clock_);
-        mc_.submitMapped(req);
-        ++rows_;
-        --pending_;
-        clock_ += actCycles_;
-        engine_.schedule(id_, clock_);
-    }
-
-    double clock() const { return clock_; }
-
-  private:
-    EventEngine &engine_;
-    ActivationSource &source_;
-    MemoryController &mc_;
-    MappedAddr loc_;
-    double actCycles_;
-    ActorId id_ = 0;
-    double clock_ = 0.0;
-    const RowAddr *rows_ = nullptr;
-    std::size_t pending_ = 0;
-};
-
-double
-scaledEpochCycles(const TimingConfig &config)
-{
-    return static_cast<double>(config.timing.refreshIntervalCycles())
-           * config.epochScale;
+    MemRequest req;
+    req.loc = lane.loc;
+    req.loc.row = *lane.rows++;
+    req.arrival = static_cast<Cycle>(clock);
+    mc.submitMapped(req);
+    --lane.pending;
+    return true;
 }
 
 /** Invert BankId::flat: flat -> DRAM coordinates with row/col zero. */
@@ -119,10 +93,26 @@ bankCoordinates(const DramGeometry &geom, std::uint32_t flat)
     return loc;
 }
 
+/** Record every bank's activation stream when the config asks for it. */
+void
+recordStreams(const TimingConfig &config, MemoryController &mc,
+              TimingResult &res)
+{
+    if (!config.recordActivations)
+        return;
+    res.bankStreams.resize(config.geometry.totalBanks());
+    mc.setActivationObserver([&res](std::uint32_t bank, RowAddr row) {
+        res.bankStreams[bank].push_back(row);
+    });
+}
+
+/** Drain posted writes after @p end, then fill in the results. */
 void
 finishResult(TimingResult &res, const TimingConfig &config, Cycle end,
-             const MemoryController &mc, const DramSystem &dram)
+             MemoryController &mc, const DramSystem &dram)
 {
+    mc.drainAllWrites(end);
+    end = std::max(end, mc.stats().lastCompletion);
     res.execCycles = end;
     res.execSeconds = config.timing.cyclesToNs(end) * 1e-9;
     res.controller = mc.stats();
@@ -141,13 +131,7 @@ runTiming(const TimingConfig &config, const StreamFactory &make_stream)
     MemoryController mc(dram, mapper, config.scheme);
 
     TimingResult res;
-    if (config.recordActivations) {
-        res.bankStreams.resize(config.geometry.totalBanks());
-        mc.setActivationObserver(
-            [&res](std::uint32_t bank, RowAddr row) {
-                res.bankStreams[bank].push_back(row);
-            });
-    }
+    recordStreams(config, mc, res);
 
     std::vector<std::unique_ptr<CoreModel>> cores;
     cores.reserve(config.numCores);
@@ -156,32 +140,28 @@ runTiming(const TimingConfig &config, const StreamFactory &make_stream)
             c, config.core, make_stream(c), mc));
     }
 
-    EventEngine engine;
-    // The epoch timer registers first: at an exact boundary tie it
-    // fires before any core, preserving the historical semantics of
-    // "epoch work happens before the core whose clock reached it".
-    EpochTimerActor epochTimer(
-        engine, scaledEpochCycles(config), [&]() {
-            mc.onEpoch();
-            if (config.recordActivations)
-                appendEpochMarkers(res.bankStreams);
-        });
-    std::vector<std::unique_ptr<CoreActor>> actors;
-    actors.reserve(cores.size());
-    for (auto &core : cores)
-        actors.push_back(std::make_unique<CoreActor>(engine, *core));
-
-    engine.run();
-    res.epochs = epochTimer.epochs();
+    // Step the earliest live core one record at a time (the lowest id
+    // wins a tie); cores' clocks only move forward, so requests reach
+    // the controller in arrival order (exact for closed-page FR-FCFS).
+    EpochClock epochs(config, mc, res);
+    for (;;) {
+        CoreModel *earliest = nullptr;
+        for (auto &core : cores) {
+            if (!core->done()
+                && (!earliest || core->time() < earliest->time()))
+                earliest = core.get();
+        }
+        if (!earliest)
+            break;
+        epochs.fireUpTo(earliest->time());
+        earliest->step();
+    }
 
     Cycle end = 0;
     for (auto &core : cores) {
         core->drain();
         end = std::max(end, static_cast<Cycle>(core->time()));
     }
-    mc.drainAllWrites(end);
-    end = std::max(end, mc.stats().lastCompletion);
-
     finishResult(res, config, end, mc, dram);
     return res;
 }
@@ -200,13 +180,7 @@ runTimingOnSources(
         CATSIM_FATAL("runTimingOnSources: need one source slot per bank");
 
     TimingResult res;
-    if (config.recordActivations) {
-        res.bankStreams.resize(totalBanks);
-        mc.setActivationObserver(
-            [&res](std::uint32_t bank, RowAddr row) {
-                res.bankStreams[bank].push_back(row);
-            });
-    }
+    recordStreams(config, mc, res);
     // Mid-flight defense feedback: every ACT's RefreshAction (possibly
     // untriggered) is delivered to the issuing bank's source while the
     // run is in progress - the closed-loop attacker's sensing channel.
@@ -218,37 +192,35 @@ runTimingOnSources(
                 src->onRefreshAction(row, act);
         });
 
-    EventEngine engine;
-    EpochTimerActor epochTimer(
-        engine, scaledEpochCycles(config), [&]() {
-            mc.onEpoch();
-            if (config.recordActivations)
-                appendEpochMarkers(res.bankStreams);
-        });
-    const double actCycles =
-        static_cast<double>(config.timing.tRC);
-    std::vector<std::unique_ptr<BankSourceActor>> actors;
-    actors.reserve(totalBanks);
+    EpochClock epochs(config, mc, res);
+    std::vector<BankLane> live;
     for (std::uint32_t b = 0; b < totalBanks; ++b) {
-        if (!sources[b])
-            continue;
-        actors.push_back(std::make_unique<BankSourceActor>(
-            engine, *sources[b], mc,
-            bankCoordinates(config.geometry, b), actCycles));
+        if (sources[b])
+            live.push_back(
+                {sources[b].get(), bankCoordinates(config.geometry, b)});
     }
 
-    engine.run();
-    res.epochs = epochTimer.epochs();
-
-    Cycle end = mc.stats().lastCompletion;
-    for (const auto &actor : actors) {
-        end = std::max(
-            end, static_cast<Cycle>(std::ceil(actor->clock())));
+    // Every live bank issues once per tRC round, in flat bank order,
+    // on one shared clock; a bank drops out in the round its source
+    // ends, and the clock stays at the last round's time.
+    const double actCycles = static_cast<double>(config.timing.tRC);
+    double clock = 0.0;
+    while (!live.empty()) {
+        epochs.fireUpTo(clock);
+        std::size_t kept = 0;
+        for (BankLane &lane : live) {
+            if (issueAct(lane, clock, mc))
+                live[kept++] = lane;
+        }
+        live.resize(kept);
+        if (!live.empty())
+            clock += actCycles;
     }
-    mc.drainAllWrites(end);
-    end = std::max(end, mc.stats().lastCompletion);
 
-    finishResult(res, config, end, mc, dram);
+    finishResult(res, config,
+                 std::max(mc.stats().lastCompletion,
+                          static_cast<Cycle>(std::ceil(clock))),
+                 mc, dram);
     return res;
 }
 

@@ -1,25 +1,27 @@
 /**
  * @file
- * Timing simulation front ends over the unified discrete-event engine
- * (sim/event_engine.hpp): cores -> memory controller -> DRAM, with a
- * mitigation scheme attached to every bank.
+ * Timing simulation front ends: cores -> memory controller -> DRAM,
+ * with a mitigation scheme attached to every bank.
  *
- * Two front ends share the engine, the controller, and the epoch
- * timer:
+ * Two front ends share the controller and one epoch clock, each a
+ * plain loop:
  *
- *  - runTiming: trace-driven cores.  Each core is a Source actor that
- *    consumes one trace record per event, so requests reach the
- *    controller in arrival order (exact for closed-page FR-FCFS,
- *    which has no row hits to reorder for).  Bit-identical to the
- *    frozen reference loop (sim/reference_timing_sim.hpp).
- *  - runTimingOnSources: stimulus-driven banks.  Each DRAM bank is a
- *    Source actor fed by an ActivationSource at the fastest legal ACT
- *    cadence (one per tRC); closed-loop sources observe every
- *    RefreshAction mid-flight and can re-aim, which is what makes ETO
- *    under an adaptive attacker expressible at all.
+ *  - runTiming: trace-driven cores.  The earliest live core steps one
+ *    trace record at a time (the lowest core id wins a tie), so
+ *    requests reach the controller in arrival order (exact for
+ *    closed-page FR-FCFS, which has no row hits to reorder for).
+ *    Bit-identical to the frozen reference loop referenceRunTiming
+ *    (tests/oracles/reference_timing_sim.hpp).
+ *  - runTimingOnSources: stimulus-driven banks.  Every live DRAM bank
+ *    issues one ACT per tRC round from its ActivationSource, in flat
+ *    bank order, on one shared clock (the fastest legal ACT cadence);
+ *    closed-loop sources observe every RefreshAction mid-flight and
+ *    can re-aim, which is what makes ETO under an adaptive attacker
+ *    expressible at all.
  *
- * Both emit epoch callbacks at every (scaled) 64 ms auto-refresh
- * boundary through the engine-owned epoch timer and can record the
+ * Both fire every (scaled) 64 ms auto-refresh boundary at or before
+ * the next issue time before that issue - a boundary wins a tie - and
+ * none after the last core or source ends.  Both can record the
  * per-bank activation streams for later cheap replay (ActivationSim).
  */
 
@@ -54,9 +56,10 @@ struct TimingConfig
     bool recordActivations = false;
     /**
      * Epoch length scale (1.0 = the real 64 ms interval).  Scaling the
-     * epoch together with the refresh threshold (see
-     * ExperimentScaling in experiment.hpp) keeps the counting dynamics
-     * faithful while shortening runs.
+     * epoch together with the refresh threshold (see the scaled
+     * experiments note in ExperimentRunner's file comment,
+     * sim/experiment.hpp) keeps the counting dynamics faithful while
+     * shortening runs.
      */
     double epochScale = 1.0;
 };
@@ -86,14 +89,15 @@ TimingResult runTiming(const TimingConfig &config,
 /**
  * Run one timing simulation where every DRAM bank is driven by its
  * own stimulus source (sources[i] is flat bank i's; null = idle bank).
- * Each bank hammers at one ACT per tRC on its local clock; victim
+ * Each bank hammers at one ACT per tRC on the shared clock; victim
  * refreshes ordered by the scheme block the bank, so mitigation cost
  * lands in execCycles (read at the DRAM pin, i.e. last completion).
+ * A bank drops out in the round its source ends, and the run ends at
+ * the later of that last round's clock and the last completion.
  * Closed-loop sources receive onRefreshAction for every activation
  * they issue, including untriggered ones.  The sources' own Epoch
  * chunks are pacing metadata on this path; real boundaries come from
- * the engine's epoch timer.  Sources are stateful - pass fresh ones
- * per run.
+ * the epoch clock.  Sources are stateful - pass fresh ones per run.
  */
 TimingResult runTimingOnSources(
     const TimingConfig &config,

@@ -82,4 +82,11 @@ readTraceFile(const std::string &path)
     return trace;
 }
 
+void
+appendEpochMarkers(std::vector<std::vector<RowAddr>> &streams)
+{
+    for (auto &s : streams)
+        s.push_back(kEpochMarker);
+}
+
 } // namespace catsim

@@ -100,6 +100,12 @@ std::size_t writeTraceFile(const std::string &path, TraceStream &stream);
 /** Read a trace file written by writeTraceFile. */
 VectorTrace readTraceFile(const std::string &path);
 
+/**
+ * Append the kEpochMarker sentinel to every per-bank stream: the one
+ * marker emission point of the timing front ends and trace ingestion.
+ */
+void appendEpochMarkers(std::vector<std::vector<RowAddr>> &streams);
+
 } // namespace catsim
 
 #endif // CATSIM_TRACE_TRACE_HPP

@@ -6,7 +6,6 @@
 #include "common/config.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "sim/event_engine.hpp"
 
 namespace catsim
 {

@@ -18,7 +18,8 @@
  * Do not use it in simulators and do not "fix" it: its behaviour is
  * the specification the fast tree is checked against.  It reuses the
  * production `CatTree::Params` / `CatTree::AccessResult` types so
- * results compare field-for-field.
+ * results compare field-for-field.  It lives in the `catsim_oracles`
+ * target, outside `libcatsim`, which only those two users link.
  */
 
 #ifndef CATSIM_CORE_REFERENCE_CAT_TREE_HPP

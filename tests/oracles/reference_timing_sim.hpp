@@ -1,13 +1,14 @@
 /**
  * @file
- * Frozen pre-event-engine timing simulator.
+ * Frozen historical timing simulator.
  *
  * This is the historical runTiming loop (linear scan for the earliest
  * core, inline epoch bookkeeping) kept verbatim as the differential
- * oracle for the event-queue engine, exactly as ReferenceCatTree
- * freezes the recursive tree for the flattened CatTree.  Do not
- * optimize or refactor it; tests/test_event_engine_diff.cpp asserts
- * the production runTiming reproduces it bit for bit.
+ * oracle for the production scan loops in sim/timing_sim.cpp, exactly
+ * as ReferenceCatTree freezes the recursive tree for the flattened
+ * CatTree.  Do not optimize or refactor it; tests/test_timing_diff.cpp
+ * asserts the production runTiming reproduces it bit for bit.  It
+ * lives in the `catsim_oracles` target, outside `libcatsim`.
  */
 
 #ifndef CATSIM_SIM_REFERENCE_TIMING_SIM_HPP

@@ -2,7 +2,7 @@
  * @file
  * Differential tests: the flattened `CatTree` must be bit-identical to
  * the frozen pointer-chasing `ReferenceCatTree` (the pre-flattening
- * implementation kept as an oracle in src/core/reference_cat_tree.*).
+ * implementation kept as an oracle in tests/oracles/reference_cat_tree.*).
  *
  * Every paper figure is a function of per-access observables (refresh
  * ranges, split/merge events, sramAccesses), so equality is asserted
@@ -15,7 +15,7 @@
 
 #include "common/rng.hpp"
 #include "core/cat_tree.hpp"
-#include "core/reference_cat_tree.hpp"
+#include "oracles/reference_cat_tree.hpp"
 #include "core/split_thresholds.hpp"
 
 namespace catsim

@@ -8,9 +8,21 @@
  * assertions in test_activation_source.cpp - while exact per-row
  * counting (CounterCache) stays flat, and the extra victim refreshes
  * must surface as execution-time overhead (ETO).
+ *
+ * The TimingPinned cases freeze whole TimingResults of the stimulus
+ * front end (values recorded before its loop was rewritten), together
+ * with the order rules they depend on: an all-idle fleet never
+ * starts, the run ends with the last source (at its last round's
+ * clock when nothing outlasts it), and an epoch boundary fires before
+ * an ACT issued at the same cycle.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <sstream>
+#include <utility>
 
 #include "sim/experiment.hpp"
 #include "sim/timing_sim.hpp"
@@ -98,7 +110,238 @@ paperScheme(SchemeKind kind)
     return cfg;
 }
 
+/** FNV-1a over every bank's length and rows, in flat bank order. */
+std::uint64_t
+streamDigest(const std::vector<std::vector<RowAddr>> &streams)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    };
+    for (const auto &s : streams) {
+        mix(s.size());
+        for (const RowAddr r : s)
+            mix(r);
+    }
+    return h;
+}
+
+/**
+ * Everything a TimingResult carries, flattened: execCycles, epochs,
+ * totalActivations, victimRowsRefreshed, the six ControllerStats
+ * fields, SchemeStats in kFields order, and the stream digest.
+ */
+std::vector<std::uint64_t>
+pinnedFields(const TimingResult &r)
+{
+    std::vector<std::uint64_t> v = {
+        r.execCycles,
+        r.epochs,
+        r.totalActivations,
+        r.victimRowsRefreshed,
+        r.controller.reads,
+        r.controller.writes,
+        r.controller.writeDrains,
+        r.controller.victimRefreshEvents,
+        r.controller.victimRowsRefreshed,
+        r.controller.lastCompletion,
+    };
+    for (const auto field : SchemeStats::kFields)
+        v.push_back(r.scheme.*field);
+    v.push_back(streamDigest(r.bankStreams));
+    return v;
+}
+
+/** A case as a kPinnedTiming table row (digest in hex). */
+std::string
+pinnedRow(const std::string &name, const TimingResult &r)
+{
+    const auto v = pinnedFields(r);
+    std::ostringstream os;
+    os << "{\"" << name << "\", {";
+    for (std::size_t i = 0; i + 1 < v.size(); ++i)
+        os << v[i] << ", ";
+    os << "0x" << std::hex << v.back() << "}},";
+    return os.str();
+}
+
+/** Every bank idle: nothing issues, so nothing may fire. */
+TimingResult
+allIdleRun()
+{
+    TimingConfig sys = stimulusSystem(SchemeKind::Drcat);
+    sys.recordActivations = true;
+    std::vector<std::unique_ptr<ActivationSource>> fleet(
+        sys.geometry.totalBanks());
+    return runTimingOnSources(sys, fleet);
+}
+
+/** Longest source of unevenRun(): 2 epochs of 1500 + 700 * 15 acts. */
+constexpr std::uint64_t kUnevenLongest = 2 * (1500 + 700 * 15);
+
+/**
+ * Refresh-aware PRCAT fleet with banks 1 and 7 idle and every source
+ * a different length (each with a mid-stream Epoch chunk), over short
+ * epochs so several boundaries fire before the last source ends.
+ */
+TimingResult
+unevenRun()
+{
+    TimingConfig sys = stimulusSystem(SchemeKind::Prcat);
+    sys.scheme.threshold = 256; // triggers, so the attackers re-aim
+    sys.recordActivations = true;
+    sys.epochScale = 0.002; // 102400 bus cycles per epoch
+    std::vector<std::unique_ptr<ActivationSource>> fleet;
+    for (std::uint32_t b = 0; b < sys.geometry.totalBanks(); ++b) {
+        AttackSourceParams p;
+        p.numRows = sys.geometry.rowsPerBank;
+        p.targets = {300 + 50 * b, 2000, 3100 + 7 * b};
+        p.targetFraction = 0.6;
+        p.actsPerEpoch = 1500 + 700 * b;
+        p.epochs = 2;
+        p.seed = 31ULL * (b + 1);
+        fleet.push_back(
+            (b == 1 || b == 7)
+                ? nullptr
+                : std::make_unique<RefreshAwareAttackerSource>(p));
+    }
+    return runTimingOnSources(sys, fleet);
+}
+
+/** Epoch length of tRCMultipleRun(): exactly 2000 ACT rounds. */
+TimingConfig
+tRCMultipleSystem()
+{
+    TimingConfig sys = stimulusSystem(SchemeKind::Prcat);
+    sys.scheme.threshold = 256; // triggers, so the epoch resets matter
+    sys.recordActivations = true;
+    sys.epochScale =
+        2000.0 * sys.timing.tRC
+        / static_cast<double>(sys.timing.refreshIntervalCycles());
+    return sys;
+}
+
+/** Static PRCAT fleet whose boundaries land on ACT issue cycles. */
+TimingResult
+tRCMultipleRun()
+{
+    const TimingConfig sys = tRCMultipleSystem();
+    return runTimingOnSources(sys, makeFleet(sys, false, 5000));
+}
+
+/**
+ * One bank on an otherwise idle DRAM, no scheme, and a source short
+ * enough to end before the first auto-refresh: nothing delays an ACT.
+ */
+TimingResult
+loneBankRun()
+{
+    TimingConfig sys = stimulusSystem(SchemeKind::None);
+    sys.recordActivations = true;
+    auto fleet = makeFleet(sys, false, 100);
+    for (std::size_t b = 0; b < fleet.size(); ++b) {
+        if (b != 5)
+            fleet[b].reset();
+    }
+    return runTimingOnSources(sys, fleet);
+}
+
+/** Static DRCAT fleet whose refreshes trigger and block banks. */
+TimingResult
+drcatBlockingRun()
+{
+    TimingConfig sys = stimulusSystem(SchemeKind::Drcat);
+    sys.recordActivations = true;
+    return runTimingOnSources(sys, makeFleet(sys, false, 20000, 2));
+}
+
+/** One pinned stimulus run: pinnedFields() of its TimingResult. */
+struct PinnedTiming
+{
+    const char *name;
+    std::vector<std::uint64_t> fields;
+};
+
+// clang-format off
+const PinnedTiming kPinnedTiming[] = {
+    {"all idle DRCAT", {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x88201fb960ff6465}},
+    {"uneven refresh-aware PRCAT", {1878954, 9, 198800, 29033, 198800, 0, 0, 437, 29033, 1878954, 198800, 437, 29033, 818652, 0, 2456, 0, 144, 0, 0, 0xe2731becba9d5352}},
+    {"tRC-multiple epoch PRCAT", {363081, 2, 80000, 6798, 80000, 0, 0, 103, 6798, 363081, 80000, 103, 6798, 310316, 0, 1186, 0, 32, 0, 0, 0x8f09cd1288245d4e}},
+    {"lone bank", {3900, 0, 100, 0, 100, 0, 0, 0, 0, 3887, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xaaa66c17867901e7}},
+    {"blocking DRCAT", {2155970, 3, 640000, 12672, 640000, 0, 0, 192, 12672, 2155970, 640000, 192, 12672, 2976928, 0, 512, 0, 48, 0, 0, 0x62e60423eb1606d3}},
+};
+// clang-format on
+
 } // namespace
+
+TEST(TimingPinned, StimulusRunsMatchTheirPinnedValues)
+{
+    // Any change to the stimulus loop's order - which bank issues
+    // first, when a boundary fires, when the run ends - moves a
+    // counter or the stream digest here; the rows print in table form.
+    const std::pair<std::string, TimingResult> cases[] = {
+        {"all idle DRCAT", allIdleRun()},
+        {"uneven refresh-aware PRCAT", unevenRun()},
+        {"tRC-multiple epoch PRCAT", tRCMultipleRun()},
+        {"lone bank", loneBankRun()},
+        {"blocking DRCAT", drcatBlockingRun()},
+    };
+    EXPECT_EQ(std::size(cases), std::size(kPinnedTiming));
+    for (const auto &[name, result] : cases) {
+        const auto *pinned = std::find_if(
+            std::begin(kPinnedTiming), std::end(kPinnedTiming),
+            [&name = name](const PinnedTiming &p) { return name == p.name; });
+        const bool same = pinned != std::end(kPinnedTiming)
+                          && pinnedFields(result) == pinned->fields;
+        EXPECT_TRUE(same) << "actual: " << pinnedRow(name, result);
+    }
+}
+
+TEST(TimingPinned, AllIdleFleetNeverStarts)
+{
+    const TimingResult res = allIdleRun();
+    EXPECT_EQ(res.execCycles, 0u);
+    EXPECT_EQ(res.epochs, 0u);
+    EXPECT_EQ(res.totalActivations, 0u);
+}
+
+TEST(TimingPinned, RunEndsWithTheLastSource)
+{
+    // The longest source issues rounds 0 .. longest-1 and returns End
+    // in round `longest` (39 cycles per tRC round, 102400-cycle
+    // epochs); no boundary after that round may fire.
+    const TimingResult res = unevenRun();
+    const double lastRound = static_cast<double>(kUnevenLongest) * 39.0;
+    EXPECT_EQ(res.epochs, static_cast<Count>(lastRound / 102400.0));
+    EXPECT_GE(res.execCycles, static_cast<Cycle>(lastRound));
+}
+
+TEST(TimingPinned, LoneBankEndsAtItsLastRoundClock)
+{
+    // 100 ACTs fill rounds 0 .. 99 and the source ends in round 100,
+    // whose clock is later than the last read's completion.
+    const TimingResult res = loneBankRun();
+    EXPECT_EQ(res.execCycles, 100u * 39u);
+    EXPECT_LT(res.controller.lastCompletion, res.execCycles);
+}
+
+TEST(TimingPinned, EpochBoundaryBeatsTheSameTimeAct)
+{
+    const TimingConfig sys = tRCMultipleSystem();
+    ASSERT_EQ(static_cast<double>(sys.timing.refreshIntervalCycles())
+                  * sys.epochScale,
+              78000.0);
+    // Boundaries at 78000 and 156000 coincide with rounds 2000 and
+    // 4000; each marker lands before that round's ACT.
+    const TimingResult res = tRCMultipleRun();
+    EXPECT_EQ(res.epochs, 2u);
+    for (const auto &stream : res.bankStreams) {
+        ASSERT_EQ(stream.size(), 5002u);
+        EXPECT_EQ(stream[2000], kEpochMarker);
+        EXPECT_EQ(stream[4001], kEpochMarker);
+    }
+}
 
 TEST(TimingClosedLoop, BaselineFleetRunsToCompletion)
 {

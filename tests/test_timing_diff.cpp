@@ -1,18 +1,18 @@
 /**
  * @file
- * Differential suite: the event-engine runTiming must reproduce the
- * frozen pre-engine scan loop (sim/reference_timing_sim.hpp) bit for
- * bit - every TimingResult field, including the recorded per-bank
- * activation streams and the per-bank scheme statistics - across the
- * scheme matrices of the shipped figure benches, multi-core streams,
- * epoch scales, and recording on/off.  This is the event engine's
- * ReferenceCatTree: any reordering the queue introduces against the
- * historical earliest-core scan shows up here first.
+ * Differential suite: the production runTiming scan loop must
+ * reproduce the frozen historical loop (oracles/reference_timing_sim.hpp)
+ * bit for bit - every TimingResult field, including the recorded
+ * per-bank activation streams and the per-bank scheme statistics -
+ * across the scheme matrices of the shipped figure benches, multi-core
+ * streams, epoch scales, and recording on/off.  This is the timing
+ * front end's ReferenceCatTree: any change to which core steps next
+ * or when an epoch boundary fires shows up here first.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/reference_timing_sim.hpp"
+#include "oracles/reference_timing_sim.hpp"
 #include "sim/timing_sim.hpp"
 #include "trace/attack.hpp"
 #include "trace/workloads.hpp"
@@ -83,29 +83,29 @@ expectSchemeStatsEqual(const SchemeStats &a, const SchemeStats &b)
 
 /** Full-result bit-identity: every field, every stream element. */
 void
-expectIdentical(const TimingResult &engine, const TimingResult &ref)
+expectIdentical(const TimingResult &actual, const TimingResult &ref)
 {
-    EXPECT_EQ(engine.execCycles, ref.execCycles);
-    EXPECT_EQ(engine.execSeconds, ref.execSeconds); // exact, no tolerance
-    EXPECT_EQ(engine.epochs, ref.epochs);
-    EXPECT_EQ(engine.totalActivations, ref.totalActivations);
-    EXPECT_EQ(engine.victimRowsRefreshed, ref.victimRowsRefreshed);
+    EXPECT_EQ(actual.execCycles, ref.execCycles);
+    EXPECT_EQ(actual.execSeconds, ref.execSeconds); // exact, no tolerance
+    EXPECT_EQ(actual.epochs, ref.epochs);
+    EXPECT_EQ(actual.totalActivations, ref.totalActivations);
+    EXPECT_EQ(actual.victimRowsRefreshed, ref.victimRowsRefreshed);
 
-    EXPECT_EQ(engine.controller.reads, ref.controller.reads);
-    EXPECT_EQ(engine.controller.writes, ref.controller.writes);
-    EXPECT_EQ(engine.controller.writeDrains, ref.controller.writeDrains);
-    EXPECT_EQ(engine.controller.victimRefreshEvents,
+    EXPECT_EQ(actual.controller.reads, ref.controller.reads);
+    EXPECT_EQ(actual.controller.writes, ref.controller.writes);
+    EXPECT_EQ(actual.controller.writeDrains, ref.controller.writeDrains);
+    EXPECT_EQ(actual.controller.victimRefreshEvents,
               ref.controller.victimRefreshEvents);
-    EXPECT_EQ(engine.controller.victimRowsRefreshed,
+    EXPECT_EQ(actual.controller.victimRowsRefreshed,
               ref.controller.victimRowsRefreshed);
-    EXPECT_EQ(engine.controller.lastCompletion,
+    EXPECT_EQ(actual.controller.lastCompletion,
               ref.controller.lastCompletion);
 
-    expectSchemeStatsEqual(engine.scheme, ref.scheme);
+    expectSchemeStatsEqual(actual.scheme, ref.scheme);
 
-    ASSERT_EQ(engine.bankStreams.size(), ref.bankStreams.size());
-    for (std::size_t b = 0; b < engine.bankStreams.size(); ++b)
-        EXPECT_EQ(engine.bankStreams[b], ref.bankStreams[b])
+    ASSERT_EQ(actual.bankStreams.size(), ref.bankStreams.size());
+    for (std::size_t b = 0; b < actual.bankStreams.size(); ++b)
+        EXPECT_EQ(actual.bankStreams[b], ref.bankStreams[b])
             << "bank " << b << " stream diverged";
 }
 
@@ -122,7 +122,7 @@ runDiff(const TimingConfig &sys, std::uint64_t records,
 } // namespace
 
 /** The fig09 scheme matrix: PRA / SCA-64 / SCA-128 / PRCAT / DRCAT. */
-TEST(EventEngineDiff, Fig09SchemeMatrix)
+TEST(TimingDiff, Fig09SchemeMatrix)
 {
     struct Cell
     {
@@ -145,7 +145,7 @@ TEST(EventEngineDiff, Fig09SchemeMatrix)
 }
 
 /** Fig09's second threshold column (T = 16384 in paper terms). */
-TEST(EventEngineDiff, ThresholdVariants)
+TEST(TimingDiff, ThresholdVariants)
 {
     for (const std::uint32_t threshold : {2048u, 1024u}) {
         TimingConfig sys = smallSystem(SchemeKind::Drcat);
@@ -156,7 +156,7 @@ TEST(EventEngineDiff, ThresholdVariants)
 }
 
 /** Workload diversity: distinct profiles drive distinct interleaves. */
-TEST(EventEngineDiff, WorkloadSpread)
+TEST(TimingDiff, WorkloadSpread)
 {
     for (const char *name : {"comm2", "comm4", "comm5"}) {
         TimingConfig sys = smallSystem(SchemeKind::Prcat);
@@ -166,7 +166,7 @@ TEST(EventEngineDiff, WorkloadSpread)
 }
 
 /** The fig13 attack matrix: Heavy/Medium/Light x SCA/PRCAT/DRCAT. */
-TEST(EventEngineDiff, Fig13AttackMatrix)
+TEST(TimingDiff, Fig13AttackMatrix)
 {
     const AttackMode modes[] = {AttackMode::Heavy, AttackMode::Medium,
                                 AttackMode::Light};
@@ -187,7 +187,7 @@ TEST(EventEngineDiff, Fig13AttackMatrix)
 }
 
 /** MultiBank placement synchronizes refresh bursts across banks. */
-TEST(EventEngineDiff, MultiBankAttackKernel)
+TEST(TimingDiff, MultiBankAttackKernel)
 {
     TimingConfig sys = smallSystem(SchemeKind::Drcat);
     sys.scheme.threshold = 1024;
@@ -200,7 +200,7 @@ TEST(EventEngineDiff, MultiBankAttackKernel)
 }
 
 /** Core-count sweep: tie-breaks among 1, 2, and 4 same-time cores. */
-TEST(EventEngineDiff, CoreCounts)
+TEST(TimingDiff, CoreCounts)
 {
     for (const std::uint32_t cores : {1u, 2u, 4u}) {
         TimingConfig sys = smallSystem(SchemeKind::Sca);
@@ -212,11 +212,11 @@ TEST(EventEngineDiff, CoreCounts)
 
 /**
  * Epoch-scale sweep, including the marker-placement regression: with
- * recording on, the engine must put every kEpochMarker at exactly the
+ * recording on, runTiming must put every kEpochMarker at exactly the
  * same stream offset as the reference at any scaled epoch length (the
  * stream equality in expectIdentical checks positions, not counts).
  */
-TEST(EventEngineDiff, EpochScalesAndMarkerPlacement)
+TEST(TimingDiff, EpochScalesAndMarkerPlacement)
 {
     for (const double scaleValue : {0.0005, 0.002, 0.01}) {
         TimingConfig sys = smallSystem(SchemeKind::Prcat);
@@ -227,7 +227,7 @@ TEST(EventEngineDiff, EpochScalesAndMarkerPlacement)
 }
 
 /** Recording off exercises the no-observer path on both sides. */
-TEST(EventEngineDiff, RecordingOff)
+TEST(TimingDiff, RecordingOff)
 {
     for (const SchemeKind kind :
          {SchemeKind::None, SchemeKind::Drcat}) {
@@ -239,7 +239,7 @@ TEST(EventEngineDiff, RecordingOff)
 }
 
 /** Baseline (no scheme) with recording: the experiment-cache shape. */
-TEST(EventEngineDiff, BaselineRecordedStreams)
+TEST(TimingDiff, BaselineRecordedStreams)
 {
     TimingConfig sys = smallSystem(SchemeKind::None);
     runDiff(sys, 60000, "comm1");

@@ -1,17 +1,18 @@
 /**
  * @file
- * Property and determinism tests for the event engine.
+ * Property and determinism tests for the timing front ends.
  *
- * Three layers:
- *  - direct queue-order tests of the documented (time, actor-id, seq)
- *    tie-break contract, with scripted actors that log their firing
- *    order;
+ * Two layers:
  *  - seeded random system grids (core counts, workload gap profiles,
- *    scheme kinds, epoch scales, recording on/off) asserting the
- *    engine front end equals the frozen reference loop and repeats
- *    itself exactly;
- *  - CATSIM_JOBS invariance of SweepRunner grids built on the engine
- *    (closed-loop adaptive cells and stimulus-path ETO cells).
+ *    scheme kinds, epoch scales, recording on/off) asserting runTiming
+ *    equals the frozen reference loop and repeats itself exactly;
+ *  - CATSIM_JOBS invariance of SweepRunner grids built on the timing
+ *    front ends (closed-loop adaptive cells and stimulus-path ETO
+ *    cells).
+ *
+ * The order rules of the stimulus loop (an idle fleet never starts,
+ * the run ends with the last source, a boundary beats a same-time
+ * ACT) are pinned in test_timing_closed_loop.cpp.
  *
  * The big grids live in the SlowPropertyGrid suite, which CMake
  * registers as a separate ctest entry labeled "slow" (run with
@@ -21,10 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <utility>
 
-#include "sim/event_engine.hpp"
-#include "sim/reference_timing_sim.hpp"
+#include "oracles/reference_timing_sim.hpp"
 #include "sim/sweep.hpp"
 #include "sim/timing_sim.hpp"
 #include "trace/workloads.hpp"
@@ -34,39 +33,6 @@ namespace catsim
 
 namespace
 {
-
-/** Logs (actor id, time) on every event; optional same-time re-arms. */
-class ScriptedActor : public SimActor
-{
-  public:
-    ScriptedActor(EventEngine &engine,
-                  std::vector<std::pair<ActorId, SimTime>> &log,
-                  int rearms_at_same_time = 0)
-        : engine_(engine), log_(log), rearms_(rearms_at_same_time)
-    {
-        id_ = engine_.addActor(this, EventEngine::ActorRole::Source);
-    }
-
-    ActorId id() const { return id_; }
-
-    void
-    onEvent(SimTime now) override
-    {
-        log_.emplace_back(id_, now);
-        if (rearms_ > 0) {
-            --rearms_;
-            engine_.schedule(id_, now);
-        } else {
-            engine_.retire(id_);
-        }
-    }
-
-  private:
-    EventEngine &engine_;
-    std::vector<std::pair<ActorId, SimTime>> &log_;
-    int rearms_;
-    ActorId id_ = 0;
-};
 
 std::vector<std::string>
 workloadNames()
@@ -163,8 +129,8 @@ checkRandomGrid(std::uint64_t seed, int configs, std::uint64_t records)
         const TimingResult ref = referenceRunTiming(sys, factory);
         const TimingResult once = runTiming(sys, factory);
         const TimingResult twice = runTiming(sys, factory);
-        expectIdentical(once, ref);   // engine == frozen oracle
-        expectIdentical(once, twice); // engine repeats itself
+        expectIdentical(once, ref);   // scan loop == frozen oracle
+        expectIdentical(once, twice); // scan loop repeats itself
     }
 }
 
@@ -186,85 +152,6 @@ adaptiveCell(AttackerKind attacker, SchemeKind kind)
 }
 
 } // namespace
-
-TEST(EventEngineOrder, SameTimeResolvesByActorIdThenFifo)
-{
-    EventEngine engine;
-    std::vector<std::pair<ActorId, SimTime>> log;
-    ScriptedActor a(engine, log);          // id 0
-    ScriptedActor b(engine, log, 1);       // id 1, re-arms once at t=5
-    ScriptedActor c(engine, log);          // id 2
-
-    // Scheduling order deliberately disagrees with actor-id order.
-    engine.schedule(c.id(), 5.0);
-    engine.schedule(b.id(), 5.0);
-    engine.schedule(a.id(), 7.0);
-    engine.run();
-
-    // Time first (5 before 7); at t=5 the lower actor id wins even
-    // though it was scheduled later, and b's same-time re-arm (a later
-    // seq) still beats c because actor id outranks insertion order.
-    const std::vector<std::pair<ActorId, SimTime>> expected = {
-        {b.id(), 5.0}, {b.id(), 5.0}, {c.id(), 5.0}, {a.id(), 7.0}};
-    EXPECT_EQ(log, expected);
-}
-
-TEST(EventEngineOrder, SameActorSameTimeIsFifo)
-{
-    // One actor re-arming at a constant time must simply run N times -
-    // the sequential-replay pattern (all of a bank's events at time b).
-    EventEngine engine;
-    std::vector<std::pair<ActorId, SimTime>> log;
-    ScriptedActor a(engine, log, 4);
-    engine.schedule(a.id(), 3.0);
-    engine.run();
-    EXPECT_EQ(log.size(), 5u);
-    for (const auto &entry : log)
-        EXPECT_EQ(entry, (std::pair<ActorId, SimTime>{a.id(), 3.0}));
-}
-
-TEST(EventEngineOrder, TimerAloneDoesNotRun)
-{
-    EventEngine engine;
-    Count fired = 0;
-    EpochTimerActor timer(engine, 100.0, [&fired]() { ++fired; });
-    engine.run(); // no Source actors -> nothing may fire
-    EXPECT_EQ(fired, 0u);
-    EXPECT_EQ(timer.epochs(), 0u);
-}
-
-TEST(EventEngineOrder, RunStopsWhenLastSourceRetires)
-{
-    EventEngine engine;
-    Count fired = 0;
-    EpochTimerActor timer(engine, 10.0, [&fired]() { ++fired; });
-    std::vector<std::pair<ActorId, SimTime>> log;
-    ScriptedActor a(engine, log);
-    engine.schedule(a.id(), 25.0);
-    engine.run();
-    // Timer fires at 10 and 20; its pending t=30 event dies with the
-    // source (the historical loops never ran epochs past the last
-    // core's trace end).
-    EXPECT_EQ(fired, 2u);
-    EXPECT_EQ(log.size(), 1u);
-}
-
-TEST(EventEngineOrder, EpochTimerBeatsSameTimeSource)
-{
-    EventEngine engine;
-    std::vector<int> order;
-    // Timer registered FIRST, as the timing front ends do.
-    EpochTimerActor timer(engine, 50.0, [&order]() { order.push_back(0); });
-    std::vector<std::pair<ActorId, SimTime>> log;
-    ScriptedActor a(engine, log);
-    engine.schedule(a.id(), 50.0);
-    engine.run();
-    ASSERT_EQ(order.size(), 1u);
-    ASSERT_EQ(log.size(), 1u);
-    // The boundary fired before the source event at the same time -
-    // the engine form of the old `earliest->time() >= nextEpoch`.
-    EXPECT_EQ(timer.epochs(), 1u);
-}
 
 /** Fast seeded grid: a handful of random systems every ctest run. */
 TEST(PropertyGrid, RandomSystemsMatchReferenceAndRepeat)

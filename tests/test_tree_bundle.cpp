@@ -23,7 +23,7 @@
 #include "core/drcat.hpp"
 #include "core/factory.hpp"
 #include "core/prcat.hpp"
-#include "core/reference_cat_tree.hpp"
+#include "oracles/reference_cat_tree.hpp"
 #include "core/shared_pool.hpp"
 #include "core/tree_bundle.hpp"
 #include "sim/activation_sim.hpp"
