@@ -26,9 +26,7 @@
 #include "sim/sweep.hpp"
 #include "core/cat_tree.hpp"
 #include "core/counter_cache.hpp"
-#include "core/drcat.hpp"
 #include "core/pra.hpp"
-#include "core/prcat.hpp"
 #include "oracles/reference_cat_tree.hpp"
 #include "core/sca.hpp"
 #include "core/split_thresholds.hpp"
@@ -59,11 +57,11 @@ rowStream()
     return stream;
 }
 
-template <typename SchemeT, typename... Args>
+/** Per-activation onActivate on @p scheme over the shared stream. */
+template <typename SchemeT>
 void
-schemeBench(benchmark::State &state, Args &&...args)
+activateBench(benchmark::State &state, SchemeT &scheme)
 {
-    SchemeT scheme(kRows, std::forward<Args>(args)...);
     const auto &stream = rowStream();
     std::size_t i = 0;
     for (auto _ : state) {
@@ -73,6 +71,37 @@ schemeBench(benchmark::State &state, Args &&...args)
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
+}
+
+template <typename SchemeT, typename... Args>
+void
+schemeBench(benchmark::State &state, Args &&...args)
+{
+    SchemeT scheme(kRows, std::forward<Args>(args)...);
+    activateBench(state, scheme);
+}
+
+/** A CAT config at the paper's L = 11, T = 32K. */
+SchemeConfig
+catConfig(SchemeKind kind, std::uint32_t num_counters)
+{
+    SchemeConfig cfg;
+    cfg.kind = kind;
+    cfg.numCounters = num_counters;
+    cfg.maxLevels = 11;
+    cfg.threshold = 32768;
+    return cfg;
+}
+
+/** The factory's PRCAT/DRCAT scheme, one virtual onActivate per
+ *  activation (the controller and closed-loop path). */
+void
+catActivateBench(benchmark::State &state, SchemeKind kind)
+{
+    const auto scheme = makeScheme(
+        catConfig(kind, static_cast<std::uint32_t>(state.range(0))),
+        kRows);
+    activateBench(state, *scheme);
 }
 
 void
@@ -94,18 +123,14 @@ BENCHMARK(BM_PraActivate);
 void
 BM_PrcatActivate(benchmark::State &state)
 {
-    schemeBench<Prcat>(state,
-                       static_cast<std::uint32_t>(state.range(0)),
-                       11u, 32768u);
+    catActivateBench(state, SchemeKind::Prcat);
 }
 BENCHMARK(BM_PrcatActivate)->Arg(64)->Arg(512);
 
 void
 BM_DrcatActivate(benchmark::State &state)
 {
-    schemeBench<Drcat>(state,
-                       static_cast<std::uint32_t>(state.range(0)),
-                       11u, 32768u);
+    catActivateBench(state, SchemeKind::Drcat);
 }
 BENCHMARK(BM_DrcatActivate)->Arg(64)->Arg(512);
 
@@ -190,56 +215,37 @@ bankStreams()
     return streams;
 }
 
-/** 16-lane DRCAT bundle group via the factory (bundleWidth default). */
+/** The factory's 16-bank DRCAT_64 group (one bundle per bank). */
 std::vector<std::unique_ptr<MitigationScheme>>
-makeBundleGroup(std::uint32_t bundle_width)
+makeBankGroup()
 {
-    SchemeConfig cfg;
-    cfg.kind = SchemeKind::Drcat;
-    cfg.numCounters = 64;
-    cfg.maxLevels = 11;
-    cfg.threshold = 32768;
-    cfg.bundleWidth = bundle_width;
-    return makeBankSchemes(cfg, kRows, kBundleBanks);
+    return makeBankSchemes(catConfig(SchemeKind::Drcat, 64), kRows,
+                           kBundleBanks);
+}
+
+/** 16 bare DRCAT_64 trees, what the bundle lanes mirror. */
+std::vector<std::unique_ptr<CatTree>>
+makeBareTrees()
+{
+    std::vector<std::unique_ptr<CatTree>> trees;
+    for (std::uint32_t b = 0; b < kBundleBanks; ++b)
+        trees.push_back(std::make_unique<CatTree>(
+            makeCatTreeParams(kRows, 64, 11, 32768, true, {}, nullptr)));
+    return trees;
 }
 
 /**
- * TreeBundle::onActivateLanes over the 16-bank group - the vectorized
- * multi-bank hot path the group replay drives.  Items/sec here divided
- * by BM_CatTreeAccessFlat's is the SoA bundling speedup on top of
- * PR 3's single-tree flattening.
+ * Per-bank onActivateBatch chunks over the 16-bank group - the replay
+ * path, through each bank's vectorized lane kernel.  Items/sec here
+ * divided by BM_CatTreeAccessFlat's is the SoA bundling speedup on
+ * top of the flattened single tree.
  */
 void
 BM_TreeBundleLanes(benchmark::State &state)
 {
-    const auto schemes = makeBundleGroup(0);
-    TreeBundle *bundle =
-        &static_cast<BundledCatScheme &>(*schemes[0]).bundle();
+    const auto schemes = makeBankGroup();
     const auto &streams = bankStreams();
-    // Grow every lane to steady state before timing.
-    for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-        bundle->onActivateBatch(b, streams[b].data(), kStreamLen);
-    constexpr std::size_t kChunk = 4096;
-    std::size_t off = 0;
-    std::vector<TreeBundle::LaneBatch> batches(kBundleBanks);
-    for (auto _ : state) {
-        for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-            batches[b] = {b, streams[b].data() + off, kChunk};
-        bundle->onActivateLanes(batches.data(), batches.size());
-        off = (off + kChunk) & (kStreamLen - 1);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * kBundleBanks * kChunk));
-}
-BENCHMARK(BM_TreeBundleLanes)->Unit(benchmark::kMicrosecond);
-
-/** The same group as standalone trees stepped per bank - the
- *  pre-bundle replay inner loop, for the on-report comparison. */
-void
-BM_TreeBundleFlatBatch(benchmark::State &state)
-{
-    const auto schemes = makeBundleGroup(1);
-    const auto &streams = bankStreams();
+    // Grow every bank to steady state before timing.
     for (std::uint32_t b = 0; b < kBundleBanks; ++b)
         schemes[b]->onActivateBatch(streams[b].data(), kStreamLen);
     constexpr std::size_t kChunk = 4096;
@@ -248,6 +254,31 @@ BM_TreeBundleFlatBatch(benchmark::State &state)
         for (std::uint32_t b = 0; b < kBundleBanks; ++b)
             schemes[b]->onActivateBatch(streams[b].data() + off,
                                         kChunk);
+        off = (off + kChunk) & (kStreamLen - 1);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * kBundleBanks * kChunk));
+}
+BENCHMARK(BM_TreeBundleLanes)->Unit(benchmark::kMicrosecond);
+
+/** The same group stepped one virtual onActivate per activation - the
+ *  controller and closed-loop path, for the on-report comparison. */
+void
+BM_TreeBundleFlatBatch(benchmark::State &state)
+{
+    const auto schemes = makeBankGroup();
+    const auto &streams = bankStreams();
+    for (std::uint32_t b = 0; b < kBundleBanks; ++b)
+        schemes[b]->onActivateBatch(streams[b].data(), kStreamLen);
+    constexpr std::size_t kChunk = 4096;
+    std::size_t off = 0;
+    for (auto _ : state) {
+        for (std::uint32_t b = 0; b < kBundleBanks; ++b) {
+            MitigationScheme &s = *schemes[b];
+            const RowAddr *rows = streams[b].data() + off;
+            for (std::size_t i = 0; i < kChunk; ++i)
+                benchmark::DoNotOptimize(s.onActivate(rows[i]));
+        }
         off = (off + kChunk) & (kStreamLen - 1);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -475,19 +506,22 @@ actsPerSec(Fn &&pass, Count acts_per_pass)
 }
 
 /**
- * The tentpole's headline numbers as first-class @@METRIC lines,
+ * The bundle kernel's headline numbers as first-class @@METRIC lines,
  * collected into BENCH_bench_micro_schemes.json by run_benches.sh and
  * regression-gated by scripts/check_perf.py:
  *
- *   flat_acts_per_sec       PR 3's hot path: one virtual onActivate
- *                           per activation on standalone trees
- *   flatbatch_acts_per_sec  standalone trees stepped with per-bank
- *                           onActivateBatch chunks
- *   bundle_acts_per_sec     the 16-lane TreeBundle::onActivateLanes
- *                           arena path
+ *   flat_acts_per_sec       CatTree::access per activation on 16 bare
+ *                           trees - the flattened tree, with no
+ *                           scheme around it
+ *   flatbatch_acts_per_sec  one virtual onActivate per activation on
+ *                           the factory's schemes - the controller and
+ *                           closed-loop path
+ *   bundle_acts_per_sec     per-bank onActivateBatch on the factory's
+ *                           schemes - the replay path, through the
+ *                           vectorized lane kernel
  *
- * All three drive the identical 16-bank DRCAT_64 group over identical
- * per-bank Zipf streams, so the ratios isolate the API/layout change.
+ * All three drive 16 DRCAT_64 banks over identical per-bank Zipf
+ * streams, so the ratios isolate the dispatch path.
  */
 void
 emitBundleSpeedupMetrics()
@@ -496,11 +530,25 @@ emitBundleSpeedupMetrics()
     constexpr Count kActsPerPass =
         static_cast<Count>(kBundleBanks) * kStreamLen;
 
-    const auto flat = makeBundleGroup(1);
+    auto trees = makeBareTrees();
     const double flatRate = actsPerSec(
         [&] {
+            Count sram = 0;
             for (std::uint32_t b = 0; b < kBundleBanks; ++b) {
-                MitigationScheme &s = *flat[b];
+                CatTree &t = *trees[b];
+                const RowAddr *rows = streams[b].data();
+                for (std::size_t i = 0; i < kStreamLen; ++i)
+                    sram += t.access(rows[i]).sramAccesses;
+            }
+            benchmark::DoNotOptimize(sram);
+        },
+        kActsPerPass);
+
+    const auto perCall = makeBankGroup();
+    const double flatBatchRate = actsPerSec(
+        [&] {
+            for (std::uint32_t b = 0; b < kBundleBanks; ++b) {
+                MitigationScheme &s = *perCall[b];
                 const RowAddr *rows = streams[b].data();
                 for (std::size_t i = 0; i < kStreamLen; ++i)
                     s.onActivate(rows[i]);
@@ -508,24 +556,12 @@ emitBundleSpeedupMetrics()
         },
         kActsPerPass);
 
-    const auto flatBatch = makeBundleGroup(1);
-    const double flatBatchRate = actsPerSec(
-        [&] {
-            for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-                flatBatch[b]->onActivateBatch(streams[b].data(),
-                                              kStreamLen);
-        },
-        kActsPerPass);
-
-    const auto bundled = makeBundleGroup(0);
-    TreeBundle *bundle =
-        &static_cast<BundledCatScheme &>(*bundled[0]).bundle();
-    std::vector<TreeBundle::LaneBatch> batches(kBundleBanks);
+    const auto batched = makeBankGroup();
     const double bundleRate = actsPerSec(
         [&] {
             for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-                batches[b] = {b, streams[b].data(), kStreamLen};
-            bundle->onActivateLanes(batches.data(), batches.size());
+                batched[b]->onActivateBatch(streams[b].data(),
+                                            kStreamLen);
         },
         kActsPerPass);
 

@@ -21,17 +21,29 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/drcat.hpp"
+#include "core/factory.hpp"
+#include "core/tree_bundle.hpp"
 
 namespace
 {
 
 using namespace catsim;
 
+/** A 32-counter, 11-level CAT scheme of @p kind at threshold @p t. */
+std::unique_ptr<MitigationScheme>
+makeCat(SchemeKind kind, std::uint32_t t)
+{
+    SchemeConfig cfg;
+    cfg.kind = kind;
+    cfg.numCounters = 32;
+    cfg.maxLevels = 11;
+    cfg.threshold = t;
+    return makeScheme(cfg, 65536);
+}
+
 /** One epoch of traffic: 80 % to the hot row, 20 % background. */
-template <typename SchemeT>
 Count
-epochTraffic(SchemeT &scheme, RowAddr hot, std::uint64_t seed)
+epochTraffic(MitigationScheme &scheme, RowAddr hot, std::uint64_t seed)
 {
     Xoshiro256StarStar rng(seed);
     // Batch-first: generate the epoch's stream, hand it over in one
@@ -52,7 +64,8 @@ epochTraffic(SchemeT &scheme, RowAddr hot, std::uint64_t seed)
 
 /** Advance both schemes one epoch, DRCAT and PRCAT in parallel. */
 std::pair<Count, Count>
-epochBoth(Drcat &drcat, Prcat &prcat, RowAddr hot, std::uint64_t seed)
+epochBoth(MitigationScheme &drcat, MitigationScheme &prcat, RowAddr hot,
+          std::uint64_t seed)
 {
     Count d = 0, p = 0;
     parallelFor(2, [&](std::size_t i) {
@@ -65,7 +78,7 @@ epochBoth(Drcat &drcat, Prcat &prcat, RowAddr hot, std::uint64_t seed)
 }
 
 void
-report(const char *label, const Prcat &scheme, RowAddr hot,
+report(const char *label, const BundledCatScheme &scheme, RowAddr hot,
        Count rows_this_epoch)
 {
     const auto &tree = scheme.tree();
@@ -85,8 +98,11 @@ main()
     using namespace catsim;
 
     const std::uint32_t kT = 8192;
-    Drcat drcat(65536, 32, 11, kT);
-    Prcat prcat(65536, 32, 11, kT);
+    const auto drcatScheme = makeCat(SchemeKind::Drcat, kT);
+    const auto prcatScheme = makeCat(SchemeKind::Prcat, kT);
+    // PRCAT/DRCAT instances expose their tree for inspection.
+    auto &drcat = static_cast<BundledCatScheme &>(*drcatScheme);
+    auto &prcat = static_cast<BundledCatScheme &>(*prcatScheme);
 
     const RowAddr hotA = 4242, hotB = 50505;
 

@@ -17,7 +17,8 @@
 #include <iostream>
 
 #include "common/rng.hpp"
-#include "core/drcat.hpp"
+#include "core/factory.hpp"
+#include "core/tree_bundle.hpp"
 
 int
 main()
@@ -29,7 +30,14 @@ main()
 
     // 64 on-chip counters, trees up to 11 levels - the paper's sweet
     // spot (Fig 10).
-    Drcat drcat(kRows, /*num_counters=*/64, /*max_levels=*/11, kT);
+    SchemeConfig cfg;
+    cfg.kind = SchemeKind::Drcat;
+    cfg.numCounters = 64;
+    cfg.maxLevels = 11;
+    cfg.threshold = kT;
+    const auto scheme = makeScheme(cfg, kRows);
+    // PRCAT/DRCAT instances expose their tree for inspection.
+    auto &drcat = static_cast<BundledCatScheme &>(*scheme);
 
     Xoshiro256StarStar rng(7);
     const RowAddr aggressor = 31337;

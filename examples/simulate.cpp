@@ -4,13 +4,15 @@
  * scheme on any system preset and print the full result sheet.
  *
  * Usage (key=value arguments, all optional):
- *   simulate scheme=drcat counters=64 levels=11 threshold=32768
+ *   simulate scheme=none|sca|pra|prcat|drcat|cc|mg|rfm
+ *            counters=64 levels=11 threshold=32768
  *            workload=black system=dual2ch scale=0.1 seed=42
  *            attack=none|heavy|medium|light kernel=1 p=0.002 eto=1
- *            kind=gaussian|multibank       (alias: kernelkind=)
+ *            kind=gaussian|multibank|manysided|halfdouble
+ *                                          (alias: kernelkind=)
+ *            rfmbudget=64
  *            policy=legacy|lru|lfu|random  (alias: eviction=)
  *            pool=K                        (alias: bankspool=)
- *            bundle=W
  *
  * Everything except scale=/eto=/trace= is read by SystemConfig::parse
  * (sim/system_config.hpp documents the full surface), so any config
@@ -19,8 +21,8 @@
  * for non-powers of two); `policy` selects the counter-cache victim
  * policy; `pool=K` (K > 1, CAT schemes) shares one pool of K x
  * counters among each group of K consecutive banks - set K to the
- * geometry's banks-per-rank (8) for per-rank pools; `bundle=W` sets
- * the (purely execution-layout) SoA tree-bundle width.
+ * geometry's banks-per-rank (8) for per-rank pools; `rfmbudget`
+ * is the RFM scheme's ACTs per refresh-management command.
  *   simulate trace=file.trc traceformat=native|dramsim
  *            epochrecords=N scheme=... threshold=...
  *

@@ -6,7 +6,11 @@ Reads the ``metrics`` object of each guarded bench's
 the committed floors in ``scripts/reference_perf.json``.  The reference
 file holds one entry per bench under ``benches`` (the micro-bench's
 bundle kernels and the fleet-scale shard scaling curve); a bench that
-did not run is skipped, so BENCH_FILTERed invocations stay green.
+did not run is skipped, so BENCH_FILTERed invocations stay green.  A
+bench that ran must report every metric its entry gates - the tier
+metric, each ratio and throughput floor, each trajectory metric - and
+fails naming the metric otherwise, so a renamed or dropped metric
+cannot silently disarm its floor (or fall back to the tier-0 floors).
 
 Three kinds of guard, in increasing statefulness:
 
@@ -38,8 +42,9 @@ Usage:
     scripts/check_perf.py RESULTS_DIR [--reference FILE]
         [--history FILE] [--update-history]
 
-Exit status: 0 when every present metric clears its floors (or no
-guarded bench ran), 1 on any violation, 2 on usage/IO errors.
+Exit status: 0 when every guarded bench that ran reports all its gated
+metrics and they clear their floors (or no guarded bench ran), 1 on
+any violation or missing metric, 2 on usage/IO errors.
 """
 
 import argparse
@@ -80,10 +85,17 @@ def load_history(path: Path):
     return records
 
 
+def gated_metrics(spec):
+    """Every metric name a bench's reference entry gates on."""
+    names = [spec["tier_metric"]] if "tier_metric" in spec else []
+    names += spec.get("ratio_floors", {})
+    names += spec.get("throughput_floors", {})
+    names += spec.get("trajectory", {}).get("metrics", [])
+    return list(dict.fromkeys(names))
+
+
 def check_ratio_floors(spec, metrics, tier, failures):
     for name, floors in spec.get("ratio_floors", {}).items():
-        if name not in metrics:
-            continue
         floor = floors.get(tier)
         if floor is None:
             continue
@@ -99,8 +111,6 @@ def check_ratio_floors(spec, metrics, tier, failures):
 
 def check_throughput_floors(spec, metrics, failures):
     for name, fspec in spec.get("throughput_floors", {}).items():
-        if name not in metrics:
-            continue
         min_frac = float(fspec.get("min_frac", 0.2))
         floor = float(fspec["reference"]) * min_frac
         value = float(metrics[name])
@@ -129,8 +139,6 @@ def check_trajectory(bench, spec, metrics, tier, history, new_records,
     min_frac = float(traj.get("min_frac", 0.5))
     min_records = int(traj.get("min_records", 3))
     for name in traj.get("metrics", []):
-        if name not in metrics:
-            continue
         value = float(metrics[name])
         new_records.append(
             {
@@ -210,11 +218,16 @@ def main() -> int:
             print(f"check_perf: {result_path.name} not present, skipping")
             continue
         metrics = load_json(result_path).get("metrics", {})
-        if not metrics:
-            print(f"check_perf: {result_path.name} has no metrics, skipping")
-            continue
         checked += 1
-        tier = str(int(metrics.get(spec.get("tier_metric", ""), 0)))
+        missing = [n for n in gated_metrics(spec) if n not in metrics]
+        if missing:
+            for name in missing:
+                failures.append(
+                    f"{bench}: gated metric {name} missing from "
+                    f"{result_path.name}"
+                )
+            continue
+        tier = str(int(metrics.get(spec.get("tier_metric"), 0)))
         print(f"check_perf: {bench} (tier {tier})")
         check_ratio_floors(spec, metrics, tier, failures)
         check_throughput_floors(spec, metrics, failures)

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 
 #include "logging.hpp"
 
@@ -19,16 +18,6 @@ splitPair(const std::string &token)
     if (eq == std::string::npos)
         CATSIM_FATAL("config token '", token, "' is not key=value");
     return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
-std::string
-trim(const std::string &s)
-{
-    const auto b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos)
-        return "";
-    const auto e = s.find_last_not_of(" \t\r\n");
-    return s.substr(b, e - b + 1);
 }
 
 } // namespace
@@ -59,27 +48,6 @@ Config::fromString(const std::string &text)
             continue;
         auto [k, v] = splitPair(token);
         cfg.set(k, v);
-    }
-    return cfg;
-}
-
-Config
-Config::fromFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        CATSIM_FATAL("cannot open config file '", path, "'");
-    Config cfg;
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        auto [k, v] = splitPair(line);
-        cfg.set(trim(k), trim(v));
     }
     return cfg;
 }

@@ -4,8 +4,7 @@
  *
  * Used by examples and bench binaries so experiments can be re-run with
  * different parameters without recompiling.  Parsing accepts
- * "key=value" tokens (command-line style) and simple config files with
- * one pair per line; '#' starts a comment.
+ * "key=value" tokens, from argv or one whitespace-separated string.
  */
 
 #ifndef CATSIM_COMMON_CONFIG_HPP
@@ -27,9 +26,6 @@ class Config
 
     /** Parse argv-style "key=value" tokens; unknown tokens are fatal. */
     static Config fromArgs(int argc, const char *const *argv);
-
-    /** Parse a config file (one key=value per line, '#' comments). */
-    static Config fromFile(const std::string &path);
 
     /** Parse a whitespace-separated "key=value ..." string (what
      *  SystemConfig::format emits; completes the round-trip). */

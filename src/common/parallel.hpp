@@ -21,7 +21,7 @@
  * execution on the calling thread so the serial path needs no special
  * casing.  With CATSIM_NUMA_PIN=1 each worker pins itself round-robin
  * across the host's NUMA nodes (Linux; a no-op elsewhere), so
- * shard-per-worker runs keep their arenas node-local.
+ * shard-per-worker runs keep their scheme state node-local.
  *
  * Determinism contract: scheduling (placement, stealing, pinning)
  * decides only WHERE and WHEN a job runs, never what it computes.

@@ -104,32 +104,6 @@ class Histogram
     std::uint64_t total_ = 0;
 };
 
-/**
- * Geometric mean accumulator (used for workload-suite summaries).
- */
-class GeoMean
-{
-  public:
-    void
-    add(double x)
-    {
-        if (x > 0.0) {
-            logSum_ += std::log(x);
-            ++n_;
-        }
-    }
-
-    double
-    value() const
-    {
-        return n_ ? std::exp(logSum_ / static_cast<double>(n_)) : 0.0;
-    }
-
-  private:
-    double logSum_ = 0.0;
-    std::uint64_t n_ = 0;
-};
-
 } // namespace catsim
 
 #endif // CATSIM_COMMON_STATS_HPP

@@ -173,7 +173,7 @@ class CatTree
   private:
     /**
      * The tree bundle mirrors this tree's hot tables (jump, quad,
-     * counts, per-counter thresholds) into a bank-major arena and
+     * counts, per-counter thresholds) into its SoA arena and
      * needs a narrow private port: it reads the structural state after
      * every delegated mutation and writes `counts_` back before one.
      * No other class gets this access.

@@ -6,10 +6,8 @@
 #include "common/config.hpp"
 #include "common/logging.hpp"
 #include "core/counter_cache.hpp"
-#include "core/drcat.hpp"
 #include "core/misra_gries.hpp"
 #include "core/pra.hpp"
-#include "core/prcat.hpp"
 #include "core/rfm.hpp"
 #include "core/sca.hpp"
 #include "core/shared_pool.hpp"
@@ -103,8 +101,6 @@ SchemeConfig::parse(const Config &cfg)
         cfg.getString("policy", cfg.getString("eviction", "legacy")));
     s.banksPerPool = static_cast<std::uint32_t>(
         cfg.getUint("pool", cfg.getUint("bankspool", 0)));
-    s.bundleWidth =
-        static_cast<std::uint32_t>(cfg.getUint("bundle", 0));
     return s;
 }
 
@@ -134,8 +130,6 @@ SchemeConfig::format() const
         os << " policy=" << evictionPolicyName(evictionPolicy);
     if (banksPerPool != def.banksPerPool)
         os << " pool=" << banksPerPool;
-    if (bundleWidth != def.bundleWidth)
-        os << " bundle=" << bundleWidth;
     return os.str();
 }
 
@@ -165,10 +159,24 @@ parseSchemeKind(const std::string &name)
 namespace
 {
 
-/** Build one instance; @p pool is only non-null for CAT kinds. */
+/**
+ * One counter-pool group's CAT trees: @p lanes banks sharing @p pool,
+ * or a single private bank when @p pool is null.
+ */
+std::shared_ptr<TreeBundle>
+makeCatBundle(const SchemeConfig &config, RowAddr num_rows,
+              std::shared_ptr<SharedCounterPool> pool = nullptr,
+              std::uint32_t lanes = 1)
+{
+    return std::make_shared<TreeBundle>(
+        num_rows, config.numCounters, config.maxLevels, config.threshold,
+        config.kind == SchemeKind::Drcat, config.splitThresholds,
+        std::move(pool), lanes);
+}
+
+/** Build one private-pool instance. */
 std::unique_ptr<MitigationScheme>
-makeOne(const SchemeConfig &config, RowAddr num_rows,
-        std::shared_ptr<SharedCounterPool> pool)
+makeOne(const SchemeConfig &config, RowAddr num_rows)
 {
     switch (config.kind) {
       case SchemeKind::None:
@@ -186,17 +194,9 @@ makeOne(const SchemeConfig &config, RowAddr num_rows,
                                      std::move(prng));
       }
       case SchemeKind::Prcat:
-        return std::make_unique<Prcat>(num_rows, config.numCounters,
-                                       config.maxLevels,
-                                       config.threshold,
-                                       config.splitThresholds,
-                                       std::move(pool));
       case SchemeKind::Drcat:
-        return std::make_unique<Drcat>(num_rows, config.numCounters,
-                                       config.maxLevels,
-                                       config.threshold,
-                                       config.splitThresholds,
-                                       std::move(pool));
+        return std::make_unique<BundledCatScheme>(
+            makeCatBundle(config, num_rows), 0, num_rows);
       case SchemeKind::CounterCache:
         return std::make_unique<CounterCache>(
             num_rows, config.numCounters, config.cacheWays,
@@ -214,30 +214,6 @@ makeOne(const SchemeConfig &config, RowAddr num_rows,
     CATSIM_PANIC("unreachable scheme kind");
 }
 
-/**
- * Banks per TreeBundle for this config, 1 meaning "standalone trees".
- * Pooled groups must be covered by one bundle (the bundle maintains
- * the lanes' cached thresholds across pool events, so an external
- * sharer would invalidate them behind its back).
- */
-std::uint32_t
-resolveBundleWidth(const SchemeConfig &config)
-{
-    if (config.kind != SchemeKind::Prcat
-        && config.kind != SchemeKind::Drcat)
-        return 1;
-    if (config.sharesPool()) {
-        if (config.bundleWidth != 0 && config.bundleWidth != 1
-            && config.bundleWidth != config.banksPerPool)
-            CATSIM_FATAL("bundleWidth=", config.bundleWidth,
-                         " must cover the banksPerPool=",
-                         config.banksPerPool, " group (or be 0/1)");
-        return config.bundleWidth == 1 ? 1 : config.banksPerPool;
-    }
-    return config.bundleWidth == 0 ? kDefaultBundleWidth
-                                   : config.bundleWidth;
-}
-
 } // namespace
 
 std::unique_ptr<MitigationScheme>
@@ -247,7 +223,7 @@ makeScheme(const SchemeConfig &config, RowAddr num_rows)
         CATSIM_FATAL("banksPerPool=", config.banksPerPool,
                      " needs makeBankSchemes (a single instance cannot "
                      "share a counter pool)");
-    return makeOne(config, num_rows, nullptr);
+    return makeOne(config, num_rows);
 }
 
 std::vector<std::unique_ptr<MitigationScheme>>
@@ -256,30 +232,23 @@ makeBankSchemes(const SchemeConfig &config, RowAddr num_rows,
 {
     std::vector<std::unique_ptr<MitigationScheme>> schemes;
     schemes.reserve(num_banks);
-    const bool pooled = config.sharesPool();
-    const std::uint32_t width = resolveBundleWidth(config);
-    if (pooled && first_bank % config.banksPerPool != 0)
-        CATSIM_FATAL("first_bank=", first_bank,
-                     " splits a banksPerPool=", config.banksPerPool,
-                     " counter-pool group (shard boundaries must align "
-                     "to pool groups)");
-
-    if (width > 1) {
-        // Bundle-backed CAT group: one SoA arena per `width`
-        // consecutive banks (= one pool group when pooled, tail groups
-        // smaller).  Construction order matches the standalone loop
-        // bank for bank, so pooled trees acquire their pre-split
-        // charges in the same sequence.
-        for (std::uint32_t b = 0; b < num_banks; b += width) {
-            const std::uint32_t group = std::min(width, num_banks - b);
-            std::shared_ptr<SharedCounterPool> pool;
-            if (pooled)
-                pool = std::make_shared<SharedCounterPool>(
-                    config.numCounters * group);
-            auto bundle = std::make_shared<TreeBundle>(
-                num_rows, config.numCounters, config.maxLevels,
-                config.threshold, config.kind == SchemeKind::Drcat,
-                config.splitThresholds, std::move(pool), group);
+    if (config.sharesPool()) {
+        const std::uint32_t k = config.banksPerPool;
+        if (first_bank % k != 0)
+            CATSIM_FATAL("first_bank=", first_bank,
+                         " splits a banksPerPool=", k,
+                         " counter-pool group (shard boundaries must "
+                         "align to pool groups)");
+        // One pool and one bundle per group of k consecutive banks (a
+        // rank in flat bank order); a short tail group keeps the
+        // per-bank budget, not the full-rank one.
+        for (std::uint32_t b = 0; b < num_banks; b += k) {
+            const std::uint32_t group = std::min(k, num_banks - b);
+            const auto bundle = makeCatBundle(
+                config, num_rows,
+                std::make_shared<SharedCounterPool>(config.numCounters
+                                                    * group),
+                group);
             for (std::uint32_t l = 0; l < group; ++l)
                 schemes.push_back(std::make_unique<BundledCatScheme>(
                     bundle, l, num_rows));
@@ -287,20 +256,10 @@ makeBankSchemes(const SchemeConfig &config, RowAddr num_rows,
         return schemes;
     }
 
-    std::shared_ptr<SharedCounterPool> pool;
     for (std::uint32_t b = 0; b < num_banks; ++b) {
-        if (pooled && b % config.banksPerPool == 0) {
-            // One pool per group of banksPerPool consecutive banks (a
-            // rank in flat bank order); a short tail group keeps the
-            // per-bank budget, not the full-rank one.
-            const std::uint32_t group =
-                std::min(config.banksPerPool, num_banks - b);
-            pool = std::make_shared<SharedCounterPool>(
-                config.numCounters * group);
-        }
         SchemeConfig cfg = config;
         cfg.seed = config.seed * 1000003ULL + (first_bank + b);
-        schemes.push_back(makeOne(cfg, num_rows, pool));
+        schemes.push_back(makeOne(cfg, num_rows));
     }
     return schemes;
 }

@@ -71,19 +71,6 @@ struct SchemeConfig
                && (kind == SchemeKind::Prcat || kind == SchemeKind::Drcat);
     }
 
-    /**
-     * CAT bundling width for makeBankSchemes: how many consecutive
-     * banks share one structure-of-arrays TreeBundle (see
-     * core/tree_bundle.hpp).  0 picks the default (the pool group for
-     * pooled configs, kDefaultBundleWidth otherwise); 1 builds
-     * standalone per-bank trees (the pre-bundle construction, kept for
-     * differential tests); pooled configs require the bundle to cover
-     * the whole pool group, so values other than 0, 1 and banksPerPool
-     * are rejected there.  Purely an execution-layout knob - results
-     * are bit-identical for every width.
-     */
-    std::uint32_t bundleWidth = 0;
-
     /** Human-readable label, e.g. "DRCAT_64". */
     std::string label() const;
 
@@ -91,8 +78,7 @@ struct SchemeConfig
      * Read the scheme keys of the key=value surface: scheme=,
      * counters=, levels=, threshold=, p=, lfsr=, ways=, rfmbudget=,
      * schemeseed=, policy= (alias eviction=), pool= (alias
-     * bankspool=), bundle=.  Missing keys keep the paper defaults
-     * above.
+     * bankspool=).  Missing keys keep the paper defaults above.
      */
     static SchemeConfig parse(const Config &cfg);
 
@@ -104,9 +90,6 @@ struct SchemeConfig
     std::string format() const;
 };
 
-/** Default CAT bundle width (banks per arena) for bundleWidth = 0. */
-constexpr std::uint32_t kDefaultBundleWidth = 16;
-
 /** Parse "none|sca|pra|prcat|drcat|cc|mg|rfm" (case-insensitive). */
 SchemeKind parseSchemeKind(const std::string &name);
 
@@ -115,8 +98,10 @@ const char *schemeKindName(SchemeKind kind);
 
 /**
  * Build one per-bank scheme instance; returns nullptr for
- * SchemeKind::None.  Fatal when the config asks for a shared counter
- * pool (banksPerPool > 1) - a single instance cannot share.
+ * SchemeKind::None.  PRCAT/DRCAT come back as a BundledCatScheme over
+ * a one-lane TreeBundle (core/tree_bundle.hpp).  Fatal when the config
+ * asks for a shared counter pool (banksPerPool > 1) - a single
+ * instance cannot share.
  */
 std::unique_ptr<MitigationScheme> makeScheme(const SchemeConfig &config,
                                              RowAddr num_rows);
@@ -132,9 +117,10 @@ std::unique_ptr<MitigationScheme> makeScheme(const SchemeConfig &config,
  * whole-topology call would.  With config.banksPerPool = k > 1 and a
  * CAT-family kind, each group of k consecutive banks (a rank, when
  * k = banksPerRank) shares one SharedCounterPool of k x numCounters
- * counters; the pool's lifetime is tied to the returned schemes, and
- * first_bank must be a multiple of k (fatal otherwise) so shard
- * boundaries never split a pool group.
+ * counters and is one k-lane TreeBundle (a short tail group keeps
+ * the per-bank budget); the pool's lifetime is tied to the returned
+ * schemes, and first_bank must be a multiple of k (fatal otherwise)
+ * so shard boundaries never split a pool group.
  */
 std::vector<std::unique_ptr<MitigationScheme>> makeBankSchemes(
     const SchemeConfig &config, RowAddr num_rows,

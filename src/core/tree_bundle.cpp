@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define CATSIM_X86_DESCENT 1
@@ -10,7 +11,7 @@
 
 #include "common/bit.hpp"
 #include "common/logging.hpp"
-#include "core/prcat.hpp"
+#include "core/split_thresholds.hpp"
 
 namespace catsim
 {
@@ -21,12 +22,37 @@ namespace
 /** Arena lane stride granularity: 16 words = one 64-byte line. */
 constexpr std::size_t kLaneAlignWords = 16;
 
-/** Rows descended per branchless group on the independent-lane fast
- *  path: enough parallel load chains to hide L1 latency, small enough
- *  that `cur` stays in registers. */
+/** Rows descended per branchless group by the private-bundle batch
+ *  kernel: enough parallel load chains to hide L1 latency, small
+ *  enough that `cur` stays in registers. */
 constexpr std::size_t kDescentGroup = 16;
 
 } // namespace
+
+CatTree::Params
+makeCatTreeParams(RowAddr num_rows, std::uint32_t num_counters,
+                  std::uint32_t max_levels, std::uint32_t threshold,
+                  bool enable_weights,
+                  std::vector<std::uint32_t> split_thresholds,
+                  SharedCounterPool *pool)
+{
+    CatTree::Params p;
+    p.numRows = num_rows;
+    p.numCounters = num_counters;
+    p.maxLevels = max_levels;
+    p.refreshThreshold = threshold;
+    p.splitThresholds = split_thresholds.empty()
+        ? computeSplitThresholds(num_counters, max_levels, threshold)
+        : std::move(split_thresholds);
+    p.enableWeights = enable_weights;
+    if (pool != nullptr) {
+        // Rank-pooled tree: per-bank shape, pool-wide growth capacity.
+        p.numCounters = pool->capacity();
+        p.presplitCounters = num_counters;
+        p.sharedPool = pool;
+    }
+    return p;
+}
 
 TreeBundle::TreeBundle(RowAddr num_rows, std::uint32_t num_counters,
                        std::uint32_t max_levels, std::uint32_t threshold,
@@ -36,8 +62,9 @@ TreeBundle::TreeBundle(RowAddr num_rows, std::uint32_t num_counters,
                        std::uint32_t lanes)
     : pool_(std::move(pool))
 {
-    if (lanes == 0)
-        CATSIM_FATAL("a tree bundle needs at least one lane");
+    if (lanes == 0 || (pool_ == nullptr && lanes != 1))
+        CATSIM_FATAL("a tree bundle is one counter-pool group: a "
+                     "private bank is one lane, got ", lanes);
     trees_.reserve(lanes);
     stats_.resize(lanes);
     for (std::uint32_t l = 0; l < lanes; ++l)
@@ -70,9 +97,8 @@ TreeBundle::TreeBundle(RowAddr num_rows, std::uint32_t num_counters,
     const std::uint32_t below =
         maxDepth > t0.presplitDepth_ ? maxDepth - t0.presplitDepth_ : 0;
     descentSteps_ = (below + 1) / 2;
-    arenaWords_ = laneStride_ * lanes;
-    arena_ = std::make_unique<std::uint32_t[]>(arenaWords_);
-    std::memset(arena_.get(), 0, arenaWords_ * 4);
+    // make_unique<T[]> value-initialises: the quad pad starts zeroed.
+    arena_ = std::make_unique<std::uint32_t[]>(laneStride_ * lanes);
     for (std::uint32_t l = 0; l < lanes; ++l)
         rebuildLane(l);
 }
@@ -82,15 +108,18 @@ TreeBundle::~TreeBundle() = default;
 int
 TreeBundle::simdTier()
 {
+    static const int tier = [] {
 #if CATSIM_X86_DESCENT
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512cd") &&
-        __builtin_cpu_supports("avx512vpopcntdq"))
-        return 2;
-    if (__builtin_cpu_supports("avx2"))
-        return 1;
+        if (__builtin_cpu_supports("avx512f") &&
+            __builtin_cpu_supports("avx512cd") &&
+            __builtin_cpu_supports("avx512vpopcntdq"))
+            return 2;
+        if (__builtin_cpu_supports("avx2"))
+            return 1;
 #endif
-    return 0;
+        return 0;
+    }();
+    return tier;
 }
 
 void
@@ -225,26 +254,13 @@ TreeBundle::onActivate(std::uint32_t lane, RowAddr row)
     return act;
 }
 
-void
-TreeBundle::onActivateBatch(std::uint32_t lane, const RowAddr *rows,
-                            std::size_t count)
-{
-    const LaneBatch one{lane, rows, count};
-    onActivateLanes(&one, 1);
-}
-
 namespace
 {
 
-/** Per-lane accumulators folded into SchemeStats once at the end,
- *  like Prcat::onActivateBatch - the inner loop carries nothing but
- *  the walk. */
-struct LaneAcc
+/** A batch's stats, folded into SchemeStats once at the end - the
+ *  inner loop carries nothing but the walk. */
+struct BatchAcc
 {
-    std::uint32_t *base;
-    const RowAddr *rows;
-    std::size_t count;
-    std::uint32_t lane;
     Count sram = 0;
     Count splits = 0;
     Count merges = 0;
@@ -418,269 +434,188 @@ processGroupAvx512(std::uint32_t *base, const std::uint32_t *quad,
 
 #pragma GCC diagnostic pop
 
-/** One-time CPU probes for the vector clones. */
-inline bool
-cpuHasAvx2()
-{
-    static const bool has = __builtin_cpu_supports("avx2") != 0;
-    return has;
-}
-
-inline bool
-cpuHasAvx512()
-{
-    static const bool has =
-        __builtin_cpu_supports("avx512f") != 0 &&
-        __builtin_cpu_supports("avx512cd") != 0 &&
-        __builtin_cpu_supports("avx512vpopcntdq") != 0;
-    return has;
-}
 #endif // CATSIM_X86_DESCENT
 
 /**
- * The independent-lane (no shared pool) hot path, lane-major with the
- * grouped branchless descent.  @p StepsC bakes the fixed descent trip
- * count in at compile time (the dispatch switch below instantiates the
- * common depths) so the whole group's walk unrolls with `cur` held in
- * registers; StepsC < 0 falls back to the runtime @p steps bound.
- * @p slow delegates one access to the authoritative tree.
+ * The private-bundle batch kernel: the grouped branchless descent over
+ * one lane's chunk.  @p StepsC bakes the fixed descent trip count in
+ * at compile time (the dispatch switch in onActivateBatch instantiates
+ * the common depths) so the whole group's walk unrolls with `cur` held
+ * in registers; StepsC < 0 falls back to the runtime @p steps bound.
+ * @p tier is TreeBundle::simdTier(); @p slow delegates one access to
+ * the authoritative tree.
  */
 template <int StepsC, typename SlowFn>
 void
-runLanesIndependent(LaneAcc *accs, std::size_t nLanes, RowAddr numRows,
-                    std::uint32_t steps, std::uint32_t shift,
-                    std::uint32_t offThr, std::uint32_t offSram,
-                    std::uint32_t offJump, std::uint32_t offQuad,
-                    SlowFn &&slow)
+runLane(std::uint32_t *base, const RowAddr *lane_rows, std::size_t count,
+        RowAddr numRows, std::uint32_t steps, std::uint32_t shift,
+        std::uint32_t offThr, std::uint32_t offSram,
+        std::uint32_t offJump, std::uint32_t offQuad, int tier,
+        BatchAcc &a, SlowFn &&slow)
 {
     const std::uint32_t nSteps =
         StepsC >= 0 ? static_cast<std::uint32_t>(StepsC) : steps;
-    for (std::size_t b = 0; b < nLanes; ++b) {
-        LaneAcc &a = accs[b];
-        std::uint32_t *base = a.base;
-        const std::uint32_t *quad = base + offQuad;
+    const std::uint32_t *quad = base + offQuad;
 
-        // Phase 1 of one group: descend it as branchless fixed-step
-        // chains.  Consecutive rows of one lane walk the same frozen
-        // topology, so their descents are independent loads the core
-        // overlaps; only the counter compare/increment (phase 2) is
-        // order-dependent.
-        const auto descend = [&](const RowAddr *rows, std::uint32_t *cur,
-                                 std::size_t group) {
+    // Phase 1 of one group: descend it as branchless fixed-step
+    // chains.  Consecutive rows of one lane walk the same frozen
+    // topology, so their descents are independent loads the core
+    // overlaps; only the counter compare/increment (phase 2) is
+    // order-dependent.
+    const auto descend = [&](const RowAddr *rows, std::uint32_t *cur,
+                             std::size_t group) {
+        for (std::size_t k = 0; k < group; ++k) {
+            const RowAddr row = rows[k];
+            if (row >= numRows)
+                CATSIM_PANIC("row ", row, " out of range");
+            cur[k] = base[offJump + (row >> shift)];
+        }
+        for (std::uint32_t s = 0; s < nSteps; ++s) {
+            const std::uint32_t bitPos = shift - 1 - 2 * s;
             for (std::size_t k = 0; k < group; ++k) {
                 const RowAddr row = rows[k];
-                if (row >= numRows)
-                    CATSIM_PANIC("row ", row, " out of range");
-                cur[k] = base[offJump + (row >> shift)];
-            }
-            for (std::uint32_t s = 0; s < nSteps; ++s) {
-                const std::uint32_t bitPos = shift - 1 - 2 * s;
-                for (std::size_t k = 0; k < group; ++k) {
-                    const RowAddr row = rows[k];
-                    const std::uint32_t b1 =
-                        (row >> (bitPos & 31u)) & 1u;
-                    const std::uint32_t b2 =
-                        (row >> ((bitPos - 1) & 31u)) & 1u;
-                    // Loaded unconditionally (the quad pad makes it
-                    // safe for leaf codes), kept only while still
-                    // internal: a conditional move, never a
-                    // mispredictable leaf-depth branch.
-                    const std::uint32_t next =
-                        quad[2 * cur[k] + 2 * b1 + b2];
-                    cur[k] = (cur[k] & 1u) ? cur[k] : next;
-                }
-            }
-        };
-
-        // Phase 2: resolve in stream order; returns how many of the
-        // group's rows were consumed.  A slow event may change this
-        // lane's topology, so the rest of the group's descents are
-        // stale - restart right after it.
-        const auto resolve = [&](const RowAddr *rows,
-                                 const std::uint32_t *cur,
-                                 std::size_t group) -> std::size_t {
-            for (std::size_t k = 0; k < group; ++k) {
-                const std::uint32_t c = cur[k] >> 1;
-                if (base[c] < base[offThr + c]) {
-                    ++base[c];
-                    a.sram += base[offSram + c];
-                    continue;
-                }
-                const auto r = slow(a.lane, rows[k]);
-                a.sram += r.sramAccesses;
-                a.splits += r.didSplit;
-                a.merges += r.didReconfigure;
-                if (r.refreshed) {
-                    ++a.events;
-                    a.victims += r.rowsRefreshed;
-                }
-                return k + 1;
-            }
-            return group;
-        };
-
-        std::size_t i = 0;
-#if CATSIM_X86_DESCENT
-        if (cpuHasAvx512()) {
-            while (a.count - i >= kDescentGroup) {
-                const RowAddr *rows = a.rows + i;
-                alignas(64) std::uint32_t cur[kDescentGroup];
-                const int st = processGroupAvx512<StepsC>(
-                    base, quad, nSteps, shift, offThr, offSram,
-                    offJump, numRows, rows, cur, &a.sram);
-                if (st == 2) {
-                    i += kDescentGroup;
-                    continue;
-                }
-                if (st == 0)
-                    descend(rows, cur, kDescentGroup); // panics
-                i += resolve(rows, cur, kDescentGroup);
-            }
-        } else if (cpuHasAvx2()) {
-            while (a.count - i >= kDescentGroup) {
-                const RowAddr *rows = a.rows + i;
-                alignas(32) std::uint32_t cur[kDescentGroup];
-                if (!descendGroupAvx2<StepsC>(base, quad, nSteps,
-                                              shift, offJump, numRows,
-                                              rows, cur))
-                    descend(rows, cur, kDescentGroup); // panics
-                i += resolve(rows, cur, kDescentGroup);
+                const std::uint32_t b1 = (row >> (bitPos & 31u)) & 1u;
+                const std::uint32_t b2 =
+                    (row >> ((bitPos - 1) & 31u)) & 1u;
+                // Loaded unconditionally (the quad pad makes it safe
+                // for leaf codes), kept only while still internal: a
+                // conditional move, never a mispredictable leaf-depth
+                // branch.
+                const std::uint32_t next = quad[2 * cur[k] + 2 * b1 + b2];
+                cur[k] = (cur[k] & 1u) ? cur[k] : next;
             }
         }
-#endif
-        // Full groups get the compile-time kDescentGroup trip count
-        // (the lambdas inline at each call site, so the loops unroll
-        // completely); the tail call keeps the runtime bound.
-        while (a.count - i >= kDescentGroup) {
-            const RowAddr *rows = a.rows + i;
-            std::uint32_t cur[kDescentGroup];
-            descend(rows, cur, kDescentGroup);
+    };
+
+    // Phase 2: resolve in stream order; returns how many of the
+    // group's rows were consumed.  A slow event may change the lane's
+    // topology, so the rest of the group's descents are stale -
+    // restart right after it.
+    const auto resolve = [&](const RowAddr *rows, const std::uint32_t *cur,
+                             std::size_t group) -> std::size_t {
+        for (std::size_t k = 0; k < group; ++k) {
+            const std::uint32_t c = cur[k] >> 1;
+            if (base[c] < base[offThr + c]) {
+                ++base[c];
+                a.sram += base[offSram + c];
+                continue;
+            }
+            const auto r = slow(rows[k]);
+            a.sram += r.sramAccesses;
+            a.splits += r.didSplit;
+            a.merges += r.didReconfigure;
+            if (r.refreshed) {
+                ++a.events;
+                a.victims += r.rowsRefreshed;
+            }
+            return k + 1;
+        }
+        return group;
+    };
+
+    std::size_t i = 0;
+#if CATSIM_X86_DESCENT
+    if (tier == 2) {
+        while (count - i >= kDescentGroup) {
+            const RowAddr *rows = lane_rows + i;
+            alignas(64) std::uint32_t cur[kDescentGroup];
+            const int st = processGroupAvx512<StepsC>(
+                base, quad, nSteps, shift, offThr, offSram, offJump,
+                numRows, rows, cur, &a.sram);
+            if (st == 2) {
+                i += kDescentGroup;
+                continue;
+            }
+            if (st == 0)
+                descend(rows, cur, kDescentGroup); // panics
             i += resolve(rows, cur, kDescentGroup);
         }
-        while (i < a.count) {
-            const RowAddr *rows = a.rows + i;
-            const std::size_t group = a.count - i;
-            std::uint32_t cur[kDescentGroup];
-            descend(rows, cur, group);
-            i += resolve(rows, cur, group);
+    } else if (tier == 1) {
+        while (count - i >= kDescentGroup) {
+            const RowAddr *rows = lane_rows + i;
+            alignas(32) std::uint32_t cur[kDescentGroup];
+            if (!descendGroupAvx2<StepsC>(base, quad, nSteps, shift,
+                                          offJump, numRows, rows, cur))
+                descend(rows, cur, kDescentGroup); // panics
+            i += resolve(rows, cur, kDescentGroup);
         }
+    }
+#else
+    (void)tier;
+#endif
+    // Full groups get the compile-time kDescentGroup trip count (the
+    // lambdas inline at each call site, so the loops unroll
+    // completely); the tail call keeps the runtime bound.
+    while (count - i >= kDescentGroup) {
+        const RowAddr *rows = lane_rows + i;
+        std::uint32_t cur[kDescentGroup];
+        descend(rows, cur, kDescentGroup);
+        i += resolve(rows, cur, kDescentGroup);
+    }
+    while (i < count) {
+        const RowAddr *rows = lane_rows + i;
+        const std::size_t group = count - i;
+        std::uint32_t cur[kDescentGroup];
+        descend(rows, cur, group);
+        i += resolve(rows, cur, group);
     }
 }
 
 } // namespace
 
 void
-TreeBundle::onActivateLanes(const LaneBatch *batches, std::size_t count)
+TreeBundle::onActivateBatch(std::uint32_t lane, const RowAddr *rows,
+                            std::size_t count)
 {
-    using Acc = LaneAcc;
-    std::vector<Acc> accs;
-    accs.reserve(count);
-    std::size_t maxCount = 0;
-    for (std::size_t b = 0; b < count; ++b) {
-        if (batches[b].count == 0)
-            continue;
-        accs.push_back(Acc{laneBase(batches[b].lane), batches[b].rows,
-                           batches[b].count, batches[b].lane});
-        maxCount = std::max(maxCount, batches[b].count);
+    if (pool_ != nullptr) {
+        // Pooled lanes couple through live pool arbitration on the
+        // slow path; the batch is exactly its onActivate sequence.
+        for (std::size_t i = 0; i < count; ++i)
+            onActivate(lane, rows[i]);
+        return;
     }
 
-    const RowAddr numRows = trees_.front()->params_.numRows;
-    const std::uint32_t shift = jumpShift_;
-    const std::uint32_t offThr = offThr_;
-    const std::uint32_t offSram = offSram_;
-    const std::uint32_t offJump = offJump_;
-    const std::uint32_t offQuad = offQuad_;
-    const std::uint32_t steps = descentSteps_;
-    const std::size_t nLanes = accs.size();
-
-    if (pool_ == nullptr) {
-        // Independent lanes: no shared pool means lanes cannot observe
-        // each other at all, so any cross-lane order is bit-identical
-        // and we are free to run lane-major (one 2 KB arena slice hot
-        // in L1 at a time) with the grouped branchless descent.  The
-        // switch instantiates the common descent depths so the walk
-        // fully unrolls (see runLanesIndependent).
-        const auto slow = [this](std::uint32_t lane, RowAddr row) {
-            return slowAccess(lane, row);
-        };
-        switch (steps) {
-        case 1:
-            runLanesIndependent<1>(accs.data(), nLanes, numRows, steps,
-                                   shift, offThr, offSram, offJump,
-                                   offQuad, slow);
-            break;
-        case 2:
-            runLanesIndependent<2>(accs.data(), nLanes, numRows, steps,
-                                   shift, offThr, offSram, offJump,
-                                   offQuad, slow);
-            break;
-        case 3:
-            runLanesIndependent<3>(accs.data(), nLanes, numRows, steps,
-                                   shift, offThr, offSram, offJump,
-                                   offQuad, slow);
-            break;
-        case 4:
-            runLanesIndependent<4>(accs.data(), nLanes, numRows, steps,
-                                   shift, offThr, offSram, offJump,
-                                   offQuad, slow);
-            break;
-        default:
-            runLanesIndependent<-1>(accs.data(), nLanes, numRows,
-                                    steps, shift, offThr, offSram,
-                                    offJump, offQuad, slow);
-            break;
-        }
-    } else {
-        // Shared-pool group: lanes couple through live pool
-        // arbitration on the slow path, so the cross-lane order IS
-        // part of the semantics.  Keep the serial lockstep
-        // round-robin: position i of every lane, then i+1.
-        for (std::size_t i = 0; i < maxCount; ++i) {
-            for (std::size_t b = 0; b < nLanes; ++b) {
-                Acc &a = accs[b];
-                if (i >= a.count)
-                    continue;
-                const RowAddr row = a.rows[i];
-                if (row >= numRows)
-                    CATSIM_PANIC("row ", row, " out of range");
-                std::uint32_t *base = a.base;
-                const std::uint32_t *quad = base + offQuad;
-                std::uint32_t cur = base[offJump + (row >> shift)];
-                std::uint32_t bitPos = shift - 1;
-                while (!(cur & 1u)) {
-                    const std::uint32_t b1 = (row >> bitPos) & 1u;
-                    const std::uint32_t b2 =
-                        (row >> ((bitPos - 1) & 31u)) & 1u;
-                    cur = quad[2 * cur + 2 * b1 + b2];
-                    bitPos -= 2;
-                }
-                const std::uint32_t c = cur >> 1;
-                if (base[c] < base[offThr + c]) {
-                    ++base[c];
-                    a.sram += base[offSram + c];
-                    continue;
-                }
-                const auto r = slowAccess(a.lane, row);
-                a.sram += r.sramAccesses;
-                a.splits += r.didSplit;
-                a.merges += r.didReconfigure;
-                if (r.refreshed) {
-                    ++a.events;
-                    a.victims += r.rowsRefreshed;
-                }
-            }
-        }
+    // A private bank: nothing outside this lane observes the order of
+    // its accesses, so the grouped branchless descent runs the chunk.
+    // The switch instantiates the common descent depths so the walk
+    // fully unrolls (see runLane).
+    BatchAcc acc;
+    std::uint32_t *base = laneBase(lane);
+    const RowAddr numRows = trees_[lane]->params_.numRows;
+    const int tier = simdTier();
+    const auto slow = [this, lane](RowAddr row) {
+        return slowAccess(lane, row);
+    };
+    const auto run = [&](auto steps_c) {
+        runLane<decltype(steps_c)::value>(
+            base, rows, count, numRows, descentSteps_, jumpShift_,
+            offThr_, offSram_, offJump_, offQuad_, tier, acc, slow);
+    };
+    switch (descentSteps_) {
+    case 1:
+        run(std::integral_constant<int, 1>{});
+        break;
+    case 2:
+        run(std::integral_constant<int, 2>{});
+        break;
+    case 3:
+        run(std::integral_constant<int, 3>{});
+        break;
+    case 4:
+        run(std::integral_constant<int, 4>{});
+        break;
+    default:
+        run(std::integral_constant<int, -1>{});
+        break;
     }
 
-    for (const Acc &a : accs) {
-        SchemeStats &st = stats_[a.lane];
-        st.activations += a.count;
-        st.sramAccesses += a.sram;
-        st.splits += a.splits;
-        st.merges += a.merges;
-        st.refreshEvents += a.events;
-        st.victimRowsRefreshed += a.victims;
-    }
+    SchemeStats &st = stats_[lane];
+    st.activations += count;
+    st.sramAccesses += acc.sram;
+    st.splits += acc.splits;
+    st.merges += acc.merges;
+    st.refreshEvents += acc.events;
+    st.victimRowsRefreshed += acc.victims;
 }
 
 void
@@ -688,7 +623,9 @@ TreeBundle::onEpoch(std::uint32_t lane)
 {
     CatTree &t = *trees_[lane];
     if (t.params_.enableWeights) {
-        // DRCAT keeps the learned shape; only the counts restart.
+        // DRCAT: retention refresh clears disturbance, so the counts
+        // restart, but the learned shape and weights survive - that
+        // is the point of DRCAT (Section V-B).
         t.resetCountsOnly();
         std::memset(laneBase(lane), 0, numCounters_ * 4);
         // A sibling's growth since our last event may have exhausted
@@ -697,6 +634,7 @@ TreeBundle::onEpoch(std::uint32_t lane)
         if (pool_ != nullptr)
             refreshThresholds(lane);
     } else {
+        // PRCAT: rebuild the balanced pre-split tree (Section V-A).
         t.reset();
         rebuildLane(lane);
         if (pool_ != nullptr) {

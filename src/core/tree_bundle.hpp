@@ -1,18 +1,21 @@
 /**
  * @file
- * Structure-of-arrays bundle of per-bank CAT trees (the ROADMAP's
- * "SIMD/batched multi-tree hot path").
+ * The PRCAT/DRCAT scheme: one counter-pool group's CAT trees behind a
+ * structure-of-arrays mirror of their hot tables.
  *
- * A `makeBankSchemes()` group runs one identical CatTree per bank, and
- * the simulators drive 8-64 of them in lockstep.  Stepping them one
- * virtual call at a time leaves most of the win of PR 3's flattening
- * on the table: every access is a function call, an AccessResult, and
- * a cold pointer chase into that bank's own heap blocks.  The bundle
- * packs the hot tables of all lanes - jump table, quad table, counter
- * values, and two per-counter precomputes - into ONE arena-allocated
- * contiguous block, laid out bank-major (lane 0's tables, then lane
- * 1's, each lane padded to a cache line), and steps whole bank groups
- * per call with a branchless lane-local descent.
+ * A TreeBundle is exactly one counter-pool group.  A private-pool bank
+ * (the paper's configuration) is a group of one: a one-lane bundle.
+ * A rank-pooled group of k banks sharing one SharedCounterPool is one
+ * k-lane bundle, because the lanes' cached thresholds must be kept
+ * in step across pool events and only the bundle sees them all.
+ * Stepping a bank one virtual call at a time leaves most of the win
+ * of the flattened tree on the table: every access is a function
+ * call, an AccessResult, and a pointer chase into the tree's own heap
+ * blocks.  The bundle packs the hot tables of its lanes - jump table,
+ * quad table, counter values, and two per-counter precomputes - into
+ * ONE aligned block, lane-major (lane 0's tables, then lane 1's, each
+ * padded to a cache line), and runs a batch through a branchless
+ * lane-local descent.
  *
  * Fast path.  For the overwhelming majority of activations the tree
  * does nothing but `++count`: the access is a pure increment whenever
@@ -34,21 +37,20 @@
  * DRCAT weights), and the lane's mirror is rebuilt from the tree.
  * Because `thr[c]` is maintained conservatively - it never exceeds
  * the threshold the tree itself would apply - a fast-path increment
- * happens exactly when the tree would have incremented, so the bundle
- * is bit-identical to per-bank CatTrees (and, transitively, to the
+ * happens exactly when the tree would have incremented, so every lane
+ * is bit-identical to a bare CatTree (and, transitively, to the
  * frozen ReferenceCatTree) for every stream; tests/test_tree_bundle
  * proves it differentially.  Conservative maintenance means: after
  * any structural event (split, merge, epoch reset) the affected
- * lane's mirror is rebuilt, and for pool-sharing bundles the
- * *threshold* tables of every lane are refreshed, since one lane's
- * growth changes its siblings' splittability.  A stale-but-lower
- * threshold is always safe: it only sends an access down the slow
- * path, where the tree applies the true rule.
+ * lane's mirror is rebuilt, and for pooled bundles the *threshold*
+ * tables of every lane are refreshed, since one lane's growth changes
+ * its siblings' splittability.  A stale-but-lower threshold is always
+ * safe: it only sends an access down the slow path, where the tree
+ * applies the true rule.
  *
  * The index math uses the shared bit-trick helpers (common/bit.hpp,
  * after SNIPPETS.md's poplibs Algorithm.hpp and the table-driven
- * integer-log idiom); the arena is a single aligned allocation so a
- * bundle is one contiguous block, resident together in cache.
+ * integer-log idiom).
  */
 
 #ifndef CATSIM_CORE_TREE_BUNDLE_HPP
@@ -66,34 +68,37 @@
 namespace catsim
 {
 
-/** A bank group's CAT trees packed into one bank-major SoA arena. */
+/**
+ * Canonical CatTree::Params for a per-bank CAT tree: the paper's
+ * Section IV-D split schedule when @p split_thresholds is empty, and
+ * the rank-pool reshaping (capacity-wide numCounters, per-bank
+ * presplitCounters) when @p pool is attached.  Every bundle lane is
+ * built through this one function, and differential tests build their
+ * bare and reference trees through it too.
+ */
+CatTree::Params makeCatTreeParams(
+    RowAddr num_rows, std::uint32_t num_counters,
+    std::uint32_t max_levels, std::uint32_t threshold,
+    bool enable_weights, std::vector<std::uint32_t> split_thresholds,
+    SharedCounterPool *pool);
+
+/** One counter-pool group's CAT trees, mirrored in one SoA arena. */
 class TreeBundle
 {
   public:
     /**
-     * One lane's slice of a multi-lane batch
-     * (TreeBundle::onActivateLanes).
-     */
-    struct LaneBatch
-    {
-        std::uint32_t lane = 0;
-        const RowAddr *rows = nullptr;
-        std::size_t count = 0;
-    };
-
-    /**
      * Build @p lanes identical trees from the canonical CAT
-     * parameters (see makeCatTreeParams).  @p pool, when set, is the
-     * group's shared counter budget: every lane draws growth from it,
-     * exactly like a makeBankSchemes pool group.  The bundle keeps
-     * the pool alive.
+     * parameters (see makeCatTreeParams).  Without @p pool the bundle
+     * is one private bank (@p lanes must be 1); with it, @p pool is
+     * the group's shared counter budget and every lane draws growth
+     * from it.  The bundle keeps the pool alive.
      */
     TreeBundle(RowAddr num_rows, std::uint32_t num_counters,
                std::uint32_t max_levels, std::uint32_t threshold,
                bool enable_weights,
                std::vector<std::uint32_t> split_thresholds,
-               std::shared_ptr<SharedCounterPool> pool,
-               std::uint32_t lanes);
+               std::shared_ptr<SharedCounterPool> pool = nullptr,
+               std::uint32_t lanes = 1);
 
     ~TreeBundle();
 
@@ -107,32 +112,24 @@ class TreeBundle
 
     /**
      * One activation on one lane, with the per-activation
-     * RefreshAction a feedback-coupled caller needs.  Stats arithmetic
-     * is identical to Prcat::onActivate.
+     * RefreshAction a feedback-coupled caller needs.
      */
     RefreshAction onActivate(std::uint32_t lane, RowAddr row);
 
-    /** A contiguous chunk on one lane (no epoch markers). */
+    /**
+     * A contiguous chunk on one lane (no epoch markers); identical to
+     * one onActivate per row.  A private bundle runs the chunk through
+     * the grouped branchless descent kernel (SIMD where the host
+     * supports it).  A pooled lane is a plain onActivate loop: lanes
+     * couple through pool arbitration on the slow path, so the caller's
+     * interleaving across lanes is part of the semantics.
+     */
     void onActivateBatch(std::uint32_t lane, const RowAddr *rows,
                          std::size_t count);
 
     /**
-     * THE batched hot path: step several lanes through their chunks,
-     * always preserving each lane's own order.  Pool-sharing groups
-     * run a strict per-position round-robin across lanes (pool
-     * arbitration order on the slow path is part of the semantics);
-     * independent-lane groups run lane-major with a grouped
-     * branchless descent (SIMD where the host supports it) - any
-     * cross-lane order is bit-identical there, since lanes only
-     * couple through a shared pool.  Either way, per-lane results are
-     * bit-identical to per-lane onActivateBatch calls.
-     */
-    void onActivateLanes(const LaneBatch *batches, std::size_t count);
-
-    /**
-     * Epoch boundary for one lane: full reset for PRCAT-style lanes,
-     * counts-only for DRCAT-style ones (weights enabled), matching
-     * Prcat::onEpoch / Drcat::onEpoch.
+     * Epoch boundary for one lane: full reset for PRCAT (no weights),
+     * counts-only for DRCAT (weights enabled), paper Section V.
      */
     void onEpoch(std::uint32_t lane);
 
@@ -154,14 +151,12 @@ class TreeBundle
     /** Scheme label for one lane, e.g. "DRCAT_64_rank8". */
     std::string laneName(std::uint32_t lane) const;
 
-    /** Arena bytes backing all lanes (one contiguous allocation). */
-    std::size_t arenaBytes() const { return arenaWords_ * 4; }
-
     /**
-     * Which hot-path kernel this host runs: 2 = AVX-512 fused
+     * Which batch kernel this host runs: 2 = AVX-512 fused
      * descent+resolve, 1 = AVX2 gather descent, 0 = portable scalar.
-     * Purely informational (all tiers are bit-identical); the perf
-     * gate uses it to pick the right throughput floor.
+     * Probed once; the kernel dispatch switches on this value, so the
+     * tier a report prints is the kernel that ran (all tiers are
+     * bit-identical).  The perf gate keys its floors on it.
      */
     static int simdTier();
 
@@ -208,9 +203,8 @@ class TreeBundle
     //                        descent keeps issuing quad loads after a
     //                        row has already landed on a leaf, and a
     //                        leaf code indexes up to 4M+1)
-    // padded to a 64-byte boundary, bank-major across lanes.
+    // padded to a 64-byte boundary, lane after lane.
     std::unique_ptr<std::uint32_t[]> arena_;
-    std::size_t arenaWords_ = 0;
     std::size_t laneStride_ = 0;
     std::uint32_t numCounters_ = 0; //!< M (pool capacity when pooled)
     std::uint32_t jumpEntries_ = 0; //!< J
@@ -226,13 +220,10 @@ class TreeBundle
 };
 
 /**
- * One lane of a TreeBundle behind the MitigationScheme interface.
- *
- * makeBankSchemes hands these out in place of standalone Prcat/Drcat
- * instances when a bank group is bundle-backed; per-bank callers see
- * the exact scheme semantics (onActivate feedback, stats, names).
- * bundle() and lane() expose the shared arena, so benches can time
- * the multi-lane TreeBundle::onActivateLanes directly.
+ * The PRCAT/DRCAT scheme: one lane of a TreeBundle behind the
+ * MitigationScheme interface (name, stats, onActivate feedback,
+ * epoch rule).  makeScheme and makeBankSchemes build one bundle per
+ * counter-pool group and hand out one of these per bank.
  */
 class BundledCatScheme : public MitigationScheme
 {
@@ -269,7 +260,7 @@ class BundledCatScheme : public MitigationScheme
         return bundle_->laneStats(lane_);
     }
 
-    /** The lane's authoritative tree, counts synced (for tests). */
+    /** The lane's authoritative tree, counts synced (for probes). */
     const CatTree &tree() const { return bundle_->tree(lane_); }
 
     const SharedCounterPool *sharedPool() const
@@ -277,7 +268,7 @@ class BundledCatScheme : public MitigationScheme
         return bundle_->sharedPool();
     }
 
-    /** The shared bundle this scheme is one lane of. */
+    /** The bundle (counter-pool group) this scheme is one lane of. */
     TreeBundle &bundle() const { return *bundle_; }
     /** This scheme's lane within bundle(). */
     std::uint32_t lane() const { return lane_; }

@@ -5,10 +5,9 @@
  * A ShardPlan carves a topology's flat bank space into contiguous
  * per-shard ranges; ShardedSim runs one independent replay per shard
  * and merges the results.  Each shard builds its OWN schemes and
- * sources inside its worker job - the factory packs a shard's
- * TreeBundles into that shard's arenas, and because construction
- * happens on the worker thread, first-touch allocation keeps each
- * shard's slab local to the NUMA node the worker is pinned to
+ * sources inside its worker job, and because construction happens
+ * on the worker thread, first-touch allocation keeps each shard's
+ * scheme state local to the NUMA node the worker is pinned to
  * (CATSIM_NUMA_PIN=1).  Shards share no mutable state; the only
  * cross-shard traffic is the result merge on the caller's thread.
  *

@@ -2,8 +2,8 @@
  * @file
  * The one configuration surface for a simulated system: which machine
  * preset, which workload/attack the cores run, and which mitigation
- * scheme (with eviction policy, counter pooling and bundle width)
- * defends the banks.
+ * scheme (with eviction policy and counter pooling) defends the
+ * banks.
  *
  * Historically three parsers grew independently - the simulate CLI's
  * flag block, per-bench cell builders, and ad-hoc label formatting -
@@ -18,13 +18,14 @@
  *   system=dual2ch|quad2ch|quad4ch
  *   workload=<profile> seed=<n>
  *   attack=none|heavy|medium|light kernel=<1..12>
- *   kind=gaussian|multibank            (alias: kernelkind=)
- *   scheme=none|sca|pra|prcat|drcat|cc
+ *   kind=gaussian|multibank|manysided|halfdouble
+ *                                      (alias: kernelkind=)
+ *   scheme=none|sca|pra|prcat|drcat|cc|mg|rfm
  *   counters=<M> levels=<L> threshold=<T>
  *   p=<PRA prob> lfsr=0|1 ways=<CC assoc> schemeseed=<n>
+ *   rfmbudget=<ACTs per RFM command>
  *   policy=legacy|lru|lfu|random       (alias: eviction=)
  *   pool=<banks per shared pool>       (alias: bankspool=)
- *   bundle=<banks per SoA tree bundle, 0 = default, 1 = off>
  */
 
 #ifndef CATSIM_SIM_SYSTEM_CONFIG_HPP

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/drcat.hpp"
+#include "core/tree_bundle.hpp"
 #include "core/sca.hpp"
 #include "sim/activation_sim.hpp"
 #include "trace/workloads.hpp"
@@ -163,25 +163,31 @@ mixedRows(std::size_t n, std::uint64_t seed)
 
 TEST(ActivationSim, BatchMatchesPerCallForCatOverride)
 {
-    // Prcat/Drcat override onActivateBatch; driving the same rows in
+    // PRCAT/DRCAT override onActivateBatch; driving the same rows in
     // arbitrary chunk sizes must leave stats identical to per-call.
     const auto rows = mixedRows(120000, 21);
-    Drcat perCall(65536, 64, 11, 1024);
-    Drcat batched(65536, 64, 11, 1024);
+    SchemeConfig cfg;
+    cfg.kind = SchemeKind::Drcat;
+    cfg.threshold = 1024;
+    const auto perCall = makeScheme(cfg, 65536);
+    const auto batched = makeScheme(cfg, 65536);
     for (const RowAddr r : rows)
-        perCall.onActivate(r);
+        perCall->onActivate(r);
     std::size_t begin = 0;
     std::size_t chunk = 1;
     while (begin < rows.size()) { // ragged chunks incl. size 0 and 1
         const std::size_t n =
             std::min(chunk % 7001, rows.size() - begin);
-        batched.onActivateBatch(rows.data() + begin, n);
+        batched->onActivateBatch(rows.data() + begin, n);
         begin += n;
         chunk = chunk * 13 + 7;
     }
-    EXPECT_TRUE(sameStats(perCall.stats(), batched.stats()));
-    EXPECT_EQ(perCall.tree().maxLeafDepth(),
-              batched.tree().maxLeafDepth());
+    EXPECT_TRUE(sameStats(perCall->stats(), batched->stats()));
+    const auto treeOf = [](const MitigationScheme &s) -> const CatTree & {
+        return dynamic_cast<const BundledCatScheme &>(s).tree();
+    };
+    EXPECT_EQ(treeOf(*perCall).maxLeafDepth(),
+              treeOf(*batched).maxLeafDepth());
 }
 
 TEST(ActivationSim, BatchMatchesPerCallForDefaultImplementation)
@@ -298,8 +304,7 @@ pinnedStreams(std::uint32_t banks)
 }
 
 SchemeConfig
-pinnedConfig(SchemeKind kind, std::uint32_t banks_per_pool = 0,
-             std::uint32_t bundle_width = 0)
+pinnedConfig(SchemeKind kind, std::uint32_t banks_per_pool = 0)
 {
     SchemeConfig cfg;
     cfg.kind = kind;
@@ -307,7 +312,6 @@ pinnedConfig(SchemeKind kind, std::uint32_t banks_per_pool = 0,
     cfg.numCounters = cat ? 16 : 64;
     cfg.threshold = 256;
     cfg.banksPerPool = banks_per_pool;
-    cfg.bundleWidth = bundle_width;
     return cfg;
 }
 
@@ -328,14 +332,12 @@ pinnedReplays()
     std::vector<std::pair<std::string, ReplayResult>> out;
     const auto streams10 = pinnedStreams(10);
 
-    // Rank-pooled CAT over groups of 4, 4 and 2 banks, bundle-backed
-    // (width 0) and standalone (width 1).
-    for (const auto kind : {SchemeKind::Prcat, SchemeKind::Drcat})
-        for (const std::uint32_t width : {0u, 1u}) {
-            const SchemeConfig cfg = pinnedConfig(kind, 4, width);
-            out.emplace_back(cfg.label() + " width" + std::to_string(width),
-                             replayActivations(streams10, cfg, kRows));
-        }
+    // Rank-pooled CAT over groups of 4, 4 and 2 banks.
+    for (const auto kind : {SchemeKind::Prcat, SchemeKind::Drcat}) {
+        const SchemeConfig cfg = pinnedConfig(kind, 4);
+        out.emplace_back(cfg.label(),
+                         replayActivations(streams10, cfg, kRows));
+    }
 
     // Idle banks: bank 0 on a private config, and banks 0 and 5
     // inside pool groups.
@@ -415,10 +417,8 @@ struct PinnedReplay
 
 // clang-format off
 const PinnedReplay kPinned[] = {
-    {"PRCAT_16_rank4 width0", {200000, 531, 502821, 1392685, 0, 476, 0, 30, 0, 0}, 3},
-    {"PRCAT_16_rank4 width1", {200000, 531, 502821, 1392685, 0, 476, 0, 30, 0, 0}, 3},
-    {"DRCAT_16_rank4 width0", {200000, 538, 1673716, 1174890, 0, 80, 0, 30, 0, 0}, 3},
-    {"DRCAT_16_rank4 width1", {200000, 538, 1673716, 1174890, 0, 80, 0, 30, 0, 0}, 3},
+    {"PRCAT_16_rank4", {200000, 531, 502821, 1392685, 0, 476, 0, 30, 0, 0}, 3},
+    {"DRCAT_16_rank4", {200000, 538, 1673716, 1174890, 0, 80, 0, 30, 0, 0}, 3},
     {"idle 0,7 DRCAT_16", {160000, 421, 60361, 1066936, 0, 64, 2, 24, 0, 0}, 0},
     {"idle 0,5 PRCAT_16_rank4", {160000, 423, 232270, 1172593, 0, 462, 0, 24, 0, 0}, 0},
     {"refresh-aware DRCAT_16_rank4", {90000, 272, 1819296, 324438, 0, 48, 0, 18, 0, 0}, 3},
@@ -534,9 +534,9 @@ TEST(ReplayLane, ClosedLoopSourceGetsOneRefreshActionPerActivation)
 TEST(ReplayPinned, ResultsMatchTheirPinnedValues)
 {
     // Replay orders the benchmark grids never reach: rank pools with a
-    // short tail group at both bundle widths, idle banks (including
-    // bank 0, which owns the epoch count), closed-loop sources sharing
-    // a pool, and every private kind.  Any change to the replay loop
+    // short tail group, idle banks (including bank 0, which owns the
+    // epoch count), closed-loop sources sharing a pool, and every
+    // private kind.  Any change to the replay loop
     // that moves a counter fails here; the rows print in table form.
     const auto cases = pinnedReplays();
     EXPECT_EQ(cases.size(), std::size(kPinned));

@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "common/config.hpp"
 
 namespace catsim
@@ -62,22 +59,6 @@ TEST(Config, KeysSorted)
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], "a");
     EXPECT_EQ(keys[1], "b");
-}
-
-TEST(Config, FromFile)
-{
-    const std::string path = ::testing::TempDir() + "/catsim_cfg.txt";
-    {
-        std::ofstream out(path);
-        out << "# comment line\n";
-        out << "threshold = 16384\n";
-        out << "scheme=prcat   # trailing comment\n";
-        out << "\n";
-    }
-    Config cfg = Config::fromFile(path);
-    EXPECT_EQ(cfg.getUint("threshold", 0), 16384u);
-    EXPECT_EQ(cfg.getString("scheme", ""), "prcat");
-    std::remove(path.c_str());
 }
 
 TEST(ExperimentScale, DefaultsToOne)

@@ -7,8 +7,9 @@
 
 #include "common/rng.hpp"
 #include "core/cat_tree.hpp"
-#include "core/drcat.hpp"
+#include "core/factory.hpp"
 #include "core/split_thresholds.hpp"
+#include "core/tree_bundle.hpp"
 
 namespace catsim
 {
@@ -28,6 +29,18 @@ weightedParams(RowAddr rows, std::uint32_t M, std::uint32_t L,
     p.splitThresholds = computeSplitThresholds(M, L, T);
     p.enableWeights = true;
     return p;
+}
+
+std::unique_ptr<MitigationScheme>
+makeCat(SchemeKind kind, std::uint32_t num_counters,
+        std::uint32_t max_levels, std::uint32_t threshold)
+{
+    SchemeConfig cfg;
+    cfg.kind = kind;
+    cfg.numCounters = num_counters;
+    cfg.maxLevels = max_levels;
+    cfg.threshold = threshold;
+    return makeScheme(cfg, 65536);
 }
 
 /** Saturate the tree so every counter is active. */
@@ -108,13 +121,13 @@ TEST(Drcat, NewlySplitCountersGetWeightOne)
 TEST(Drcat, SchemeAdaptsAcrossEpochs)
 {
     // DRCAT keeps its learned shape across epochs; PRCAT rebuilds.
-    Drcat drcat(65536, 64, 11, 32768);
+    const auto drcat = makeCat(SchemeKind::Drcat, 64, 11, 32768);
     for (std::uint32_t i = 0; i < 40000; ++i)
-        drcat.onActivate(42);
-    const auto &tree = drcat.tree();
+        drcat->onActivate(42);
+    const auto &tree = dynamic_cast<const BundledCatScheme &>(*drcat).tree();
     const auto depth = tree.leafDepth(42);
     ASSERT_GT(depth, 5u);
-    drcat.onEpoch();
+    drcat->onEpoch();
     EXPECT_EQ(tree.leafDepth(42), depth) << "shape must survive epochs";
     EXPECT_EQ(tree.counterValue(42), 0u) << "counts must reset";
 }
@@ -125,8 +138,8 @@ TEST(Drcat, NoWorseThanPrcatOnStablePattern)
     // in minimal groups across epochs, so it refreshes no more rows
     // than PRCAT, which re-learns the same shape every epoch.
     const std::uint32_t T = 2048;
-    Drcat drcat(65536, 16, 9, T);
-    Prcat prcat(65536, 16, 9, T);
+    const auto drcat = makeCat(SchemeKind::Drcat, 16, 9, T);
+    const auto prcat = makeCat(SchemeKind::Prcat, 16, 9, T);
 
     auto hammer = [&](MitigationScheme &s, std::uint64_t seed, int n) {
         Xoshiro256StarStar local(seed);
@@ -139,13 +152,13 @@ TEST(Drcat, NoWorseThanPrcatOnStablePattern)
     };
 
     for (int epoch = 0; epoch < 8; ++epoch) {
-        hammer(drcat, 100 + epoch, 60000);
-        hammer(prcat, 100 + epoch, 60000);
-        drcat.onEpoch();
-        prcat.onEpoch();
+        hammer(*drcat, 100 + epoch, 60000);
+        hammer(*prcat, 100 + epoch, 60000);
+        drcat->onEpoch();
+        prcat->onEpoch();
     }
-    EXPECT_LE(drcat.stats().victimRowsRefreshed,
-              prcat.stats().victimRowsRefreshed * 11 / 10);
+    EXPECT_LE(drcat->stats().victimRowsRefreshed,
+              prcat->stats().victimRowsRefreshed * 11 / 10);
 }
 
 TEST(Drcat, MergeNeverRisesAbovePresplitLevel)
@@ -171,8 +184,8 @@ TEST(Drcat, MergeNeverRisesAbovePresplitLevel)
 
 TEST(Drcat, Name)
 {
-    Drcat d(65536, 64, 11, 32768);
-    EXPECT_EQ(d.name(), "DRCAT_64");
+    EXPECT_EQ(makeCat(SchemeKind::Drcat, 64, 11, 32768)->name(),
+              "DRCAT_64");
 }
 
 } // namespace catsim

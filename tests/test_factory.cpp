@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
-#include "core/prcat.hpp"
+#include "core/tree_bundle.hpp"
 
 namespace catsim
 {
@@ -70,7 +70,7 @@ TEST(Factory, CustomSplitScheduleReachesTree)
     cfg.splitThresholds.assign(11, 100);
     cfg.splitThresholds.back() = cfg.threshold;
     auto scheme = makeScheme(cfg, 65536);
-    auto *prcat = dynamic_cast<Prcat *>(scheme.get());
+    auto *prcat = dynamic_cast<BundledCatScheme *>(scheme.get());
     ASSERT_NE(prcat, nullptr);
     for (int i = 0; i < 100; ++i)
         scheme->onActivate(42);

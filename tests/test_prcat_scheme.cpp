@@ -1,38 +1,63 @@
 /**
  * @file
- * Tests for the PRCAT scheme wrapper (paper Section V-A).
+ * Tests for the PRCAT scheme (paper Section V-A), built through the
+ * factory like every simulator does.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/prcat.hpp"
+#include "core/factory.hpp"
+#include "core/tree_bundle.hpp"
 
 namespace catsim
 {
 
+namespace
+{
+
+std::unique_ptr<MitigationScheme>
+makePrcat(std::uint32_t num_counters, std::uint32_t max_levels,
+          std::uint32_t threshold)
+{
+    SchemeConfig cfg;
+    cfg.kind = SchemeKind::Prcat;
+    cfg.numCounters = num_counters;
+    cfg.maxLevels = max_levels;
+    cfg.threshold = threshold;
+    return makeScheme(cfg, 65536);
+}
+
+const CatTree &
+treeOf(const MitigationScheme &s)
+{
+    return dynamic_cast<const BundledCatScheme &>(s).tree();
+}
+
+} // namespace
+
 TEST(Prcat, EpochRebuildsTree)
 {
-    Prcat prcat(65536, 64, 11, 32768);
+    const auto prcat = makePrcat(64, 11, 32768);
     for (std::uint32_t i = 0; i < 30000; ++i)
-        prcat.onActivate(42);
-    ASSERT_GT(prcat.tree().leafDepth(42), 5u);
-    prcat.onEpoch();
-    EXPECT_EQ(prcat.tree().leafDepth(42), 5u)
+        prcat->onActivate(42);
+    ASSERT_GT(treeOf(*prcat).leafDepth(42), 5u);
+    prcat->onEpoch();
+    EXPECT_EQ(treeOf(*prcat).leafDepth(42), 5u)
         << "PRCAT must rebuild the balanced tree every epoch";
-    EXPECT_EQ(prcat.stats().epochResets, 1u);
+    EXPECT_EQ(prcat->stats().epochResets, 1u);
 }
 
 TEST(Prcat, RefreshActionMatchesTreeRange)
 {
-    Prcat prcat(65536, 64, 11, 32768);
+    const auto prcat = makePrcat(64, 11, 32768);
     RefreshAction act;
     for (std::uint32_t i = 0; i < 40000; ++i) {
-        act = prcat.onActivate(12345);
+        act = prcat->onActivate(12345);
         if (act.triggered())
             break;
     }
     ASSERT_TRUE(act.triggered());
-    const auto [lo, hi] = prcat.tree().leafRange(12345);
+    const auto [lo, hi] = treeOf(*prcat).leafRange(12345);
     EXPECT_EQ(act.lo, lo - 1);
     EXPECT_EQ(act.hi, hi + 1);
     EXPECT_EQ(act.rowCount, static_cast<Count>(hi - lo + 3));
@@ -40,10 +65,10 @@ TEST(Prcat, RefreshActionMatchesTreeRange)
 
 TEST(Prcat, StatsTrackSramAndSplits)
 {
-    Prcat prcat(65536, 64, 11, 32768);
+    const auto prcat = makePrcat(64, 11, 32768);
     for (std::uint32_t i = 0; i < 10000; ++i)
-        prcat.onActivate(42);
-    const auto &st = prcat.stats();
+        prcat->onActivate(42);
+    const auto &st = prcat->stats();
     EXPECT_EQ(st.activations, 10000u);
     EXPECT_GE(st.sramAccesses, 2u * 10000u);
     EXPECT_GT(st.splits, 0u);
@@ -52,11 +77,12 @@ TEST(Prcat, StatsTrackSramAndSplits)
 
 TEST(Prcat, DeterministicReplay)
 {
-    Prcat a(65536, 64, 11, 32768), b(65536, 64, 11, 32768);
+    const auto a = makePrcat(64, 11, 32768);
+    const auto b = makePrcat(64, 11, 32768);
     for (std::uint32_t i = 0; i < 50000; ++i) {
         const RowAddr row = (i * 2654435761u) & 65535u;
-        const auto ra = a.onActivate(row);
-        const auto rb = b.onActivate(row);
+        const auto ra = a->onActivate(row);
+        const auto rb = b->onActivate(row);
         ASSERT_EQ(ra.triggered(), rb.triggered());
         ASSERT_EQ(ra.rowCount, rb.rowCount);
     }
@@ -64,17 +90,16 @@ TEST(Prcat, DeterministicReplay)
 
 TEST(Prcat, Name)
 {
-    Prcat p(65536, 128, 11, 16384);
-    EXPECT_EQ(p.name(), "PRCAT_128");
+    EXPECT_EQ(makePrcat(128, 11, 16384)->name(), "PRCAT_128");
 }
 
 TEST(Prcat, SmallConfigurations)
 {
     // The smallest legal CAT: M=2, L=2.
-    Prcat p(65536, 2, 3, 4096);
+    const auto p = makePrcat(2, 3, 4096);
     for (std::uint32_t i = 0; i < 20000; ++i)
-        p.onActivate(i & 65535u);
-    EXPECT_GT(p.stats().activations, 0u);
+        p->onActivate(i & 65535u);
+    EXPECT_GT(p->stats().activations, 0u);
 }
 
 } // namespace catsim

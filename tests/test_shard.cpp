@@ -184,7 +184,6 @@ TEST(ShardDeath, MisalignedPoolShardIsFatal)
 {
     SchemeConfig cfg = prcatConfig();
     cfg.banksPerPool = 8;
-    cfg.bundleWidth = 1;
     EXPECT_EXIT(makeBankSchemes(cfg, kRows, 8, 4),
                 ::testing::ExitedWithCode(1), "splits a banksPerPool");
 }

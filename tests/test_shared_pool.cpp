@@ -10,9 +10,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "core/drcat.hpp"
 #include "core/factory.hpp"
-#include "core/prcat.hpp"
 #include "core/shared_pool.hpp"
 #include "core/split_thresholds.hpp"
 #include "core/tree_bundle.hpp"
@@ -148,7 +146,10 @@ TEST(SharedPoolTree, PooledAccessPaysArbitrationSramAccess)
 TEST(SharedPoolTree, PrcatEpochResetReturnsCountersToTheRank)
 {
     auto pool = std::make_shared<SharedCounterPool>(8 * 64);
-    Prcat scheme(65536, 64, 11, 2048, {}, pool);
+    BundledCatScheme scheme(
+        std::make_shared<TreeBundle>(65536, 64, 11, 2048, false,
+                                     std::vector<std::uint32_t>{}, pool),
+        0, 65536);
     for (int i = 0; i < 200000; ++i)
         scheme.onActivate(static_cast<RowAddr>(i % 512));
     EXPECT_GT(pool->inUse(), 32u) << "hammering must grow the tree";
@@ -168,14 +169,9 @@ TEST(SharedPoolFactory, GroupsConsecutiveBanksPerPool)
     auto schemes = makeBankSchemes(cfg, 65536, 10);
     ASSERT_EQ(schemes.size(), 10u);
     std::vector<const SharedCounterPool *> pools;
-    for (const auto &s : schemes) {
-        // Pooled CAT groups come back bundle-backed by default; the
-        // group's pool is reachable either way.
-        const auto *bundled = dynamic_cast<const BundledCatScheme *>(s.get());
-        pools.push_back(bundled ? bundled->bundle().sharedPool()
-                                : dynamic_cast<const Prcat &>(*s)
-                                      .sharedPool());
-    }
+    for (const auto &s : schemes)
+        pools.push_back(
+            dynamic_cast<const BundledCatScheme &>(*s).sharedPool());
     // Banks 0-3 share, 4-7 share, 8-9 form a short tail group.
     for (int b = 1; b < 4; ++b)
         EXPECT_EQ(pools[b], pools[0]);

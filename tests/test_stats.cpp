@@ -79,27 +79,4 @@ TEST(Histogram, BucketLow)
     EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
 }
 
-TEST(GeoMean, KnownValue)
-{
-    GeoMean g;
-    g.add(2.0);
-    g.add(8.0);
-    EXPECT_NEAR(g.value(), 4.0, 1e-12);
-}
-
-TEST(GeoMean, IgnoresNonPositive)
-{
-    GeoMean g;
-    g.add(4.0);
-    g.add(0.0);
-    g.add(-1.0);
-    EXPECT_NEAR(g.value(), 4.0, 1e-12);
-}
-
-TEST(GeoMean, EmptyIsZero)
-{
-    GeoMean g;
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
-
 } // namespace catsim

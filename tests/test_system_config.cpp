@@ -44,7 +44,6 @@ expectRoundTrip(const SystemConfig &sys)
     EXPECT_EQ(back.scheme.lfsrPrng, sys.scheme.lfsrPrng);
     EXPECT_EQ(back.scheme.evictionPolicy, sys.scheme.evictionPolicy);
     EXPECT_EQ(back.scheme.banksPerPool, sys.scheme.banksPerPool);
-    EXPECT_EQ(back.scheme.bundleWidth, sys.scheme.bundleWidth);
     EXPECT_EQ(back.label(), sys.label());
 }
 
@@ -63,7 +62,6 @@ TEST(SystemConfigParse, EmptyKeepsPaperDefaults)
     EXPECT_EQ(sys.scheme.threshold, 32768u);
     EXPECT_EQ(sys.scheme.evictionPolicy, EvictionPolicyKind::Legacy);
     EXPECT_EQ(sys.scheme.banksPerPool, 0u);
-    EXPECT_EQ(sys.scheme.bundleWidth, 0u);
     EXPECT_EQ(sys.label(), "DRCAT_64@black/dual2ch");
 }
 
@@ -116,13 +114,12 @@ TEST(SystemConfigFormat, RoundTripsAcrossTheDesignSpace)
         expectRoundTrip(sys);
     }
     {
-        // fig15-style extension cell: pooled bundle-backed DRCAT.
+        // fig15-style extension cell: rank-pooled DRCAT.
         SystemConfig sys;
         sys.workload.name = "mum";
         sys.scheme.kind = SchemeKind::Drcat;
         sys.scheme.numCounters = 16;
         sys.scheme.banksPerPool = 8;
-        sys.scheme.bundleWidth = 8;
         expectRoundTrip(sys);
     }
     {

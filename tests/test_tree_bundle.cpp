@@ -1,38 +1,39 @@
 /**
  * @file
- * Differential suite for the structure-of-arrays TreeBundle
- * (src/core/tree_bundle.*).
+ * Differential suite for the PRCAT/DRCAT scheme: BundledCatScheme
+ * lanes of a TreeBundle (src/core/tree_bundle.*).
  *
- * The bundle's fast path must be BIT-IDENTICAL to the flattened
- * CatTree it mirrors and, transitively, to the frozen ReferenceCatTree
+ * Every lane must be BIT-IDENTICAL to a bare CatTree built from the
+ * same parameters and, transitively, to the frozen ReferenceCatTree
  * oracle: same per-access refresh decisions, same SRAM charges, same
  * split/merge/epoch counts, for adversarial streams, refresh storms,
- * epoch resets, non-power-of-two M, and rank-pooled groups with tail
- * banks.  Replay-level tests additionally pin that bundleWidth is a
- * pure execution-layout knob - every width produces the same
- * ReplayResult, including for non-CAT schemes where it is a no-op.
+ * epoch resets, non-power-of-two M, every descent depth of the batch
+ * kernel, and rank-pooled groups whose lanes contend for one
+ * SharedCounterPool.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bit.hpp"
 #include "common/rng.hpp"
-#include "core/drcat.hpp"
 #include "core/factory.hpp"
-#include "core/prcat.hpp"
 #include "oracles/reference_cat_tree.hpp"
 #include "core/shared_pool.hpp"
 #include "core/tree_bundle.hpp"
-#include "sim/activation_sim.hpp"
 
 namespace catsim
 {
 
 namespace
 {
+
+constexpr RowAddr kRows = 65536;
 
 /**
  * A stream that actually exercises the tree: a few hammered hot rows
@@ -63,6 +64,28 @@ adversarialStream(std::size_t n, RowAddr num_rows, std::uint64_t seed)
     return rows;
 }
 
+/**
+ * A hot spot that moves every @p phase accesses over uniform
+ * background: each move leaves cold deep leaves behind and a new
+ * region refreshing, which is what drives DRCAT's merges.
+ */
+std::vector<RowAddr>
+migratingStream(std::size_t n, std::size_t phase, std::uint64_t seed)
+{
+    Xoshiro256StarStar rng(seed);
+    std::vector<RowAddr> rows;
+    rows.reserve(n);
+    RowAddr hot = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % phase == 0)
+            hot = static_cast<RowAddr>(rng.nextBounded(kRows));
+        rows.push_back(rng.nextDouble() < 0.8
+                           ? hot
+                           : static_cast<RowAddr>(rng.nextBounded(kRows)));
+    }
+    return rows;
+}
+
 void
 expectSameStats(const SchemeStats &a, const SchemeStats &b)
 {
@@ -75,6 +98,76 @@ expectSameStats(const SchemeStats &a, const SchemeStats &b)
     EXPECT_EQ(a.epochResets, b.epochResets);
 }
 
+::testing::AssertionResult
+sameAction(const RefreshAction &a, const RefreshAction &b)
+{
+    if (a.rowCount == b.rowCount && a.lo == b.lo && a.hi == b.hi)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a.rowCount << " rows [" << a.lo << ", " << a.hi << "] vs "
+           << b.rowCount << " rows [" << b.lo << ", " << b.hi << "]";
+}
+
+/**
+ * A bare CatTree plus the SchemeStats the scheme layer derives from
+ * its AccessResults: the authority every bundle lane mirrors.
+ */
+struct BareCat
+{
+    explicit BareCat(CatTree::Params p) : tree(std::move(p)) {}
+
+    RefreshAction
+    access(RowAddr row)
+    {
+        ++stats.activations;
+        const auto r = tree.access(row);
+        stats.sramAccesses += r.sramAccesses;
+        stats.splits += r.didSplit;
+        stats.merges += r.didReconfigure;
+        if (!r.refreshed)
+            return {};
+        ++stats.refreshEvents;
+        stats.victimRowsRefreshed += r.rowsRefreshed;
+        RefreshAction act;
+        act.lo = r.lo;
+        act.hi = r.hi;
+        act.rowCount = r.rowsRefreshed;
+        return act;
+    }
+
+    /** PRCAT rebuilds, DRCAT zeroes the counts only. */
+    void
+    epoch()
+    {
+        if (tree.params().enableWeights)
+            tree.resetCountsOnly();
+        else
+            tree.reset();
+        ++stats.epochResets;
+    }
+
+    CatTree tree;
+    SchemeStats stats;
+};
+
+SchemeConfig
+catConfig(bool weights, std::uint32_t num_counters,
+          std::uint32_t threshold, std::uint32_t levels = 11)
+{
+    SchemeConfig cfg;
+    cfg.kind = weights ? SchemeKind::Drcat : SchemeKind::Prcat;
+    cfg.numCounters = num_counters;
+    cfg.maxLevels = levels;
+    cfg.threshold = threshold;
+    return cfg;
+}
+
+const BundledCatScheme &
+asCat(const MitigationScheme &s)
+{
+    return dynamic_cast<const BundledCatScheme &>(s);
+}
+
 struct DiffCase
 {
     std::uint32_t numCounters;
@@ -85,25 +178,18 @@ struct DiffCase
 };
 
 /**
- * Drive one bundle lane and a standalone scheme (and, for
- * power-of-two M, the frozen reference tree) through the same stream,
- * comparing every single refresh action.
+ * Drive the factory's scheme, a bare tree and (for power-of-two M)
+ * the frozen reference tree through the same stream, comparing every
+ * single refresh action.
  */
 void
 runLaneDiff(const DiffCase &c)
 {
-    constexpr RowAddr kRows = 65536;
     constexpr std::uint32_t kLevels = 11;
-
-    TreeBundle bundle(kRows, c.numCounters, kLevels, c.threshold,
-                      c.weights, {}, nullptr, 1);
-    std::unique_ptr<MitigationScheme> lone;
-    if (c.weights)
-        lone = std::make_unique<Drcat>(kRows, c.numCounters, kLevels,
-                                       c.threshold);
-    else
-        lone = std::make_unique<Prcat>(kRows, c.numCounters, kLevels,
-                                       c.threshold);
+    const auto scheme = makeScheme(
+        catConfig(c.weights, c.numCounters, c.threshold, kLevels), kRows);
+    BareCat bare(makeCatTreeParams(kRows, c.numCounters, kLevels,
+                                   c.threshold, c.weights, {}, nullptr));
 
     const bool pow2 = isPow2(c.numCounters);
     std::unique_ptr<ReferenceCatTree> ref;
@@ -116,8 +202,8 @@ runLaneDiff(const DiffCase &c)
         adversarialStream(c.accesses, kRows, 0x5eed0000 + c.numCounters);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         if (c.epochEvery && i && i % c.epochEvery == 0) {
-            bundle.onEpoch(0);
-            lone->onEpoch();
+            scheme->onEpoch();
+            bare.epoch();
             if (ref) {
                 if (c.weights)
                     ref->resetCountsOnly();
@@ -125,31 +211,43 @@ runLaneDiff(const DiffCase &c)
                     ref->reset();
             }
         }
-        const RefreshAction ba = bundle.onActivate(0, rows[i]);
-        const RefreshAction sa = lone->onActivate(rows[i]);
-        ASSERT_EQ(ba.rowCount, sa.rowCount) << "access " << i;
-        ASSERT_EQ(ba.lo, sa.lo) << "access " << i;
-        ASSERT_EQ(ba.hi, sa.hi) << "access " << i;
+        const RefreshAction sa = scheme->onActivate(rows[i]);
+        ASSERT_TRUE(sameAction(sa, bare.access(rows[i]))) << "access " << i;
         if (ref) {
             const auto rr = ref->access(rows[i]);
-            ASSERT_EQ(ba.rowCount, rr.refreshed ? rr.rowsRefreshed : 0)
+            ASSERT_EQ(sa.rowCount, rr.refreshed ? rr.rowsRefreshed : 0)
                 << "access " << i;
             if (rr.refreshed) {
-                ASSERT_EQ(ba.lo, rr.lo) << "access " << i;
-                ASSERT_EQ(ba.hi, rr.hi) << "access " << i;
+                ASSERT_EQ(sa.lo, rr.lo) << "access " << i;
+                ASSERT_EQ(sa.hi, rr.hi) << "access " << i;
             }
         }
     }
 
-    expectSameStats(bundle.laneStats(0), lone->stats());
+    expectSameStats(scheme->stats(), bare.stats);
 
+    const CatTree &tree = asCat(*scheme).tree();
     std::string why;
-    EXPECT_TRUE(bundle.tree(0).checkInvariants(&why)) << why;
+    EXPECT_TRUE(tree.checkInvariants(&why)) << why;
     if (ref) {
-        EXPECT_EQ(bundle.tree(0).totalSplits(), ref->totalSplits());
-        EXPECT_EQ(bundle.tree(0).totalMerges(), ref->totalMerges());
-        EXPECT_EQ(bundle.tree(0).activeCounters(),
-                  ref->activeCounters());
+        EXPECT_EQ(tree.totalSplits(), ref->totalSplits());
+        EXPECT_EQ(tree.totalMerges(), ref->totalMerges());
+        EXPECT_EQ(tree.activeCounters(), ref->activeCounters());
+    }
+}
+
+/** Deliver rows[begin, end) as ragged onActivateBatch chunks (sizes
+ *  0 and 1 included). */
+void
+feedRagged(MitigationScheme &s, const std::vector<RowAddr> &rows,
+           std::size_t begin, std::size_t end)
+{
+    std::size_t chunk = 1;
+    while (begin < end) {
+        const std::size_t n = std::min(chunk % 4099, end - begin);
+        s.onActivateBatch(rows.data() + begin, n);
+        begin += n;
+        chunk = chunk * 13 + 7;
     }
 }
 
@@ -187,216 +285,203 @@ TEST(TreeBundleDiff, NonPow2Counters)
     }
 }
 
-TEST(TreeBundleLanes, BatchAndLanesMatchPerCallAccess)
+TEST(TreeBundleBatch, BatchMatchesPerCallAccess)
 {
-    // Three ways to deliver the same per-lane streams - one call per
-    // activation, one batch per lane, one ragged multi-lane lockstep
-    // call - must produce identical per-lane stats and tree shapes.
-    constexpr RowAddr kRows = 65536;
-    constexpr std::uint32_t kLanes = 8;
+    // One call per activation, one batch per bank, and ragged batches
+    // must produce identical per-bank stats and tree shapes (non-pow2
+    // M, refresh-heavy DRCAT, uneven stream lengths).
+    constexpr std::uint32_t kBanks = 8;
+    const SchemeConfig cfg = catConfig(true, 48, 256);
+    const auto perCall = makeBankSchemes(cfg, kRows, kBanks);
+    const auto perBatch = makeBankSchemes(cfg, kRows, kBanks);
+    const auto ragged = makeBankSchemes(cfg, kRows, kBanks);
 
-    std::vector<std::vector<RowAddr>> streams;
-    for (std::uint32_t l = 0; l < kLanes; ++l)
-        streams.push_back(
-            adversarialStream(40000 + 7777 * l, kRows, 99 + l));
+    for (std::uint32_t b = 0; b < kBanks; ++b) {
+        const auto rows = adversarialStream(40000 + 7777 * b, kRows, 99 + b);
+        for (const RowAddr r : rows)
+            perCall[b]->onActivate(r);
+        perBatch[b]->onActivateBatch(rows.data(), rows.size());
+        feedRagged(*ragged[b], rows, 0, rows.size());
 
-    TreeBundle perCall(kRows, 48, 11, 256, true, {}, nullptr, kLanes);
-    TreeBundle perBatch(kRows, 48, 11, 256, true, {}, nullptr, kLanes);
-    TreeBundle lockstep(kRows, 48, 11, 256, true, {}, nullptr, kLanes);
-
-    for (std::uint32_t l = 0; l < kLanes; ++l)
-        for (const RowAddr r : streams[l])
-            perCall.onActivate(l, r);
-    std::vector<TreeBundle::LaneBatch> batches;
-    for (std::uint32_t l = 0; l < kLanes; ++l) {
-        perBatch.onActivateBatch(l, streams[l].data(),
-                                 streams[l].size());
-        batches.push_back({l, streams[l].data(), streams[l].size()});
-    }
-    lockstep.onActivateLanes(batches.data(), batches.size());
-
-    for (std::uint32_t l = 0; l < kLanes; ++l) {
-        expectSameStats(perCall.laneStats(l), perBatch.laneStats(l));
-        expectSameStats(perCall.laneStats(l), lockstep.laneStats(l));
-        EXPECT_EQ(perCall.tree(l).activeCounters(),
-                  lockstep.tree(l).activeCounters());
+        expectSameStats(perCall[b]->stats(), perBatch[b]->stats());
+        expectSameStats(perCall[b]->stats(), ragged[b]->stats());
+        EXPECT_EQ(asCat(*perCall[b]).tree().activeCounters(),
+                  asCat(*ragged[b]).tree().activeCounters());
         std::string why;
-        EXPECT_TRUE(lockstep.tree(l).checkInvariants(&why)) << why;
+        EXPECT_TRUE(asCat(*ragged[b]).tree().checkInvariants(&why)) << why;
     }
 }
 
-TEST(TreeBundlePooled, RankPooledGroupMatchesStandaloneSchemes)
+/**
+ * The batch kernel at every descent depth: with M = 64 the jump table
+ * lands at depth 5, so L = 7, 9, 11, 13 and 16 take 1, 2, 3, 4 and 5
+ * fixed quad steps - every compile-time StepsC instantiation plus the
+ * runtime-bound one.
+ */
+class TreeBundleDepth
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint32_t>>
 {
-    // A 4-bank rank pool with contended growth, driven round-robin:
-    // the bundle-backed group and a standalone pooled Prcat group must
-    // agree on every refresh action (pool arbitration order included).
-    constexpr RowAddr kRows = 65536;
+};
+
+TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
+{
+    const auto [weights, levels] = GetParam();
+    constexpr std::uint32_t kT = 256;
+    constexpr std::size_t kEpoch = 30000;
+    const SchemeConfig cfg = catConfig(weights, 64, kT, levels);
+    const auto perCall = makeScheme(cfg, kRows);
+    const auto batched = makeScheme(cfg, kRows);
+    BareCat bare(makeCatTreeParams(kRows, 64, levels, kT, weights, {},
+                                   nullptr));
+
+    const auto rows = migratingStream(180000, 20000, 31 + levels);
+    for (std::size_t begin = 0; begin < rows.size(); begin += kEpoch) {
+        if (begin) {
+            perCall->onEpoch();
+            batched->onEpoch();
+            bare.epoch();
+        }
+        const std::size_t end = std::min(begin + kEpoch, rows.size());
+        for (std::size_t i = begin; i < end; ++i)
+            ASSERT_TRUE(sameAction(perCall->onActivate(rows[i]),
+                                   bare.access(rows[i])))
+                << "access " << i;
+        feedRagged(*batched, rows, begin, end);
+    }
+
+    expectSameStats(perCall->stats(), bare.stats);
+    expectSameStats(batched->stats(), bare.stats);
+    const CatTree &tree = asCat(*batched).tree();
+    EXPECT_EQ(tree.activeCounters(), bare.tree.activeCounters());
+    EXPECT_EQ(tree.maxLeafDepth(), bare.tree.maxLeafDepth());
+    std::string why;
+    EXPECT_TRUE(tree.checkInvariants(&why)) << why;
+    EXPECT_GT(bare.stats.splits, 0u);
+    EXPECT_GT(bare.stats.refreshEvents, 0u);
+    // At L = 7 a full tree has every leaf at the deepest level, so no
+    // hot leaf can be subdivided and DRCAT never reconfigures.
+    if (weights && levels > 7) {
+        EXPECT_GT(bare.stats.merges, 0u) << "the stream must reconfigure";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDescentDepth, TreeBundleDepth,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(7u, 9u, 11u, 13u, 16u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) ? "Drcat" : "Prcat")
+               + "_L" + std::to_string(std::get<1>(info.param));
+    });
+
+namespace
+{
+
+/**
+ * A 4-bank rank pool with contended growth against four bare trees
+ * sharing one SharedCounterPool - the authority the bundle mirrors.
+ * Banks take turns of @p quantum activations in bank order (a turn is
+ * one onActivateBatch when quantum > 1); both sides must agree on
+ * every refresh action, pool arbitration order included.
+ */
+void
+runPooledDiff(bool weights, std::size_t quantum)
+{
     constexpr std::uint32_t kBanks = 4;
     constexpr std::uint32_t kPerBank = 16;
+    constexpr std::size_t kLen = 120000;
+    SchemeConfig cfg = catConfig(weights, kPerBank, 512);
+    cfg.banksPerPool = kBanks;
+    const auto lanes = makeBankSchemes(cfg, kRows, kBanks);
 
-    for (const bool weights : {false, true}) {
-        auto pool = std::make_shared<SharedCounterPool>(kPerBank
-                                                        * kBanks);
-        TreeBundle bundle(kRows, kPerBank, 11, 512, weights, {}, pool,
-                          kBanks);
+    // Declared before the trees: they release into it on destruction.
+    const auto barePool =
+        std::make_shared<SharedCounterPool>(kPerBank * kBanks);
+    std::vector<std::unique_ptr<BareCat>> bare;
+    for (std::uint32_t b = 0; b < kBanks; ++b)
+        bare.push_back(std::make_unique<BareCat>(makeCatTreeParams(
+            kRows, kPerBank, 11, 512, weights, {}, barePool.get())));
 
-        auto lonePool =
-            std::make_shared<SharedCounterPool>(kPerBank * kBanks);
-        std::vector<std::unique_ptr<MitigationScheme>> lone;
+    std::vector<std::vector<RowAddr>> streams;
+    for (std::uint32_t b = 0; b < kBanks; ++b)
+        streams.push_back(adversarialStream(kLen, kRows, 1234 + b));
+
+    for (std::size_t i = 0; i < kLen; i += quantum) {
         for (std::uint32_t b = 0; b < kBanks; ++b) {
-            if (weights)
-                lone.push_back(std::make_unique<Drcat>(
-                    kRows, kPerBank, 11, 512,
-                    std::vector<std::uint32_t>{}, lonePool));
-            else
-                lone.push_back(std::make_unique<Prcat>(
-                    kRows, kPerBank, 11, 512,
-                    std::vector<std::uint32_t>{}, lonePool));
-        }
-
-        std::vector<std::vector<RowAddr>> streams;
-        for (std::uint32_t b = 0; b < kBanks; ++b)
-            streams.push_back(
-                adversarialStream(120000, kRows, 1234 + b));
-
-        for (std::size_t i = 0; i < streams[0].size(); ++i) {
-            for (std::uint32_t b = 0; b < kBanks; ++b) {
-                if (i && i % 30000 == 0) {
-                    bundle.onEpoch(b);
-                    lone[b]->onEpoch();
+            if (i && i % 30000 < quantum) {
+                lanes[b]->onEpoch();
+                bare[b]->epoch();
+            }
+            const RowAddr *rows = streams[b].data() + i;
+            const std::size_t n = std::min(quantum, kLen - i);
+            if (quantum > 1)
+                lanes[b]->onActivateBatch(rows, n);
+            for (std::size_t k = 0; k < n; ++k) {
+                const RefreshAction ba = bare[b]->access(rows[k]);
+                if (quantum == 1) {
+                    ASSERT_TRUE(sameAction(lanes[b]->onActivate(rows[k]), ba))
+                        << "bank " << b << " access " << i + k;
                 }
-                const RefreshAction ba =
-                    bundle.onActivate(b, streams[b][i]);
-                const RefreshAction sa =
-                    lone[b]->onActivate(streams[b][i]);
-                ASSERT_EQ(ba.rowCount, sa.rowCount)
-                    << "bank " << b << " access " << i;
-                ASSERT_EQ(ba.lo, sa.lo)
-                    << "bank " << b << " access " << i;
-                ASSERT_EQ(ba.hi, sa.hi)
-                    << "bank " << b << " access " << i;
             }
         }
-        for (std::uint32_t b = 0; b < kBanks; ++b) {
-            expectSameStats(bundle.laneStats(b), lone[b]->stats());
-            std::string why;
-            EXPECT_TRUE(bundle.tree(b).checkInvariants(&why)) << why;
-        }
-        EXPECT_EQ(bundle.sharedPool()->peakInUse(),
-                  lonePool->peakInUse());
-        EXPECT_EQ(bundle.sharedPool()->acquires(),
-                  lonePool->acquires());
     }
-}
-
-TEST(TreeBundleFactory, BundleWidthIsPureLayoutInReplay)
-{
-    // Replay the same recorded streams at several bundle widths (1 =
-    // standalone trees) and require identical ReplayResults - the
-    // whole point of the knob.  Includes a pooled config with a tail
-    // group (10 banks, pool groups of 4).
-    constexpr RowAddr kRows = 65536;
-    constexpr std::uint32_t kBanks = 10;
-
-    std::vector<std::vector<RowAddr>> streams;
     for (std::uint32_t b = 0; b < kBanks; ++b) {
-        auto s = adversarialStream(60000, kRows, 777 + b);
-        s.insert(s.begin() + 20000, kEpochMarker);
-        s.insert(s.begin() + 45000, kEpochMarker);
-        streams.push_back(std::move(s));
+        expectSameStats(lanes[b]->stats(), bare[b]->stats);
+        std::string why;
+        EXPECT_TRUE(asCat(*lanes[b]).tree().checkInvariants(&why)) << why;
     }
+    const SharedCounterPool *pool = asCat(*lanes[0]).sharedPool();
+    EXPECT_EQ(pool->peakInUse(), barePool->peakInUse());
+    EXPECT_EQ(pool->acquires(), barePool->acquires());
+}
 
-    for (const bool pooled : {false, true}) {
-        for (const auto kind : {SchemeKind::Prcat, SchemeKind::Drcat}) {
-            SchemeConfig cfg;
-            cfg.kind = kind;
-            cfg.numCounters = 16;
-            cfg.threshold = 512;
-            cfg.banksPerPool = pooled ? 4 : 0;
+} // namespace
 
-            cfg.bundleWidth = 1;
-            const ReplayResult base =
-                replayActivations(streams, cfg, kRows);
-            for (const std::uint32_t width : {0u, 3u, 16u}) {
-                if (pooled && width != 0)
-                    continue; // pooled widths are pinned to the group
-                cfg.bundleWidth = width;
-                const ReplayResult r =
-                    replayActivations(streams, cfg, kRows);
-                expectSameStats(r.stats, base.stats);
-                EXPECT_EQ(r.epochs, base.epochs);
-            }
+TEST(TreeBundlePooled, RankPooledGroupMatchesBareTreesOnOnePool)
+{
+    // Per-call turns, then 64-row turns through the pooled lanes'
+    // onActivateBatch.
+    for (const std::size_t quantum : {1u, 64u}) {
+        runPooledDiff(false, quantum);
+        runPooledDiff(true, quantum);
+    }
+}
+
+TEST(TreeBundleFactory, EachPoolGroupIsOneBundle)
+{
+    SchemeConfig cfg = catConfig(true, 16, 512);
+    const auto priv = makeBankSchemes(cfg, kRows, 3);
+    ASSERT_EQ(priv.size(), 3u);
+    for (std::size_t b = 0; b < priv.size(); ++b) {
+        const BundledCatScheme &s = asCat(*priv[b]);
+        EXPECT_EQ(s.bundle().lanes(), 1u) << "a private bank is one lane";
+        EXPECT_EQ(s.lane(), 0u);
+        EXPECT_EQ(s.sharedPool(), nullptr);
+        if (b > 0) {
+            EXPECT_NE(&s.bundle(), &asCat(*priv[b - 1]).bundle());
         }
     }
-}
+    EXPECT_EQ(priv[0]->name(), "DRCAT_16");
 
-TEST(TreeBundleFactory, WidthIsNoOpForNonCatSchemes)
-{
-    // bundleWidth must be ignored (not rejected, not acted on) for
-    // SCA/PRA/CounterCache - here across all four eviction policies.
-    constexpr RowAddr kRows = 65536;
-    std::vector<std::vector<RowAddr>> streams;
-    for (std::uint32_t b = 0; b < 4; ++b)
-        streams.push_back(adversarialStream(30000, kRows, 42 + b));
-
-    for (const auto policy :
-         {EvictionPolicyKind::Legacy, EvictionPolicyKind::Lru,
-          EvictionPolicyKind::Lfu, EvictionPolicyKind::Random}) {
-        SchemeConfig cfg;
-        cfg.kind = SchemeKind::CounterCache;
-        cfg.numCounters = 128;
-        cfg.threshold = 512;
-        cfg.evictionPolicy = policy;
-
-        cfg.bundleWidth = 1;
-        const ReplayResult base = replayActivations(streams, cfg, kRows);
-        cfg.bundleWidth = 0;
-        const ReplayResult r = replayActivations(streams, cfg, kRows);
-        expectSameStats(r.stats, base.stats);
-    }
-}
-
-TEST(TreeBundleFactory, PooledWidthMismatchIsFatal)
-{
-    SchemeConfig cfg;
-    cfg.kind = SchemeKind::Drcat;
-    cfg.numCounters = 16;
+    // Pool groups of 4, 4 and a 2-bank tail: one bundle each, lanes
+    // numbered within it.
     cfg.banksPerPool = 4;
-    cfg.bundleWidth = 8;
-    EXPECT_EXIT(makeBankSchemes(cfg, 65536, 16),
-                ::testing::ExitedWithCode(1), "bundleWidth");
+    const auto pooled = makeBankSchemes(cfg, kRows, 10);
+    ASSERT_EQ(pooled.size(), 10u);
+    const TreeBundle *b0 = &asCat(*pooled[0]).bundle();
+    EXPECT_EQ(b0->lanes(), 4u);
+    EXPECT_EQ(&asCat(*pooled[3]).bundle(), b0);
+    EXPECT_EQ(asCat(*pooled[3]).lane(), 3u);
+    EXPECT_NE(&asCat(*pooled[4]).bundle(), b0);
+    EXPECT_EQ(asCat(*pooled[4]).lane(), 0u);
+    EXPECT_EQ(asCat(*pooled[8]).bundle().lanes(), 2u);
+    EXPECT_EQ(pooled[0]->name(), "DRCAT_16_rank4");
 }
 
-TEST(TreeBundleFactory, BundleBackedSchemesExposeTheirBundle)
+TEST(TreeBundleDeath, PrivateBundleIsOneBank)
 {
-    SchemeConfig cfg;
-    cfg.kind = SchemeKind::Drcat;
-    cfg.numCounters = 16;
-    cfg.threshold = 512;
-    cfg.bundleWidth = 4;
-    auto schemes = makeBankSchemes(cfg, 65536, 10);
-    ASSERT_EQ(schemes.size(), 10u);
-
-    // Groups of 4, 4, 2: lanes number within each bundle (a
-    // standalone scheme would throw std::bad_cast here).
-    const auto lane = [&](std::size_t b) -> const BundledCatScheme & {
-        return dynamic_cast<const BundledCatScheme &>(*schemes[b]);
-    };
-    const TreeBundle *b0 = &lane(0).bundle();
-    EXPECT_EQ(lane(0).lane(), 0u);
-    EXPECT_EQ(&lane(3).bundle(), b0);
-    EXPECT_EQ(lane(3).lane(), 3u);
-    EXPECT_NE(&lane(4).bundle(), b0);
-    EXPECT_EQ(lane(4).lane(), 0u);
-    EXPECT_EQ(lane(8).bundle().lanes(), 2u);
-    EXPECT_EQ(schemes[0]->name(), "DRCAT_16");
-    EXPECT_GT(b0->arenaBytes(), 0u);
-
-    // Standalone schemes are not bundle-backed.
-    cfg.bundleWidth = 1;
-    auto lone = makeBankSchemes(cfg, 65536, 2);
-    EXPECT_EQ(dynamic_cast<const BundledCatScheme *>(lone[0].get()),
-              nullptr);
+    EXPECT_EXIT(TreeBundle(kRows, 16, 11, 512, false, {}, nullptr, 2),
+                ::testing::ExitedWithCode(1), "counter-pool group");
 }
 
 } // namespace catsim
