@@ -223,7 +223,7 @@ makeBankGroup()
                            kBundleBanks);
 }
 
-/** 16 bare DRCAT_64 trees, what the bundle lanes mirror. */
+/** 16 bare DRCAT_64 trees, what the factory's schemes wrap. */
 std::vector<std::unique_ptr<CatTree>>
 makeBareTrees()
 {
@@ -236,35 +236,43 @@ makeBareTrees()
 
 /**
  * Per-bank onActivateBatch chunks over the 16-bank group - the replay
- * path, through each bank's vectorized lane kernel.  Items/sec here
- * divided by BM_CatTreeAccessFlat's is the SoA bundling speedup on
+ * path - through the batch kernel of tier state.range(0) (0 scalar,
+ * 1 AVX2, 2 AVX-512; registered for every tier this host runs), so
+ * each rung of the dispatch ladder is timed on its own.  Items/sec
+ * here divided by BM_CatTreeAccessFlat's is the kernel's speedup on
  * top of the flattened single tree.
  */
 void
-BM_TreeBundleLanes(benchmark::State &state)
+BM_TreeBundleBatch(benchmark::State &state)
 {
+    const int tier = static_cast<int>(state.range(0));
     const auto schemes = makeBankGroup();
     const auto &streams = bankStreams();
+    std::vector<TreeBundle *> banks;
+    for (const auto &s : schemes)
+        banks.push_back(static_cast<TreeBundle *>(s.get()));
     // Grow every bank to steady state before timing.
     for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-        schemes[b]->onActivateBatch(streams[b].data(), kStreamLen);
+        banks[b]->onActivateBatch(streams[b].data(), kStreamLen, tier);
     constexpr std::size_t kChunk = 4096;
     std::size_t off = 0;
     for (auto _ : state) {
         for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-            schemes[b]->onActivateBatch(streams[b].data() + off,
-                                        kChunk);
+            banks[b]->onActivateBatch(streams[b].data() + off, kChunk,
+                                      tier);
         off = (off + kChunk) & (kStreamLen - 1);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * kBundleBanks * kChunk));
 }
-BENCHMARK(BM_TreeBundleLanes)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TreeBundleBatch)
+    ->DenseRange(0, TreeBundle::simdTier())
+    ->Unit(benchmark::kMicrosecond);
 
 /** The same group stepped one virtual onActivate per activation - the
  *  controller and closed-loop path, for the on-report comparison. */
 void
-BM_TreeBundleFlatBatch(benchmark::State &state)
+BM_TreeBundlePerCall(benchmark::State &state)
 {
     const auto schemes = makeBankGroup();
     const auto &streams = bankStreams();
@@ -284,7 +292,7 @@ BM_TreeBundleFlatBatch(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * kBundleBanks * kChunk));
 }
-BENCHMARK(BM_TreeBundleFlatBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TreeBundlePerCall)->Unit(benchmark::kMicrosecond);
 
 /** Worst-case deep leaf: single-row hammer after full growth. */
 template <typename TreeT>
@@ -518,7 +526,7 @@ actsPerSec(Fn &&pass, Count acts_per_pass)
  *                           closed-loop path
  *   bundle_acts_per_sec     per-bank onActivateBatch on the factory's
  *                           schemes - the replay path, through the
- *                           vectorized lane kernel
+ *                           batch kernel of this host's tier
  *
  * All three drive 16 DRCAT_64 banks over identical per-bank Zipf
  * streams, so the ratios isolate the dispatch path.

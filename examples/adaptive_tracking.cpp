@@ -78,7 +78,7 @@ epochBoth(MitigationScheme &drcat, MitigationScheme &prcat, RowAddr hot,
 }
 
 void
-report(const char *label, const BundledCatScheme &scheme, RowAddr hot,
+report(const char *label, const TreeBundle &scheme, RowAddr hot,
        Count rows_this_epoch)
 {
     const auto &tree = scheme.tree();
@@ -101,8 +101,8 @@ main()
     const auto drcatScheme = makeCat(SchemeKind::Drcat, kT);
     const auto prcatScheme = makeCat(SchemeKind::Prcat, kT);
     // PRCAT/DRCAT instances expose their tree for inspection.
-    auto &drcat = static_cast<BundledCatScheme &>(*drcatScheme);
-    auto &prcat = static_cast<BundledCatScheme &>(*prcatScheme);
+    auto &drcat = static_cast<TreeBundle &>(*drcatScheme);
+    auto &prcat = static_cast<TreeBundle &>(*prcatScheme);
 
     const RowAddr hotA = 4242, hotB = 50505;
 

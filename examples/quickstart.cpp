@@ -37,7 +37,7 @@ main()
     cfg.threshold = kT;
     const auto scheme = makeScheme(cfg, kRows);
     // PRCAT/DRCAT instances expose their tree for inspection.
-    auto &drcat = static_cast<BundledCatScheme &>(*scheme);
+    auto &drcat = static_cast<TreeBundle &>(*scheme);
 
     Xoshiro256StarStar rng(7);
     const RowAddr aggressor = 31337;

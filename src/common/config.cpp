@@ -138,12 +138,16 @@ experimentScale()
     const char *env = std::getenv("CATSIM_SCALE");
     if (!env)
         return 1.0;
-    try {
-        const double s = std::stod(env);
-        return s > 0.0 ? s : 1.0;
-    } catch (...) {
-        return 1.0;
-    }
+    // The whole string must be the number: "0.05x" or "0,05" would
+    // otherwise quietly run a different (or full-length) experiment.
+    char *end = nullptr;
+    const double s = std::strtod(env, &end);
+    if (end == env || *end != '\0'
+        || std::isspace(static_cast<unsigned char>(env[0]))
+        || !(s > 0.0 && s <= 1.0))
+        CATSIM_FATAL("CATSIM_SCALE='", env,
+                     "' is not a number in (0, 1]");
+    return s;
 }
 
 std::string

@@ -52,6 +52,7 @@ class Config
  * Global experiment scale factor from the CATSIM_SCALE environment
  * variable (default 1.0).  Bench binaries multiply their access budgets
  * by this so CI smoke runs and long faithful runs share one code path.
+ * A set CATSIM_SCALE that is not wholly a number in (0, 1] is fatal.
  */
 double experimentScale();
 

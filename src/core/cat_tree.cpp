@@ -73,7 +73,7 @@ CatTree::reset()
 {
     const auto M = params_.numCounters;
     slots_.assign(2 * (M - 1), 0);
-    quad_.assign(4 * (M - 1), 0);
+    quad_.assign(4 * M + 2, 0);
     inodeParent_.assign(M - 1, kNone);
     inodeParentRight_.assign(M - 1, false);
     inodeInUse_.assign(M - 1, false);
@@ -81,6 +81,7 @@ CatTree::reset()
     inodeLo_.assign(M - 1, 0);
     candWords_.assign((M - 1 + 63) / 64, 0);
     counts_.assign(M, 0);
+    thr_.assign(M, 0);
     counterDepth_.assign(M, 0);
     counterParent_.assign(M, kNone);
     counterSide_.assign(M, 0);
@@ -120,6 +121,15 @@ CatTree::reset()
     presplit(kNone, false, 0, 0, 0);
     rebuildJumpTable();
     updateCanGrow();
+    updateAllThresholds(); // the depths are new even if canGrow_ is not
+}
+
+void
+CatTree::updateAllThresholds()
+{
+    // Free counters get a value too; no walk ever reaches them.
+    for (std::uint32_t c = 0; c < params_.numCounters; ++c)
+        updateThreshold(c);
 }
 
 void
@@ -269,6 +279,8 @@ CatTree::splitLeaf(const Walk &w, std::uint32_t new_counter,
     counterDepth_[new_counter] = w.depth + 1;
     counterParent_[new_counter] = new_inode;
     counterSide_[new_counter] = 1;
+    updateThreshold(w.counter);
+    updateThreshold(new_counter);
 
     // Clone the count: both halves inherit the parent's history, which
     // keeps the scheme conservative (no victim can be undercounted).
@@ -292,53 +304,43 @@ CatTree::splitLeaf(const Walk &w, std::uint32_t new_counter,
     ++activeCounters_;
 }
 
-std::uint32_t
-CatTree::thresholdAt(std::uint32_t depth) const
-{
-    return params_.splitThresholds[std::min<std::size_t>(
-        depth, params_.splitThresholds.size() - 1)];
-}
-
 CatTree::AccessResult
 CatTree::access(RowAddr row)
 {
     if (row >= params_.numRows)
         CATSIM_PANIC("row ", row, " out of range");
 
-    // Fast path: resolve the counter and its depth only; the full Walk
-    // (parent link, covered range) is materialized from the per-leaf
-    // tables below, and only when a split or refresh actually needs it.
+    // Fast path: resolve the counter only and test it against thr_;
+    // the full Walk (parent link, covered range) is materialized from
+    // the per-leaf tables below, and only when a split or refresh
+    // actually needs it.  The jump replaces the pre-split levels; the
+    // remaining descent costs one access per level, the counter a read
+    // and a write (Section IV-C), see sramCharge.
     const std::uint32_t counter = slotNode(leafSlotFor(row));
     const std::uint32_t depth = counterDepth_[counter];
     AccessResult res;
     res.leafDepth = depth;
-    // The jump replaces the pre-split levels; the remaining descent
-    // costs one access per level, the counter a read and a write
-    // (Section IV-C).  A rank-pooled tree pays one more per activation
-    // for the bank-select into the shared array (DESIGN.md Section 9).
-    res.sramAccesses = (depth - presplitDepth_) + 2
-                       + (pool_ != nullptr ? 1u : 0u);
+    res.sramAccesses = sramCharge(counter);
+    if (counts_[counter] < thr_[counter]) {
+        ++counts_[counter];
+        return res;
+    }
 
-    // depth < rowBits_ <=> the group spans more than one row.  Growth
-    // additionally needs a free counter in the rank pool when one is
-    // attached; the pool can change between this bank's activations
-    // (other banks allocate from it), so it is consulted live instead
-    // of being folded into the cached canGrow_.
-    const bool splittable =
-        depth + 1 < params_.maxLevels && depth < rowBits_ && canGrow_
-        && (pool_ == nullptr || pool_->available() != 0);
-    const std::uint32_t thr = splittable
-        ? thresholdAt(depth)
-        : params_.refreshThreshold;
-
-    if (counts_[counter] < thr) {
+    // The live rule: a split threshold below T (thr_ holds it) also
+    // needs a free counter in the rank pool when one is attached.  The
+    // pool can change between this bank's activations (other banks
+    // allocate from it), so it is consulted here, not folded into thr_;
+    // without one the leaf counts on to T.
+    const bool splittable = thr_[counter] < params_.refreshThreshold
+                            && (pool_ == nullptr || pool_->available() != 0);
+    if (!splittable && counts_[counter] < params_.refreshThreshold) {
         ++counts_[counter];
         return res;
     }
 
     const Walk w = walkFromCounter(counter, row);
 
-    if (splittable && thr < params_.refreshThreshold) {
+    if (splittable) {
         const std::uint32_t nc = allocCounter();
         const std::uint32_t ni = allocInode();
         splitLeaf(w, nc, ni);
@@ -437,6 +439,7 @@ CatTree::tryReconfigure(const Walk &hot)
     counterDepth_[keep] = inodeDepth_[cand];
     counterParent_[keep] = parent;
     counterSide_[keep] = side;
+    updateThreshold(keep);
     if (inodeDepth_[cand] == presplitDepth_)
         jump_[inodeLo_[cand] >> jumpShift_] = pack(keep, true);
     candClear(cand);
@@ -557,6 +560,13 @@ CatTree::walkInvariants(std::uint32_t slot, RowAddr lo, RowAddr hi,
             return fail("stored leaf parent disagrees with the tree");
         if (counts_[ptr] > params_.refreshThreshold)
             return fail("count exceeds refresh threshold");
+        const bool growable = depth + 1 < params_.maxLevels
+                              && depth < rowBits_
+                              && !freeCounters_.empty()
+                              && !freeInodes_.empty();
+        if (thr_[ptr] != (growable ? params_.splitThresholds[depth]
+                                   : params_.refreshThreshold))
+            return fail("fast-path threshold disagrees with the tree");
         if (weightStored_[ptr] > 3)
             return fail("stored weight exceeds 2-bit range");
         if (weightTouch_[ptr] > refreshOrdinal_)

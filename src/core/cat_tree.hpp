@@ -40,6 +40,22 @@
  * chasing, no per-level branch.  This mirrors the hardware's
  * direct-indexed SRAM rows and is what `sramAccesses` counts.
  *
+ * Fast-path threshold.  The tree also maintains `thr_[c]`, the
+ * threshold `access` applies to leaf c when the shared pool (if any)
+ * has a free counter: the depth's split threshold while the leaf can
+ * still split (d + 1 < L, more than one row, and a free counter and
+ * inode locally), T otherwise.  It changes only where its inputs do -
+ * both counters of a split, the kept counter of a merge, and every
+ * counter on reset or when the local free lists run dry or refill - so
+ * `counts_[c] < thr_[c]` decides a pure increment with two loads and
+ * no branch on tree or pool state.  Pool availability is left out on
+ * purpose: an exhausted pool only raises the real threshold to T, so
+ * `thr_` is then too low, never too high, and a too-low threshold
+ * merely sends the access down the slow path, which consults the pool
+ * live.  That is why no tree ever needs to hear about a sibling's
+ * growth, and why the PRCAT/DRCAT scheme (tree_bundle.hpp) can run its
+ * batch kernel straight on these tables.
+ *
  * DRCAT support (Section V-B): a 2-bit weight per counter tracks how
  * often its group triggers refreshes.  The architectural rule is "every
  * refresh increments the hot counter's weight (saturating at 3) and
@@ -155,7 +171,8 @@ class CatTree
      * sits above the pre-split level, counts stay below/at their
      * thresholds, free lists are consistent, and the derived hot-path
      * indexes (jump table, per-node depths/ranges, merge-candidate
-     * bitset) agree with the tree.  A brute-force oracle additionally
+     * bitset, every in-use counter's fast-path threshold) agree with
+     * the tree.  A brute-force oracle additionally
      * replays the jump+quad hot-path lookup (`leafSlotFor`) for the
      * corner rows of every leaf and requires it to land on exactly the
      * leaf the plain recursive descent reaches - this is what pins the
@@ -172,10 +189,10 @@ class CatTree
 
   private:
     /**
-     * The tree bundle mirrors this tree's hot tables (jump, quad,
-     * counts, per-counter thresholds) into its SoA arena and
-     * needs a narrow private port: it reads the structural state after
-     * every delegated mutation and writes `counts_` back before one.
+     * The PRCAT/DRCAT scheme runs its inline fast path and its batch
+     * kernels on this tree's own tables: it reads jump_, quad_,
+     * counts_, thr_ and counterDepth_ and bumps counts_ where
+     * `counts_[c] < thr_[c]`; everything else goes through access().
      * No other class gets this access.
      */
     friend class TreeBundle;
@@ -226,11 +243,36 @@ class CatTree
     Walk walkFromCounter(std::uint32_t counter, RowAddr row) const;
     void setChildSlot(std::uint32_t inode, bool right,
                       std::uint32_t slot);
+    /** Re-derive canGrow_; every thr_ entry follows when it flips. */
     void updateCanGrow()
     {
-        canGrow_ = !freeCounters_.empty() && !freeInodes_.empty();
+        const bool grow = !freeCounters_.empty() && !freeInodes_.empty();
+        if (grow == canGrow_)
+            return;
+        canGrow_ = grow;
+        updateAllThresholds();
     }
-    std::uint32_t thresholdAt(std::uint32_t depth) const;
+    /** thr_[c] from c's depth and canGrow_ (see file comment). */
+    void updateThreshold(std::uint32_t c)
+    {
+        const std::uint32_t d = counterDepth_[c];
+        thr_[c] = d + 1 < params_.maxLevels && d < rowBits_ && canGrow_
+            ? params_.splitThresholds[d]
+            : params_.refreshThreshold;
+    }
+    void updateAllThresholds();
+    /** SRAM accesses one activation of leaf @p c costs: the levels
+     *  below the jump table, a counter read and write, and the
+     *  bank-select into a rank-shared array (DESIGN.md Section 9). */
+    std::uint32_t sramCharge(std::uint32_t c) const
+    {
+        return counterDepth_[c] + sramChargeBias();
+    }
+    /** sramCharge(c) - counterDepth_[c], mod 2^32. */
+    std::uint32_t sramChargeBias() const
+    {
+        return 2u - presplitDepth_ + (pool_ != nullptr ? 1u : 0u);
+    }
     void splitLeaf(const Walk &w, std::uint32_t new_counter,
                    std::uint32_t new_inode);
     std::uint32_t allocCounter();
@@ -306,7 +348,10 @@ class CatTree
      * load in the walk.  A leaf child absorbs: both of its b2 entries
      * hold the leaf slot itself.  Kept in sync by setChildSlot (every
      * slot write mirrors into the node's own quad half and into its
-     * parent's entry that routes through it).
+     * parent's entry that routes through it).  Sized 4M + 2: past the
+     * 4(M-1) live entries a zero pad lets the branchless batch descent
+     * keep indexing quad_[2*cur + 3] from a leaf code (at most 2M-1)
+     * after a row has already landed.
      */
     std::vector<std::uint32_t> quad_;
     std::vector<std::uint32_t> inodeParent_;     //!< kNone for root
@@ -324,6 +369,7 @@ class CatTree
     std::uint32_t jumpShift_ = 0;
 
     std::vector<std::uint32_t> counts_;
+    std::vector<std::uint32_t> thr_;  //!< fast-path threshold per counter
     // Per-leaf position tables: the walk reads depth/parent/side here
     // instead of tracking them level by level (quad steps can overrun
     // the consumed-bit count at an absorbed leaf, so they could not be

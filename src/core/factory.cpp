@@ -159,19 +159,15 @@ parseSchemeKind(const std::string &name)
 namespace
 {
 
-/**
- * One counter-pool group's CAT trees: @p lanes banks sharing @p pool,
- * or a single private bank when @p pool is null.
- */
-std::shared_ptr<TreeBundle>
-makeCatBundle(const SchemeConfig &config, RowAddr num_rows,
-              std::shared_ptr<SharedCounterPool> pool = nullptr,
-              std::uint32_t lanes = 1)
+/** One bank's PRCAT/DRCAT scheme, on @p pool when it shares one. */
+std::unique_ptr<MitigationScheme>
+makeCat(const SchemeConfig &config, RowAddr num_rows,
+        std::shared_ptr<SharedCounterPool> pool = nullptr)
 {
-    return std::make_shared<TreeBundle>(
+    return std::make_unique<TreeBundle>(
         num_rows, config.numCounters, config.maxLevels, config.threshold,
         config.kind == SchemeKind::Drcat, config.splitThresholds,
-        std::move(pool), lanes);
+        std::move(pool));
 }
 
 /** Build one private-pool instance. */
@@ -195,8 +191,7 @@ makeOne(const SchemeConfig &config, RowAddr num_rows)
       }
       case SchemeKind::Prcat:
       case SchemeKind::Drcat:
-        return std::make_unique<BundledCatScheme>(
-            makeCatBundle(config, num_rows), 0, num_rows);
+        return makeCat(config, num_rows);
       case SchemeKind::CounterCache:
         return std::make_unique<CounterCache>(
             num_rows, config.numCounters, config.cacheWays,
@@ -239,19 +234,15 @@ makeBankSchemes(const SchemeConfig &config, RowAddr num_rows,
                          " splits a banksPerPool=", k,
                          " counter-pool group (shard boundaries must "
                          "align to pool groups)");
-        // One pool and one bundle per group of k consecutive banks (a
-        // rank in flat bank order); a short tail group keeps the
-        // per-bank budget, not the full-rank one.
+        // One pool per group of k consecutive banks (a rank in flat
+        // bank order) and one scheme per bank on it; a short tail
+        // group keeps the per-bank budget, not the full-rank one.
         for (std::uint32_t b = 0; b < num_banks; b += k) {
             const std::uint32_t group = std::min(k, num_banks - b);
-            const auto bundle = makeCatBundle(
-                config, num_rows,
-                std::make_shared<SharedCounterPool>(config.numCounters
-                                                    * group),
-                group);
+            const auto pool = std::make_shared<SharedCounterPool>(
+                config.numCounters * group);
             for (std::uint32_t l = 0; l < group; ++l)
-                schemes.push_back(std::make_unique<BundledCatScheme>(
-                    bundle, l, num_rows));
+                schemes.push_back(makeCat(config, num_rows, pool));
         }
         return schemes;
     }

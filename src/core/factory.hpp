@@ -98,10 +98,9 @@ const char *schemeKindName(SchemeKind kind);
 
 /**
  * Build one per-bank scheme instance; returns nullptr for
- * SchemeKind::None.  PRCAT/DRCAT come back as a BundledCatScheme over
- * a one-lane TreeBundle (core/tree_bundle.hpp).  Fatal when the config
- * asks for a shared counter pool (banksPerPool > 1) - a single
- * instance cannot share.
+ * SchemeKind::None.  PRCAT/DRCAT come back as a TreeBundle
+ * (core/tree_bundle.hpp).  Fatal when the config asks for a shared
+ * counter pool (banksPerPool > 1) - a single instance cannot share.
  */
 std::unique_ptr<MitigationScheme> makeScheme(const SchemeConfig &config,
                                              RowAddr num_rows);
@@ -117,7 +116,7 @@ std::unique_ptr<MitigationScheme> makeScheme(const SchemeConfig &config,
  * whole-topology call would.  With config.banksPerPool = k > 1 and a
  * CAT-family kind, each group of k consecutive banks (a rank, when
  * k = banksPerRank) shares one SharedCounterPool of k x numCounters
- * counters and is one k-lane TreeBundle (a short tail group keeps
+ * counters, one TreeBundle per bank on it (a short tail group keeps
  * the per-bank budget); the pool's lifetime is tied to the returned
  * schemes, and first_bank must be a multiple of k (fatal otherwise)
  * so shard boundaries never split a pool group.

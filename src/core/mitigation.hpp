@@ -123,10 +123,9 @@ class MitigationScheme
      * per-row refresh actions are applied to the scheme's own stats
      * and not returned, so this is for replay-style callers that only
      * read stats() afterwards.  The default forwards to onActivate;
-     * the CAT family (BundledCatScheme) overrides it to hoist the
-     * virtual dispatch and per-call stats bookkeeping out of the
-     * inner loop and run the chunk through its bundle's lane-local
-     * descent.
+     * the CAT family (TreeBundle) overrides it to hoist the virtual
+     * dispatch and per-call stats bookkeeping out of the inner loop
+     * and run the chunk through its grouped descent kernel.
      */
     virtual void
     onActivateBatch(const RowAddr *rows, std::size_t count)
@@ -144,9 +143,8 @@ class MitigationScheme
     /** Scheme name for reports, e.g. "DRCAT_64". */
     virtual std::string name() const = 0;
 
-    /** Event counts so far (BundledCatScheme overrides it to read
-     *  its lane's accumulator inside the bundle). */
-    virtual const SchemeStats &stats() const { return stats_; }
+    /** Event counts so far. */
+    const SchemeStats &stats() const { return stats_; }
     RowAddr numRows() const { return numRows_; }
 
   protected:

@@ -184,7 +184,7 @@ TEST(ActivationSim, BatchMatchesPerCallForCatOverride)
     }
     EXPECT_TRUE(sameStats(perCall->stats(), batched->stats()));
     const auto treeOf = [](const MitigationScheme &s) -> const CatTree & {
-        return dynamic_cast<const BundledCatScheme &>(s).tree();
+        return dynamic_cast<const TreeBundle &>(s).tree();
     };
     EXPECT_EQ(treeOf(*perCall).maxLeafDepth(),
               treeOf(*batched).maxLeafDepth());

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "common/config.hpp"
 
 namespace catsim
@@ -66,6 +69,44 @@ TEST(ExperimentScale, DefaultsToOne)
     // The test environment does not set CATSIM_SCALE (and if it does,
     // the value must be positive).
     EXPECT_GT(experimentScale(), 0.0);
+}
+
+namespace
+{
+
+/** experimentScale() with CATSIM_SCALE set to @p value; the caller's
+ *  own CATSIM_SCALE, if any, is put back afterwards. */
+double
+scaleWith(const char *value)
+{
+    const char *outer = std::getenv("CATSIM_SCALE");
+    const bool had = outer != nullptr;
+    const std::string saved = had ? outer : "";
+    ::setenv("CATSIM_SCALE", value, 1);
+    const double s = experimentScale();
+    if (had)
+        ::setenv("CATSIM_SCALE", saved.c_str(), 1);
+    else
+        ::unsetenv("CATSIM_SCALE");
+    return s;
+}
+
+} // namespace
+
+TEST(ExperimentScale, ParsesTheWholeValue)
+{
+    EXPECT_EQ(scaleWith("0.05"), 0.05);
+    EXPECT_EQ(scaleWith("1"), 1.0);
+    EXPECT_EQ(scaleWith("2e-2"), 0.02);
+}
+
+TEST(ExperimentScaleDeath, MalformedValueIsFatal)
+{
+    for (const char *bad :
+         {"abc", "0", "0,05", "0.05x", "2", "-0.1", "", " 0.05", "nan"})
+        EXPECT_EXIT(scaleWith(bad), ::testing::ExitedWithCode(1),
+                    "CATSIM_SCALE='" + std::string(bad) + "'")
+            << "input: '" << bad << "'";
 }
 
 } // namespace catsim

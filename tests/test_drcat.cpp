@@ -124,7 +124,7 @@ TEST(Drcat, SchemeAdaptsAcrossEpochs)
     const auto drcat = makeCat(SchemeKind::Drcat, 64, 11, 32768);
     for (std::uint32_t i = 0; i < 40000; ++i)
         drcat->onActivate(42);
-    const auto &tree = dynamic_cast<const BundledCatScheme &>(*drcat).tree();
+    const auto &tree = dynamic_cast<const TreeBundle &>(*drcat).tree();
     const auto depth = tree.leafDepth(42);
     ASSERT_GT(depth, 5u);
     drcat->onEpoch();

@@ -70,7 +70,7 @@ TEST(Factory, CustomSplitScheduleReachesTree)
     cfg.splitThresholds.assign(11, 100);
     cfg.splitThresholds.back() = cfg.threshold;
     auto scheme = makeScheme(cfg, 65536);
-    auto *prcat = dynamic_cast<BundledCatScheme *>(scheme.get());
+    auto *prcat = dynamic_cast<TreeBundle *>(scheme.get());
     ASSERT_NE(prcat, nullptr);
     for (int i = 0; i < 100; ++i)
         scheme->onActivate(42);

@@ -30,7 +30,7 @@ makePrcat(std::uint32_t num_counters, std::uint32_t max_levels,
 const CatTree &
 treeOf(const MitigationScheme &s)
 {
-    return dynamic_cast<const BundledCatScheme &>(s).tree();
+    return dynamic_cast<const TreeBundle &>(s).tree();
 }
 
 } // namespace

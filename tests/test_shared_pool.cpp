@@ -143,13 +143,41 @@ TEST(SharedPoolTree, PooledAccessPaysArbitrationSramAccess)
     }
 }
 
+TEST(SharedPoolTree, DrcatMergeOnAFullPoolKeepsFastPathThresholds)
+{
+    // A sibling holds part of the pool, so once it is drained the
+    // tree's local free lists are still non-empty and no canGrow_ flip
+    // re-derives every fast-path threshold: a DRCAT merge must move the
+    // kept counter's thr_ to its new depth itself.  A migrating hot
+    // spot keeps reconfiguring the tree.
+    SharedCounterPool pool(2 * 16 + 8);
+    CatTree::Params p = pooledParams(&pool, 16, 512);
+    p.enableWeights = true;
+    CatTree tree(p);
+    const CatTree sibling(p);
+    Xoshiro256StarStar rng(11);
+    Count merges = 0;
+    RowAddr hot = 0;
+    for (int i = 0; i < 400000; ++i) {
+        if (i % 20000 == 0)
+            hot = static_cast<RowAddr>(rng.nextBounded(65536));
+        const RowAddr row = rng.nextDouble() < 0.8
+            ? hot
+            : static_cast<RowAddr>(rng.nextBounded(65536));
+        if (tree.access(row).didReconfigure) {
+            ++merges;
+            std::string why;
+            ASSERT_TRUE(tree.checkInvariants(&why)) << why;
+        }
+    }
+    EXPECT_EQ(pool.available(), 0u);
+    EXPECT_GT(merges, 0u);
+}
+
 TEST(SharedPoolTree, PrcatEpochResetReturnsCountersToTheRank)
 {
     auto pool = std::make_shared<SharedCounterPool>(8 * 64);
-    BundledCatScheme scheme(
-        std::make_shared<TreeBundle>(65536, 64, 11, 2048, false,
-                                     std::vector<std::uint32_t>{}, pool),
-        0, 65536);
+    TreeBundle scheme(65536, 64, 11, 2048, false, {}, pool);
     for (int i = 0; i < 200000; ++i)
         scheme.onActivate(static_cast<RowAddr>(i % 512));
     EXPECT_GT(pool->inUse(), 32u) << "hammering must grow the tree";
@@ -171,7 +199,7 @@ TEST(SharedPoolFactory, GroupsConsecutiveBanksPerPool)
     std::vector<const SharedCounterPool *> pools;
     for (const auto &s : schemes)
         pools.push_back(
-            dynamic_cast<const BundledCatScheme &>(*s).sharedPool());
+            dynamic_cast<const TreeBundle &>(*s).sharedPool());
     // Banks 0-3 share, 4-7 share, 8-9 form a short tail group.
     for (int b = 1; b < 4; ++b)
         EXPECT_EQ(pools[b], pools[0]);

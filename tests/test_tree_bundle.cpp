@@ -1,15 +1,15 @@
 /**
  * @file
- * Differential suite for the PRCAT/DRCAT scheme: BundledCatScheme
- * lanes of a TreeBundle (src/core/tree_bundle.*).
+ * Differential suite for the PRCAT/DRCAT scheme, TreeBundle
+ * (src/core/tree_bundle.*).
  *
- * Every lane must be BIT-IDENTICAL to a bare CatTree built from the
+ * Every bank must be BIT-IDENTICAL to a bare CatTree built from the
  * same parameters and, transitively, to the frozen ReferenceCatTree
  * oracle: same per-access refresh decisions, same SRAM charges, same
  * split/merge/epoch counts, for adversarial streams, refresh storms,
  * epoch resets, non-power-of-two M, every descent depth of the batch
- * kernel, and rank-pooled groups whose lanes contend for one
- * SharedCounterPool.
+ * kernel at every kernel tier this host supports, and rank-pooled
+ * banks that contend for one SharedCounterPool.
  */
 
 #include <gtest/gtest.h>
@@ -110,7 +110,7 @@ sameAction(const RefreshAction &a, const RefreshAction &b)
 
 /**
  * A bare CatTree plus the SchemeStats the scheme layer derives from
- * its AccessResults: the authority every bundle lane mirrors.
+ * its AccessResults: the authority every bank must match.
  */
 struct BareCat
 {
@@ -162,10 +162,26 @@ catConfig(bool weights, std::uint32_t num_counters,
     return cfg;
 }
 
-const BundledCatScheme &
-asCat(const MitigationScheme &s)
+TreeBundle &
+asCat(MitigationScheme &s)
 {
-    return dynamic_cast<const BundledCatScheme &>(s);
+    return dynamic_cast<TreeBundle &>(s);
+}
+
+/** Kernel tiers 0..simdTier(): every rung this host can run. */
+std::vector<int>
+everyTier()
+{
+    std::vector<int> tiers;
+    for (int t = 0; t <= TreeBundle::simdTier(); ++t)
+        tiers.push_back(t);
+    return tiers;
+}
+
+std::string
+tierName(int tier)
+{
+    return "tier" + std::to_string(tier);
 }
 
 struct DiffCase
@@ -183,7 +199,7 @@ struct DiffCase
  * single refresh action.
  */
 void
-runLaneDiff(const DiffCase &c)
+runSchemeDiff(const DiffCase &c)
 {
     constexpr std::uint32_t kLevels = 11;
     const auto scheme = makeScheme(
@@ -237,15 +253,15 @@ runLaneDiff(const DiffCase &c)
 }
 
 /** Deliver rows[begin, end) as ragged onActivateBatch chunks (sizes
- *  0 and 1 included). */
+ *  0 and 1 included) through the kernel of @p tier. */
 void
-feedRagged(MitigationScheme &s, const std::vector<RowAddr> &rows,
-           std::size_t begin, std::size_t end)
+feedRagged(TreeBundle &s, const std::vector<RowAddr> &rows,
+           std::size_t begin, std::size_t end, int tier)
 {
     std::size_t chunk = 1;
     while (begin < end) {
         const std::size_t n = std::min(chunk % 4099, end - begin);
-        s.onActivateBatch(rows.data() + begin, n);
+        s.onActivateBatch(rows.data() + begin, n, tier);
         begin += n;
         chunk = chunk * 13 + 7;
     }
@@ -255,41 +271,46 @@ feedRagged(MitigationScheme &s, const std::vector<RowAddr> &rows,
 
 TEST(TreeBundleDiff, Pow2MatchesTreeAndReferencePrcat)
 {
-    runLaneDiff({64, 1024, false, 200000, 0});
+    runSchemeDiff({64, 1024, false, 200000, 0});
 }
 
 TEST(TreeBundleDiff, Pow2MatchesTreeAndReferenceDrcat)
 {
-    runLaneDiff({64, 1024, true, 200000, 0});
+    runSchemeDiff({64, 1024, true, 200000, 0});
 }
 
 TEST(TreeBundleDiff, EpochResetsStayIdentical)
 {
-    runLaneDiff({64, 512, false, 150000, 20000});
-    runLaneDiff({64, 512, true, 150000, 20000});
+    runSchemeDiff({64, 512, false, 150000, 20000});
+    runSchemeDiff({64, 512, true, 150000, 20000});
 }
 
 TEST(TreeBundleDiff, RefreshStormSmallThreshold)
 {
     // T small enough that refreshes (and DRCAT reconfigurations)
     // dominate: the slow path runs constantly and must stay exact.
-    runLaneDiff({128, 64, true, 120000, 15000});
-    runLaneDiff({128, 64, false, 120000, 15000});
+    runSchemeDiff({128, 64, true, 120000, 15000});
+    runSchemeDiff({128, 64, false, 120000, 15000});
 }
 
 TEST(TreeBundleDiff, NonPow2Counters)
 {
     for (const std::uint32_t m : {31u, 33u, 65u}) {
-        runLaneDiff({m, 512, false, 120000, 25000});
-        runLaneDiff({m, 512, true, 120000, 25000});
+        runSchemeDiff({m, 512, false, 120000, 25000});
+        runSchemeDiff({m, 512, true, 120000, 25000});
     }
 }
 
-TEST(TreeBundleBatch, BatchMatchesPerCallAccess)
+class TreeBundleBatch : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(TreeBundleBatch, BatchMatchesPerCallAccess)
 {
     // One call per activation, one batch per bank, and ragged batches
     // must produce identical per-bank stats and tree shapes (non-pow2
     // M, refresh-heavy DRCAT, uneven stream lengths).
+    const int tier = GetParam();
     constexpr std::uint32_t kBanks = 8;
     const SchemeConfig cfg = catConfig(true, 48, 256);
     const auto perCall = makeBankSchemes(cfg, kRows, kBanks);
@@ -300,8 +321,8 @@ TEST(TreeBundleBatch, BatchMatchesPerCallAccess)
         const auto rows = adversarialStream(40000 + 7777 * b, kRows, 99 + b);
         for (const RowAddr r : rows)
             perCall[b]->onActivate(r);
-        perBatch[b]->onActivateBatch(rows.data(), rows.size());
-        feedRagged(*ragged[b], rows, 0, rows.size());
+        asCat(*perBatch[b]).onActivateBatch(rows.data(), rows.size(), tier);
+        feedRagged(asCat(*ragged[b]), rows, 0, rows.size(), tier);
 
         expectSameStats(perCall[b]->stats(), perBatch[b]->stats());
         expectSameStats(perCall[b]->stats(), ragged[b]->stats());
@@ -312,20 +333,24 @@ TEST(TreeBundleBatch, BatchMatchesPerCallAccess)
     }
 }
 
+INSTANTIATE_TEST_SUITE_P(EveryTier, TreeBundleBatch,
+                         ::testing::ValuesIn(everyTier()),
+                         [](const auto &info) { return tierName(info.param); });
+
 /**
- * The batch kernel at every descent depth: with M = 64 the jump table
- * lands at depth 5, so L = 7, 9, 11, 13 and 16 take 1, 2, 3, 4 and 5
- * fixed quad steps - every compile-time StepsC instantiation plus the
- * runtime-bound one.
+ * The batch kernel at every descent depth and tier: with M = 64 the
+ * jump table lands at depth 5, so L = 7, 9, 11, 13 and 16 take 1, 2,
+ * 3, 4 and 5 fixed quad steps - every compile-time StepsC
+ * instantiation plus the runtime-bound one.
  */
 class TreeBundleDepth
-    : public ::testing::TestWithParam<std::tuple<bool, std::uint32_t>>
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint32_t, int>>
 {
 };
 
 TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
 {
-    const auto [weights, levels] = GetParam();
+    const auto [weights, levels, tier] = GetParam();
     constexpr std::uint32_t kT = 256;
     constexpr std::size_t kEpoch = 30000;
     const SchemeConfig cfg = catConfig(weights, 64, kT, levels);
@@ -346,7 +371,7 @@ TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
             ASSERT_TRUE(sameAction(perCall->onActivate(rows[i]),
                                    bare.access(rows[i])))
                 << "access " << i;
-        feedRagged(*batched, rows, begin, end);
+        feedRagged(asCat(*batched), rows, begin, end, tier);
     }
 
     expectSameStats(perCall->stats(), bare.stats);
@@ -368,10 +393,12 @@ TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
 INSTANTIATE_TEST_SUITE_P(
     EveryDescentDepth, TreeBundleDepth,
     ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(7u, 9u, 11u, 13u, 16u)),
+                       ::testing::Values(7u, 9u, 11u, 13u, 16u),
+                       ::testing::ValuesIn(everyTier())),
     [](const auto &info) {
         return std::string(std::get<0>(info.param) ? "Drcat" : "Prcat")
-               + "_L" + std::to_string(std::get<1>(info.param));
+               + "_L" + std::to_string(std::get<1>(info.param)) + "_"
+               + tierName(std::get<2>(info.param));
     });
 
 namespace
@@ -379,10 +406,11 @@ namespace
 
 /**
  * A 4-bank rank pool with contended growth against four bare trees
- * sharing one SharedCounterPool - the authority the bundle mirrors.
- * Banks take turns of @p quantum activations in bank order (a turn is
- * one onActivateBatch when quantum > 1); both sides must agree on
- * every refresh action, pool arbitration order included.
+ * sharing one SharedCounterPool.  Banks take turns of @p quantum
+ * activations in bank order (a turn is one onActivateBatch when
+ * quantum > 1); both sides must agree on every refresh action, pool
+ * arbitration order included, and the streams must drain the pool,
+ * where the kernel's fast-path thresholds sit below the live rule.
  */
 void
 runPooledDiff(bool weights, std::size_t quantum)
@@ -392,7 +420,7 @@ runPooledDiff(bool weights, std::size_t quantum)
     constexpr std::size_t kLen = 120000;
     SchemeConfig cfg = catConfig(weights, kPerBank, 512);
     cfg.banksPerPool = kBanks;
-    const auto lanes = makeBankSchemes(cfg, kRows, kBanks);
+    const auto banks = makeBankSchemes(cfg, kRows, kBanks);
 
     // Declared before the trees: they release into it on destruction.
     const auto barePool =
@@ -409,29 +437,30 @@ runPooledDiff(bool weights, std::size_t quantum)
     for (std::size_t i = 0; i < kLen; i += quantum) {
         for (std::uint32_t b = 0; b < kBanks; ++b) {
             if (i && i % 30000 < quantum) {
-                lanes[b]->onEpoch();
+                banks[b]->onEpoch();
                 bare[b]->epoch();
             }
             const RowAddr *rows = streams[b].data() + i;
             const std::size_t n = std::min(quantum, kLen - i);
             if (quantum > 1)
-                lanes[b]->onActivateBatch(rows, n);
+                banks[b]->onActivateBatch(rows, n);
             for (std::size_t k = 0; k < n; ++k) {
                 const RefreshAction ba = bare[b]->access(rows[k]);
                 if (quantum == 1) {
-                    ASSERT_TRUE(sameAction(lanes[b]->onActivate(rows[k]), ba))
+                    ASSERT_TRUE(sameAction(banks[b]->onActivate(rows[k]), ba))
                         << "bank " << b << " access " << i + k;
                 }
             }
         }
     }
     for (std::uint32_t b = 0; b < kBanks; ++b) {
-        expectSameStats(lanes[b]->stats(), bare[b]->stats);
+        expectSameStats(banks[b]->stats(), bare[b]->stats);
         std::string why;
-        EXPECT_TRUE(asCat(*lanes[b]).tree().checkInvariants(&why)) << why;
+        EXPECT_TRUE(asCat(*banks[b]).tree().checkInvariants(&why)) << why;
     }
-    const SharedCounterPool *pool = asCat(*lanes[0]).sharedPool();
+    const SharedCounterPool *pool = asCat(*banks[0]).sharedPool();
     EXPECT_EQ(pool->peakInUse(), barePool->peakInUse());
+    EXPECT_EQ(pool->peakInUse(), pool->capacity()) << "pool must drain";
     EXPECT_EQ(pool->acquires(), barePool->acquires());
 }
 
@@ -439,49 +468,12 @@ runPooledDiff(bool weights, std::size_t quantum)
 
 TEST(TreeBundlePooled, RankPooledGroupMatchesBareTreesOnOnePool)
 {
-    // Per-call turns, then 64-row turns through the pooled lanes'
-    // onActivateBatch.
-    for (const std::size_t quantum : {1u, 64u}) {
+    // Per-call turns, then batch turns through the pooled banks'
+    // kernel: a ragged 37-row tail, 64 rows, and kPoolQuantum.
+    for (const std::size_t quantum : {1u, 37u, 64u, 1024u}) {
         runPooledDiff(false, quantum);
         runPooledDiff(true, quantum);
     }
-}
-
-TEST(TreeBundleFactory, EachPoolGroupIsOneBundle)
-{
-    SchemeConfig cfg = catConfig(true, 16, 512);
-    const auto priv = makeBankSchemes(cfg, kRows, 3);
-    ASSERT_EQ(priv.size(), 3u);
-    for (std::size_t b = 0; b < priv.size(); ++b) {
-        const BundledCatScheme &s = asCat(*priv[b]);
-        EXPECT_EQ(s.bundle().lanes(), 1u) << "a private bank is one lane";
-        EXPECT_EQ(s.lane(), 0u);
-        EXPECT_EQ(s.sharedPool(), nullptr);
-        if (b > 0) {
-            EXPECT_NE(&s.bundle(), &asCat(*priv[b - 1]).bundle());
-        }
-    }
-    EXPECT_EQ(priv[0]->name(), "DRCAT_16");
-
-    // Pool groups of 4, 4 and a 2-bank tail: one bundle each, lanes
-    // numbered within it.
-    cfg.banksPerPool = 4;
-    const auto pooled = makeBankSchemes(cfg, kRows, 10);
-    ASSERT_EQ(pooled.size(), 10u);
-    const TreeBundle *b0 = &asCat(*pooled[0]).bundle();
-    EXPECT_EQ(b0->lanes(), 4u);
-    EXPECT_EQ(&asCat(*pooled[3]).bundle(), b0);
-    EXPECT_EQ(asCat(*pooled[3]).lane(), 3u);
-    EXPECT_NE(&asCat(*pooled[4]).bundle(), b0);
-    EXPECT_EQ(asCat(*pooled[4]).lane(), 0u);
-    EXPECT_EQ(asCat(*pooled[8]).bundle().lanes(), 2u);
-    EXPECT_EQ(pooled[0]->name(), "DRCAT_16_rank4");
-}
-
-TEST(TreeBundleDeath, PrivateBundleIsOneBank)
-{
-    EXPECT_EXIT(TreeBundle(kRows, 16, 11, 512, false, {}, nullptr, 2),
-                ::testing::ExitedWithCode(1), "counter-pool group");
 }
 
 } // namespace catsim
