@@ -466,7 +466,9 @@ void
 BM_SweepSmallGrid(benchmark::State &state)
 {
     // End-to-end SweepRunner: 2 schemes x 2 workloads at a tiny
-    // scale; cells share baselines through the shared-future cache.
+    // scale, workload-major.  With 4 jobs the runner hands out one
+    // cell per workload first, so both baselines compute at once, and
+    // each workload's second cell waits on the shared-future cache.
     const std::size_t jobs = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
         SweepRunner sweep(0.02, jobs);

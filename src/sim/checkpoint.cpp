@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "common/checksum.hpp"
 #include "common/durable_io.hpp"
@@ -314,6 +315,17 @@ JournaledRunner::run(
     if (resumed_ > 0)
         CATSIM_INFORM("checkpoint: resumed ", resumed_, "/", n, " ",
                       grid.what, " from ", journal->path());
+
+    // One cell per group first: a worker handed a group's second cell
+    // would only block on the set-up its first cell is still running.
+    if (!grid.groups.empty()) {
+        std::vector<char> leads(n, 0);
+        std::set<std::string_view> seen;
+        for (const std::size_t i : pending)
+            leads[i] = seen.insert(grid.groups[i]).second;
+        std::stable_partition(pending.begin(), pending.end(),
+                              [&leads](std::size_t i) { return leads[i]; });
+    }
 
     std::vector<CellError> errors;
     std::mutex errMutex;

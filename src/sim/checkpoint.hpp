@@ -210,17 +210,33 @@ struct JournaledGrid
     const char *failSite = ""; //!< fail point fired before each attempt
     std::vector<std::string> keys;
     std::vector<std::string> labels;
+    /**
+     * groups[i] names the shared set-up cell i waits on (a sweep
+     * cell's baseline: ExperimentRunner::cacheKey); empty means index
+     * order.  See JournaledRunner for the hand-out order.
+     */
+    std::vector<std::string> groups;
 };
 
 /**
  * The journaled-task runner behind SweepRunner::run* and
  * ShardedSim::run.  run() replays the journal, evaluates the missing
  * cells on parallelFor, journals each cell the moment it finishes, and
- * reports failures:
+ * reports failures.
+ *
+ * Hand-out order: the first pending cell of every group, in index
+ * order, then every other pending cell, in index order.  A group whose
+ * first cell is journaled leads with its next pending one.  So a
+ * workload-major sweep starts up to jobs() distinct baselines at once
+ * instead of parking its workers on the first workload's baseline.
+ * The order decides only when a cell runs, never its result; it does
+ * decide which hit of the grid's fail point (e.g. sweep_cell@N) lands
+ * on which cell, since hits are counted as cells are handed out.
  *
  *  - fail-fast (default): the first failure stops the hand-out of new
  *    cells and is rethrown as "cell <grid index> (<label>): <what>";
- *    cells finished before it stay journaled.
+ *    cells finished before it stay journaled.  With several failing
+ *    cells, jobs() == 1 meets the first one in hand-out order.
  *  - keep-going (CATSIM_SWEEP_KEEP_GOING=1): a failing cell is retried
  *    once, then recorded as a CellError while the rest of the grid
  *    completes; lastErrors() lists them by grid index.

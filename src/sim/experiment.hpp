@@ -185,6 +185,14 @@ class ExperimentRunner
     void setBaselineCacheDir(const std::string &dir);
     const std::string &baselineCacheDir() const { return cacheDir_; }
 
+    /**
+     * The identity of a (preset, workload) baseline: its key in the
+     * in-memory cache, and the name and header key of its disk cache
+     * file.  Sweeps group cells by it (JournaledGrid::groups).
+     */
+    std::string cacheKey(SystemPreset preset,
+                         const WorkloadSpec &workload) const;
+
     /** On-disk path a baseline would use; "" when caching is off. */
     std::string baselineCachePath(SystemPreset preset,
                                   const WorkloadSpec &workload) const;
@@ -221,8 +229,6 @@ class ExperimentRunner
                               const SchemeConfig &scheme,
                               double exec_seconds,
                               const TimingConfig &sys) const;
-    std::string cacheKey(SystemPreset preset,
-                         const WorkloadSpec &workload) const;
     const BaselineEntry &baselineEntry(SystemPreset preset,
                                        const WorkloadSpec &workload);
     BaselinePtr computeBaseline(SystemPreset preset,

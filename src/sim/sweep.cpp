@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 namespace catsim
 {
@@ -109,6 +110,12 @@ SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
         grid.keys.push_back(std::string(kind) + '#' + std::to_string(i)
                             + '|' + cellSpec(cells[i]));
         grid.labels.push_back(cellLabel(cells[i]));
+        // A sweep cell's group is its baseline, so distinct baselines
+        // start first; closed-loop cells share no set-up.
+        if constexpr (std::is_same_v<Cell, SweepCell>) {
+            const SweepCell &c = cells[i];
+            grid.groups.push_back(runner_.cacheKey(c.preset, c.workload));
+        }
     }
     const std::uint64_t seq = tasks_.nextSeq(kind);
     if (!tasks_.checkpointDir().empty()) {

@@ -14,7 +14,10 @@
  * Cells that share a (preset, workload) pair share one baseline timing
  * run: the underlying ExperimentRunner's cache hands out per-key
  * shared futures, so the first cell to need a baseline computes it and
- * concurrent cells block instead of duplicating the work.
+ * concurrent cells block instead of duplicating the work.  To keep
+ * workers from blocking, the runner hands out the first cell of every
+ * baseline before any second cell (JournaledRunner), so a cold
+ * workload-major grid computes up to `jobs` baselines at once.
  *
  * Crash safety: every run* call goes through the JournaledRunner
  * (sim/checkpoint.hpp).  With CATSIM_CHECKPOINT=dir every finished

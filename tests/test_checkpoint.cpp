@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault_injection.hpp"
@@ -466,35 +467,76 @@ TEST(CheckpointSweep, KilledJournalResumesByteIdenticalAtAnyJobs)
     std::filesystem::remove_all(dir);
 }
 
-/** End-to-end: a real CMRPO grid killed mid-run by a fail-point
- *  resumes to bit-identical EvalResults (the EvalResult codec path). */
-TEST(CheckpointSweep, CmrpoKillAndResumeBitIdentical)
+namespace
+{
+
+/** Cell prefixes ("kind#i") of the records in @p dir's one journal
+ *  file, in append order. */
+std::vector<std::string>
+journaledCells(const std::filesystem::path &dir)
+{
+    std::filesystem::path path;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        path = e.path();
+    const std::string image = readFile(path);
+    BlobReader r(image);
+    std::uint64_t word = 0, keyLen = 0, blobLen = 0;
+    std::uint32_t crc = 0;
+    std::string_view key, blob;
+    r.getU64(&word); // magic
+    r.getU64(&word); // version
+    r.getU64(&keyLen);
+    r.getBytes(keyLen, &key); // run key
+    r.getU32(&crc);
+    std::vector<std::string> cells;
+    while (r.getU64(&keyLen) && r.getU64(&blobLen)) {
+        r.getBytes(keyLen, &key);
+        r.getBytes(blobLen, &blob);
+        r.getU32(&crc);
+        cells.emplace_back(key.substr(0, key.find('|')));
+    }
+    return cells;
+}
+
+/**
+ * End-to-end: a serial CMRPO grid over @p workloads x {DRCAT, SCA,
+ * PRA}, workload-major, killed by a fail-point at its third cell,
+ * resumes to bit-identical EvalResults (the EvalResult codec path).
+ * @p journaled names the two cells handed out before the kill.
+ */
+void
+expectCmrpoKillAndResume(const std::string &name,
+                         const std::vector<const char *> &workloads,
+                         const std::vector<std::string> &journaled)
 {
     FailpointGuard guard;
-    const auto dir = freshDir("ckpt_sweep_cmrpo");
+    const auto dir = freshDir(name);
     std::vector<SweepCell> cells;
-    for (SchemeKind kind :
-         {SchemeKind::Drcat, SchemeKind::Sca, SchemeKind::Pra}) {
-        SweepCell c;
-        c.workload.name = "comm1";
-        c.scheme.kind = kind;
-        c.scheme.numCounters = 64;
-        c.scheme.maxLevels = 11;
-        c.scheme.threshold = 32768;
-        c.scheme.praProbability = 0.002;
-        cells.push_back(c);
+    for (const char *workload : workloads) {
+        for (SchemeKind kind :
+             {SchemeKind::Drcat, SchemeKind::Sca, SchemeKind::Pra}) {
+            SweepCell c;
+            c.workload.name = workload;
+            c.scheme.kind = kind;
+            c.scheme.numCounters = 64;
+            c.scheme.maxLevels = 11;
+            c.scheme.threshold = 32768;
+            c.scheme.praProbability = 0.002;
+            cells.push_back(c);
+        }
     }
 
     SweepRunner ref(kTestScale, 1);
     const auto expected = ref.runCmrpo(cells);
 
-    // Serial run dies evaluating the third cell; the first two are
-    // already journaled.
+    // Serial run dies evaluating the third cell handed out; the first
+    // two are already journaled.
     SweepRunner victim(kTestScale, 1);
     victim.setCheckpointDir(dir.string());
     fault::installFailpoints("sweep_cell@3");
     EXPECT_THROW(victim.runCmrpo(cells), std::runtime_error);
     fault::installFailpoints("");
+    EXPECT_EQ(journaledCells(dir), journaled);
 
     SweepRunner resumed(kTestScale, 1);
     resumed.setCheckpointDir(dir.string());
@@ -509,12 +551,29 @@ TEST(CheckpointSweep, CmrpoKillAndResumeBitIdentical)
     SweepRunner third(kTestScale, 1);
     third.setCheckpointDir(dir.string());
     const auto again = third.runCmrpo(cells);
-    EXPECT_EQ(third.lastResumedCells(), 3u);
+    EXPECT_EQ(third.lastResumedCells(), cells.size());
     EXPECT_EQ(third.runner().baselineComputeCount(), 0u);
     ASSERT_EQ(again.size(), expected.size());
     for (std::size_t i = 0; i < again.size(); ++i)
         expectSameEval(again[i], expected[i], i);
     std::filesystem::remove_all(dir);
+}
+
+} // namespace
+
+/** One baseline: cells are handed out in index order. */
+TEST(CheckpointSweep, CmrpoKillAndResumeBitIdentical)
+{
+    expectCmrpoKillAndResume("ckpt_sweep_cmrpo", {"comm1"},
+                             {"cmrpo#0", "cmrpo#1"});
+}
+
+/** Two baselines: each one's first cell (0, 3) is handed out before
+ *  any second cell, so cell 1 is the one the fail-point kills. */
+TEST(CheckpointSweep, CmrpoKillAndResumeUnderHandOutOrder)
+{
+    expectCmrpoKillAndResume("ckpt_sweep_cmrpo_order", {"comm1", "swapt"},
+                             {"cmrpo#0", "cmrpo#3"});
 }
 
 /** A journal holding pinnedEvalBlob() under the sweep's run and cell

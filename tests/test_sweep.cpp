@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the parallel sweep engine: serial/parallel equivalence,
- * baseline dedup under contention, and the on-disk baseline cache.
+ * baseline dedup under contention, the hand-out order, and the on-disk
+ * baseline cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include "sim/baseline_io.hpp"
 #include "sim/sweep.hpp"
@@ -214,6 +220,63 @@ TEST(Sweep, BaselineComputedOnceUnderContention)
     EXPECT_EQ(results.size(), cells.size());
     for (const auto &r : results)
         EXPECT_GT(r.cmrpo, 0.0);
+}
+
+TEST(Sweep, HandsOutOneCellPerBaselineFirst)
+{
+    // Workload-major grid, 3 workloads x 3 tags: the first cell of
+    // each baseline runs before any second cell, the rest in index
+    // order.  The metric never touches a baseline, so this is instant.
+    std::vector<SweepCell> cells;
+    for (const char *name : {"comm1", "swapt", "black"}) {
+        for (int k = 0; k < 3; ++k) {
+            SweepCell c;
+            c.workload.name = name;
+            c.tag = cells.size(); // the grid index
+            cells.push_back(c);
+        }
+    }
+    std::vector<std::uint64_t> order;
+    const auto record = [&order](ExperimentRunner &, const SweepCell &cell) {
+        order.push_back(cell.tag);
+        return 0.0;
+    };
+    SweepRunner sweep(kTestScale, 1);
+    sweep.runMetric(cells, record);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 3, 6, 1, 2, 4, 5, 7, 8}));
+}
+
+TEST(Sweep, DistinctBaselinesStartTogether)
+{
+    // Workload-major 2 x 2 grid on two workers: each call records its
+    // workload, then waits for a second call to start, so the first
+    // two records are the two cells handed out first.  Handing out two
+    // cells of one workload would park a worker on its baseline.
+    std::vector<SweepCell> cells;
+    for (const char *name : {"comm1", "swapt"}) {
+        for (std::uint64_t tag = 0; tag < 2; ++tag) {
+            SweepCell c;
+            c.workload.name = name;
+            c.tag = tag;
+            cells.push_back(c);
+        }
+    }
+    std::mutex mutex;
+    std::condition_variable started;
+    std::vector<std::string> workloads;
+    const auto fn = [&](ExperimentRunner &, const SweepCell &cell) {
+        std::unique_lock<std::mutex> lock(mutex);
+        workloads.push_back(cell.workload.name);
+        started.notify_all();
+        // Bounded, so a runner that serialises fails instead of hanging.
+        started.wait_for(lock, std::chrono::seconds(30),
+                         [&workloads] { return workloads.size() >= 2; });
+        return 0.0;
+    };
+    SweepRunner sweep(kTestScale, 2);
+    sweep.runMetric(cells, fn);
+    ASSERT_EQ(workloads.size(), cells.size());
+    EXPECT_NE(workloads[0], workloads[1]);
 }
 
 TEST(Sweep, ResultsIndexedByCellNotCompletionOrder)
