@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the mitigation-scheme hot
- * paths: per-activation cost of SCA, PRA, PRCAT, DRCAT and the counter
- * cache, CAT tree traversal/growth, and the PRNG/Zipf substrates.
+ * paths: per-activation cost of SCA, PRA, PRCAT, DRCAT, the counter
+ * cache and the Misra-Gries table (indexed vs the frozen scanning
+ * reference), CAT tree traversal/growth, and the PRNG/Zipf substrates.
  * These support the paper's latency claims (Section VII-A: PRCAT
  * lookup is far cheaper than a DRAM row activation).  Also covers the
  * sweep engine: thread-pool dispatch overhead and a small end-to-end
@@ -26,8 +27,10 @@
 #include "sim/sweep.hpp"
 #include "core/cat_tree.hpp"
 #include "core/counter_cache.hpp"
+#include "core/misra_gries.hpp"
 #include "core/pra.hpp"
 #include "oracles/reference_cat_tree.hpp"
+#include "oracles/reference_misra_gries.hpp"
 #include "core/sca.hpp"
 #include "core/split_thresholds.hpp"
 
@@ -140,6 +143,28 @@ BM_CounterCacheActivate(benchmark::State &state)
     schemeBench<CounterCache>(state, 2048u, 8u, 32768u);
 }
 BENCHMARK(BM_CounterCacheActivate);
+
+/**
+ * Misra-Gries at k = state.range(0), T = 32K: the indexed table and
+ * the frozen scanning reference, so the ratio is what the row index
+ * and free-entry bitmap buy per activation.
+ */
+void
+BM_MisraGriesActivate(benchmark::State &state)
+{
+    schemeBench<MisraGries>(state,
+                            static_cast<std::uint32_t>(state.range(0)),
+                            32768u);
+}
+BENCHMARK(BM_MisraGriesActivate)->Arg(512);
+
+void
+BM_MisraGriesActivateRef(benchmark::State &state)
+{
+    schemeBench<ReferenceMisraGries>(
+        state, static_cast<std::uint32_t>(state.range(0)), 32768u);
+}
+BENCHMARK(BM_MisraGriesActivateRef)->Arg(512);
 
 CatTree::Params
 catParams(std::uint32_t M, std::uint32_t L, std::uint32_t T,

@@ -20,6 +20,21 @@
  * (entries + 1 > acts-per-epoch / T) the spill counter stays below T
  * and the miss path never fires; an undersized table degrades to
  * conservative refresh-per-miss instead of losing the guarantee.
+ *
+ * The modelled hardware is a CAM that matches all k entries at once.
+ * The simulator finds the same entries without a scan: a per-row
+ * index maps each tracked row to its entry (4 B per row, the footprint
+ * of CounterCache's backing array), and a bitmap of count-0 entries
+ * names the install slot by find-first-set.  A miss installs into the
+ * LOWEST-index count-0 entry, the one the CAM's priority encoder (and
+ * the historical scan) picks.  The entry it overwrites decides which
+ * evictable row stays tracked, so a history-dependent pick (a rotating
+ * cursor, a free list) would change results; any other fixed priority
+ * order would not, since it only relabels the entries.  Every row
+ * passed to onActivate or trackedCount must be below num_rows, as for
+ * CounterCache.
+ * Both structures are simulator bookkeeping: the SRAM accounting and
+ * hardware cost stay the CAM's.
  */
 
 #ifndef CATSIM_CORE_MISRA_GRIES_HPP
@@ -71,19 +86,36 @@ class MisraGries : public MitigationScheme
     std::uint64_t decrements() const { return dec_; }
 
   private:
+    /** A table entry; its row is tracked while slotOf_ points back. */
     struct Entry
     {
         RowAddr row = 0;
         std::uint32_t count = 0;    //!< 0 marks an evictable entry
         std::uint64_t decBase = 0;  //!< spills excluded from the bound
-        bool live = false;          //!< row field is valid
     };
 
     RefreshAction refreshAround(RowAddr row);
 
+    /** Lowest-index count-0 entry; numEntries() when there is none. */
+    std::uint32_t lowestFree() const;
+
+    void
+    setFree(std::uint32_t i)
+    {
+        free_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+
+    void
+    clearFree(std::uint32_t i)
+    {
+        free_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    }
+
     std::uint32_t threshold_;
     std::uint64_t dec_ = 0;
     std::vector<Entry> entries_;
+    std::vector<std::uint32_t> slotOf_; //!< per row: entry + 1, 0 = none
+    std::vector<std::uint64_t> free_;   //!< bit i: entries_[i].count == 0
     const RowAdjacency *adjacency_ = nullptr;
 };
 

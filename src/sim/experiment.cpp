@@ -506,15 +506,16 @@ ExperimentRunner::evalAdaptiveDisturbance(SystemPreset preset,
     // Same sources and per-bank schemes as evalAdaptive, but stepped
     // one activation at a time through the ledger (batch and per-call
     // delivery are semantically identical, so the schemes behave
-    // exactly as they do in the CMRPO leg).
+    // exactly as they do in the CMRPO leg).  Only the current bank's
+    // scheme is alive, as in replaySources: CounterCache and
+    // Misra-Gries carry per-row arrays.
     const auto sources = adaptiveSources(sys, attack);
-    auto schemes = makeBankSchemes(
-        sim, rows, static_cast<std::uint32_t>(sources.size()));
 
     std::uint32_t maxReached = 0;
-    for (std::size_t b = 0; b < sources.size(); ++b) {
+    for (std::uint32_t b = 0; b < sources.size(); ++b) {
         ActivationSource &source = *sources[b];
-        MitigationScheme &bankScheme = *schemes[b];
+        const auto bankSchemes = makeBankSchemes(sim, rows, 1, b);
+        MitigationScheme &bankScheme = *bankSchemes.front();
         const bool closed = source.closedLoop();
         DisturbanceLedger ledger(rows);
         for (;;) {

@@ -5,6 +5,11 @@
  * no-false-negative-above-threshold guarantee on seeded-random and
  * adversarial streams (sized and undersized tables), behavior across
  * epoch resets, and onActivate/onActivateBatch stats identity.
+ *
+ * `MisraGriesDiff.*` holds the indexed table to the frozen scanning
+ * oracle (`ReferenceMisraGries`, tests/oracles/) activation by
+ * activation, at table sizes on both sides of every 64-entry bitmap
+ * word edge.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +19,8 @@
 
 #include "common/rng.hpp"
 #include "core/misra_gries.hpp"
+#include "oracles/reference_misra_gries.hpp"
+#include "sim/activation_source.hpp"
 
 namespace catsim
 {
@@ -239,8 +246,190 @@ TEST(MisraGries, AdjacencyModelSelectsPhysicalVictims)
     EXPECT_EQ(act.rowCount, 2u);
 }
 
+namespace
+{
+
+/** Table sizes on both sides of each free-bitmap word edge. */
+constexpr std::uint32_t kDiffSizes[] = {1, 63, 64, 65, 130};
+
+/**
+ * Step the indexed table and the frozen scanning oracle through
+ * @p acts (a kEpochMarker entry resets both) and require identical
+ * refresh actions, spill counts and tracked counts after every
+ * activation, and identical stats at the end.
+ */
+void
+expectMatchesReference(std::uint32_t entries, std::uint32_t threshold,
+                       const std::vector<RowAddr> &acts,
+                       const RowAdjacency *adjacency = nullptr)
+{
+    MisraGries mg(kRows, entries, threshold);
+    ReferenceMisraGries ref(kRows, entries, threshold);
+    mg.setAdjacency(adjacency);
+    ref.setAdjacency(adjacency);
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+        const RowAddr row = acts[i];
+        if (row == kEpochMarker) {
+            mg.onEpoch();
+            ref.onEpoch();
+            continue;
+        }
+        const RefreshAction got = mg.onActivate(row);
+        const RefreshAction want = ref.onActivate(row);
+        ASSERT_EQ(got.rowCount, want.rowCount)
+            << "k=" << entries << " act " << i << " row " << row;
+        ASSERT_EQ(got.lo, want.lo) << "k=" << entries << " act " << i;
+        ASSERT_EQ(got.hi, want.hi) << "k=" << entries << " act " << i;
+        ASSERT_EQ(mg.decrements(), ref.decrements())
+            << "k=" << entries << " act " << i;
+        ASSERT_EQ(mg.trackedCount(row), ref.trackedCount(row))
+            << "k=" << entries << " act " << i << " row " << row;
+    }
+    for (const auto field : SchemeStats::kFields)
+        EXPECT_EQ(mg.stats().*field, ref.stats().*field) << "k=" << entries;
+}
+
+/**
+ * Uniform filler over the bank with 8 aggressors (four double-sided
+ * pairs, two of them at the bank edges) taking half the activations:
+ * the shape of a closed-loop hammer bank.
+ */
+std::vector<RowAddr>
+hammerStream(std::size_t n, std::uint64_t seed)
+{
+    constexpr RowAddr kPairs[] = {1, 9000, 30001, kRows - 4};
+    Xoshiro256StarStar rng(seed);
+    std::vector<RowAddr> acts;
+    acts.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const bool hammer = rng.nextDouble() < 0.5;
+        const std::uint64_t r = rng.nextBounded(hammer ? 8 : kRows);
+        const std::uint64_t row = hammer ? kPairs[r / 2] + 2 * (r % 2) : r;
+        acts.push_back(static_cast<RowAddr>(row));
+    }
+    return acts;
+}
+
+} // namespace
+
+TEST(MisraGriesDiff, HammerShapeAtClosedLoopSize)
+{
+    // k = 512 and the scaled T = 655 of the closed-loop cells; the
+    // smaller tables spill past T and refresh on every miss.
+    const auto acts = hammerStream(100000, 42);
+    ASSERT_NO_FATAL_FAILURE(expectMatchesReference(512, 655, acts));
+    for (const std::uint32_t k : kDiffSizes)
+        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 655, acts));
+}
+
+TEST(MisraGriesDiff, CloudMixStream)
+{
+    CloudMixParams p;
+    p.numRows = kRows;
+    p.tenants = 4;
+    p.hotRowsPerTenant = 64;
+    p.actsPerEpoch = 20000;
+    p.epochs = 3;
+    p.phaseEvery = 7000;
+    p.seed = 11;
+    CloudMixSource source(p);
+    std::vector<RowAddr> acts;
+    for (;;) {
+        const RowAddr *rows = nullptr;
+        std::size_t count = 0;
+        const SourceChunk chunk = source.next(&rows, &count);
+        if (chunk == SourceChunk::End)
+            break;
+        if (chunk == SourceChunk::Epoch)
+            acts.push_back(kEpochMarker);
+        else
+            acts.insert(acts.end(), rows, rows + count);
+    }
+    for (const std::uint32_t k : kDiffSizes)
+        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 200, acts));
+}
+
+TEST(MisraGriesDiff, RoundRobinOverOneMoreRowThanEntries)
+{
+    for (const std::uint32_t k : kDiffSizes) {
+        std::vector<RowAddr> acts;
+        for (int c = 0; c < 600; ++c)
+            for (RowAddr row = 0; row <= k; ++row)
+                acts.push_back(500 + row);
+        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 300, acts));
+    }
+}
+
+TEST(MisraGriesDiff, UndersizedTablePastThreshold)
+{
+    // Bursts of 2 or 3 activations per row over a working set four
+    // times the table.  Near T an entry whose burst ends on a refresh
+    // is left free; bursts of the other length refill it, so the table
+    // keeps filling and the spill total passes T.
+    constexpr std::uint32_t kThreshold = 50;
+    for (const std::uint32_t k : kDiffSizes) {
+        std::vector<RowAddr> acts;
+        for (std::uint32_t i = 0; i < 16000; ++i) {
+            const auto row = static_cast<RowAddr>(i % (4 * k + 3));
+            acts.insert(acts.end(), 2 + i % 2, row);
+        }
+        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, kThreshold, acts));
+        ReferenceMisraGries ref(kRows, k, kThreshold);
+        for (const RowAddr row : acts)
+            ref.onActivate(row);
+        EXPECT_GE(ref.decrements(), kThreshold)
+            << "k=" << k << " never reached the undersized path";
+    }
+}
+
+TEST(MisraGriesDiff, EpochResetsMidStream)
+{
+    Xoshiro256StarStar rng(21);
+    std::vector<RowAddr> acts;
+    for (int i = 0; i < 30000; ++i) {
+        if (i % 777 == 776)
+            acts.push_back(kEpochMarker);
+        acts.push_back(static_cast<RowAddr>(rng.nextBounded(400)));
+    }
+    for (const std::uint32_t k : kDiffSizes)
+        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 60, acts));
+}
+
+TEST(MisraGriesDiff, BlockMirroredAdjacency)
+{
+    const RowAdjacency adj(RowAdjacency::Kind::BlockMirrored, kRows);
+    const auto acts = hammerStream(30000, 9);
+    for (const std::uint32_t k : kDiffSizes)
+        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 40, acts, &adj));
+}
+
+TEST(MisraGriesDiff, InstallPicksLowestFreeEntry)
+{
+    // Two entries, T = 4.  A and B take slots 0 and 1; the first spill
+    // frees both, X evicts A from slot 0 and is refreshed (its
+    // baseline moves to 1).  The second spill frees X's slot 0 and B's
+    // slot 1 again.  D takes the lower slot and evicts X, so X's next
+    // miss reinstalls it with the full spill total as its bound and it
+    // refreshes on its 2nd activation.  Had D taken slot 1 (as a
+    // rotating cursor past X's install would), X would still be
+    // tracked with baseline 1 and refresh one activation later.
+    constexpr RowAddr A = 100, B = 200, C = 300, D = 400, X = 500;
+    const std::vector<RowAddr> acts = {A, B, C, X, X, X, X, B, C, D, X, X, X};
+    const std::vector<std::size_t> refreshAt = {5, 11};
+    MisraGries mg(kRows, 2, 4);
+    std::vector<std::size_t> fired;
+    for (std::size_t i = 0; i < acts.size(); ++i)
+        if (mg.onActivate(acts[i]).triggered())
+            fired.push_back(i);
+    EXPECT_EQ(fired, refreshAt);
+    EXPECT_EQ(mg.decrements(), 2u);
+    ASSERT_NO_FATAL_FAILURE(expectMatchesReference(2, 4, acts));
+}
+
 TEST(MisraGriesDeath, RejectsBadConfig)
 {
+    EXPECT_EXIT(MisraGries(0, 8, 32768), ::testing::ExitedWithCode(1),
+                "at least one row");
     EXPECT_EXIT(MisraGries(kRows, 0, 32768),
                 ::testing::ExitedWithCode(1), "at least one entry");
     EXPECT_EXIT(MisraGries(kRows, 8, 1), ::testing::ExitedWithCode(1),
