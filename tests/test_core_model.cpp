@@ -27,9 +27,11 @@ struct Fixture
     }
 
     Addr
-    addrFor(RowAddr row, std::uint32_t col = 0) const
+    addrFor(RowAddr row, std::uint32_t col = 0,
+            std::uint32_t channel = 0) const
     {
         MappedAddr m;
+        m.channel = channel;
         m.row = row;
         m.col = col;
         return mapper.compose(m);
@@ -81,6 +83,30 @@ TEST(CoreModel, ReadsOverlapUpToMlp)
     EXPECT_GT(core.time(), single);
     EXPECT_LT(core.time(), n * f.timing.tRC);
     EXPECT_EQ(core.memOps(), static_cast<Count>(n));
+}
+
+TEST(CoreModel, StallsOnTiedCompletionsAtPinnedTimes)
+{
+    // Reads alternate over the two channels at gap 0, so each pair
+    // issues together on independent channels and completes on the
+    // same cycle: every stall with MLP 2 finds two equal completions,
+    // waits for one and issues the next read, and the other retires
+    // on the following step.
+    Fixture f;
+    auto trace = std::make_unique<VectorTrace>();
+    for (std::uint32_t i = 0; i < 10; ++i)
+        trace->push({0, false, f.addrFor(i, 0, i % 2)});
+    CoreParams params;
+    params.mlp = 2;
+    CoreModel core(0, params, std::move(trace), *f.mc);
+    for (const double t :
+         {0.0, 0.0, 26.0, 26.0, 65.0, 65.0, 104.0, 104.0, 143.0, 143.0}) {
+        ASSERT_TRUE(core.step());
+        EXPECT_EQ(core.time(), t) << "after read " << core.memOps();
+    }
+    EXPECT_FALSE(core.step());
+    core.drain();
+    EXPECT_EQ(core.time(), 182.0);
 }
 
 TEST(CoreModel, DrainWaitsForOutstandingReads)

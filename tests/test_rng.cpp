@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "common/rng.hpp"
@@ -103,6 +104,45 @@ TEST(Xoshiro, GaussianMoments)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.02);
     EXPECT_NEAR(sq / n, 1.0, 0.03);
+}
+
+TEST(Xoshiro, RawSequencesMatchTheirPinnedValues)
+{
+    // The first draws of every inline member from seed 42; a bounded
+    // family's trailing next() pins how many raw draws it consumed.
+    Xoshiro256StarStar raw(42);
+    for (const std::uint64_t v :
+         {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL,
+          0xae17533239e499a1ULL, 0xecb8ad4703b360a1ULL})
+        EXPECT_EQ(raw.next(), v);
+
+    Xoshiro256StarStar dbl(42);
+    for (const double v :
+         {0x1.5780b2e0c2ecp-4, 0x1.84136619b444ep-2,
+          0x1.5c2ea66473c93p-1, 0x1.d9715a8e0766cp-1})
+        EXPECT_EQ(dbl.nextDouble(), v);
+
+    struct Pinned
+    {
+        std::uint64_t bound;
+        std::uint64_t draws[6];
+    };
+    const Pinned pinned[] = {
+        {1, {0, 0, 0, 0, 0, 0}},
+        {2, {0, 0, 1, 1, 1, 1}},
+        {8, {0, 3, 5, 7, 7, 6}},
+        {1000, {83, 378, 680, 924, 991, 769}},
+        {(1ULL << 33) + 1,
+         {720377436, 3255415565, 5841528421, 7943051918, 8519530752,
+          6612011618}},
+    };
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(p.bound);
+        Xoshiro256StarStar rng(42);
+        for (const std::uint64_t v : p.draws)
+            EXPECT_EQ(rng.nextBounded(p.bound), v);
+        EXPECT_EQ(rng.next(), 0xb82154855a65ddb2ULL);
+    }
 }
 
 TEST(Xoshiro, BernoulliRate)

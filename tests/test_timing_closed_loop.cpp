@@ -14,7 +14,10 @@
  * with the order rules they depend on: an all-idle fleet never
  * starts, the run ends with the last source (at its last round's
  * clock when nothing outlasts it), and an epoch boundary fires before
- * an ACT issued at the same cycle.
+ * an ACT issued at the same cycle.  They also freeze whole results of
+ * the trace front end (runTiming): its oracle, referenceRunTiming,
+ * runs on the same generators, core, controller, mapper and DRAM, so
+ * these pins are what sees a change below its loop.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +29,8 @@
 
 #include "sim/experiment.hpp"
 #include "sim/timing_sim.hpp"
+#include "trace/attack.hpp"
+#include "trace/workloads.hpp"
 
 namespace catsim
 {
@@ -273,7 +278,95 @@ const PinnedTiming kPinnedTiming[] = {
 };
 // clang-format on
 
+/** Records per core of a traceRun(). */
+constexpr std::uint64_t kTraceRecords = 24000;
+
+/**
+ * runTiming over @p cores synthetic (or Heavy-attack) cores of
+ * @p workload, seeded as ExperimentRunner seeds a baseline, with
+ * recording on, short epochs so several boundaries fire, and a low
+ * threshold so CAT refreshes.  A workload with phases relocates its
+ * hot set every 7000 records, three times per core.
+ */
+TimingResult
+traceRun(SystemPreset preset, std::uint32_t cores,
+         const std::string &workload, SchemeKind kind,
+         bool attack = false)
+{
+    TimingConfig sys = makeSystem(preset);
+    sys.numCores = cores;
+    sys.scheme.kind = kind;
+    sys.scheme.threshold = 32;
+    sys.recordActivations = true;
+    sys.epochScale = 0.0005; // 25600 bus cycles per epoch
+    const AddressMapper mapper(sys.geometry, sys.mapping);
+    WorkloadProfile profile = findWorkload(workload);
+    if (profile.phaseEvery > 0)
+        profile.phaseEvery = 7000;
+    return runTiming(
+        sys, [&](CoreId core) -> std::unique_ptr<TraceStream> {
+            const std::uint64_t seed = 42 * 7919ULL + core + 1;
+            if (attack)
+                return std::make_unique<AttackWorkload>(
+                    profile, sys.geometry, mapper, AttackMode::Heavy, 1,
+                    seed, kTraceRecords);
+            return std::make_unique<SyntheticWorkload>(
+                profile, sys.geometry, mapper, seed, kTraceRecords);
+        });
+}
+
+// clang-format off
+const PinnedTiming kPinnedTraceRuns[] = {
+    {"comm1 x1", {206946, 8, 24000, 0, 15065, 8935, 552, 0, 0, 206946, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xc74b94351e5d6db0}},
+    {"comm1 x2", {392943, 15, 48000, 0, 30206, 17794, 1105, 0, 0, 392943, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x761cec9a25c10531}},
+    {"comm1 x4", {766356, 29, 96000, 0, 60315, 35685, 2224, 0, 0, 766356, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x543d418424889cb8}},
+    {"black x1", {204651, 7, 24000, 0, 16345, 7655, 471, 0, 0, 204651, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xe9f90b99b718fd02}},
+    {"black x2", {389037, 15, 48000, 0, 32677, 15323, 950, 0, 0, 389037, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xa711e196bbceea2e}},
+    {"black x4", {761756, 29, 96000, 0, 65336, 30664, 1910, 0, 0, 761756, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x6cfe2480350f8596}},
+    {"libq x1", {305231, 11, 24000, 0, 22808, 1192, 67, 0, 0, 305231, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x5da0a56f2a7cc8fa}},
+    {"libq x2", {536473, 20, 48000, 0, 45610, 2390, 142, 0, 0, 536473, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x9cb78d601af5b73c}},
+    {"libq x4", {931309, 36, 96000, 0, 91218, 4782, 292, 0, 0, 931309, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x2c8fe86330b2a73a}},
+    {"comm1 DRCAT_64", {1367925, 53, 48000, 30852, 30206, 17794, 1105, 66, 30852, 1367925, 48000, 66, 30852, 155623, 0, 512, 3, 848, 0, 0, 0xc71c177ebbc2529d}},
+    {"black PRA", {391052, 15, 48000, 188, 32677, 15323, 950, 94, 188, 391052, 48000, 94, 188, 0, 432000, 0, 0, 0, 0, 0, 0x8be0d15ccc6f2758}},
+    {"Heavy attack", {354734, 13, 48000, 0, 43661, 4339, 264, 0, 0, 354734, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x2594a8af51388ebc}},
+    {"comm1 quad4ch", {297159, 11, 96000, 0, 60315, 35685, 2216, 0, 0, 297159, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xa1e8c3778d0c972c}},
+};
+// clang-format on
+
 } // namespace
+
+TEST(TimingPinned, TraceRunsMatchTheirPinnedValues)
+{
+    // The generators, core window, controller, mapper and DRAM under
+    // runTiming: any change to a draw, a completion cycle or an issue
+    // slot moves a counter or the stream digest here.
+    using P = SystemPreset;
+    using K = SchemeKind;
+    const std::pair<std::string, TimingResult> cases[] = {
+        {"comm1 x1", traceRun(P::DualCore2Ch, 1, "comm1", K::None)},
+        {"comm1 x2", traceRun(P::DualCore2Ch, 2, "comm1", K::None)},
+        {"comm1 x4", traceRun(P::QuadCore2Ch, 4, "comm1", K::None)},
+        {"black x1", traceRun(P::DualCore2Ch, 1, "black", K::None)},
+        {"black x2", traceRun(P::DualCore2Ch, 2, "black", K::None)},
+        {"black x4", traceRun(P::QuadCore2Ch, 4, "black", K::None)},
+        {"libq x1", traceRun(P::DualCore2Ch, 1, "libq", K::None)},
+        {"libq x2", traceRun(P::DualCore2Ch, 2, "libq", K::None)},
+        {"libq x4", traceRun(P::QuadCore2Ch, 4, "libq", K::None)},
+        {"comm1 DRCAT_64", traceRun(P::DualCore2Ch, 2, "comm1", K::Drcat)},
+        {"black PRA", traceRun(P::DualCore2Ch, 2, "black", K::Pra)},
+        {"Heavy attack", traceRun(P::DualCore2Ch, 2, "comm1", K::None, true)},
+        {"comm1 quad4ch", traceRun(P::QuadCore4Ch, 4, "comm1", K::None)},
+    };
+    EXPECT_EQ(std::size(cases), std::size(kPinnedTraceRuns));
+    for (const auto &[name, result] : cases) {
+        const auto *pinned = std::find_if(
+            std::begin(kPinnedTraceRuns), std::end(kPinnedTraceRuns),
+            [&name = name](const PinnedTiming &p) { return name == p.name; });
+        const bool same = pinned != std::end(kPinnedTraceRuns)
+                          && pinnedFields(result) == pinned->fields;
+        EXPECT_TRUE(same) << "actual: " << pinnedRow(name, result);
+    }
+}
 
 TEST(TimingPinned, StimulusRunsMatchTheirPinnedValues)
 {

@@ -98,6 +98,42 @@ TEST(Zipf, SingleItem)
         ASSERT_EQ(z.sample(rng), 0u);
 }
 
+TEST(Zipf, DrawsMatchTheirPinnedValues)
+{
+    // The first 24 draws from seed 7, then one raw draw that pins how
+    // many the sampler consumed (its rejections included).  theta 1.0
+    // takes the log/exp branch.
+    struct Pinned
+    {
+        double theta;
+        std::uint64_t n;
+        std::uint64_t draws[24];
+        std::uint64_t nextRaw;
+    };
+    // clang-format off
+    const Pinned pinned[] = {
+        {0.4, 1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0xbfe66957e3f7c16aULL},
+        {0.4, 12, {2, 7, 1, 0, 0, 0, 10, 10, 5, 9, 3, 1, 0, 0, 5, 3, 7, 4, 9, 9, 9, 2, 2, 7}, 0xbfe66957e3f7c16aULL},
+        {0.4, 256, {37, 150, 14, 0, 0, 10, 231, 213, 110, 195, 72, 31, 3, 9, 96, 67, 158, 92, 194, 202, 188, 47, 43, 149}, 0xbfe66957e3f7c16aULL},
+        {1.0, 1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0xbfe66957e3f7c16aULL},
+        {1.0, 12, {0, 4, 0, 0, 0, 0, 9, 8, 3, 7, 1, 0, 0, 0, 2, 1, 5, 2, 7, 7, 6, 1, 1, 4}, 0xbfe66957e3f7c16aULL},
+        {1.0, 256, {2, 45, 0, 0, 0, 0, 176, 134, 20, 100, 8, 2, 0, 0, 15, 7, 52, 14, 97, 112, 89, 4, 3, 45}, 0xbfe66957e3f7c16aULL},
+        {1.35, 1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0xbfe66957e3f7c16aULL},
+        {1.35, 12, {0, 3, 0, 0, 0, 0, 8, 6, 1, 5, 1, 0, 0, 0, 1, 3, 1, 5, 5, 4, 0, 0, 3, 0}, 0x20f6a843f0a2d560ULL},
+        {1.35, 256, {0, 9, 0, 0, 0, 0, 87, 48, 4, 28, 0, 0, 0, 3, 1, 11, 3, 27, 34, 23, 1, 1, 9, 0}, 0x20f6a843f0a2d560ULL},
+    };
+    // clang-format on
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(testing::Message() << "theta " << p.theta << " n "
+                                        << p.n);
+        Xoshiro256StarStar rng(7);
+        ZipfSampler z(p.n, p.theta);
+        for (const std::uint64_t v : p.draws)
+            EXPECT_EQ(z.sample(rng), v);
+        EXPECT_EQ(rng.next(), p.nextRaw);
+    }
+}
+
 /** Property sweep: all samples in range for many (n, theta) combos. */
 class ZipfParamTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>>
