@@ -6,8 +6,9 @@
  * reference), CAT tree traversal/growth, and the PRNG/Zipf substrates.
  * These support the paper's latency claims (Section VII-A: PRCAT
  * lookup is far cheaper than a DRAM row activation).  Also covers the
- * sweep engine: thread-pool dispatch overhead and a small end-to-end
- * SweepRunner grid.
+ * timing front end (trace generation, and runTiming over pre-generated
+ * traces, in records per second) and the sweep engine: thread-pool
+ * dispatch overhead and a small end-to-end SweepRunner grid.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,7 +25,10 @@
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "sim/activation_sim.hpp"
+#include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
+#include "sim/timing_sim.hpp"
+#include "trace/workloads.hpp"
 #include "core/cat_tree.hpp"
 #include "core/counter_cache.hpp"
 #include "core/misra_gries.hpp"
@@ -454,6 +458,60 @@ BM_ZipfSample(benchmark::State &state)
         benchmark::DoNotOptimize(zipf.sample(rng));
 }
 BENCHMARK(BM_ZipfSample);
+
+void
+BM_FrontEndTraceGen(benchmark::State &state, const char *profile)
+{
+    // SyntheticWorkload::next alone: the stimulus layer of runTiming,
+    // in records per second.
+    const DramGeometry geometry = DramGeometry::dualCore2Ch();
+    const AddressMapper mapper(geometry, MappingPolicy::RowRankBankChanCol);
+    SyntheticWorkload gen(findWorkload(profile), geometry, mapper, 42, ~0ULL);
+    TraceRecord rec;
+    for (auto _ : state) {
+        gen.next(rec);
+        benchmark::DoNotOptimize(rec);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_FrontEndTraceGen, comm1, "comm1");
+BENCHMARK_CAPTURE(BM_FrontEndTraceGen, libq, "libq");
+
+void
+BM_FrontEndRunTiming(benchmark::State &state, const char *profile)
+{
+    // runTiming without trace generation: a baseline run (dual-core
+    // preset, no scheme, recording on) over pre-generated records, in
+    // records per second through the core window, controller, mapper
+    // and DRAM.
+    TimingConfig sys = makeSystem(SystemPreset::DualCore2Ch);
+    sys.scheme.kind = SchemeKind::None;
+    sys.recordActivations = true;
+    sys.epochScale = 0.01;
+    const AddressMapper mapper(sys.geometry, sys.mapping);
+    constexpr std::uint64_t kRecords = 1 << 18;
+    std::vector<std::vector<TraceRecord>> traces(sys.numCores);
+    for (CoreId c = 0; c < sys.numCores; ++c) {
+        SyntheticWorkload gen(findWorkload(profile), sys.geometry, mapper,
+                              42 * 7919ULL + c + 1, kRecords);
+        for (TraceRecord rec; gen.next(rec);)
+            traces[c].push_back(rec);
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<std::unique_ptr<TraceStream>> streams;
+        for (const auto &t : traces)
+            streams.push_back(std::make_unique<VectorTrace>(t));
+        state.ResumeTiming();
+        const TimingResult res = runTiming(
+            sys, [&streams](CoreId c) { return std::move(streams[c]); });
+        benchmark::DoNotOptimize(res.execCycles);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * sys.numCores * kRecords));
+}
+BENCHMARK_CAPTURE(BM_FrontEndRunTiming, comm1, "comm1")
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ThreadPoolSubmitWait(benchmark::State &state)

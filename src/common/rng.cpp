@@ -12,47 +12,6 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed)
         s = sm.next();
 }
 
-std::uint64_t
-Xoshiro256StarStar::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Xoshiro256StarStar::nextDouble()
-{
-    // 53 high-quality mantissa bits.
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Xoshiro256StarStar::nextBounded(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Lemire's nearly-divisionless bounded generation.
-    __uint128_t m = static_cast<__uint128_t>(next()) * bound;
-    std::uint64_t lo = static_cast<std::uint64_t>(m);
-    if (lo < bound) {
-        std::uint64_t threshold = (-bound) % bound;
-        while (lo < threshold) {
-            m = static_cast<__uint128_t>(next()) * bound;
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
 double
 Xoshiro256StarStar::nextGaussian()
 {

@@ -55,7 +55,21 @@ class Xoshiro256StarStar
     explicit Xoshiro256StarStar(std::uint64_t seed = 0x1234567895555555ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** UniformRandomBitGenerator interface. */
     std::uint64_t operator()() { return next(); }
@@ -63,10 +77,31 @@ class Xoshiro256StarStar
     static constexpr std::uint64_t max() { return ~0ULL; }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 high-quality mantissa bits.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's method. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        if (bound == 0)
+            return 0;
+        // Lemire's nearly-divisionless bounded generation.
+        __uint128_t m = static_cast<__uint128_t>(next()) * bound;
+        auto lo = static_cast<std::uint64_t>(m);
+        if (lo < bound) {
+            const std::uint64_t threshold = (-bound) % bound;
+            while (lo < threshold) {
+                m = static_cast<__uint128_t>(next()) * bound;
+                lo = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Bernoulli trial with probability p. */
     bool nextBernoulli(double p) { return nextDouble() < p; }

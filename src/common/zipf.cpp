@@ -19,6 +19,16 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     hImaxInv_ = h(static_cast<double>(n_) + 0.5);
     hX0_ = h(1.5) - 1.0;
     s_ = 2.0 - hInverse(h(2.5) - std::pow(2.0, -theta_));
+    // Each item's acceptance bound, evaluated once with the same
+    // expression and arguments a per-draw evaluation would use, so a
+    // draw accepts the same k bit for bit.
+    if (theta_ != 0.0) {
+        acceptBelow_.resize(n_);
+        for (std::uint64_t k = 1; k <= n_; ++k) {
+            const double kd = static_cast<double>(k);
+            acceptBelow_[k - 1] = h(kd + 0.5) - std::pow(kd, -theta_);
+        }
+    }
 }
 
 double
@@ -53,7 +63,7 @@ ZipfSampler::sample(Xoshiro256StarStar &rng) const
         if (k > n_)
             k = n_;
         const double kd = static_cast<double>(k);
-        if (kd - x <= s_ || u >= h(kd + 0.5) - std::pow(kd, -theta_))
+        if (kd - x <= s_ || u >= acceptBelow_[k - 1])
             return k - 1;
     }
 }

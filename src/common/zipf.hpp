@@ -6,14 +6,18 @@
  * "a small group of rows dominate overall accesses").  The synthetic
  * workload generators model row popularity with a Zipf(theta) law over a
  * permuted row id space; this sampler provides O(1) amortized draws via
- * rejection-inversion (W. Hormann, G. Derflinger, 1996), which stays fast
- * for the 64K-1M element ranges used by the bank model.
+ * rejection-inversion (W. Hormann, G. Derflinger, 1996).  Its callers
+ * draw over small hot sets - a profile's hotRows (12-48) or a cloud
+ * tenant's hotRowsPerTenant (256, at most a bank's rows) - so the
+ * constructor tabulates the acceptance bound per item (8n bytes) and a
+ * draw costs one pow (or exp) instead of up to three.
  */
 
 #ifndef CATSIM_COMMON_ZIPF_HPP
 #define CATSIM_COMMON_ZIPF_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "rng.hpp"
 
@@ -48,6 +52,8 @@ class ZipfSampler
     double hImaxInv_;
     double hX0_;
     double s_;
+    /** acceptBelow_[k - 1] = h(k + 0.5) - k^-theta, k = 1..n. */
+    std::vector<double> acceptBelow_;
 };
 
 } // namespace catsim

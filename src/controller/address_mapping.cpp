@@ -14,7 +14,7 @@ AddressMapper::log2u(std::uint64_t v)
 
 AddressMapper::AddressMapper(const DramGeometry &geometry,
                              MappingPolicy policy)
-    : geometry_(geometry), policy_(policy)
+    : policy_(policy)
 {
     if (!isPow2(geometry.lineBytes) || !isPow2(geometry.colsPerRow)
         || !isPow2(geometry.channels) || !isPow2(geometry.banksPerRank)
@@ -22,72 +22,27 @@ AddressMapper::AddressMapper(const DramGeometry &geometry,
         || !isPow2(geometry.rowsPerBank))
         CATSIM_FATAL("address mapping requires power-of-two geometry");
 
-    offsetBits_ = log2u(geometry.lineBytes);
-    colBits_ = log2u(geometry.colsPerRow);
-    chBits_ = log2u(geometry.channels);
-    bkBits_ = log2u(geometry.banksPerRank);
-    rkBits_ = log2u(geometry.ranksPerChannel);
-    rwBits_ = log2u(geometry.rowsPerBank);
-}
-
-MappedAddr
-AddressMapper::map(Addr addr) const
-{
-    MappedAddr m;
-    Addr a = addr >> offsetBits_;
-    auto take = [&a](std::uint32_t bits) -> std::uint32_t {
-        const std::uint32_t v =
-            static_cast<std::uint32_t>(a & ((1ULL << bits) - 1));
-        a >>= bits;
-        return v;
-    };
-
-    switch (policy_) {
-      case MappingPolicy::RowRankBankChanCol:
-        m.col = take(colBits_);
-        m.channel = take(chBits_);
-        m.bank = take(bkBits_);
-        m.rank = take(rkBits_);
-        m.row = take(rwBits_);
-        break;
-      case MappingPolicy::RowRankBankColChan:
-        m.channel = take(chBits_);
-        m.col = take(colBits_);
-        m.bank = take(bkBits_);
-        m.rank = take(rkBits_);
-        m.row = take(rwBits_);
-        break;
-    }
-    return m;
-}
-
-Addr
-AddressMapper::compose(const MappedAddr &m) const
-{
-    Addr a = 0;
-    std::uint32_t shift = offsetBits_;
-    auto put = [&a, &shift](std::uint64_t v, std::uint32_t bits) {
-        a |= (v & ((1ULL << bits) - 1)) << shift;
+    // Lay the fields out from the cache-line offset upwards.
+    std::uint32_t shift = log2u(geometry.lineBytes);
+    auto place = [&shift](Field &f, std::uint64_t width) {
+        const std::uint32_t bits = log2u(width);
+        f.shift = shift;
+        f.mask = (1ULL << bits) - 1;
         shift += bits;
     };
-
     switch (policy_) {
       case MappingPolicy::RowRankBankChanCol:
-        put(m.col, colBits_);
-        put(m.channel, chBits_);
-        put(m.bank, bkBits_);
-        put(m.rank, rkBits_);
-        put(m.row, rwBits_);
+        place(col_, geometry.colsPerRow);
+        place(channel_, geometry.channels);
         break;
       case MappingPolicy::RowRankBankColChan:
-        put(m.channel, chBits_);
-        put(m.col, colBits_);
-        put(m.bank, bkBits_);
-        put(m.rank, rkBits_);
-        put(m.row, rwBits_);
+        place(channel_, geometry.channels);
+        place(col_, geometry.colsPerRow);
         break;
     }
-    return a;
+    place(bank_, geometry.banksPerRank);
+    place(rank_, geometry.ranksPerChannel);
+    place(row_, geometry.rowsPerBank);
 }
 
 std::string

@@ -45,17 +45,36 @@ enum class MappingPolicy
     RowRankBankColChan, //!< rw:rk:bk:col:ch:offset (4-channel policy)
 };
 
-/** Bidirectional address mapper for a fixed geometry. */
+/**
+ * Bidirectional address mapper for a fixed geometry.  The constructor
+ * fixes every field's bit position for the policy, so map and compose
+ * are straight-line shift-and-mask code.
+ */
 class AddressMapper
 {
   public:
     AddressMapper(const DramGeometry &geometry, MappingPolicy policy);
 
     /** Decode a physical byte address. */
-    MappedAddr map(Addr addr) const;
+    MappedAddr
+    map(Addr addr) const
+    {
+        MappedAddr m;
+        m.channel = channel_.get(addr);
+        m.rank = rank_.get(addr);
+        m.bank = bank_.get(addr);
+        m.row = row_.get(addr);
+        m.col = col_.get(addr);
+        return m;
+    }
 
     /** Compose a physical byte address from coordinates. */
-    Addr compose(const MappedAddr &m) const;
+    Addr
+    compose(const MappedAddr &m) const
+    {
+        return channel_.put(m.channel) | rank_.put(m.rank)
+               | bank_.put(m.bank) | row_.put(m.row) | col_.put(m.col);
+    }
 
     MappingPolicy policy() const { return policy_; }
     static std::string policyName(MappingPolicy policy);
@@ -64,14 +83,27 @@ class AddressMapper
     static std::uint32_t log2u(std::uint64_t v);
 
   private:
-    DramGeometry geometry_;
+    /** One coordinate's bits in the address: (addr >> shift) & mask. */
+    struct Field
+    {
+        std::uint32_t shift = 0;
+        std::uint64_t mask = 0;
+
+        std::uint32_t
+        get(Addr addr) const
+        {
+            return static_cast<std::uint32_t>((addr >> shift) & mask);
+        }
+
+        Addr put(std::uint64_t v) const { return (v & mask) << shift; }
+    };
+
     MappingPolicy policy_;
-    std::uint32_t offsetBits_;
-    std::uint32_t colBits_;
-    std::uint32_t chBits_;
-    std::uint32_t bkBits_;
-    std::uint32_t rkBits_;
-    std::uint32_t rwBits_;
+    Field channel_;
+    Field rank_;
+    Field bank_;
+    Field row_;
+    Field col_;
 };
 
 } // namespace catsim

@@ -20,64 +20,67 @@ MemoryController::MemoryController(DramSystem &dram,
 }
 
 Cycle
-MemoryController::issue(const MemRequest &req, Cycle not_before)
+MemoryController::issue(const MappedAddr &loc, bool is_write, Cycle not_before)
 {
-    const BankId bid = req.loc.bankId();
-    const Cycle at = dram_.earliestIssue(bid, not_before);
-    const Cycle done = dram_.access(bid, req.loc.row, req.isWrite, at);
+    const BankId bid = loc.bankId();
+    const DramAccess access = dram_.issue(bid, loc.row, is_write, not_before);
 
     const std::uint32_t flat = bid.flat(dram_.geometry());
     if (observer_)
-        observer_(flat, req.loc.row);
+        observer_(flat, loc.row);
     MitigationScheme *scheme = schemes_[flat].get();
     RefreshAction act;
     if (scheme) {
-        act = scheme->onActivate(req.loc.row);
+        act = scheme->onActivate(loc.row);
         if (act.triggered()) {
-            dram_.victimRefresh(bid, act.rowCount, at);
+            dram_.victimRefresh(bid, act.rowCount, access.issued);
             ++stats_.victimRefreshEvents;
             stats_.victimRowsRefreshed += act.rowCount;
         }
     }
     if (refreshObserver_)
-        refreshObserver_(flat, req.loc.row, act);
-    if (done > stats_.lastCompletion)
-        stats_.lastCompletion = done;
-    return done;
+        refreshObserver_(flat, loc.row, act);
+    if (access.ready > stats_.lastCompletion)
+        stats_.lastCompletion = access.ready;
+    return access.ready;
 }
 
 Cycle
-MemoryController::submitRead(MemRequest req)
+MemoryController::submitRead(const MemRequest &req)
 {
-    req.loc = mapper_.map(req.addr);
-    return submitMapped(req);
+    return read(mapper_.map(req.addr), req.arrival);
 }
 
 Cycle
-MemoryController::submitMapped(MemRequest req)
+MemoryController::submitMapped(const MemRequest &req)
+{
+    return read(req.loc, req.arrival);
+}
+
+Cycle
+MemoryController::read(const MappedAddr &loc, Cycle arrival)
 {
     ++stats_.reads;
     // Write-drain has priority when the queue is saturated; otherwise
     // reads bypass queued writes (standard read-priority scheduling).
-    auto &wq = writeQ_[req.loc.channel];
-    if (wq.size() >= kWriteQueueCapacity) {
-        drainWrites(req.loc.channel, kWriteDrainLow, req.arrival);
+    if (writeQ_[loc.channel].size() >= kWriteQueueCapacity) {
+        drainWrites(loc.channel, kWriteDrainLow, arrival);
         ++stats_.writeDrains;
     }
-    return issue(req, req.arrival);
+    return issue(loc, false, arrival);
 }
 
 Cycle
-MemoryController::submitWrite(MemRequest req)
+MemoryController::submitWrite(const MemRequest &req)
 {
-    req.loc = mapper_.map(req.addr);
+    const MappedAddr loc = mapper_.map(req.addr);
     ++stats_.writes;
-    auto &wq = writeQ_[req.loc.channel];
+    auto &wq = writeQ_[loc.channel];
     if (wq.size() >= kWriteQueueCapacity) {
-        drainWrites(req.loc.channel, kWriteDrainLow, req.arrival);
+        drainWrites(loc.channel, kWriteDrainLow, req.arrival);
         ++stats_.writeDrains;
     }
-    wq.push_back(req);
+    wq.push_back(loc);
     return req.arrival;
 }
 
@@ -88,7 +91,7 @@ MemoryController::drainWrites(std::uint32_t channel, std::size_t down_to,
     auto &wq = writeQ_[channel];
     std::size_t n = 0;
     while (wq.size() - n > down_to) {
-        issue(wq[n], now);
+        issue(wq[n], true, now);
         ++n;
     }
     wq.erase(wq.begin(), wq.begin() + static_cast<std::ptrdiff_t>(n));

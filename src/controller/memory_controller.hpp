@@ -80,7 +80,7 @@ class MemoryController
      *
      * @return Bus cycle at which read data is available.
      */
-    Cycle submitRead(MemRequest req);
+    Cycle submitRead(const MemRequest &req);
 
     /**
      * Submit a read whose DRAM coordinates (@p req.loc) the caller
@@ -88,15 +88,18 @@ class MemoryController
      * sources that speak (bank, row) natively.  Same arbitration,
      * write-drain, and mitigation path as submitRead.
      */
-    Cycle submitMapped(MemRequest req);
+    Cycle submitMapped(const MemRequest &req);
 
     /**
-     * Submit a posted write.
+     * Submit a posted write.  A full write queue first drains down to
+     * the low watermark into the DRAM timeline at the arrival cycle;
+     * that delays later reads through bank and bus occupancy, never
+     * the write itself.
      *
-     * @return Bus cycle at which the core may proceed (normally the
-     *         arrival cycle; later when the write queue is full).
+     * @return The arrival cycle, always: the core never waits on a
+     *         write.
      */
-    Cycle submitWrite(MemRequest req);
+    Cycle submitWrite(const MemRequest &req);
 
     /** Auto-refresh epoch boundary: informs every bank's scheme. */
     void onEpoch();
@@ -117,15 +120,17 @@ class MemoryController
     static constexpr std::size_t kWriteDrainLow = 48;
 
   private:
+    /** A read at @p loc: drain a full write queue, then issue it. */
+    Cycle read(const MappedAddr &loc, Cycle arrival);
     /** Issue one transaction into the DRAM timeline. */
-    Cycle issue(const MemRequest &req, Cycle not_before);
+    Cycle issue(const MappedAddr &loc, bool is_write, Cycle not_before);
     void drainWrites(std::uint32_t channel, std::size_t down_to,
                      Cycle now);
 
     DramSystem &dram_;
     const AddressMapper &mapper_;
     std::vector<std::unique_ptr<MitigationScheme>> schemes_; //!< per bank
-    std::vector<std::vector<MemRequest>> writeQ_;            //!< per chan
+    std::vector<std::vector<MappedAddr>> writeQ_;            //!< per chan
     ControllerStats stats_;
     ActivationObserver observer_;
     RefreshActionObserver refreshObserver_;

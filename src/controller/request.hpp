@@ -17,7 +17,7 @@ namespace catsim
 struct MemRequest
 {
     Addr addr = 0;
-    bool isWrite = false;
+    bool isWrite = false; //!< the submit call, not this flag, decides
     CoreId core = 0;
     Cycle arrival = 0;   //!< bus cycle the request reaches the MC
     MappedAddr loc;      //!< filled by the controller

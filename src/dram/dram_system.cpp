@@ -20,57 +20,46 @@ DramSystem::DramSystem(const DramGeometry &geometry,
     busFreeAt_.assign(geometry_.channels, 0);
 }
 
-Rank &
-DramSystem::rankOf(const BankId &id)
-{
-    return ranks_[id.channel * geometry_.ranksPerChannel + id.rank];
-}
-
 void
-DramSystem::applyAutoRefresh(const BankId &id, Cycle now)
+DramSystem::applyAutoRefresh(std::uint32_t rank, Cycle now)
 {
-    Rank &rank = rankOf(id);
     // Catch up on any auto-refresh windows that opened before `now`.
+    Bank *banks = &banks_[rank * geometry_.banksPerRank];
     while (true) {
-        const Cycle end = rank.autoRefreshDue(now);
+        const Cycle end = ranks_[rank].autoRefreshDue(now);
         if (end == 0)
             break;
-        for (std::uint32_t b = 0; b < geometry_.banksPerRank; ++b) {
-            BankId bid{id.channel, id.rank, b};
-            banks_[bid.flat(geometry_)].blockUntil(end);
-        }
+        for (std::uint32_t b = 0; b < geometry_.banksPerRank; ++b)
+            banks[b].blockUntil(end);
     }
 }
 
-Cycle
-DramSystem::earliestIssue(const BankId &id, Cycle now)
+DramAccess
+DramSystem::issue(const BankId &id, RowAddr row, bool is_write,
+                  Cycle not_before)
 {
-    applyAutoRefresh(id, now);
-    Cycle t = banks_[id.flat(geometry_)].earliestActivate(now);
-    t = rankOf(id).earliestActivate(t);
-    // The data burst needs the channel bus tRCD+tCAS after the ACT.
-    const Cycle burstStart = t + timing_.tRCD + timing_.tCAS;
-    if (busFreeAt_[id.channel] > burstStart)
-        t += busFreeAt_[id.channel] - burstStart;
-    return t;
-}
+    const std::uint32_t r = rankIndex(id);
+    applyAutoRefresh(r, not_before);
+    Bank &bank = banks_[r * geometry_.banksPerRank + id.bank];
+    Rank &rank = ranks_[r];
 
-Cycle
-DramSystem::access(const BankId &id, RowAddr row, bool is_write,
-                   Cycle issue)
-{
-    Bank &bank = banks_[id.flat(geometry_)];
-    const Cycle ready = bank.access(issue, row, is_write);
-    rankOf(id).recordActivate(issue);
-    const Cycle burstStart = issue + timing_.tRCD + timing_.tCAS;
-    busFreeAt_[id.channel] = burstStart + timing_.tBURST;
-    return ready;
+    Cycle at = rank.earliestActivate(bank.earliestActivate(not_before));
+    // The data burst needs the channel bus tRCD+tCAS after the ACT.
+    Cycle &busFree = busFreeAt_[id.channel];
+    const Cycle burstStart = at + timing_.tRCD + timing_.tCAS;
+    if (busFree > burstStart)
+        at += busFree - burstStart;
+
+    const Cycle ready = bank.access(at, row, is_write);
+    rank.recordActivate(at);
+    busFree = at + timing_.tRCD + timing_.tCAS + timing_.tBURST;
+    return {at, ready};
 }
 
 Cycle
 DramSystem::victimRefresh(const BankId &id, std::uint64_t rows, Cycle now)
 {
-    applyAutoRefresh(id, now);
+    applyAutoRefresh(rankIndex(id), now);
     return banks_[id.flat(geometry_)].victimRefresh(now, rows);
 }
 

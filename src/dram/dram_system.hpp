@@ -3,9 +3,9 @@
  * Aggregate DRAM device model: channels of ranks of banks plus the
  * shared data bus per channel.
  *
- * The model is closed-page and command-level: the memory controller asks
- * for the earliest issue slot for a request, then commits it, and the
- * system returns the data-ready cycle.  Victim refreshes requested by a
+ * The model is closed-page and command-level: one issue() call finds a
+ * request's earliest issue slot, commits the access there, and returns
+ * the slot and the data-ready cycle.  Victim refreshes requested by a
  * mitigation scheme block the target bank for tRC per refreshed row.
  */
 
@@ -23,6 +23,13 @@
 namespace catsim
 {
 
+/** Where one access landed in the DRAM timeline. */
+struct DramAccess
+{
+    Cycle issued; //!< cycle the ACT issued
+    Cycle ready;  //!< data-ready cycle (reads) / acceptance (writes)
+};
+
 /** Whole-device DRAM timing model. */
 class DramSystem
 {
@@ -30,18 +37,12 @@ class DramSystem
     DramSystem(const DramGeometry &geometry, const DramTiming &timing);
 
     /**
-     * Earliest cycle at which an access to (channel, rank, bank) can be
-     * issued, considering bank, rank (tFAW/tRRD), auto-refresh, and the
-     * channel data bus.
+     * Issue an access to (channel, rank, bank) at the earliest cycle
+     * not before @p not_before that the bank, the rank (tFAW/tRRD),
+     * auto-refresh and the channel data bus allow, and commit it there.
      */
-    Cycle earliestIssue(const BankId &id, Cycle now);
-
-    /**
-     * Issue an access; @p issue must be >= earliestIssue(..).
-     * @return Data-ready cycle for reads / acceptance cycle for writes.
-     */
-    Cycle access(const BankId &id, RowAddr row, bool is_write,
-                 Cycle issue);
+    DramAccess issue(const BankId &id, RowAddr row, bool is_write,
+                     Cycle not_before);
 
     /**
      * Block the bank while victim rows are refreshed; returns the cycle
@@ -61,8 +62,15 @@ class DramSystem
     Count totalVictimRowsRefreshed() const;
 
   private:
-    Rank &rankOf(const BankId &id);
-    void applyAutoRefresh(const BankId &id, Cycle now);
+    /** Index of the rank holding @p id in ranks_. */
+    std::uint32_t
+    rankIndex(const BankId &id) const
+    {
+        return id.channel * geometry_.ranksPerChannel + id.rank;
+    }
+
+    /** Block rank @p rank's banks for every auto-refresh due by now. */
+    void applyAutoRefresh(std::uint32_t rank, Cycle now);
 
     DramGeometry geometry_;
     DramTiming timing_;

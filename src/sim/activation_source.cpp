@@ -165,23 +165,35 @@ RefreshAwareAttackerSource::onRefreshAction(RowAddr row,
     ++rotations_;
 }
 
+namespace
+{
+
+/** Fatal on a mix that cannot run, before its Zipf table is built. */
+const CloudMixParams &
+checkedMix(const CloudMixParams &params)
+{
+    if (params.tenants == 0)
+        CATSIM_FATAL("cloud mix needs at least one tenant");
+    if (params.hotRowsPerTenant == 0
+        || params.hotRowsPerTenant > params.numRows)
+        CATSIM_FATAL("cloud-mix working set of ",
+                     params.hotRowsPerTenant,
+                     " rows does not fit a bank of ", params.numRows,
+                     " rows");
+    if (params.actsPerEpoch == 0)
+        CATSIM_FATAL("cloud mix needs actsPerEpoch > 0");
+    return params;
+}
+
+} // namespace
+
 CloudMixSource::CloudMixSource(const CloudMixParams &params)
-    : params_(params),
+    : params_(checkedMix(params)),
       zipf_(params.hotRowsPerTenant, params.zipfTheta),
       rng_(params.seed),
       bases_(params.tenants, 0),
       buffer_(kChunk)
 {
-    if (params_.tenants == 0)
-        CATSIM_FATAL("cloud mix needs at least one tenant");
-    if (params_.hotRowsPerTenant == 0
-        || params_.hotRowsPerTenant > params_.numRows)
-        CATSIM_FATAL("cloud-mix working set of ",
-                     params_.hotRowsPerTenant,
-                     " rows does not fit a bank of ", params_.numRows,
-                     " rows");
-    if (params_.actsPerEpoch == 0)
-        CATSIM_FATAL("cloud mix needs actsPerEpoch > 0");
     rebase();
 }
 

@@ -1,6 +1,5 @@
 #include "core_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace catsim
@@ -30,12 +29,13 @@ CoreModel::step()
     instructions_ += rec.gap + 1;
     ++memOps_;
 
-    // Retire completed reads.
+    // Retire completed reads: the window is sorted, so they are a
+    // prefix.
     const auto now = static_cast<Cycle>(time_);
-    inflightReads_.erase(
-        std::remove_if(inflightReads_.begin(), inflightReads_.end(),
-                       [now](Cycle c) { return c <= now; }),
-        inflightReads_.end());
+    auto live = inflightReads_.begin();
+    while (live != inflightReads_.end() && *live <= now)
+        ++live;
+    inflightReads_.erase(inflightReads_.begin(), live);
 
     MemRequest req;
     req.addr = rec.addr;
@@ -53,28 +53,30 @@ CoreModel::step()
     // Reads: stall on the oldest outstanding read once the MLP window
     // is full (ROB head blocks retirement).
     if (inflightReads_.size() >= params_.mlp) {
-        const auto oldest =
-            *std::min_element(inflightReads_.begin(),
-                              inflightReads_.end());
+        const Cycle oldest = inflightReads_.front();
         if (static_cast<double>(oldest) > time_)
             time_ = static_cast<double>(oldest);
-        inflightReads_.erase(std::find(inflightReads_.begin(),
-                                       inflightReads_.end(), oldest));
+        inflightReads_.erase(inflightReads_.begin());
         req.arrival = static_cast<Cycle>(std::ceil(time_));
     }
 
+    // Keep the window sorted: insert after the last completion not
+    // later than this one.  Reads on one channel complete in issue
+    // order, so the scan from the back stops at or near the end.
     const Cycle done = controller_.submitRead(req);
-    inflightReads_.push_back(done);
+    auto at = inflightReads_.end();
+    while (at != inflightReads_.begin() && *(at - 1) > done)
+        --at;
+    inflightReads_.insert(at, done);
     return true;
 }
 
 void
 CoreModel::drain()
 {
-    for (const Cycle c : inflightReads_) {
-        if (static_cast<double>(c) > time_)
-            time_ = static_cast<double>(c);
-    }
+    if (!inflightReads_.empty()
+        && static_cast<double>(inflightReads_.back()) > time_)
+        time_ = static_cast<double>(inflightReads_.back());
     inflightReads_.clear();
 }
 

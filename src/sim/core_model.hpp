@@ -9,8 +9,13 @@
  * memory controller and the core may run ahead until its memory-level
  * parallelism window (derived from the ROB size divided by the typical
  * instruction gap) is full, at which point it stalls on the oldest
- * outstanding read.  Writes are posted and complete immediately unless
- * the controller exerts write-queue backpressure.
+ * outstanding read.  The window keeps its completion cycles sorted, so
+ * retiring is a prefix erase and the stall waits on front().
+ *
+ * Writes are posted: the controller acknowledges a write at its
+ * arrival cycle, so the core never waits on one.  A full write queue
+ * drains 16 writes into the DRAM timeline at that cycle, which delays
+ * later reads through bank and bus occupancy, not the write itself.
  */
 
 #ifndef CATSIM_SIM_CORE_MODEL_HPP
@@ -75,7 +80,7 @@ class CoreModel
     MemoryController &controller_;
     double time_ = 0.0;
     bool done_ = false;
-    std::vector<Cycle> inflightReads_;
+    std::vector<Cycle> inflightReads_; //!< completion cycles, ascending
     Count instructions_ = 0;
     Count memOps_ = 0;
 };

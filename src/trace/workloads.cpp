@@ -1,5 +1,6 @@
 #include "workloads.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -100,11 +101,18 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile,
       mapper_(mapper),
       seed_(seed),
       length_(length),
+      gapCap_(20.0 * profile.meanGap),
+      burstMean_(profile.rowBurst > 1.0 ? profile.rowBurst - 1.0 : 0.0),
+      turnover_(std::max<std::uint64_t>(1, profile.hotRows / 4)),
+      phaseLeft_(profile.phaseEvery),
       rng_(seed),
       hotSampler_(profile.hotRows, profile.zipfTheta)
 {
     if ((geometry_.rowsPerBank & (geometry_.rowsPerBank - 1)) != 0)
         CATSIM_FATAL("workload generator needs power-of-two rows");
+    const auto foot = static_cast<std::uint64_t>(
+        profile_.footprintFraction * geometry_.rowsPerBank);
+    coldRows_ = foot ? foot : 1;
 }
 
 void
@@ -112,6 +120,7 @@ SyntheticWorkload::rewind()
 {
     produced_ = 0;
     phase_ = 0;
+    phaseLeft_ = profile_.phaseEvery;
     burstLeft_ = 0;
     rng_ = Xoshiro256StarStar(seed_);
 }
@@ -121,24 +130,26 @@ SyntheticWorkload::next(TraceRecord &out)
 {
     if (produced_ >= length_)
         return false;
-    if (profile_.phaseEvery > 0)
-        phase_ = produced_ / profile_.phaseEvery;
-    out = makeRecord();
+    makeRecord(out);
     ++produced_;
+    // phase_ is produced_ / phaseEvery, counted down instead of divided.
+    if (profile_.phaseEvery > 0 && --phaseLeft_ == 0) {
+        ++phase_;
+        phaseLeft_ = profile_.phaseEvery;
+    }
     return true;
 }
 
-TraceRecord
-SyntheticWorkload::makeRecord()
+void
+SyntheticWorkload::makeRecord(TraceRecord &r)
 {
-    TraceRecord r;
     // Exponential gap with the profile's mean, truncated to [0, 20x].
     double u = rng_.nextDouble();
     if (u >= 1.0)
         u = 0.999999;
     double gap = -profile_.meanGap * std::log(1.0 - u);
-    if (gap > 20.0 * profile_.meanGap)
-        gap = 20.0 * profile_.meanGap;
+    if (gap > gapCap_)
+        gap = gapCap_;
     r.gap = static_cast<std::uint32_t>(gap);
     r.isWrite = rng_.nextDouble() >= profile_.readRatio;
 
@@ -148,7 +159,7 @@ SyntheticWorkload::makeRecord()
         burstLoc_.col = static_cast<std::uint32_t>(
             rng_.nextBounded(geometry_.colsPerRow));
         r.addr = mapper_.compose(burstLoc_);
-        return r;
+        return;
     }
 
     MappedAddr loc;
@@ -167,34 +178,26 @@ SyntheticWorkload::makeRecord()
         // phase retires about a quarter of the hot set and brings in
         // fresh rows - application phases shift gradually, which is
         // the temporal change DRCAT tracks (paper Section V).
-        const std::uint64_t turnover =
-            std::max<std::uint64_t>(1, profile_.hotRows / 4);
         const std::uint64_t idx = hotSampler_.sample(rng_)
-                                  + phase_ * turnover;
+                                  + phase_ * turnover_;
         loc.row = scatterRow(idx + 1000000ULL, geometry_.rowsPerBank);
     } else {
-        const auto foot = static_cast<std::uint64_t>(
-            profile_.footprintFraction * geometry_.rowsPerBank);
-        const std::uint64_t idx = rng_.nextBounded(foot ? foot : 1);
+        const std::uint64_t idx = rng_.nextBounded(coldRows_);
         loc.row = scatterRow(idx + 5000000ULL, geometry_.rowsPerBank);
     }
 
     // Start a new burst on this row.
-    const double mean_extra = profile_.rowBurst > 1.0
-        ? profile_.rowBurst - 1.0
-        : 0.0;
-    if (mean_extra > 0.0) {
+    if (burstMean_ > 0.0) {
         double v = rng_.nextDouble();
         if (v >= 1.0)
             v = 0.999999;
         burstLeft_ = static_cast<std::uint32_t>(
-            -mean_extra * std::log(1.0 - v));
+            -burstMean_ * std::log(1.0 - v));
         if (burstLeft_ > 64)
             burstLeft_ = 64;
     }
     burstLoc_ = loc;
     r.addr = mapper_.compose(loc);
-    return r;
 }
 
 } // namespace catsim

@@ -82,16 +82,21 @@ class SyntheticWorkload : public TraceStream
     static RowAddr scatterRow(std::uint64_t index, RowAddr num_rows);
 
   private:
-    void regenerateState();
-    TraceRecord makeRecord();
+    void makeRecord(TraceRecord &r);
 
     WorkloadProfile profile_;
     DramGeometry geometry_;
     const AddressMapper &mapper_;
     std::uint64_t seed_;
     std::uint64_t length_;
+    // Per-profile constants of makeRecord, fixed at construction.
+    double gapCap_;          //!< gaps truncate at 20x the mean
+    double burstMean_;       //!< mean extra ops on a burst's row
+    std::uint64_t coldRows_; //!< rows cold accesses spread over
+    std::uint64_t turnover_; //!< hot rows retired per phase
     std::uint64_t produced_ = 0;
     std::uint64_t phase_ = 0;
+    std::uint64_t phaseLeft_; //!< records before phase_ advances
     Xoshiro256StarStar rng_;
     ZipfSampler hotSampler_;
     // Current burst state: keep hammering one (bank, row).

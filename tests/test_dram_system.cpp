@@ -26,20 +26,17 @@ TEST(DramSystem, IndependentBanksDoNotBlock)
 {
     DramSystem d = makeSystem();
     const BankId b0{0, 0, 0}, b1{0, 0, 1};
-    const Cycle t0 = d.earliestIssue(b0, 0);
-    d.access(b0, 1, false, t0);
+    d.issue(b0, 1, false, 0);
     // A different bank only pays rank tRRD, not tRC.
-    const Cycle t1 = d.earliestIssue(b1, 0);
-    EXPECT_LE(t1, d.timing().tRRD);
+    EXPECT_LE(d.issue(b1, 1, false, 0).issued, d.timing().tRRD);
 }
 
 TEST(DramSystem, SameBankSerializedByTrc)
 {
     DramSystem d = makeSystem();
     const BankId b{0, 0, 0};
-    const Cycle t0 = d.earliestIssue(b, 0);
-    d.access(b, 1, false, t0);
-    const Cycle t1 = d.earliestIssue(b, 0);
+    const Cycle t0 = d.issue(b, 1, false, 0).issued;
+    const Cycle t1 = d.issue(b, 2, false, 0).issued;
     EXPECT_GE(t1, t0 + d.timing().tRC);
 }
 
@@ -47,8 +44,8 @@ TEST(DramSystem, ChannelsAreIndependent)
 {
     DramSystem d = makeSystem();
     const BankId c0{0, 0, 0}, c1{1, 0, 0};
-    d.access(c0, 1, false, d.earliestIssue(c0, 0));
-    EXPECT_EQ(d.earliestIssue(c1, 0), 0u);
+    d.issue(c0, 1, false, 0);
+    EXPECT_EQ(d.issue(c1, 1, false, 0).issued, 0u);
 }
 
 TEST(DramSystem, DataBusSerializesBursts)
@@ -57,10 +54,8 @@ TEST(DramSystem, DataBusSerializesBursts)
     // Two different banks on one channel: the second burst must wait
     // for the first one's data bus slot.
     const BankId b0{0, 0, 0}, b1{0, 0, 1};
-    const Cycle t0 = d.earliestIssue(b0, 0);
-    const Cycle done0 = d.access(b0, 1, false, t0);
-    const Cycle t1 = d.earliestIssue(b1, 0);
-    const Cycle done1 = d.access(b1, 1, false, t1);
+    const Cycle done0 = d.issue(b0, 1, false, 0).ready;
+    const Cycle done1 = d.issue(b1, 1, false, 0).ready;
     EXPECT_GE(done1, done0 + d.timing().tBURST);
 }
 
@@ -70,7 +65,7 @@ TEST(DramSystem, VictimRefreshDelaysLaterAccess)
     const BankId b{0, 0, 0};
     const Cycle freeAt = d.victimRefresh(b, 100, 0);
     EXPECT_EQ(freeAt, 100u * d.timing().tRC);
-    EXPECT_GE(d.earliestIssue(b, 0), freeAt);
+    EXPECT_GE(d.issue(b, 1, false, 0).issued, freeAt);
     EXPECT_EQ(d.totalVictimRowsRefreshed(), 100u);
 }
 
@@ -79,11 +74,11 @@ TEST(DramSystem, AutoRefreshBlocksWholeRank)
     DramSystem d = makeSystem();
     const auto &t = d.timing();
     const BankId b0{0, 0, 0}, b7{0, 0, 7};
-    // Ask for an issue slot just after the first tREFI boundary: the
-    // rank is mid-refresh and every bank must wait until tREFI + tRFC.
+    // Issue just after the first tREFI boundary: the rank is
+    // mid-refresh and every bank must wait until tREFI + tRFC.
     const Cycle probe = t.tREFI + 1;
-    EXPECT_GE(d.earliestIssue(b0, probe), t.tREFI + t.tRFC);
-    EXPECT_GE(d.earliestIssue(b7, probe), t.tREFI + t.tRFC);
+    EXPECT_GE(d.issue(b0, 1, false, probe).issued, t.tREFI + t.tRFC);
+    EXPECT_GE(d.issue(b7, 1, false, probe).issued, t.tREFI + t.tRFC);
 }
 
 TEST(DramSystem, ActivationCounting)
@@ -91,10 +86,8 @@ TEST(DramSystem, ActivationCounting)
     DramSystem d = makeSystem();
     const BankId b{0, 0, 3};
     Cycle now = 0;
-    for (int i = 0; i < 10; ++i) {
-        now = d.earliestIssue(b, now);
-        d.access(b, static_cast<RowAddr>(i), i % 2 == 0, now);
-    }
+    for (int i = 0; i < 10; ++i)
+        now = d.issue(b, static_cast<RowAddr>(i), i % 2 == 0, now).issued;
     EXPECT_EQ(d.totalActivations(), 10u);
     EXPECT_EQ(d.bank(b).activations(), 10u);
 }
