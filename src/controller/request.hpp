@@ -20,7 +20,7 @@ struct MemRequest
     bool isWrite = false; //!< the submit call, not this flag, decides
     CoreId core = 0;
     Cycle arrival = 0;   //!< bus cycle the request reaches the MC
-    MappedAddr loc;      //!< filled by the controller
+    MappedAddr loc;      //!< caller-filled; read only by submitMapped
 };
 
 } // namespace catsim

@@ -21,12 +21,13 @@ DramSystem::DramSystem(const DramGeometry &geometry,
 }
 
 void
-DramSystem::applyAutoRefresh(std::uint32_t rank, Cycle now)
+DramSystem::applyAutoRefresh(const BankId &id, Cycle now)
 {
     // Catch up on any auto-refresh windows that opened before `now`.
-    Bank *banks = &banks_[rank * geometry_.banksPerRank];
+    Bank *banks = &banks_[BankId{id.channel, id.rank, 0}.flat(geometry_)];
+    Rank &rank = ranks_[rankIndex(id)];
     while (true) {
-        const Cycle end = ranks_[rank].autoRefreshDue(now);
+        const Cycle end = rank.autoRefreshDue(now);
         if (end == 0)
             break;
         for (std::uint32_t b = 0; b < geometry_.banksPerRank; ++b)
@@ -38,10 +39,9 @@ DramAccess
 DramSystem::issue(const BankId &id, RowAddr row, bool is_write,
                   Cycle not_before)
 {
-    const std::uint32_t r = rankIndex(id);
-    applyAutoRefresh(r, not_before);
-    Bank &bank = banks_[r * geometry_.banksPerRank + id.bank];
-    Rank &rank = ranks_[r];
+    applyAutoRefresh(id, not_before);
+    Bank &bank = banks_[id.flat(geometry_)];
+    Rank &rank = ranks_[rankIndex(id)];
 
     Cycle at = rank.earliestActivate(bank.earliestActivate(not_before));
     // The data burst needs the channel bus tRCD+tCAS after the ACT.
@@ -59,7 +59,7 @@ DramSystem::issue(const BankId &id, RowAddr row, bool is_write,
 Cycle
 DramSystem::victimRefresh(const BankId &id, std::uint64_t rows, Cycle now)
 {
-    applyAutoRefresh(rankIndex(id), now);
+    applyAutoRefresh(id, now);
     return banks_[id.flat(geometry_)].victimRefresh(now, rows);
 }
 

@@ -69,8 +69,8 @@ class DramSystem
         return id.channel * geometry_.ranksPerChannel + id.rank;
     }
 
-    /** Block rank @p rank's banks for every auto-refresh due by now. */
-    void applyAutoRefresh(std::uint32_t rank, Cycle now);
+    /** Block the banks of @p id's rank for every auto-refresh due by now. */
+    void applyAutoRefresh(const BankId &id, Cycle now);
 
     DramGeometry geometry_;
     DramTiming timing_;
