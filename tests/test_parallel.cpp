@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -351,10 +352,12 @@ TEST(Parallel, NumaPinnedPoolStillRunsEverything)
 
 TEST(Parallel, ParallelForSerialNamesFailingIndex)
 {
+    std::vector<int> ran(10, 0);
     try {
         parallelFor(
             10,
-            [](std::size_t i) {
+            [&ran](std::size_t i) {
+                ran[i] = 1;
                 if (i == 7)
                     throw std::runtime_error("seven");
             },
@@ -365,6 +368,73 @@ TEST(Parallel, ParallelForSerialNamesFailingIndex)
         EXPECT_NE(what.find("cell 7"), std::string::npos) << what;
         EXPECT_NE(what.find("seven"), std::string::npos) << what;
     }
+    // The serial path stops at the first throw.
+    EXPECT_EQ(ran[8], 0);
+    EXPECT_EQ(ran[9], 0);
+}
+
+TEST(Parallel, ParallelForRunsCellsOffTheCallingThread)
+{
+    // With two or more workers the caller only waits: a cell run on
+    // the caller would nest under whatever the caller has open (e.g. a
+    // profiler span kept in a thread_local).  Each cell takes 1 ms, so
+    // a caller that took cells would get some before the workers
+    // drained the grid.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelFor(
+        64,
+        [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+        },
+        4);
+    EXPECT_EQ(ids.count(caller), 0u);
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), 4u);
+
+    // One worker: every cell runs on the caller, in index order.
+    ids.clear();
+    parallelFor(
+        8,
+        [&](std::size_t) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+        },
+        1);
+    EXPECT_EQ(ids, std::set<std::thread::id>{caller});
+}
+
+TEST(Parallel, ParallelForStopsHandingOutAfterAFailure)
+{
+    // Cell 0 fails at once; every other cell first waits for that
+    // failure, then takes 50 ms.  A loop that keeps handing out cells
+    // after a failure would count (almost) all 999 of them; one that
+    // stops counts only the cells already running on the other
+    // workers.
+    std::atomic<bool> zeroFailed{false};
+    std::atomic<int> counted{0};
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(
+        parallelFor(
+            1000,
+            [&](std::size_t i) {
+                if (i == 0) {
+                    zeroFailed.store(true);
+                    throw std::runtime_error("cell zero");
+                }
+                while (!zeroFailed.load()
+                       && std::chrono::steady_clock::now() - start
+                              < std::chrono::seconds(10))
+                    std::this_thread::yield();
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                counted.fetch_add(1);
+            },
+            4),
+        std::runtime_error);
+    EXPECT_LT(counted.load(), 100);
 }
 
 } // namespace catsim
