@@ -7,8 +7,8 @@
  * These support the paper's latency claims (Section VII-A: PRCAT
  * lookup is far cheaper than a DRAM row activation).  Also covers the
  * timing front end (trace generation, and runTiming over pre-generated
- * traces, in records per second) and the sweep engine: thread-pool
- * dispatch overhead and a small end-to-end SweepRunner grid.
+ * traces, in records per second) and the sweep engine: parallelFor's
+ * per-call overhead and a small end-to-end SweepRunner grid.
  */
 
 #include <benchmark/benchmark.h>
@@ -512,24 +512,6 @@ BM_FrontEndRunTiming(benchmark::State &state, const char *profile)
 }
 BENCHMARK_CAPTURE(BM_FrontEndRunTiming, comm1, "comm1")
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_ThreadPoolSubmitWait(benchmark::State &state)
-{
-    // Per-job dispatch cost of the sweep engine's queue: submit a
-    // batch of trivial jobs and drain it.
-    const std::size_t jobs = static_cast<std::size_t>(state.range(0));
-    ThreadPool pool(jobs);
-    std::atomic<std::uint64_t> sink{0};
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&sink] { sink.fetch_add(1); });
-        pool.wait();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_ThreadPoolSubmitWait)->Arg(1)->Arg(4);
 
 void
 BM_ParallelForOverhead(benchmark::State &state)

@@ -1,17 +1,16 @@
 #include "parallel.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/fault_injection.hpp"
-
-#ifdef __linux__
-#include <fstream>
-#include <pthread.h>
-#include <sched.h>
-#include <sstream>
-#endif
 
 namespace catsim
 {
@@ -29,272 +28,15 @@ defaultJobs()
     return hw ? hw : 1;
 }
 
-bool
-numaPinEnabled()
-{
-    const char *env = std::getenv("CATSIM_NUMA_PIN");
-    return env && std::string(env) == "1";
-}
-
-namespace
-{
-
-#ifdef __linux__
-
-/** Parse a sysfs cpulist ("0-3,8,10-11") into CPU ids. */
-std::vector<int>
-parseCpuList(const std::string &list)
-{
-    std::vector<int> cpus;
-    std::istringstream is(list);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-        const std::size_t dash = tok.find('-');
-        try {
-            if (dash == std::string::npos) {
-                cpus.push_back(std::stoi(tok));
-            } else {
-                const int lo = std::stoi(tok.substr(0, dash));
-                const int hi = std::stoi(tok.substr(dash + 1));
-                for (int c = lo; c <= hi; ++c)
-                    cpus.push_back(c);
-            }
-        } catch (...) {
-            return {}; // unparsable sysfs: fall back to cpu round-robin
-        }
-    }
-    return cpus;
-}
-
-/** CPUs of each online NUMA node; empty when sysfs is unreadable. */
-const std::vector<std::vector<int>> &
-numaNodeCpus()
-{
-    static const std::vector<std::vector<int>> nodes = [] {
-        std::vector<std::vector<int>> out;
-        for (int node = 0; node < 1024; ++node) {
-            std::ifstream in("/sys/devices/system/node/node"
-                             + std::to_string(node) + "/cpulist");
-            if (!in)
-                break;
-            std::string list;
-            std::getline(in, list);
-            std::vector<int> cpus = parseCpuList(list);
-            if (!cpus.empty())
-                out.push_back(std::move(cpus));
-        }
-        return out;
-    }();
-    return nodes;
-}
-
-/**
- * Pin the calling worker round-robin across NUMA nodes (whole-node
- * affinity mask, so the OS still balances within the node); falls back
- * to plain CPU round-robin when node topology is unreadable.  Failures
- * are ignored - pinning is a performance hint, never correctness.
- */
-void
-pinWorkerRoundRobin(std::size_t worker)
-{
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    const auto &nodes = numaNodeCpus();
-    if (!nodes.empty()) {
-        for (int c : nodes[worker % nodes.size()])
-            CPU_SET(static_cast<unsigned>(c), &set);
-    } else {
-        const unsigned hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            return;
-        CPU_SET(worker % hw, &set);
-    }
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-
-#else
-
-void
-pinWorkerRoundRobin(std::size_t)
-{
-}
-
-#endif
-
-} // namespace
-
-ThreadPool::ThreadPool(std::size_t jobs) : jobs_(jobs ? jobs : 1)
-{
-    if (jobs_ == 1)
-        return;
-    queues_.resize(jobs_);
-    workers_.reserve(jobs_);
-    for (std::size_t i = 0; i < jobs_; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::recordException(std::size_t seq)
-{
-    // Caller holds mutex_.  Lowest submission sequence wins so the
-    // reported error does not depend on thread completion order.
-    if (!firstError_ || seq < firstErrorSeq_) {
-        firstError_ = std::current_exception();
-        firstErrorSeq_ = seq;
-    }
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    if (jobs_ == 1) {
-        const std::size_t seq = submitSeq_++;
-        try {
-            fault::maybeThrow("pool_task");
-            job();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            recordException(seq);
-        }
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::size_t seq = submitSeq_++;
-        // Round-robin placement by submission index: deterministic
-        // home deques, even initial spread, and tasks stay LIFO-warm
-        // on their home worker until someone runs dry and steals.
-        queues_[seq % jobs_].emplace_back(seq, std::move(job));
-        ++inFlight_;
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        const std::size_t seq = firstErrorSeq_;
-        firstError_ = nullptr;
-        lock.unlock();
-        try {
-            std::rethrow_exception(err);
-        } catch (const std::exception &e) {
-            throw std::runtime_error("task " + std::to_string(seq) + ": "
-                                     + e.what());
-        }
-        // Non-std exceptions carry no message to wrap; let them
-        // propagate as-is.
-    }
-}
-
-bool
-ThreadPool::takeJob(std::size_t self,
-                    std::pair<std::size_t, std::function<void()>> *out,
-                    bool *stolen)
-{
-    // Caller holds mutex_.  Own deque first, newest job first (LIFO:
-    // the data it touches is still warm); then scan the other workers
-    // round-robin from our own index and steal their OLDEST job (FIFO:
-    // the one its owner would reach last, minimizing contention on
-    // what the owner is about to pop).
-    auto &own = queues_[self];
-    if (!own.empty()) {
-        *out = std::move(own.back());
-        own.pop_back();
-        *stolen = false;
-        return true;
-    }
-    for (std::size_t i = 1; i < jobs_; ++i) {
-        auto &victim = queues_[(self + i) % jobs_];
-        if (victim.empty())
-            continue;
-        *out = std::move(victim.front());
-        victim.pop_front();
-        *stolen = true;
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    if (numaPinEnabled())
-        pinWorkerRoundRobin(self);
-    for (;;) {
-        std::pair<std::size_t, std::function<void()>> item;
-        bool stolen = false;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                if (stopping_)
-                    return true;
-                for (const auto &q : queues_)
-                    if (!q.empty())
-                        return true;
-                return false;
-            });
-            if (!takeJob(self, &item, &stolen))
-                return; // stopping_ and every deque drained
-        }
-        try {
-            if (stolen)
-                fault::maybeThrow("pool_steal");
-            fault::maybeThrow("pool_task");
-            item.second();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            recordException(item.first);
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
-}
-
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
             std::size_t jobs)
 {
-    if (n == 0)
-        return;
-    const std::size_t workers = std::min(jobs ? jobs : 1, n);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fault::maybeThrow("parallel_cell");
-                fn(i);
-            } catch (const std::exception &e) {
-                throw std::runtime_error(
-                    "cell " + std::to_string(i) + ": " + e.what());
-            }
-        }
-        return;
-    }
     // Dynamic index handout: cheap and balances uneven cells.  A
-    // failed call poisons the grid so other workers stop picking up
-    // new indices (matching the serial path's stop-at-first-throw)
-    // instead of burning through the remaining cells.  Errors are
-    // recorded here, not via the pool, so the lowest failing *cell*
-    // index wins regardless of which worker hit it - the rethrown
+    // failed call poisons the grid so no worker picks up a new index
+    // (with one worker, the serial stop-at-first-throw) instead of
+    // burning through the remaining cells.  The lowest failing cell
+    // index wins regardless of which worker hit it, so the rethrown
     // message is stable across job counts whenever the set of failing
     // cells is.
     std::atomic<std::size_t> next{0};
@@ -302,28 +44,49 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
     std::mutex errMutex;
     std::size_t errIndex = n;
     std::exception_ptr errPtr;
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.submit([&] {
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1)) {
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                try {
-                    fault::maybeThrow("parallel_cell");
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(errMutex);
-                    if (!errPtr || i < errIndex) {
-                        errPtr = std::current_exception();
-                        errIndex = i;
-                    }
-                    failed.store(true, std::memory_order_relaxed);
+    const auto work = [&] {
+        for (std::size_t i = next.fetch_add(1); i < n;
+             i = next.fetch_add(1)) {
+            if (failed.load(std::memory_order_relaxed))
+                return;
+            try {
+                fault::maybeThrow("parallel_cell");
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errMutex);
+                if (!errPtr || i < errIndex) {
+                    errPtr = std::current_exception();
+                    errIndex = i;
                 }
+                failed.store(true, std::memory_order_relaxed);
             }
-        });
+        }
+    };
+
+    const std::size_t workers = std::min(jobs ? jobs : 1, n);
+    if (workers <= 1) {
+        work(); // on the caller, in index order
+    } else {
+        // The caller only waits: a cell run here would nest under
+        // whatever the caller has open (a profiler's thread_local
+        // span, say).
+        std::vector<std::thread> threads;
+        threads.reserve(workers);
+        try {
+            for (std::size_t w = 0; w < workers; ++w)
+                threads.emplace_back(work);
+        } catch (...) {
+            // A thread failed to start.  The started ones use this
+            // frame's locals, so stop the hand-out and join them
+            // before unwinding.
+            failed.store(true, std::memory_order_relaxed);
+            for (auto &t : threads)
+                t.join();
+            throw;
+        }
+        for (auto &t : threads)
+            t.join();
     }
-    pool.wait();
     if (errPtr) {
         try {
             std::rethrow_exception(errPtr);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 
 #include "common/checksum.hpp"
@@ -262,34 +263,6 @@ JournaledRunner::JournaledRunner(std::size_t jobs)
 {
 }
 
-std::unique_ptr<CheckpointJournal>
-JournaledRunner::begin(const JournaledGrid &grid)
-{
-    errors_.clear();
-    resumed_ = 0;
-    if (dir_.empty())
-        return nullptr;
-    return std::make_unique<CheckpointJournal>(dir_, grid.runKey);
-}
-
-void
-JournaledRunner::append(CheckpointJournal &journal,
-                        const JournaledGrid &grid, std::size_t i,
-                        const std::string &blob) const
-{
-    try {
-        journal.append(grid.keys[i], blob);
-    } catch (const std::exception &e) {
-        // Losing a record only costs a re-run on resume, so keep-going
-        // carries on; fail-fast dies loudly, because a broken journal
-        // would make every later resume silently partial.
-        if (!keepGoing_)
-            throw;
-        CATSIM_WARN("checkpoint append failed for ", grid.labels[i], ": ",
-                    e.what());
-    }
-}
-
 void
 JournaledRunner::run(
     const JournaledGrid &grid,
@@ -298,7 +271,11 @@ JournaledRunner::run(
     const std::function<std::string(std::size_t)> &encode)
 {
     const std::size_t n = grid.keys.size();
-    const std::unique_ptr<CheckpointJournal> journal = begin(grid);
+    errors_.clear();
+    resumed_ = 0;
+    const std::unique_ptr<CheckpointJournal> journal =
+        dir_.empty() ? nullptr
+                     : std::make_unique<CheckpointJournal>(dir_, grid.runKey);
 
     // Replay: journaled cells (validated by key + CRC at open) are
     // decoded in place and never re-run.
@@ -327,6 +304,21 @@ JournaledRunner::run(
                               [&leads](std::size_t i) { return leads[i]; });
     }
 
+    // Losing a record only costs a re-run on resume, so keep-going
+    // carries on; fail-fast dies loudly, because a broken journal would
+    // make every later resume silently partial.
+    const auto journalCell = [&](std::size_t i) {
+        const std::string encoded = encode(i);
+        try {
+            journal->append(grid.keys[i], encoded);
+        } catch (const std::exception &e) {
+            if (!keepGoing_)
+                throw;
+            CATSIM_WARN("checkpoint append failed for ", grid.labels[i],
+                        ": ", e.what());
+        }
+    };
+
     std::vector<CellError> errors;
     std::mutex errMutex;
     const int maxAttempts = keepGoing_ ? 2 : 1;
@@ -337,7 +329,7 @@ JournaledRunner::run(
                 fault::maybeThrow(grid.failSite);
                 eval(i);
                 if (journal)
-                    append(*journal, grid, i, encode(i));
+                    journalCell(i);
                 return;
             } catch (...) {
                 if (attempt < maxAttempts)
@@ -357,17 +349,11 @@ JournaledRunner::run(
         parallelFor(pending.size(), runCell, jobs_);
     } catch (...) {
         // parallelFor names the failure by its position among the
-        // pending cells; report() names it by its grid index instead.
+        // pending cells; the report below names it by its grid index.
         if (keepGoing_ || errors.empty())
             throw;
     }
-    report(grid, std::move(errors));
-}
 
-void
-JournaledRunner::report(const JournaledGrid &grid,
-                        std::vector<CellError> errors)
-{
     std::sort(errors.begin(), errors.end(),
               [](const CellError &a, const CellError &b) {
                   return a.index < b.index;

@@ -38,7 +38,6 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -220,9 +219,9 @@ struct JournaledGrid
 
 /**
  * The journaled-task runner behind SweepRunner::run* and
- * ShardedSim::run.  run() replays the journal, evaluates the missing
- * cells on parallelFor, journals each cell the moment it finishes, and
- * reports failures.
+ * ShardedSim::run.  Its one entry point, run(), replays the journal,
+ * evaluates the missing cells on parallelFor, journals each cell the
+ * moment it finishes, and reports failures.
  *
  * Hand-out order: the first pending cell of every group, in index
  * order, then every other pending cell, in index order.  A group whose
@@ -276,22 +275,6 @@ class JournaledRunner
                  &restore,
              const std::function<void(std::size_t)> &eval,
              const std::function<std::string(std::size_t)> &encode);
-
-    /**
-     * Building blocks of run(), for loops that cannot retry a cell
-     * (the streamed fleet replay).  begin() clears the last run's
-     * errors and opens the journal (null when checkpointing is off).
-     */
-    std::unique_ptr<CheckpointJournal> begin(const JournaledGrid &grid);
-
-    /** Journal cell @p i; a failed append throws in fail-fast mode and
-     *  only warns in keep-going mode (the result itself is valid). */
-    void append(CheckpointJournal &journal, const JournaledGrid &grid,
-                std::size_t i, const std::string &blob) const;
-
-    /** Sort @p errors into lastErrors(); fail-fast rethrows the first,
-     *  keep-going warns about each. */
-    void report(const JournaledGrid &grid, std::vector<CellError> errors);
 
     /** Errors of the most recent run, sorted by cell index. */
     const std::vector<CellError> &lastErrors() const { return errors_; }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 
-#include "common/fault_injection.hpp"
 #include "common/logging.hpp"
 
 namespace catsim
@@ -90,20 +88,18 @@ ShardedSim::ShardedSim(SchemeConfig scheme, RowAddr rows_per_bank,
 }
 
 JournaledGrid
-ShardedSim::shardGrid(const char *kind, const std::string &tag,
-                      std::uint64_t seq) const
+ShardedSim::shardGrid(const std::string &tag, std::uint64_t seq) const
 {
     JournaledGrid grid;
-    grid.what = std::string("fleet ") + kind + " shards";
+    grid.what = "fleet run shards";
     grid.failSite = "shard_task";
     std::ostringstream runKey;
-    runKey << "fleet-" << kind << "|tag=" << tag << "|seq=" << seq << '|'
+    runKey << "fleet-run|tag=" << tag << "|seq=" << seq << '|'
            << scheme_.format() << "|rows=" << rowsPerBank_ << '|'
            << plan_.spec();
     for (std::size_t i = 0; i < plan_.numShards(); ++i) {
         const ShardRange &r = plan_.shards()[i];
-        grid.keys.push_back(std::string(kind) + "-shard#"
-                            + std::to_string(i) + "|first="
+        grid.keys.push_back("run-shard#" + std::to_string(i) + "|first="
                             + std::to_string(r.firstBank)
                             + "|n=" + std::to_string(r.numBanks));
         grid.labels.push_back("shard " + std::to_string(i));
@@ -111,26 +107,6 @@ ShardedSim::shardGrid(const char *kind, const std::string &tag,
     }
     grid.runKey = runKey.str();
     return grid;
-}
-
-void
-ShardedSim::finishTotals(FleetResult *fleet) const
-{
-    fleet->errors = tasks_.lastErrors();
-    std::vector<char> live(fleet->perShard.size(), 1);
-    for (const CellError &e : fleet->errors)
-        live[e.index] = 0;
-    fleet->total = ReplayResult{};
-    for (std::size_t i = 0; i < fleet->perShard.size(); ++i) {
-        if (!live[i])
-            continue;
-        fleet->total.stats.add(fleet->perShard[i].stats);
-        fleet->total.banks += fleet->perShard[i].banks;
-    }
-    // Epochs follow the unsharded replay's bank-0 rule: the shard
-    // holding global bank 0 is always shard 0 (contiguous ranges).
-    if (!fleet->perShard.empty() && live[0])
-        fleet->total.epochs = fleet->perShard[0].epochs;
 }
 
 FleetResult
@@ -141,7 +117,7 @@ ShardedSim::run(const SourceFactory &make_source, const std::string &tag)
     FleetResult fleet;
     fleet.perShard.resize(plan_.numShards());
     tasks_.run(
-        shardGrid("run", tag, tasks_.nextSeq("run|" + tag)),
+        shardGrid(tag, tasks_.nextSeq("run|" + tag)),
         [&fleet](std::size_t i, const std::string &blob) {
             return decodeReplay(blob, &fleet.perShard[i]);
         },
@@ -156,130 +132,22 @@ ShardedSim::run(const SourceFactory &make_source, const std::string &tag)
         },
         [&fleet](std::size_t i) { return encodeReplay(fleet.perShard[i]); });
     fleet.resumedShards = tasks_.lastResumed();
-    finishTotals(&fleet);
-    return fleet;
-}
 
-FleetResult
-ShardedSim::replayTrace(TraceStream &stream, const AddressMapper &mapper,
-                        const DramGeometry &geometry,
-                        std::uint64_t epoch_every,
-                        std::size_t window_records,
-                        const std::string &tag)
-{
-    if (scheme_.kind == SchemeKind::None)
-        CATSIM_FATAL("fleet replay needs a real scheme, not None");
-    if (scheme_.sharesPool())
-        CATSIM_FATAL(
-            "streamed trace replay cannot reproduce the pooled "
-            "round-robin interleave window by window; use the in-RAM "
-            "path (traceBankStreams + replayActivations) for "
-            "banksPerPool > 1");
-    if (geometry.totalBanks() != plan_.numBanks())
-        CATSIM_FATAL("ShardPlan covers ", plan_.numBanks(),
-                     " banks but the geometry has ",
-                     geometry.totalBanks());
-
-    const std::size_t n = plan_.numShards();
-    FleetResult fleet;
-    fleet.perShard.resize(n);
-    // epoch_every changes the results (window size does not), so it is
-    // part of the run identity.
-    const JournaledGrid grid =
-        shardGrid("trace", tag + "|epoch=" + std::to_string(epoch_every),
-                  tasks_.nextSeq("trace|" + tag));
-
-    // All-or-nothing resume: per-shard results only exist once the
-    // whole trace has streamed, so a journal either replays the full
-    // fleet (without touching the trace) or the run starts over.
-    const std::unique_ptr<CheckpointJournal> journal = tasks_.begin(grid);
-    if (journal) {
-        std::string blob;
-        std::size_t found = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (journal->lookup(grid.keys[i], &blob)
-                && decodeReplay(blob, &fleet.perShard[i]))
-                ++found;
-        if (found == n) {
-            CATSIM_INFORM("checkpoint: resumed full fleet trace replay "
-                          "(", n, " shards) from ", journal->path());
-            fleet.resumedShards = n;
-            finishTotals(&fleet);
-            return fleet;
-        }
-        for (auto &r : fleet.perShard)
-            r = ReplayResult{};
-    }
-
-    // Persistent per-shard schemes: state carries across windows, so
-    // the concatenated feed equals the one-shot in-RAM replay.
-    std::vector<std::vector<std::unique_ptr<MitigationScheme>>> schemes(n);
-    std::vector<Count> epochs(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const ShardRange &r = plan_.shards()[i];
-        schemes[i] = makeBankSchemes(scheme_, rowsPerBank_, r.numBanks,
-                                     r.firstBank);
-    }
-
-    TraceWindower windower(stream, mapper, geometry, epoch_every,
-                           window_records);
-    std::vector<std::vector<RowAddr>> window;
-    std::vector<char> live(n, 1);
-    std::vector<CellError> errors;
-    std::mutex errMutex;
-    ThreadPool pool(std::min(tasks_.jobs(), n));
-    while ((tasks_.keepGoing() || errors.empty()) && windower.next(&window)) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!live[i])
-                continue; // dead shards skip the rest of the stream
-            pool.submit([this, i, &schemes, &epochs, &window, &live, &grid,
-                         &errors, &errMutex] {
-                const ShardRange &range = plan_.shards()[i];
-                try {
-                    fault::maybeThrow("shard_task");
-                    for (std::uint32_t b = 0; b < range.numBanks; ++b) {
-                        const auto &rows = window[range.firstBank + b];
-                        if (rows.empty())
-                            continue;
-                        // Chunk boundaries are semantically per-row, so
-                        // cutting the stream at window edges is
-                        // invisible in the results.
-                        RecordedStreamSource slice(rows);
-                        ReplayLane lane(slice, *schemes[i][b]);
-                        lane.step(ReplayLane::kWholeStream);
-                        if (range.firstBank + b == 0)
-                            epochs[i] += lane.epochs();
-                    }
-                } catch (...) {
-                    // No retry here: the shard's scheme state may
-                    // already hold part of this window, so a re-feed
-                    // would double-count.  Record and drop the shard;
-                    // in keep-going mode the rest of the fleet keeps
-                    // streaming.
-                    std::lock_guard<std::mutex> lock(errMutex);
-                    errors.push_back(
-                        currentCellError(i, grid.labels[i], 1));
-                    live[i] = 0;
-                }
-            });
-        }
-        pool.wait();
-    }
-    tasks_.report(grid, std::move(errors));
-
-    for (std::size_t i = 0; i < n; ++i) {
+    // Totals over the shards that did not fail.
+    fleet.errors = tasks_.lastErrors();
+    std::vector<char> live(fleet.perShard.size(), 1);
+    for (const CellError &e : fleet.errors)
+        live[e.index] = 0;
+    for (std::size_t i = 0; i < fleet.perShard.size(); ++i) {
         if (!live[i])
             continue;
-        ReplayResult &r = fleet.perShard[i];
-        r.banks = plan_.shards()[i].numBanks;
-        r.epochs = epochs[i];
-        for (const auto &s : schemes[i])
-            if (s)
-                r.stats.add(s->stats());
-        if (journal)
-            tasks_.append(*journal, grid, i, encodeReplay(r));
+        fleet.total.stats.add(fleet.perShard[i].stats);
+        fleet.total.banks += fleet.perShard[i].banks;
     }
-    finishTotals(&fleet);
+    // Epochs follow the unsharded replay's bank-0 rule: the shard
+    // holding global bank 0 is always shard 0 (contiguous ranges).
+    if (!fleet.perShard.empty() && live[0])
+        fleet.total.epochs = fleet.perShard[0].epochs;
     return fleet;
 }
 

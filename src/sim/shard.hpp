@@ -5,11 +5,8 @@
  * A ShardPlan carves a topology's flat bank space into contiguous
  * per-shard ranges; ShardedSim runs one independent replay per shard
  * and merges the results.  Each shard builds its OWN schemes and
- * sources inside its worker job, and because construction happens
- * on the worker thread, first-touch allocation keeps each shard's
- * scheme state local to the NUMA node the worker is pinned to
- * (CATSIM_NUMA_PIN=1).  Shards share no mutable state; the only
- * cross-shard traffic is the result merge on the caller's thread.
+ * sources inside its worker job.  Shards share no mutable state; the
+ * only cross-shard traffic is the result merge on the caller's thread.
  *
  * Determinism: a shard over banks [first, first+n) builds exactly the
  * per-bank schemes the whole-topology run would (global-bank seed
@@ -41,13 +38,10 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "controller/address_mapping.hpp"
 #include "core/factory.hpp"
-#include "dram/geometry.hpp"
 #include "sim/activation_sim.hpp"
 #include "sim/activation_source.hpp"
 #include "sim/checkpoint.hpp"
-#include "trace/trace_ingest.hpp"
 
 namespace catsim
 {
@@ -126,32 +120,9 @@ class ShardedSim
     FleetResult run(const SourceFactory &make_source,
                     const std::string &tag);
 
-    /**
-     * Streaming trace fleet replay: windows @p stream through a
-     * TraceWindower (bounded memory - feed it a StreamingTraceReader
-     * and the trace is never resident) and feeds each window's
-     * per-bank rows to persistent per-shard schemes.  Restricted to
-     * private-pool configs (banksPerPool == 1): the pooled replay's
-     * round-robin contention interleave is not reproducible window by
-     * window, so pooled trace replays must use the in-RAM path (fatal
-     * here).  Journaled all-or-nothing under @p tag: a completed run
-     * resumes from the journal without touching the trace; a partial
-     * one re-streams from the start.
-     */
-    FleetResult replayTrace(TraceStream &stream,
-                            const AddressMapper &mapper,
-                            const DramGeometry &geometry,
-                            std::uint64_t epoch_every,
-                            std::size_t window_records,
-                            const std::string &tag);
-
   private:
     /** The shards as a journaled grid; @p tag names the run. */
-    JournaledGrid shardGrid(const char *kind, const std::string &tag,
-                            std::uint64_t seq) const;
-    /** Fills in errors and the totals over the shards that did not
-     *  fail. */
-    void finishTotals(FleetResult *fleet) const;
+    JournaledGrid shardGrid(const std::string &tag, std::uint64_t seq) const;
 
     SchemeConfig scheme_;
     RowAddr rowsPerBank_;

@@ -5,8 +5,8 @@
  * The paper's headline figures are grids of independent
  * workload x scheme x system evaluations (Fig 10: counters x levels x
  * thresholds x 18 workloads), so a SweepRunner takes the whole grid as
- * a flat vector of cells and evaluates them across a thread pool
- * (CATSIM_JOBS workers by default).  Results come back indexed by cell
+ * a flat vector of cells and evaluates them on parallelFor's threads
+ * (CATSIM_JOBS of them by default).  Results come back indexed by cell
  * - never by completion order - and every cell's evaluation is
  * deterministic given its spec, so the output is bit-identical to the
  * serial path at any job count.
@@ -126,7 +126,7 @@ class SweepRunner
                                    const AdaptiveCell &)> &fn);
 
     /**
-     * Arbitrary per-cell metric on the same pool and shared baseline
+     * Arbitrary per-cell metric on the same threads and shared baseline
      * cache; results[i] belongs to cells[i].  @p fn must be
      * deterministic given its cell and thread-safe against concurrent
      * calls (the shared ExperimentRunner is).  This is how benches

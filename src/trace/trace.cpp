@@ -41,6 +41,15 @@ writeTraceFile(const std::string &path, TraceStream &stream)
     return n;
 }
 
+namespace
+{
+
+/**
+ * Parse one native-format line ("gap R|W hexaddr").  Returns false for
+ * blank/comment lines (skip them); malformed lines are fatal, so a
+ * file truncated mid-record is rejected loudly.  @p lineno and @p path
+ * only feed the error message.
+ */
 bool
 parseNativeTraceLine(const std::string &line, std::size_t lineno,
                      const std::string &path, TraceRecord *out)
@@ -62,6 +71,8 @@ parseNativeTraceLine(const std::string &line, std::size_t lineno,
     *out = r;
     return true;
 }
+
+} // namespace
 
 VectorTrace
 readTraceFile(const std::string &path)

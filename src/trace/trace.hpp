@@ -82,16 +82,6 @@ class VectorTrace : public TraceStream
 bool parseTraceAddr(const std::string &token, Addr *out);
 
 /**
- * Parse one native-format line ("gap R|W hexaddr").  Returns false for
- * blank/comment lines (skip them); malformed lines are fatal, so a
- * file truncated mid-record is rejected loudly.  @p lineno and @p path
- * only feed the error message.  Shared by the batch reader and the
- * streaming reader so both dialects parse byte-identically.
- */
-bool parseNativeTraceLine(const std::string &line, std::size_t lineno,
-                          const std::string &path, TraceRecord *out);
-
-/**
  * Write a stream to a simple text format: one "gap R|W hexaddr" per
  * line.  Returns the number of records written.
  */

@@ -1,6 +1,7 @@
 #include "trace_ingest.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 
 #include "common/config.hpp"
@@ -39,7 +40,21 @@ parseOp(const std::string &token, bool *is_write)
     return false;
 }
 
-} // namespace
+/**
+ * Stateful DRAMSim line parser: carries the previous absolute cycle so
+ * gaps come out as cycle deltas (the first record keeps its cycle as
+ * lead-in gap).  parse() returns false for blank/comment lines; bad
+ * lines and non-monotonic cycles are fatal.
+ */
+struct DramSimLineParser
+{
+    /** @return true when @p out holds a record for this line. */
+    bool parse(const std::string &line, std::size_t lineno,
+               const std::string &path, TraceRecord *out);
+
+    std::uint64_t prevCycle = 0;
+    bool first = true;
+};
 
 bool
 DramSimLineParser::parse(const std::string &line, std::size_t lineno,
@@ -75,6 +90,8 @@ DramSimLineParser::parse(const std::string &line, std::size_t lineno,
     return true;
 }
 
+} // namespace
+
 VectorTrace
 readDramSimTrace(const std::string &path)
 {
@@ -107,74 +124,6 @@ readTraceFileAs(const std::string &path, TraceFormat format)
     CATSIM_FATAL("unhandled trace format");
 }
 
-StreamingTraceReader::StreamingTraceReader(std::string path,
-                                           TraceFormat format,
-                                           std::size_t chunk_records)
-    : path_(std::move(path)), format_(format),
-      chunkRecords_(chunk_records ? chunk_records : 1)
-{
-    buffer_.reserve(chunkRecords_);
-    open();
-}
-
-void
-StreamingTraceReader::open()
-{
-    in_.close();
-    in_.clear();
-    in_.open(path_);
-    if (!in_)
-        CATSIM_FATAL("cannot open trace file '", path_, "'");
-    lineno_ = 0;
-    dramsim_ = DramSimLineParser{};
-    buffer_.clear();
-    pos_ = 0;
-    exhausted_ = false;
-}
-
-void
-StreamingTraceReader::refill()
-{
-    buffer_.clear();
-    pos_ = 0;
-    std::string line;
-    while (buffer_.size() < chunkRecords_ && std::getline(in_, line)) {
-        ++lineno_;
-        fault::maybeThrow("trace_ingest_read");
-        TraceRecord r;
-        const bool got =
-            format_ == TraceFormat::Native
-                ? parseNativeTraceLine(line, lineno_, path_, &r)
-                : dramsim_.parse(line, lineno_, path_, &r);
-        if (got)
-            buffer_.push_back(r);
-    }
-    if (buffer_.empty())
-        exhausted_ = true;
-    peakBuffered_ = std::max(peakBuffered_, buffer_.size());
-}
-
-bool
-StreamingTraceReader::next(TraceRecord &out)
-{
-    if (pos_ >= buffer_.size()) {
-        if (exhausted_)
-            return false;
-        refill();
-        if (buffer_.empty())
-            return false;
-    }
-    out = buffer_[pos_++];
-    ++recordsRead_;
-    return true;
-}
-
-void
-StreamingTraceReader::rewind()
-{
-    open();
-}
-
 std::vector<std::vector<RowAddr>>
 traceBankStreams(TraceStream &stream, const AddressMapper &mapper,
                  const DramGeometry &geometry,
@@ -197,47 +146,6 @@ traceBankStreams(TraceStream &stream, const AddressMapper &mapper,
         }
     }
     return streams;
-}
-
-TraceWindower::TraceWindower(TraceStream &stream,
-                             const AddressMapper &mapper,
-                             const DramGeometry &geometry,
-                             std::uint64_t epoch_every,
-                             std::size_t window_records)
-    : stream_(stream), mapper_(mapper), geometry_(geometry),
-      epochEvery_(epoch_every),
-      windowRecords_(window_records ? window_records : 1)
-{
-}
-
-bool
-TraceWindower::next(std::vector<std::vector<RowAddr>> *window)
-{
-    window->resize(geometry_.totalBanks());
-    for (auto &s : *window)
-        s.clear();
-    TraceRecord r;
-    std::size_t taken = 0;
-    while (taken < windowRecords_ && stream_.next(r)) {
-        const MappedAddr loc = mapper_.map(r.addr);
-        const std::uint32_t flat = loc.bankId().flat(geometry_);
-        if (flat >= window->size())
-            CATSIM_FATAL("trace address 0x", std::hex, r.addr, std::dec,
-                         " maps outside the geometry (bank ", flat,
-                         " of ", window->size(), ")");
-        (*window)[flat].push_back(loc.row);
-        ++taken;
-        if (epochEvery_ > 0 && ++sinceEpoch_ >= epochEvery_) {
-            sinceEpoch_ = 0;
-            appendEpochMarkers(*window);
-        }
-    }
-    recordsWindowed_ += taken;
-    std::size_t rows = 0;
-    for (const auto &s : *window)
-        rows += s.size();
-    peakWindowRows_ = std::max(peakWindowRows_, rows);
-    return taken > 0;
 }
 
 } // namespace catsim

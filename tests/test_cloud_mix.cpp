@@ -92,7 +92,8 @@ std::unique_ptr<ActivationSource>
 makeCloudSource(std::uint32_t bank)
 {
     CloudMixParams p = mixParams(1000 + bank);
-    // Skew the per-bank lengths so work stealing has something to do.
+    // Skew the per-bank lengths so the dynamic shard hand-out has
+    // something to balance.
     p.actsPerEpoch = (bank % 8 < 2) ? 20000 : 4000;
     return std::make_unique<CloudMixSource>(p);
 }

@@ -2,15 +2,14 @@
  * @file
  * Tests for the fleet-scale shard layer (sim/shard): plan alignment,
  * shard-count and job-count bit-identity against the unsharded replay,
- * streaming trace replay, checkpoint resume, and keep-going
- * degradation under injected shard faults.
+ * checkpoint resume, and keep-going degradation under injected shard
+ * faults.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "common/fault_injection.hpp"
 #include "sim/shard.hpp"
@@ -26,7 +25,6 @@ namespace
 const bool kEnvScrubbed = [] {
     ::unsetenv("CATSIM_JOBS");
     ::unsetenv("CATSIM_SHARDS");
-    ::unsetenv("CATSIM_NUMA_PIN");
     ::unsetenv("CATSIM_CHECKPOINT");
     ::unsetenv("CATSIM_SWEEP_KEEP_GOING");
     fault::installFailpoints("");
@@ -71,8 +69,8 @@ prcatConfig()
 /**
  * Deterministic per-global-bank source: every shard count builds the
  * same source for the same bank.  Banks where bank % 8 < 2 run "hot"
- * (10x the activations) - the attacked-bank skew the work stealing
- * exists for.
+ * (10x the activations) - the attacked-bank skew the dynamic shard
+ * hand-out exists for.
  */
 std::unique_ptr<ActivationSource>
 makeSkewedSource(std::uint32_t bank)
@@ -274,114 +272,6 @@ TEST(Shard, FailFastNamesTheFailingShard)
                   std::string::npos)
             << e.what();
     }
-}
-
-namespace
-{
-
-/** Skewed synthetic native trace hitting every bank of @p geom. */
-std::string
-writeSkewedTrace(const DramGeometry &geom, const AddressMapper &mapper,
-                 std::size_t records, const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + "/" + name;
-    std::ofstream os(path);
-    std::uint64_t state = 12345;
-    for (std::size_t i = 0; i < records; ++i) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        MappedAddr m;
-        // Two hot banks per 8-bank rank, like the source-driven skew.
-        const std::uint32_t flat = (state >> 33) % 4 == 0
-                                       ? (state >> 17) % 2
-                                       : (state >> 17) % geom.totalBanks();
-        m.channel = flat / (geom.ranksPerChannel * geom.banksPerRank);
-        m.rank = 0;
-        m.bank = flat % geom.banksPerRank;
-        m.row = (state >> 40) % 4096;
-        m.col = 0;
-        os << "1 R 0x" << std::hex << mapper.compose(m) << std::dec
-           << '\n';
-    }
-    return path;
-}
-
-} // namespace
-
-TEST(Shard, StreamedTraceReplayMatchesInRamPath)
-{
-    const DramGeometry geom = DramGeometry::dualCore2Ch();
-    const AddressMapper mapper(geom,
-                               MappingPolicy::RowRankBankChanCol);
-    const std::string path =
-        writeSkewedTrace(geom, mapper, 60000, "fleet_trace.trc");
-    SchemeConfig cfg = prcatConfig();
-
-    // Oracle: fully materialized streams through replayActivations.
-    VectorTrace whole = readTraceFile(path);
-    const auto streams = traceBankStreams(whole, mapper, geom, 1000);
-    const ReplayResult oracle =
-        replayActivations(streams, cfg, geom.rowsPerBank);
-
-    for (std::uint32_t shards : {1u, 4u}) {
-        StreamingTraceReader reader(path, TraceFormat::Native, 4096);
-        ShardedSim sim(cfg, geom.rowsPerBank,
-                       ShardPlan::make(geom.totalBanks(), shards), 4);
-        const FleetResult fleet =
-            sim.replayTrace(reader, mapper, geom, 1000, 8192, "t");
-        EXPECT_EQ(fleet.total, oracle) << "trace shards=" << shards;
-        // The whole point: the 60k-record trace was never resident.
-        EXPECT_LE(reader.peakBuffered(), 4096u);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Shard, StreamedTraceReplayCheckpointResumes)
-{
-    const auto dir = freshDir("fleet_trace_ckpt");
-    EnvVarGuard env("CATSIM_CHECKPOINT");
-    ::setenv("CATSIM_CHECKPOINT", dir.c_str(), 1);
-    const DramGeometry geom = DramGeometry::dualCore2Ch();
-    const AddressMapper mapper(geom,
-                               MappingPolicy::RowRankBankChanCol);
-    const std::string path =
-        writeSkewedTrace(geom, mapper, 20000, "fleet_trace_ck.trc");
-    SchemeConfig cfg = prcatConfig();
-
-    StreamingTraceReader reader(path, TraceFormat::Native, 4096);
-    ShardedSim first(cfg, geom.rowsPerBank,
-                     ShardPlan::make(geom.totalBanks(), 4), 2);
-    const FleetResult cold =
-        first.replayTrace(reader, mapper, geom, 1000, 8192, "tr");
-    EXPECT_EQ(cold.resumedShards, 0u);
-
-    // Resume decodes all four shards without re-opening the trace: a
-    // reader pointing at a nonexistent file would die if touched.
-    ShardedSim second(cfg, geom.rowsPerBank,
-                      ShardPlan::make(geom.totalBanks(), 4), 2);
-    std::remove(path.c_str());
-    VectorTrace empty;
-    const FleetResult warm =
-        second.replayTrace(empty, mapper, geom, 1000, 8192, "tr");
-    EXPECT_EQ(warm.resumedShards, 4u);
-    EXPECT_EQ(warm.total, cold.total) << "trace resume";
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ShardDeath, PooledStreamedTraceIsFatal)
-{
-    const DramGeometry geom = DramGeometry::dualCore2Ch();
-    const AddressMapper mapper(geom,
-                               MappingPolicy::RowRankBankChanCol);
-    SchemeConfig cfg = prcatConfig();
-    cfg.banksPerPool = 8;
-    ShardedSim sim(cfg, geom.rowsPerBank,
-                   ShardPlan::make(geom.totalBanks(), 2,
-                                   cfg.banksPerPool),
-                   1);
-    VectorTrace empty;
-    EXPECT_EXIT(sim.replayTrace(empty, mapper, geom, 0, 8192, "t"),
-                ::testing::ExitedWithCode(1),
-                "pooled round-robin interleave");
 }
 
 TEST(Shard, DefaultShardsHonoursEnv)

@@ -187,176 +187,6 @@ TEST(TraceBankStreams, MapsRecordsThroughAddressMapper)
     EXPECT_EQ(streams[flatC][0], 42u);
 }
 
-namespace
-{
-
-std::vector<TraceRecord>
-drain(TraceStream &s)
-{
-    std::vector<TraceRecord> out;
-    TraceRecord r;
-    while (s.next(r))
-        out.push_back(r);
-    return out;
-}
-
-bool
-sameRecords(const std::vector<TraceRecord> &a,
-            const std::vector<TraceRecord> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].gap != b[i].gap || a[i].isWrite != b[i].isWrite
-            || a[i].addr != b[i].addr)
-            return false;
-    return true;
-}
-
-/** Synthetic native trace of @p n records, returning the temp path. */
-std::string
-writeBigNative(std::size_t n, const std::string &name)
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < n; ++i)
-        os << (i % 7) << (i % 3 ? " R 0x" : " W 0x") << std::hex
-           << (i * 0x1337 + 64) << std::dec << '\n';
-    return writeTemp(name, os.str());
-}
-
-} // namespace
-
-TEST(StreamingTraceReader, MatchesBatchReaderBitForBitNative)
-{
-    // 10k records through a 256-record buffer: identical sequence to
-    // the in-RAM reader, with at most one chunk ever resident.
-    const std::string path = writeBigNative(10000, "stream_native.trc");
-    VectorTrace batch = readTraceFile(path);
-    StreamingTraceReader stream(path, TraceFormat::Native, 256);
-    EXPECT_TRUE(sameRecords(drain(stream), batch.records()));
-    EXPECT_LE(stream.peakBuffered(), 256u);
-    EXPECT_EQ(stream.recordsRead(), 10000u);
-    std::remove(path.c_str());
-}
-
-TEST(StreamingTraceReader, MatchesBatchReaderBitForBitDramSim)
-{
-    // The DRAMSim dialect's cycle->gap state must survive chunk
-    // boundaries: use a chunk (64) much smaller than the trace.
-    std::ostringstream os;
-    os << "# header comment\n";
-    for (std::size_t i = 0; i < 1000; ++i)
-        os << "0x" << std::hex << (i * 4096 + 128) << std::dec
-           << (i % 2 ? " WRITE " : " READ ") << i * 3 << '\n';
-    const std::string path = writeTemp("stream_dramsim.trc", os.str());
-    VectorTrace batch = readDramSimTrace(path);
-    StreamingTraceReader stream(path, TraceFormat::DramSim, 64);
-    EXPECT_TRUE(sameRecords(drain(stream), batch.records()));
-    EXPECT_LE(stream.peakBuffered(), 64u);
-    std::remove(path.c_str());
-}
-
-TEST(StreamingTraceReader, RewindReplaysTheSameSequence)
-{
-    const std::string path = writeBigNative(500, "stream_rewind.trc");
-    StreamingTraceReader stream(path, TraceFormat::Native, 64);
-    const auto first = drain(stream);
-    stream.rewind();
-    const auto second = drain(stream);
-    EXPECT_TRUE(sameRecords(first, second));
-    ASSERT_EQ(first.size(), 500u);
-    std::remove(path.c_str());
-}
-
-TEST(StreamingTraceReaderDeath, TruncationMidChunkIsLoud)
-{
-    // A record cut short deep in the file (well past the first chunk)
-    // must die at its line number, not be silently dropped.
-    std::ostringstream os;
-    for (std::size_t i = 0; i < 300; ++i)
-        os << "1 R 0x" << std::hex << (i + 1) << std::dec << '\n';
-    os << "3 W\n"; // truncated mid-record at line 301
-    const std::string path = writeTemp("stream_trunc.trc", os.str());
-    StreamingTraceReader stream(path, TraceFormat::Native, 64);
-    EXPECT_EXIT(
-        {
-            TraceRecord r;
-            while (stream.next(r)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "bad trace line 301");
-    std::remove(path.c_str());
-}
-
-TEST(StreamingTraceReaderDeath, MissingFile)
-{
-    EXPECT_EXIT(
-        StreamingTraceReader("/nonexistent/x.trc", TraceFormat::Native),
-        ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(TraceWindower, ConcatenatedWindowsEqualBankStreams)
-{
-    const DramGeometry geom = DramGeometry::dualCore2Ch();
-    const AddressMapper mapper(geom,
-                               MappingPolicy::RowRankBankChanCol);
-    // Rows spread over several banks with an epoch cadence that does
-    // NOT divide the window size, so markers land mid-window and the
-    // carried cadence is exercised.
-    VectorTrace trace;
-    for (std::uint32_t i = 0; i < 5000; ++i) {
-        MappedAddr m;
-        m.channel = i % geom.channels;
-        m.bank = (i / 2) % geom.banksPerRank;
-        m.row = i % 4096;
-        trace.push({0, false, mapper.compose(m)});
-    }
-    const auto whole = traceBankStreams(trace, mapper, geom, 7);
-
-    trace.rewind();
-    TraceWindower windower(trace, mapper, geom, 7, 13);
-    std::vector<std::vector<RowAddr>> window;
-    std::vector<std::vector<RowAddr>> concat(geom.totalBanks());
-    std::size_t windows = 0;
-    while (windower.next(&window)) {
-        ++windows;
-        for (std::size_t b = 0; b < window.size(); ++b)
-            concat[b].insert(concat[b].end(), window[b].begin(),
-                             window[b].end());
-    }
-    EXPECT_EQ(concat, whole);
-    EXPECT_GT(windows, 100u);
-    EXPECT_EQ(windower.recordsWindowed(), 5000u);
-    // Bounded peak: 13 rows plus at most ceil(13/7) marker fan-outs
-    // across every bank per window.
-    EXPECT_LE(windower.peakWindowRows(),
-              13u + 2u * geom.totalBanks());
-}
-
-TEST(TraceWindower, BoundedMemoryOnMultiChunkStream)
-{
-    // End-to-end bounded ingestion: a 40k-record file through a
-    // 1k-record reader chunk and a 2k-record window.  Neither side
-    // ever holds more than its bound - this is the assertion that
-    // scales to multi-GB traces.
-    const std::string path = writeBigNative(40000, "stream_window.trc");
-    const DramGeometry geom = DramGeometry::dualCore2Ch();
-    const AddressMapper mapper(geom,
-                               MappingPolicy::RowRankBankChanCol);
-
-    StreamingTraceReader stream(path, TraceFormat::Native, 1024);
-    TraceWindower windower(stream, mapper, geom, 0, 2048);
-    std::vector<std::vector<RowAddr>> window;
-    std::uint64_t rows = 0;
-    while (windower.next(&window))
-        for (const auto &s : window)
-            rows += s.size();
-    EXPECT_EQ(rows, 40000u);
-    EXPECT_LE(stream.peakBuffered(), 1024u);
-    EXPECT_LE(windower.peakWindowRows(), 2048u);
-    std::remove(path.c_str());
-}
-
 TEST(TraceBankStreams, EpochMarkersEveryN)
 {
     const DramGeometry geom = DramGeometry::dualCore2Ch();
