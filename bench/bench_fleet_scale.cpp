@@ -99,7 +99,7 @@ main()
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const int tier = workerTier(hw);
     std::printf("host: %u hardware thread(s), worker tier %d, "
-                "pool jobs %zu\n\n",
+                "jobs %zu\n\n",
                 hw, tier, jobs);
 
     // Co-scale the refresh threshold with the activation volume, same

@@ -17,7 +17,8 @@ Three kinds of guard, in increasing statefulness:
 * **Ratio floors** (bundle vs flattened tree, 4-shard vs 1-shard
   fleet speedup) are machine-relative, so they get hard per-tier
   floors: each bench reports which hardware class it ran on
-  (``bundle_simd_tier``: 2 = AVX-512, 1 = AVX2, 0 = scalar;
+  (``bundle_simd_tier``: 2 = AVX-512, 0 = scalar; 1 belonged to a
+  removed AVX2 rung;
   ``fleet_worker_tier``: 2 = host has >= 4 cores, 1 = 2-3, 0 = 1)
   and each ratio must clear the floor committed for that tier.
   A 1-core CI box cannot show a 4x shard speedup, so tier 0's fleet

@@ -57,7 +57,10 @@ CatTree::CatTree(Params params) : params_(std::move(params))
     presplitDepth_ = floorLog2(presplitLeaves_);
     presplitExtra_ = presplitLeaves_ - (1u << presplitDepth_);
     rowBits_ = floorLog2(params_.numRows);
-    jumpShift_ = rowBits_ - presplitDepth_;
+    prefixShift_ = rowBits_ - presplitDepth_;
+    // No leaf sits deeper than L-1, and numRows >= 2^(L-1) was checked
+    // above, so the smallest leaf span is a whole number of rows.
+    leafShift_ = rowBits_ - (L - 1);
     pool_ = params_.sharedPool;
     reset();
 }
@@ -73,7 +76,6 @@ CatTree::reset()
 {
     const auto M = params_.numCounters;
     slots_.assign(2 * (M - 1), 0);
-    quad_.assign(4 * M + 2, 0);
     inodeParent_.assign(M - 1, kNone);
     inodeParentRight_.assign(M - 1, false);
     inodeInUse_.assign(M - 1, false);
@@ -100,10 +102,9 @@ CatTree::reset()
     rootIsLeaf_ = true;
     activeCounters_ = 1;
     counterInUse_[0] = true;
-    // Sized before presplit: an uneven pre-split splits leaves AT the
-    // jump depth, and splitLeaf mirrors those into the jump table
-    // (rebuildJumpTable below recomputes every entry regardless).
-    jump_.assign(std::size_t{1} << presplitDepth_, 0);
+    // The root counter covers every row; presplit's splits then
+    // re-point each new right half.
+    leaf_.assign(std::size_t{1} << (params_.maxLevels - 1), 0);
 
     if (pool_ != nullptr) {
         // Re-baseline the pool charge: everything this tree held goes
@@ -119,7 +120,6 @@ CatTree::reset()
     }
 
     presplit(kNone, false, 0, 0, 0);
-    rebuildJumpTable();
     updateCanGrow();
     updateAllThresholds(); // the depths are new even if canGrow_ is not
 }
@@ -162,22 +162,6 @@ CatTree::presplit(std::uint32_t parent, bool right, std::uint32_t counter,
     presplit(ni, true, nc, depth + 1, lo + half);
 }
 
-void
-CatTree::rebuildJumpTable()
-{
-    const std::uint32_t entries = 1u << presplitDepth_;
-    jump_.assign(entries, 0);
-    for (std::uint32_t prefix = 0; prefix < entries; ++prefix) {
-        std::uint32_t cur = pack(rootPtr_, rootIsLeaf_);
-        for (std::uint32_t d = 0; d < presplitDepth_; ++d) {
-            const std::uint32_t s =
-                (prefix >> (presplitDepth_ - 1 - d)) & 1u;
-            cur = slots_[2 * slotNode(cur) + s];
-        }
-        jump_[prefix] = cur;
-    }
-}
-
 std::uint32_t
 CatTree::allocCounter()
 {
@@ -215,18 +199,7 @@ CatTree::allocInode()
 CatTree::Walk
 CatTree::walkTo(RowAddr row) const
 {
-    // leafSlotFor jumps straight to the node at the pre-split depth
-    // (the balanced lambda-level prefix is immutable, Section IV-C)
-    // and then descends TWO levels per load through the quad table;
-    // the two row-address bits at the current depth pick the entry,
-    // the slot's low bit says leaf.  An inode slot has low bit 0, so
-    // 2*cur is its own quad base.  When the left of the two levels
-    // already ends in a leaf the entry is absorbed (both b2 values
-    // hold the leaf), which is why the loop carries no depth/parent
-    // bookkeeping: those come from the per-leaf tables here.  The b2
-    // shift is masked so the final-level read (bitPos == 0) stays
-    // defined; it then selects between two identical absorbed entries.
-    return walkFromCounter(slotNode(leafSlotFor(row)), row);
+    return walkFromCounter(leafOf(row), row);
 }
 
 CatTree::Walk
@@ -244,23 +217,12 @@ CatTree::walkFromCounter(std::uint32_t counter, RowAddr row) const
 }
 
 void
-CatTree::setChildSlot(std::uint32_t inode, bool right,
-                      std::uint32_t slot)
+CatTree::fillLeaves(RowAddr lo, std::uint32_t depth, std::uint32_t counter)
 {
-    slots_[2 * inode + right] = slot;
-    // Mirror into this node's own quad half...
-    const std::uint32_t base = 4 * inode + 2 * right;
-    if (isLeafSlot(slot)) {
-        quad_[base] = slot;
-        quad_[base + 1] = slot;
-    } else {
-        quad_[base] = slots_[2 * slotNode(slot)];
-        quad_[base + 1] = slots_[2 * slotNode(slot) + 1];
-    }
-    // ...and into the parent entry that routes through this node.
-    const std::uint32_t up = inodeParent_[inode];
-    if (up != kNone)
-        quad_[4 * up + 2 * inodeParentRight_[inode] + right] = slot;
+    const std::size_t first = lo >> leafShift_;
+    const std::size_t n = std::size_t{1} << (params_.maxLevels - 1 - depth);
+    std::fill_n(leaf_.begin() + static_cast<std::ptrdiff_t>(first), n,
+                counter);
 }
 
 void
@@ -271,8 +233,8 @@ CatTree::splitLeaf(const Walk &w, std::uint32_t new_counter,
     inodeParentRight_[new_inode] = w.parentRight;
     inodeDepth_[new_inode] = w.depth;
     inodeLo_[new_inode] = w.lo;
-    setChildSlot(new_inode, false, pack(w.counter, true));
-    setChildSlot(new_inode, true, pack(new_counter, true));
+    slots_[2 * new_inode] = pack(w.counter, true);
+    slots_[2 * new_inode + 1] = pack(new_counter, true);
     counterDepth_[w.counter] = w.depth + 1;
     counterParent_[w.counter] = new_inode;
     counterSide_[w.counter] = 0;
@@ -287,20 +249,19 @@ CatTree::splitLeaf(const Walk &w, std::uint32_t new_counter,
     counts_[new_counter] = counts_[w.counter];
     weightStored_[new_counter] = weightStored_[w.counter];
     weightTouch_[new_counter] = weightTouch_[w.counter];
+    // The left half keeps w.counter; only the right half moves.
+    fillLeaves(w.lo + ((params_.numRows >> w.depth) >> 1), w.depth + 1,
+               new_counter);
 
     if (w.parent == kNone) {
         rootPtr_ = new_inode;
         rootIsLeaf_ = false;
     } else {
-        setChildSlot(w.parent, w.parentRight, pack(new_inode, false));
+        slots_[2 * w.parent + w.parentRight] = pack(new_inode, false);
         candClear(w.parent);
     }
-    if (w.depth >= presplitDepth_) {
+    if (w.depth >= presplitDepth_)
         candSet(new_inode);
-        // A node at exactly the pre-split depth is a jump-table entry.
-        if (w.depth == presplitDepth_)
-            jump_[w.lo >> jumpShift_] = pack(new_inode, false);
-    }
     ++activeCounters_;
 }
 
@@ -313,10 +274,9 @@ CatTree::access(RowAddr row)
     // Fast path: resolve the counter only and test it against thr_;
     // the full Walk (parent link, covered range) is materialized from
     // the per-leaf tables below, and only when a split or refresh
-    // actually needs it.  The jump replaces the pre-split levels; the
-    // remaining descent costs one access per level, the counter a read
-    // and a write (Section IV-C), see sramCharge.
-    const std::uint32_t counter = slotNode(leafSlotFor(row));
+    // actually needs it.  The leaf map stands in for the hardware
+    // walk, whose SRAM accesses sramCharge still counts.
+    const std::uint32_t counter = leafOf(row);
     const std::uint32_t depth = counterDepth_[counter];
     AccessResult res;
     res.leafDepth = depth;
@@ -430,7 +390,7 @@ CatTree::tryReconfigure(const Walk &hot)
         rootPtr_ = keep;
         rootIsLeaf_ = true;
     } else {
-        setChildSlot(parent, side, pack(keep, true));
+        slots_[2 * parent + side] = pack(keep, true);
         if (isLeafSlot(slots_[2 * parent])
             && isLeafSlot(slots_[2 * parent + 1])
             && inodeDepth_[parent] >= presplitDepth_)
@@ -440,8 +400,7 @@ CatTree::tryReconfigure(const Walk &hot)
     counterParent_[keep] = parent;
     counterSide_[keep] = side;
     updateThreshold(keep);
-    if (inodeDepth_[cand] == presplitDepth_)
-        jump_[inodeLo_[cand] >> jumpShift_] = pack(keep, true);
+    fillLeaves(inodeLo_[cand], inodeDepth_[cand], keep);
     candClear(cand);
     inodeInUse_[cand] = false;
     freeInodes_.push_back(cand);
@@ -573,14 +532,12 @@ CatTree::walkInvariants(std::uint32_t slot, RowAddr lo, RowAddr hi,
             return fail("weight stamped after the current ordinal");
         if (!params_.enableWeights && materializedWeight(ptr) != 0)
             return fail("weights used without DRCAT mode");
-        // Brute-force hot-path oracle: the jump+quad lookup must land
-        // on exactly this leaf for the corner rows of its range (the
-        // recursive descent above is the ground truth).  This is what
-        // pins the uneven non-power-of-two pre-split shapes, where the
-        // jump table mixes leaf and inode entries.
-        if (leafSlotFor(lo) != slot || leafSlotFor(hi) != slot
-            || leafSlotFor(lo + (hi - lo) / 2) != slot)
-            return fail("leafSlotFor disagrees with the tree walk");
+        // The leaf map must name this leaf for every block it covers
+        // (the recursive descent above is the ground truth).
+        for (std::size_t e = lo >> leafShift_; e <= (hi >> leafShift_);
+             ++e)
+            if (leaf_[e] != ptr)
+                return fail("leaf map disagrees with the tree walk");
         return true;
     }
 
@@ -604,21 +561,6 @@ CatTree::walkInvariants(std::uint32_t slot, RowAddr lo, RowAddr hi,
 
     const std::uint32_t ls = slots_[2 * ptr];
     const std::uint32_t rs = slots_[2 * ptr + 1];
-    // The quad half behind each child must match: absorbed copies of a
-    // leaf child, or the child inode's own slots.
-    for (int b = 0; b < 2; ++b) {
-        const std::uint32_t child = b ? rs : ls;
-        const std::uint32_t q0 = quad_[4 * ptr + 2 * b];
-        const std::uint32_t q1 = quad_[4 * ptr + 2 * b + 1];
-        if (isLeafSlot(child)) {
-            if (q0 != child || q1 != child)
-                return fail("quad entry not absorbed at a leaf child");
-        } else {
-            if (q0 != slots_[2 * slotNode(child)]
-                || q1 != slots_[2 * slotNode(child) + 1])
-                return fail("quad entry disagrees with grandchild");
-        }
-    }
     const bool structuralCand = isLeafSlot(ls) && isLeafSlot(rs)
                                 && depth >= presplitDepth_;
     if (candGet(ptr) != structuralCand)
@@ -643,6 +585,8 @@ CatTree::checkInvariants(std::string *why) const
     const std::uint32_t numInodes = params_.numCounters - 1;
     std::vector<bool> seenCounters(params_.numCounters, false);
     std::vector<bool> seenInodes(numInodes, false);
+    if (leaf_.size() != std::size_t{1} << (params_.maxLevels - 1))
+        return fail("leaf map has the wrong size");
     if (!rootIsLeaf_ && inodeParent_[rootPtr_] != kNone)
         return fail("root has a parent link");
     if (!walkInvariants(pack(rootPtr_, rootIsLeaf_), 0,
@@ -678,20 +622,6 @@ CatTree::checkInvariants(std::string *why) const
     if (pool_ != nullptr && poolHeld_ != activeCounters_)
         return fail("pool charge disagrees with active counters");
 
-    // The jump table must match a from-the-root walk for every prefix.
-    const std::uint32_t entries = 1u << presplitDepth_;
-    for (std::uint32_t prefix = 0; prefix < entries; ++prefix) {
-        std::uint32_t cur = pack(rootPtr_, rootIsLeaf_);
-        for (std::uint32_t d = 0; d < presplitDepth_; ++d) {
-            if (isLeafSlot(cur))
-                return fail("pre-split prefix broken by a merge");
-            const std::uint32_t s =
-                (prefix >> (presplitDepth_ - 1 - d)) & 1u;
-            cur = slots_[2 * slotNode(cur) + s];
-        }
-        if (jump_[prefix] != cur)
-            return fail("jump table disagrees with the tree");
-    }
     return true;
 }
 

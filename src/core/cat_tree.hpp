@@ -17,9 +17,10 @@
  * than the rest (depth d), so the leaf row-groups differ by a factor
  * of two across the bank.  Every group is still an aligned
  * power-of-two span, so the walk arithmetic is unchanged; only the
- * immutable prefix (and with it the jump table and the merge floor)
- * shrinks to d levels.  For a power-of-two M this degenerates to the
- * paper's shape (M/2 leaves, all at depth log2(M)-1) bit for bit.
+ * immutable prefix (and with it the directly indexed depth and the
+ * merge floor) shrinks to d levels.  For a power-of-two M this
+ * degenerates to the paper's shape (M/2 leaves, all at depth
+ * log2(M)-1) bit for bit.
  *
  * A tree can also draw its growth from a rank-shared counter budget
  * (`Params::sharedPool`, see shared_pool.hpp): splits then require a
@@ -28,17 +29,21 @@
  * access per activation plus one per split/merge (rank arbitration and
  * shared free-list upkeep), charged through `sramAccesses`.
  *
- * Storage is a flattened structure-of-arrays layout built around the
- * invariant the paper's SRAM sizing relies on (Section IV-C): the
- * balanced pre-split prefix of lambda = log2(M) levels is never merged
- * away, so every node at depth lambda-1 can be *indexed directly* from
- * the top lambda-1 row-address bits.  `walkTo` jumps straight to that
- * node through a 2^(lambda-1)-entry jump table and then descends with
- * a branchless child select: each intermediate node owns two packed
- * child slots `(index << 1) | is_leaf`, and the row-address bit at the
- * current depth picks the slot - one array load per level, no pointer
- * chasing, no per-level branch.  This mirrors the hardware's
- * direct-indexed SRAM rows and is what `sramAccesses` counts.
+ * Storage is a flattened structure-of-arrays layout: each
+ * intermediate node owns two packed child slots `(index << 1) |
+ * is_leaf`, with side tables (parent link, depth, covered range) kept
+ * in sync by split and merge.  The hardware finds a row's counter by
+ * the walk of Section IV-C - the balanced pre-split prefix of lambda =
+ * log2(M) levels is never merged away, so the node at depth lambda-1
+ * is indexed directly by the top row-address bits, and one SRAM access
+ * per level descends from there - and `sramAccesses` charges exactly
+ * that walk.  The simulator does not repeat it: the leaf map `leaf_`
+ * holds the covering counter for every aligned block of the smallest
+ * leaf span (numRows >> (L-1) rows, 2^(L-1) entries), so a lookup is
+ * one load.  The map changes only where the row partition does - reset
+ * (one leaf, then the pre-split), the new right half of a split, and
+ * the merged span of a merge - so no write touches more entries than
+ * the span of the node being split or merged covers.
  *
  * Fast-path threshold.  The tree also maintains `thr_[c]`, the
  * threshold `access` applies to leaf c when the shared pool (if any)
@@ -170,13 +175,11 @@ class CatTree
      * counter count matches the tree, no depth exceeds L-1, no leaf
      * sits above the pre-split level, counts stay below/at their
      * thresholds, free lists are consistent, and the derived hot-path
-     * indexes (jump table, per-node depths/ranges, merge-candidate
-     * bitset, every in-use counter's fast-path threshold) agree with
-     * the tree.  A brute-force oracle additionally
-     * replays the jump+quad hot-path lookup (`leafSlotFor`) for the
-     * corner rows of every leaf and requires it to land on exactly the
-     * leaf the plain recursive descent reaches - this is what pins the
-     * uneven non-power-of-two pre-split shapes.
+     * indexes (per-node depths/ranges, merge-candidate bitset, every
+     * in-use counter's fast-path threshold) agree with the tree.  Every
+     * leaf-map entry must name the leaf the plain recursive descent
+     * reaches for its rows - this is what pins the map through splits,
+     * merges and the uneven non-power-of-two pre-split shapes.
      *
      * @param why Optional out-parameter describing the first violation.
      * @retval true when all invariants hold.
@@ -190,10 +193,10 @@ class CatTree
   private:
     /**
      * The PRCAT/DRCAT scheme runs its inline fast path and its batch
-     * kernels on this tree's own tables: it reads jump_, quad_,
-     * counts_, thr_ and counterDepth_ and bumps counts_ where
-     * `counts_[c] < thr_[c]`; everything else goes through access().
-     * No other class gets this access.
+     * kernels on this tree's own tables: it reads leaf_, counts_, thr_
+     * and counterDepth_ and bumps counts_ where `counts_[c] < thr_[c]`;
+     * everything else goes through access().  No other class gets this
+     * access.
      */
     friend class TreeBundle;
 
@@ -211,7 +214,7 @@ class CatTree
     };
 
     /** Child slot encoding: node index in the high bits, leaf flag in
-     *  bit 0, so the walk needs a single load per level. */
+     *  bit 0. */
     static std::uint32_t pack(std::uint32_t node, bool leaf)
     {
         return (node << 1) | static_cast<std::uint32_t>(leaf);
@@ -222,27 +225,19 @@ class CatTree
         return slot >> 1;
     }
 
-    /** Chase quad entries from the jump node to the covering leaf's
-     *  packed slot - the only data-dependent part of a lookup. */
-    std::uint32_t leafSlotFor(RowAddr row) const
+    /** Counter of the leaf covering @p row: one leaf-map load. */
+    std::uint32_t leafOf(RowAddr row) const
     {
-        const std::uint32_t *quad = quad_.data();
-        std::uint32_t cur = jump_[row >> jumpShift_];
-        std::uint32_t bitPos = jumpShift_ - 1;
-        while (!isLeafSlot(cur)) {
-            const std::uint32_t b1 = (row >> bitPos) & 1u;
-            const std::uint32_t b2 =
-                (row >> ((bitPos - 1) & 31u)) & 1u;
-            cur = quad[2 * cur + 2 * b1 + b2];
-            bitPos -= 2;
-        }
-        return cur;
+        return leaf_[row >> leafShift_];
     }
+
+    /** Point every leaf-map entry of the span at depth @p depth that
+     *  starts at @p lo to @p counter. */
+    void fillLeaves(RowAddr lo, std::uint32_t depth,
+                    std::uint32_t counter);
 
     Walk walkTo(RowAddr row) const;
     Walk walkFromCounter(std::uint32_t counter, RowAddr row) const;
-    void setChildSlot(std::uint32_t inode, bool right,
-                      std::uint32_t slot);
     /** Re-derive canGrow_; every thr_ entry follows when it flips. */
     void updateCanGrow()
     {
@@ -261,9 +256,10 @@ class CatTree
             : params_.refreshThreshold;
     }
     void updateAllThresholds();
-    /** SRAM accesses one activation of leaf @p c costs: the levels
-     *  below the jump table, a counter read and write, and the
-     *  bank-select into a rank-shared array (DESIGN.md Section 9). */
+    /** SRAM accesses one activation of leaf @p c costs in the modelled
+     *  hardware walk: the levels below the directly indexed pre-split
+     *  depth, a counter read and write, and the bank-select into a
+     *  rank-shared array (DESIGN.md Section 9). */
     std::uint32_t sramCharge(std::uint32_t c) const
     {
         return counterDepth_[c] + sramChargeBias();
@@ -284,12 +280,11 @@ class CatTree
     {
         if (presplitExtra_ == 0)
             return presplitDepth_;
-        return (lo >> jumpShift_) < presplitExtra_ ? presplitDepth_ + 1
-                                                   : presplitDepth_;
+        return (lo >> prefixShift_) < presplitExtra_ ? presplitDepth_ + 1
+                                                     : presplitDepth_;
     }
     void presplit(std::uint32_t parent, bool right, std::uint32_t counter,
                   std::uint32_t depth, RowAddr lo);
-    void rebuildJumpTable();
     bool walkInvariants(std::uint32_t slot, RowAddr lo, RowAddr hi,
                         std::uint32_t depth, std::uint32_t parent,
                         bool right, std::vector<bool> &seen_counters,
@@ -342,18 +337,6 @@ class CatTree
     // kept in sync by split/merge so nothing is ever recomputed by
     // chasing pointers.
     std::vector<std::uint32_t> slots_;           //!< 2 per inode
-    /**
-     * Grandchild acceleration: quad_[4i + 2*b1 + b2] is the slot
-     * reached from inode i by descending (b1, b2) - two levels per
-     * load in the walk.  A leaf child absorbs: both of its b2 entries
-     * hold the leaf slot itself.  Kept in sync by setChildSlot (every
-     * slot write mirrors into the node's own quad half and into its
-     * parent's entry that routes through it).  Sized 4M + 2: past the
-     * 4(M-1) live entries a zero pad lets the branchless batch descent
-     * keep indexing quad_[2*cur + 3] from a leaf code (at most 2M-1)
-     * after a row has already landed.
-     */
-    std::vector<std::uint32_t> quad_;
     std::vector<std::uint32_t> inodeParent_;     //!< kNone for root
     std::vector<bool> inodeParentRight_;
     std::vector<bool> inodeInUse_;
@@ -363,17 +346,18 @@ class CatTree
      *  two leaf children (weights are checked at merge time). */
     std::vector<std::uint64_t> candWords_;
 
-    // Implicit pre-split index: the node at depth presplitDepth_
-    // covering each top-bits prefix, as a packed slot.
-    std::vector<std::uint32_t> jump_;
-    std::uint32_t jumpShift_ = 0;
+    /** Row bits above the pre-split depth: row >> prefixShift_ is the
+     *  row's pre-split prefix. */
+    std::uint32_t prefixShift_ = 0;
+    /** Leaf map: the counter covering each aligned block of
+     *  numRows >> (L-1) rows (see file comment). */
+    std::vector<std::uint32_t> leaf_;
+    std::uint32_t leafShift_ = 0; //!< log2 of the block size
 
     std::vector<std::uint32_t> counts_;
     std::vector<std::uint32_t> thr_;  //!< fast-path threshold per counter
-    // Per-leaf position tables: the walk reads depth/parent/side here
-    // instead of tracking them level by level (quad steps can overrun
-    // the consumed-bit count at an absorbed leaf, so they could not be
-    // derived from the walk anyway).
+    // Per-leaf position tables: a leaf-map lookup skips the walk, so
+    // depth/parent/side are read here.
     std::vector<std::uint32_t> counterDepth_;
     std::vector<std::uint32_t> counterParent_;   //!< kNone for root
     std::vector<std::uint8_t> counterSide_;

@@ -51,6 +51,8 @@ MisraGries::lowestFree() const
 RefreshAction
 MisraGries::onActivate(RowAddr row)
 {
+    if (row >= numRows_)
+        CATSIM_PANIC("row ", row, " out of range");
     ++stats_.activations;
     // CC-style SRAM budget: one CAM probe + one entry/spill update.
     stats_.sramAccesses += 2;

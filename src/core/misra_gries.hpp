@@ -30,9 +30,9 @@
  * the historical scan) picks.  The entry it overwrites decides which
  * evictable row stays tracked, so a history-dependent pick (a rotating
  * cursor, a free list) would change results; any other fixed priority
- * order would not, since it only relabels the entries.  Every row
- * passed to onActivate or trackedCount must be below num_rows, as for
- * CounterCache.
+ * order would not, since it only relabels the entries.  onActivate
+ * panics on a row at or above num_rows; trackedCount must not be
+ * given one.
  * Both structures are simulator bookkeeping: the SRAM accounting and
  * hardware cost stay the CAM's.
  */

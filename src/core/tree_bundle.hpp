@@ -10,24 +10,26 @@
  *
  * Fast path.  Almost every activation is a pure `++count`, exactly
  * when `counts_[c] < thr_[c]` for the tree's maintained fast-path
- * threshold (cat_tree.hpp).  onActivate runs that test inline - the
- * jump+quad walk of CatTree::leafSlotFor, one compare, one increment
- * and the SRAM charge computed from the leaf's depth - and only a
- * failed test calls CatTree::access, which applies the real
+ * threshold (cat_tree.hpp).  onActivate runs that test inline - one
+ * leaf-map load for the counter, one compare, one increment and the
+ * SRAM charge computed from the leaf's depth - and only a failed test
+ * calls CatTree::access, which applies the real
  * split/refresh/reconfigure rule (live pool arbitration and DRCAT
  * weights included).
  *
- * Batch kernel.  onActivateBatch descends groups of 16 rows as
- * branchless fixed-step chains over the frozen topology (scalar, AVX2
- * gathers, or AVX-512 with a fused conflict-detection commit), then
- * resolves them in stream order; the first row whose test fails goes
- * to CatTree::access and the group restarts after it, since a slow
- * event may reshape the tree.  `thr_` never exceeds the threshold the
- * tree itself would apply, so a batch is bit-identical to one
- * onActivate per row and to a bare CatTree for every stream, at every
- * tier; tests/test_tree_bundle proves it differentially.  Pooled banks
- * run the same kernel: within one bank's chunk only that bank's own
- * slow events touch the pool, and `thr_` ignores the pool.
+ * Batch kernel.  onActivateBatch is the same test in one loop over the
+ * chunk, with the slow path inline: a slow event may reshape the tree,
+ * and the next row's lookup simply reads the updated map.  On AVX-512
+ * hosts a tier-2 rung takes 16 rows at a time: one gather for their
+ * counters, and a conflict-detection commit that increments the whole
+ * group with one scatter when no lane reaches its threshold; any other
+ * group goes through the scalar loop, which stops after its first
+ * slow row.  `thr_` never exceeds the threshold the tree itself would
+ * apply, so a batch is bit-identical to one onActivate per row and to
+ * a bare CatTree for every stream, at every tier;
+ * tests/test_tree_bundle proves it differentially.  Pooled banks run
+ * the same kernel: within one bank's chunk only that bank's own slow
+ * events touch the pool, and `thr_` ignores the pool.
  */
 
 #ifndef CATSIM_CORE_TREE_BUNDLE_HPP
@@ -81,8 +83,7 @@ class TreeBundle : public MitigationScheme
         ++stats_.activations;
         if (row >= numRows_)
             CATSIM_PANIC("row ", row, " out of range");
-        const std::uint32_t c =
-            CatTree::slotNode(tree_.leafSlotFor(row));
+        const std::uint32_t c = tree_.leafOf(row);
         if (tree_.counts_[c] < tree_.thr_[c]) {
             ++tree_.counts_[c];
             stats_.sramAccesses += tree_.sramCharge(c);
@@ -100,9 +101,10 @@ class TreeBundle : public MitigationScheme
     }
 
     /**
-     * The same chunk through the kernel of @p tier (see simdTier),
-     * clamped to what this host supports; every tier is bit-identical,
-     * so tests and the micro-bench use this to reach each rung.
+     * The same chunk through the kernel of @p tier (see simdTier): 2
+     * runs the AVX-512 loop where this host has it, any other value
+     * the scalar loop.  Every tier is bit-identical, so tests and the
+     * micro-bench use this to reach each rung.
      */
     void onActivateBatch(const RowAddr *rows, std::size_t count,
                          int tier);
@@ -123,11 +125,11 @@ class TreeBundle : public MitigationScheme
     const SharedCounterPool *sharedPool() const { return pool_.get(); }
 
     /**
-     * The best batch kernel this host runs: 2 = AVX-512 fused
-     * descent+resolve, 1 = AVX2 gather descent, 0 = portable scalar.
-     * Probed once; onActivateBatch switches on this value, so the tier
-     * a report prints is the kernel that ran (all tiers are
-     * bit-identical).  The perf gate keys its floors on it.
+     * The best batch kernel this host runs: 2 = AVX-512 gather and
+     * conflict-detection commit, 0 = portable scalar (also on hosts
+     * with AVX2 alone).  Probed once; onActivateBatch switches on this
+     * value, so the tier a report prints is the kernel that ran (all
+     * tiers are bit-identical).  The perf gate keys its floors on it.
      */
     static int simdTier();
 
@@ -136,14 +138,28 @@ class TreeBundle : public MitigationScheme
      *  implies. */
     RefreshAction slowActivate(RowAddr row);
 
+    /**
+     * The scalar batch loop over rows[0, count); fast-path SRAM charges
+     * accumulate into @p sram.  With @p stop_at_slow it returns right
+     * after the first row that took the slow path.  Returns the rows
+     * consumed.
+     */
+    std::size_t batchScalar(const RowAddr *rows, std::size_t count,
+                            bool stop_at_slow, Count &sram);
+
+    /**
+     * The tier-2 loop over whole 16-row groups of rows[0, count): it
+     * commits groups until one needs the slow path (or has a row out
+     * of range) and returns the rows consumed, for the caller to run
+     * that group through batchScalar.  Defined in x86-64 builds only.
+     */
+    std::size_t batchAvx512(const RowAddr *rows, std::size_t count,
+                            Count &sram);
+
     // Kept alive for the tree, which releases into it on destruction
     // (member order).
     std::shared_ptr<SharedCounterPool> pool_;
     CatTree tree_;
-    /** Quad steps that take any jump-table entry to its deepest
-     *  possible leaf - the fixed trip count of the branchless
-     *  grouped descent. */
-    std::uint32_t descentSteps_;
 };
 
 } // namespace catsim

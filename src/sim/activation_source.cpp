@@ -7,6 +7,16 @@
 namespace catsim
 {
 
+std::vector<std::size_t>
+epochMarkerPositions(const std::vector<RowAddr> &stream)
+{
+    std::vector<std::size_t> markers;
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        if (stream[i] == kEpochMarker)
+            markers.push_back(i);
+    return markers;
+}
+
 SourceChunk
 RecordedStreamSource::next(const RowAddr **rows, std::size_t *count)
 {
@@ -16,16 +26,13 @@ RecordedStreamSource::next(const RowAddr **rows, std::size_t *count)
         nextIsEpoch_ = false;
         return SourceChunk::Epoch;
     }
-    const RowAddr *data = stream_->data();
-    const std::size_t n = stream_->size();
-    const RowAddr *chunkEnd =
-        std::find(data + begin_, data + n, kEpochMarker);
-    const std::size_t end = static_cast<std::size_t>(chunkEnd - data);
-    *rows = data + begin_;
-    *count = end - begin_;
-    if (end == n) {
+    *rows = stream_->data() + begin_;
+    if (nextMarker_ == markers_.size()) {
+        *count = stream_->size() - begin_;
         finished_ = true;
     } else {
+        const std::size_t end = markers_[nextMarker_++];
+        *count = end - begin_;
         nextIsEpoch_ = true;
         begin_ = end + 1;
     }

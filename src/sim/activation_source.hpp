@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -76,18 +77,32 @@ class ActivationSource
     }
 };
 
+/** Ascending positions of every kEpochMarker in @p stream. */
+std::vector<std::size_t> epochMarkerPositions(
+    const std::vector<RowAddr> &stream);
+
 /**
  * Zero-copy source over a recorded stream (rows + kEpochMarker
  * sentinels).  Emits exactly the chunk sequence the historical replay
  * loop produced: every marker-delimited segment (including a possibly
- * empty final one), with Epoch between segments.
+ * empty final one), with Epoch between segments.  Chunk ends come from
+ * the marker positions, found once per stream, so a replay never
+ * scans the rows.
  */
 class RecordedStreamSource : public ActivationSource
 {
   public:
-    /** @p stream must outlive the source. */
+    /** @p stream must outlive the source; its markers are found here. */
     explicit RecordedStreamSource(const std::vector<RowAddr> &stream)
-        : stream_(&stream)
+        : RecordedStreamSource(stream, epochMarkerPositions(stream))
+    {
+    }
+
+    /** @p markers must be epochMarkerPositions(stream), e.g. found
+     *  once for every replay of a cached baseline. */
+    RecordedStreamSource(const std::vector<RowAddr> &stream,
+                         std::vector<std::size_t> markers)
+        : stream_(&stream), markers_(std::move(markers))
     {
     }
 
@@ -95,6 +110,8 @@ class RecordedStreamSource : public ActivationSource
 
   private:
     const std::vector<RowAddr> *stream_;
+    std::vector<std::size_t> markers_;
+    std::size_t nextMarker_ = 0; //!< index into markers_
     std::size_t begin_ = 0;
     bool nextIsEpoch_ = false;
     bool finished_ = false;

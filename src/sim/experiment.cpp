@@ -214,17 +214,17 @@ ExperimentRunner::computeBaseline(SystemPreset preset,
     if (!path.empty()
         && loadBaseline(path, key, scale_, &entry->timing)) {
         diskLoads_.fetch_add(1);
-        return entry;
+    } else {
+        const std::uint64_t records = recordsFor(workload, sys);
+        auto factory = streamFactory(workload, sys, records, *entry->mapper);
+        entry->timing = runTiming(sys, factory);
+        computeCount_.fetch_add(1);
+        if (!path.empty())
+            saveBaseline(path, key, scale_, entry->timing);
     }
 
-    const std::uint64_t records = recordsFor(workload, sys);
-    auto factory = streamFactory(workload, sys, records,
-                                 *entry->mapper);
-    entry->timing = runTiming(sys, factory);
-    computeCount_.fetch_add(1);
-
-    if (!path.empty())
-        saveBaseline(path, key, scale_, entry->timing);
+    for (const auto &stream : entry->timing.bankStreams)
+        entry->markers.push_back(epochMarkerPositions(stream));
     return entry;
 }
 
@@ -314,12 +314,16 @@ ExperimentRunner::evalCmrpo(SystemPreset preset,
                             const WorkloadSpec &workload,
                             const SchemeConfig &scheme)
 {
-    const TimingResult &base = baseline(preset, workload);
+    const BaselineEntry &entry = baselineEntry(preset, workload);
+    const TimingResult &base = entry.timing;
     const TimingConfig sys = makeSystem(preset);
-    const SchemeConfig sim = scaledScheme(scheme);
 
-    const ReplayResult replay = replayActivations(
-        base.bankStreams, sim, sys.geometry.rowsPerBank);
+    std::vector<std::unique_ptr<ActivationSource>> sources;
+    for (std::size_t b = 0; b < base.bankStreams.size(); ++b)
+        sources.push_back(std::make_unique<RecordedStreamSource>(
+            base.bankStreams[b], entry.markers[b]));
+    const ReplayResult replay = replaySources(
+        sources, scaledScheme(scheme), sys.geometry.rowsPerBank);
     return evalFromReplay(replay, scheme, base.execSeconds, sys);
 }
 

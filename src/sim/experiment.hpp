@@ -213,6 +213,9 @@ class ExperimentRunner
         // The mapper must outlive the stream factories referencing it.
         std::unique_ptr<AddressMapper> mapper;
         TimingResult timing;
+        /** epochMarkerPositions of each bank stream, found once for
+         *  every replay of this baseline. */
+        std::vector<std::vector<std::size_t>> markers;
     };
     using BaselinePtr = std::shared_ptr<const BaselineEntry>;
 

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "sim/activation_sim.hpp"
 #include "sim/activation_source.hpp"
@@ -58,6 +61,49 @@ drain(ActivationSource &src)
     return d;
 }
 
+/** A stream's marker-delimited segments as (offset, length), the way
+ *  a replay that scans the rows for markers cuts them. */
+using Segments = std::vector<std::pair<std::size_t, std::size_t>>;
+
+Segments
+scannedSegments(const std::vector<RowAddr> &stream)
+{
+    Segments segs;
+    std::size_t begin = 0;
+    for (;;) {
+        const auto from = stream.begin() + static_cast<std::ptrdiff_t>(begin);
+        const auto at = std::find(from, stream.end(), kEpochMarker);
+        const auto end = static_cast<std::size_t>(at - stream.begin());
+        segs.emplace_back(begin, end - begin);
+        if (end == stream.size())
+            return segs;
+        begin = end + 1;
+    }
+}
+
+/** The segments @p src hands out over @p stream; fails the test
+ *  unless exactly one Epoch separates each two and End follows the
+ *  last. */
+Segments
+sourceSegments(RecordedStreamSource &src,
+               const std::vector<RowAddr> &stream)
+{
+    Segments segs;
+    for (;;) {
+        const RowAddr *rows = nullptr;
+        std::size_t n = 0;
+        EXPECT_EQ(src.next(&rows, &n), SourceChunk::Rows);
+        segs.emplace_back(static_cast<std::size_t>(rows - stream.data()),
+                          n);
+        const SourceChunk after = src.next(&rows, &n);
+        if (after == SourceChunk::End)
+            return segs;
+        EXPECT_EQ(after, SourceChunk::Epoch);
+        if (segs.size() > stream.size())
+            return segs; // runaway source
+    }
+}
+
 void
 expectStatsEqual(const SchemeStats &a, const SchemeStats &b)
 {
@@ -99,6 +145,30 @@ TEST(RecordedStreamSource, ReproducesMarkerDelimitedChunks)
     EXPECT_EQ(rows[0], 5u);
     ASSERT_EQ(src.next(&rows, &n), SourceChunk::End);
     ASSERT_EQ(src.next(&rows, &n), SourceChunk::End);
+}
+
+TEST(RecordedStreamSource, GivenMarkersCutTheSegmentsAScanCuts)
+{
+    const std::vector<std::vector<RowAddr>> streams{
+        {},
+        {1, 2, 3},
+        {kEpochMarker, 1, 2},
+        {1, 2, kEpochMarker},
+        {1, kEpochMarker, kEpochMarker, 2},
+        {kEpochMarker},
+        {kEpochMarker, kEpochMarker},
+        {kEpochMarker, 5, kEpochMarker, kEpochMarker, 6, 7, kEpochMarker},
+    };
+    EXPECT_EQ(epochMarkerPositions(streams.back()),
+              (std::vector<std::size_t>{0, 2, 3, 6}));
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        const std::vector<RowAddr> &stream = streams[i];
+        const Segments expected = scannedSegments(stream);
+        RecordedStreamSource given(stream, epochMarkerPositions(stream));
+        EXPECT_EQ(sourceSegments(given, stream), expected) << "stream " << i;
+        RecordedStreamSource found(stream);
+        EXPECT_EQ(sourceSegments(found, stream), expected) << "stream " << i;
+    }
 }
 
 TEST(ReplaySources, BitIdenticalToReplayActivations)

@@ -173,8 +173,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CatTreeDiffPow2, GeneralizationKeepsPow2BitIdentical)
 {
-    // The non-power-of-two M generalization (uneven pre-split,
-    // jump-table pre-sizing, pool hooks) must leave every power-of-two
+    // The non-power-of-two M generalization (uneven pre-split, pool
+    // hooks) and the leaf map must leave every power-of-two
     // configuration with the default schedule byte-for-byte on the
     // frozen oracle's path - the reference tree never learned about
     // any of it.
@@ -254,7 +254,7 @@ TEST(CatTreeDiffWeights, LazyDecayExactUnderRefreshStorms)
 TEST(CatTreeDiffChurn, InvariantsAndDepthAfterReconfigurationChurn)
 {
     // Rotate hot spots so merges and splits fight each other; after
-    // every phase the flat tree's structural indexes (jump table,
+    // every phase the flat tree's structural indexes (leaf map,
     // stored depths, candidate bitset) must still validate and the
     // deepest leaf must match the oracle.
     const auto params = makeParams(65536, 16, 9, 512, true);

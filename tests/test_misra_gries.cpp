@@ -436,4 +436,16 @@ TEST(MisraGriesDeath, RejectsBadConfig)
                 "threshold");
 }
 
+TEST(MisraGriesDeath, RowOutOfRangePanics)
+{
+    // slotOf_ has one entry per row; the row past the last one must
+    // stop the run instead of reading past the index.
+    MisraGries mg(kRows, 8, 32768);
+    mg.onActivate(kRows - 1);
+    EXPECT_DEATH(mg.onActivate(kRows), "row 65536 out of range");
+    const std::vector<RowAddr> rows{3, kRows + 9};
+    EXPECT_DEATH(mg.onActivateBatch(rows.data(), rows.size()),
+                 "row 65545 out of range");
+}
+
 } // namespace catsim

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/sca.hpp"
 
 namespace catsim
@@ -107,6 +111,38 @@ TEST(Sca, StatsAccumulate)
     EXPECT_EQ(st.victimRowsRefreshed, 2u * (1024u + 1u));
 }
 
+TEST(Sca, BatchMatchesPerRowActivations)
+{
+    // Hot rows in the first group (three of them) and the last push
+    // those counters through T over and over, with the clamped victim
+    // ranges at both bank edges, and the ragged chunks end anywhere,
+    // refreshes mid-chunk included.
+    constexpr std::uint32_t kT = 40;
+    Sca perRow(65536, 64, kT);
+    Sca batched(65536, 64, kT);
+    Xoshiro256StarStar rng(21);
+    const RowAddr hot[] = {0, 700, 1000, 65535};
+    std::vector<RowAddr> rows;
+    for (int i = 0; i < 60000; ++i)
+        rows.push_back(rng.nextDouble() < 0.5
+            ? hot[i % 4]
+            : static_cast<RowAddr>(rng.nextBounded(65536)));
+    for (const RowAddr r : rows)
+        perRow.onActivate(r);
+    std::size_t begin = 0;
+    for (std::size_t chunk = 1; begin < rows.size(); chunk = chunk * 7 + 3) {
+        const std::size_t n = std::min(chunk % 1013, rows.size() - begin);
+        batched.onActivateBatch(rows.data() + begin, n);
+        begin += n;
+    }
+
+    EXPECT_TRUE(perRow.stats() == batched.stats());
+    EXPECT_EQ(batched.stats().activations, rows.size());
+    EXPECT_GT(batched.stats().refreshEvents, 500u);
+    for (std::uint32_t g = 0; g < 64; ++g)
+        EXPECT_EQ(perRow.counterValue(g), batched.counterValue(g)) << g;
+}
+
 TEST(Sca, Name)
 {
     Sca sca(65536, 128, 1024);
@@ -117,6 +153,21 @@ TEST(ScaDeath, RejectsNonDividingCounters)
 {
     EXPECT_EXIT(Sca(65536, 100, 1024), ::testing::ExitedWithCode(1),
                 "divide");
+}
+
+TEST(ScaDeath, RejectsNonPowerOfTwoGroups)
+{
+    EXPECT_EXIT(Sca(96, 2, 16), ::testing::ExitedWithCode(1),
+                "power of two");
+}
+
+TEST(ScaDeath, RowOutOfRangePanics)
+{
+    Sca sca(65536, 64, 16);
+    EXPECT_DEATH(sca.onActivate(65536), "row 65536 out of range");
+    const std::vector<RowAddr> rows{1, 2, 70000};
+    EXPECT_DEATH(sca.onActivateBatch(rows.data(), rows.size()),
+                 "row 70000 out of range");
 }
 
 } // namespace catsim

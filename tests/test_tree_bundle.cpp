@@ -7,9 +7,10 @@
  * same parameters and, transitively, to the frozen ReferenceCatTree
  * oracle: same per-access refresh decisions, same SRAM charges, same
  * split/merge/epoch counts, for adversarial streams, refresh storms,
- * epoch resets, non-power-of-two M, every descent depth of the batch
- * kernel at every kernel tier this host supports, and rank-pooled
- * banks that contend for one SharedCounterPool.
+ * epoch resets, non-power-of-two M, leaf maps from 2^6 to 2^15
+ * entries through the batch kernel at every kernel tier this host
+ * supports, and rank-pooled banks that contend for one
+ * SharedCounterPool.
  */
 
 #include <gtest/gtest.h>
@@ -168,13 +169,13 @@ asCat(MitigationScheme &s)
     return dynamic_cast<TreeBundle &>(s);
 }
 
-/** Kernel tiers 0..simdTier(): every rung this host can run. */
+/** Every batch kernel this host can run: scalar, plus AVX-512. */
 std::vector<int>
 everyTier()
 {
-    std::vector<int> tiers;
-    for (int t = 0; t <= TreeBundle::simdTier(); ++t)
-        tiers.push_back(t);
+    std::vector<int> tiers{0};
+    if (TreeBundle::simdTier() != 0)
+        tiers.push_back(TreeBundle::simdTier());
     return tiers;
 }
 
@@ -338,10 +339,10 @@ INSTANTIATE_TEST_SUITE_P(EveryTier, TreeBundleBatch,
                          [](const auto &info) { return tierName(info.param); });
 
 /**
- * The batch kernel at every descent depth and tier: with M = 64 the
- * jump table lands at depth 5, so L = 7, 9, 11, 13 and 16 take 1, 2,
- * 3, 4 and 5 fixed quad steps - every compile-time StepsC
- * instantiation plus the runtime-bound one.
+ * The batch kernel at every tier over trees of L = 7 to 16 levels:
+ * leaf maps of 2^6 to 2^15 entries, from a map whose blocks are 1024
+ * rows to one whose blocks are two rows, with PRCAT's per-epoch
+ * rebuilds and DRCAT's merges rewriting them.
  */
 class TreeBundleDepth
     : public ::testing::TestWithParam<std::tuple<bool, std::uint32_t, int>>
@@ -391,7 +392,7 @@ TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EveryDescentDepth, TreeBundleDepth,
+    EveryLevelCount, TreeBundleDepth,
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(7u, 9u, 11u, 13u, 16u),
                        ::testing::ValuesIn(everyTier())),
@@ -465,6 +466,23 @@ runPooledDiff(bool weights, std::size_t quantum)
 }
 
 } // namespace
+
+TEST(TreeBundleDeath, RowOutOfRangePanicsAtEveryTier)
+{
+    // The bad row sits in the second full 16-row group, after a whole
+    // group of good rows, so each tier meets it on its own path.
+    for (const int tier : everyTier()) {
+        const auto s = makeScheme(catConfig(true, 64, 1024), kRows);
+        std::vector<RowAddr> rows(40, 7);
+        rows[21] = kRows;
+        EXPECT_DEATH(asCat(*s).onActivateBatch(rows.data(), rows.size(),
+                                               tier),
+                     "row 65536 out of range")
+            << tierName(tier);
+    }
+    const auto s = makeScheme(catConfig(false, 64, 1024), kRows);
+    EXPECT_DEATH(s->onActivate(kRows + 5), "row 65541 out of range");
+}
 
 TEST(TreeBundlePooled, RankPooledGroupMatchesBareTreesOnOnePool)
 {
