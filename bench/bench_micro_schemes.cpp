@@ -265,42 +265,28 @@ makeBareTrees()
 
 /**
  * Per-bank onActivateBatch chunks over the 16-bank group - the replay
- * path - through the batch kernel of tier state.range(0) (0 scalar,
- * 2 AVX-512; registered for every tier this host runs), so
- * each rung of the dispatch ladder is timed on its own.  Items/sec
- * here divided by BM_CatTreeAccessFlat's is the kernel's speedup on
- * top of the flattened single tree.
+ * path.  Items/sec here divided by BM_CatTreeAccessFlat's is the batch
+ * loop's speedup on top of the flattened single tree.
  */
 void
 BM_TreeBundleBatch(benchmark::State &state)
 {
-    const int tier = static_cast<int>(state.range(0));
     const auto schemes = makeBankGroup();
     const auto &streams = bankStreams();
-    std::vector<TreeBundle *> banks;
-    for (const auto &s : schemes)
-        banks.push_back(static_cast<TreeBundle *>(s.get()));
     // Grow every bank to steady state before timing.
     for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-        banks[b]->onActivateBatch(streams[b].data(), kStreamLen, tier);
+        schemes[b]->onActivateBatch(streams[b].data(), kStreamLen);
     constexpr std::size_t kChunk = 4096;
     std::size_t off = 0;
     for (auto _ : state) {
         for (std::uint32_t b = 0; b < kBundleBanks; ++b)
-            banks[b]->onActivateBatch(streams[b].data() + off, kChunk,
-                                      tier);
+            schemes[b]->onActivateBatch(streams[b].data() + off, kChunk);
         off = (off + kChunk) & (kStreamLen - 1);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * kBundleBanks * kChunk));
 }
-BENCHMARK(BM_TreeBundleBatch)
-    ->Apply([](benchmark::internal::Benchmark *b) {
-        b->Arg(0);
-        if (TreeBundle::simdTier() != 0)
-            b->Arg(TreeBundle::simdTier());
-    })
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TreeBundleBatch)->Unit(benchmark::kMicrosecond);
 
 /** The same group stepped one virtual onActivate per activation - the
  *  controller and closed-loop path, for the on-report comparison. */
@@ -596,8 +582,7 @@ actsPerSec(Fn &&pass, Count acts_per_pass)
  *                           the factory's schemes - the controller and
  *                           closed-loop path
  *   bundle_acts_per_sec     per-bank onActivateBatch on the factory's
- *                           schemes - the replay path, through the
- *                           batch kernel of this host's tier
+ *                           schemes - the replay path
  *
  * All three drive 16 DRCAT_64 banks over identical per-bank Zipf
  * streams, so the ratios isolate the dispatch path.
@@ -644,8 +629,8 @@ emitBundleSpeedupMetrics()
         },
         kActsPerPass);
 
-    // Which bundle kernel this host ran (2 = AVX-512, 0 = scalar);
-    // check_perf.py keys its speedup floors on it.
+    // This host's SIMD class (2 = AVX-512, 0 = other); check_perf.py
+    // keys its speedup floors on it.
     std::printf("@@METRIC bundle_simd_tier %d\n",
                 TreeBundle::simdTier());
     std::printf("@@METRIC flat_acts_per_sec %.6g\n", flatRate);

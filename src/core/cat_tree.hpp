@@ -59,7 +59,7 @@
  * merely sends the access down the slow path, which consults the pool
  * live.  That is why no tree ever needs to hear about a sibling's
  * growth, and why the PRCAT/DRCAT scheme (tree_bundle.hpp) can run its
- * batch kernel straight on these tables.
+ * batch loop straight on these tables.
  *
  * DRCAT support (Section V-B): a 2-bit weight per counter tracks how
  * often its group triggers refreshes.  The architectural rule is "every
@@ -193,7 +193,7 @@ class CatTree
   private:
     /**
      * The PRCAT/DRCAT scheme runs its inline fast path and its batch
-     * kernels on this tree's own tables: it reads leaf_, counts_, thr_
+     * loop on this tree's own tables: it reads leaf_, counts_, thr_
      * and counterDepth_ and bumps counts_ where `counts_[c] < thr_[c]`;
      * everything else goes through access().  No other class gets this
      * access.

@@ -123,9 +123,9 @@ class MitigationScheme
      * per-row refresh actions are applied to the scheme's own stats
      * and not returned, so this is for replay-style callers that only
      * read stats() afterwards.  The default forwards to onActivate;
-     * the CAT family (TreeBundle) overrides it to hoist the virtual
-     * dispatch and per-call stats bookkeeping out of the inner loop
-     * and run the chunk through its grouped descent kernel.
+     * SCA and the CAT family (TreeBundle) override it with their own
+     * batch loops, which hoist the virtual dispatch and the per-call
+     * stats bookkeeping out of the inner loop.
      */
     virtual void
     onActivateBatch(const RowAddr *rows, std::size_t count)

@@ -1,12 +1,5 @@
 #include "tree_bundle.hpp"
 
-#include <algorithm>
-
-#if defined(__GNUC__) && defined(__x86_64__)
-#define CATSIM_X86_BATCH 1
-#include <immintrin.h>
-#endif
-
 #include "core/split_thresholds.hpp"
 
 namespace catsim
@@ -54,9 +47,9 @@ int
 TreeBundle::simdTier()
 {
     static const int tier = [] {
-#if CATSIM_X86_BATCH
-        // Benchmark registration asks from a static initializer, where
-        // GCC wants the CPU probe initialised explicitly.
+#if defined(__GNUC__) && defined(__x86_64__)
+        // A caller may ask from a static initializer, where GCC wants
+        // the CPU probe initialised explicitly.
         __builtin_cpu_init();
         if (__builtin_cpu_supports("avx512f") &&
             __builtin_cpu_supports("avx512cd") &&
@@ -82,10 +75,10 @@ TreeBundle::slowActivate(RowAddr row)
     return {r.rowsRefreshed, r.lo, r.hi};
 }
 
-std::size_t
-TreeBundle::batchScalar(const RowAddr *rows, std::size_t count,
-                        bool stop_at_slow, Count &sram)
+void
+TreeBundle::onActivateBatch(const RowAddr *rows, std::size_t count)
 {
+    Count sram = 0;
     std::size_t k = 0;
     while (k < count) {
         // The fast path, until a row needs the slow one.  The tables
@@ -98,7 +91,6 @@ TreeBundle::batchScalar(const RowAddr *rows, std::size_t count,
         const std::uint32_t shift = tree_.leafShift_;
         const std::uint32_t bias = tree_.sramChargeBias();
         const RowAddr numRows = numRows_;
-        Count acc = 0;
         for (; k < count; ++k) {
             const RowAddr row = rows[k];
             if (row >= numRows)
@@ -107,117 +99,13 @@ TreeBundle::batchScalar(const RowAddr *rows, std::size_t count,
             if (counts[c] >= thr[c])
                 break;
             ++counts[c];
-            acc += static_cast<std::uint32_t>(depth[c] + bias);
+            sram += static_cast<std::uint32_t>(depth[c] + bias);
         }
-        sram += acc;
         if (k == count)
             break;
         // CatTree::access panics on a row out of range.
         slowActivate(rows[k++]);
-        if (stop_at_slow)
-            break;
     }
-    return k;
-}
-
-#if CATSIM_X86_BATCH
-namespace
-{
-
-/** Rows per AVX-512 group: one zmm of 32-bit rows. */
-constexpr std::size_t kGroup = 16;
-
-} // namespace
-
-#pragma GCC diagnostic push
-// GCC's maskless gather intrinsics expand with an uninitialized
-// pass-through operand that is fully overwritten; harmless, but it
-// trips -Wmaybe-uninitialized at -O3 under -Werror.
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-/**
- * Each group is one gather of 16 counter indices from the leaf map,
- * then the conflict-detection histogram idiom: vpconflictd marks, per
- * lane, the earlier lanes on the same counter, so lane j's
- * post-increment value is v + (earlier duplicates) + 1.  When every
- * lane stays within its threshold (the common case) the group commits
- * with one scatter - duplicate indices write in lane order, so the
- * last duplicate's v + n wins - and the SRAM charge is a horizontal
- * sum over the lanes' depths.  The loop stops, touching nothing, at
- * the first group with a row out of range or a lane that would cross
- * its threshold; the caller runs that group through the scalar loop,
- * which panics at the exact row or runs the slow path in stream
- * order.
- */
-__attribute__((target("avx512f,avx512cd,avx512vpopcntdq"))) std::size_t
-TreeBundle::batchAvx512(const RowAddr *rows, std::size_t count, Count &sram)
-{
-    const auto *const leaf = reinterpret_cast<const int *>(tree_.leaf_.data());
-    auto *const counts = reinterpret_cast<int *>(tree_.counts_.data());
-    const auto *const thr = reinterpret_cast<const int *>(tree_.thr_.data());
-    const auto *const depth =
-        reinterpret_cast<const int *>(tree_.counterDepth_.data());
-    const __m128i shift =
-        _mm_cvtsi32_si128(static_cast<int>(tree_.leafShift_));
-    const __m512i numRows = _mm512_set1_epi32(static_cast<int>(numRows_));
-    const __m512i one = _mm512_set1_epi32(1);
-    // Per-lane depth sums: a lane gains at most L-1 < 32 per group, so
-    // capping a call at 2^31 rows keeps every lane exact in 32 bits.
-    count = std::min(count, std::size_t{1} << 31);
-    __m512i depthSum = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; count - i >= kGroup; i += kGroup) {
-        const __m512i row = _mm512_loadu_si512(rows + i);
-        if (_mm512_cmpge_epu32_mask(row, numRows))
-            break;
-        const __m512i block = _mm512_srl_epi32(row, shift);
-        const __m512i c = _mm512_i32gather_epi32(block, leaf, 4);
-        const __m512i v = _mm512_i32gather_epi32(c, counts, 4);
-        const __m512i t = _mm512_i32gather_epi32(c, thr, 4);
-        const __m512i dups = _mm512_popcnt_epi32(_mm512_conflict_epi32(c));
-        const __m512i val = _mm512_add_epi32(_mm512_add_epi32(v, one), dups);
-        if (_mm512_cmpgt_epu32_mask(val, t))
-            break;
-        _mm512_i32scatter_epi32(counts, c, val, 4);
-        const __m512i d = _mm512_i32gather_epi32(c, depth, 4);
-        depthSum = _mm512_add_epi32(depthSum, d);
-    }
-    alignas(64) std::uint32_t lanes[kGroup];
-    _mm512_store_si512(lanes, depthSum);
-    Count charge = 0;
-    for (const std::uint32_t lane : lanes)
-        charge += lane;
-    // Each row costs its depth plus the bias, which is negative as an
-    // integer when the pre-split depth exceeds 2 (sramChargeBias).
-    const auto bias = static_cast<std::int32_t>(tree_.sramChargeBias());
-    sram += charge + static_cast<Count>(std::int64_t{bias}) * i;
-    return i;
-}
-
-#pragma GCC diagnostic pop
-#endif // CATSIM_X86_BATCH
-
-void
-TreeBundle::onActivateBatch(const RowAddr *rows, std::size_t count,
-                            int tier)
-{
-    Count sram = 0;
-    std::size_t i = 0;
-#if CATSIM_X86_BATCH
-    if (tier == 2 && simdTier() == 2) {
-        // Whole groups until one cannot commit at once; that group
-        // runs scalar up to its first slow row, then groups resume.
-        for (;;) {
-            i += batchAvx512(rows + i, count - i, sram);
-            if (count - i < kGroup)
-                break;
-            i += batchScalar(rows + i, kGroup, true, sram);
-        }
-    }
-#else
-    (void)tier;
-#endif
-    batchScalar(rows + i, count - i, false, sram);
     stats_.activations += count;
     stats_.sramAccesses += sram;
 }

@@ -1,12 +1,12 @@
 /**
  * @file
  * The PRCAT/DRCAT scheme: one bank's CAT tree behind the
- * MitigationScheme interface, with a batch kernel that runs on the
+ * MitigationScheme interface, with a batch loop that runs on the
  * tree's own tables.
  *
  * A TreeBundle is one bank: one CatTree (the only copy of the bank's
  * CAT state), an optional SharedCounterPool it shares with the other
- * banks of its rank, and the kernel.
+ * banks of its rank, and the batch loop.
  *
  * Fast path.  Almost every activation is a pure `++count`, exactly
  * when `counts_[c] < thr_[c]` for the tree's maintained fast-path
@@ -17,19 +17,14 @@
  * split/refresh/reconfigure rule (live pool arbitration and DRCAT
  * weights included).
  *
- * Batch kernel.  onActivateBatch is the same test in one loop over the
+ * Batch loop.  onActivateBatch is the same test in one loop over the
  * chunk, with the slow path inline: a slow event may reshape the tree,
- * and the next row's lookup simply reads the updated map.  On AVX-512
- * hosts a tier-2 rung takes 16 rows at a time: one gather for their
- * counters, and a conflict-detection commit that increments the whole
- * group with one scatter when no lane reaches its threshold; any other
- * group goes through the scalar loop, which stops after its first
- * slow row.  `thr_` never exceeds the threshold the tree itself would
- * apply, so a batch is bit-identical to one onActivate per row and to
- * a bare CatTree for every stream, at every tier;
- * tests/test_tree_bundle proves it differentially.  Pooled banks run
- * the same kernel: within one bank's chunk only that bank's own slow
- * events touch the pool, and `thr_` ignores the pool.
+ * and the next row's lookup simply reads the updated map.  `thr_`
+ * never exceeds the threshold the tree itself would apply, so a batch
+ * is bit-identical to one onActivate per row and to a bare CatTree for
+ * every stream; tests/test_tree_bundle proves it differentially.
+ * Pooled banks run the same loop: within one bank's chunk only that
+ * bank's own slow events touch the pool, and `thr_` ignores the pool.
  */
 
 #ifndef CATSIM_CORE_TREE_BUNDLE_HPP
@@ -92,22 +87,9 @@ class TreeBundle : public MitigationScheme
         return slowActivate(row);
     }
 
-    /** A contiguous chunk (no epoch markers) through the batch kernel
-     *  of this host's simdTier(); identical to one onActivate per row. */
-    void
-    onActivateBatch(const RowAddr *rows, std::size_t count) override
-    {
-        onActivateBatch(rows, count, simdTier());
-    }
-
-    /**
-     * The same chunk through the kernel of @p tier (see simdTier): 2
-     * runs the AVX-512 loop where this host has it, any other value
-     * the scalar loop.  Every tier is bit-identical, so tests and the
-     * micro-bench use this to reach each rung.
-     */
-    void onActivateBatch(const RowAddr *rows, std::size_t count,
-                         int tier);
+    /** A contiguous chunk (no epoch markers) through one scalar loop;
+     *  identical to one onActivate per row. */
+    void onActivateBatch(const RowAddr *rows, std::size_t count) override;
 
     /**
      * Epoch boundary: full reset for PRCAT (no weights), counts-only
@@ -125,11 +107,10 @@ class TreeBundle : public MitigationScheme
     const SharedCounterPool *sharedPool() const { return pool_.get(); }
 
     /**
-     * The best batch kernel this host runs: 2 = AVX-512 gather and
-     * conflict-detection commit, 0 = portable scalar (also on hosts
-     * with AVX2 alone).  Probed once; onActivateBatch switches on this
-     * value, so the tier a report prints is the kernel that ran (all
-     * tiers are bit-identical).  The perf gate keys its floors on it.
+     * This host's SIMD class: 2 = AVX-512 (F, CD and VPOPCNTDQ), 0 =
+     * anything else.  Probed once.  The batch loop is the same scalar
+     * code on every host; reports print this value to name the
+     * hardware, and the perf gate keys its ratio floors on it.
      */
     static int simdTier();
 
@@ -137,24 +118,6 @@ class TreeBundle : public MitigationScheme
     /** Out-of-line slow path: CatTree::access plus the stats it
      *  implies. */
     RefreshAction slowActivate(RowAddr row);
-
-    /**
-     * The scalar batch loop over rows[0, count); fast-path SRAM charges
-     * accumulate into @p sram.  With @p stop_at_slow it returns right
-     * after the first row that took the slow path.  Returns the rows
-     * consumed.
-     */
-    std::size_t batchScalar(const RowAddr *rows, std::size_t count,
-                            bool stop_at_slow, Count &sram);
-
-    /**
-     * The tier-2 loop over whole 16-row groups of rows[0, count): it
-     * commits groups until one needs the slow path (or has a row out
-     * of range) and returns the rows consumed, for the caller to run
-     * that group through batchScalar.  Defined in x86-64 builds only.
-     */
-    std::size_t batchAvx512(const RowAddr *rows, std::size_t count,
-                            Count &sram);
 
     // Kept alive for the tree, which releases into it on destruction
     // (member order).

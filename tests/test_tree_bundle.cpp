@@ -8,9 +8,8 @@
  * oracle: same per-access refresh decisions, same SRAM charges, same
  * split/merge/epoch counts, for adversarial streams, refresh storms,
  * epoch resets, non-power-of-two M, leaf maps from 2^6 to 2^15
- * entries through the batch kernel at every kernel tier this host
- * supports, and rank-pooled banks that contend for one
- * SharedCounterPool.
+ * entries through the batch loop, and rank-pooled banks that contend
+ * for one SharedCounterPool.
  */
 
 #include <gtest/gtest.h>
@@ -169,22 +168,6 @@ asCat(MitigationScheme &s)
     return dynamic_cast<TreeBundle &>(s);
 }
 
-/** Every batch kernel this host can run: scalar, plus AVX-512. */
-std::vector<int>
-everyTier()
-{
-    std::vector<int> tiers{0};
-    if (TreeBundle::simdTier() != 0)
-        tiers.push_back(TreeBundle::simdTier());
-    return tiers;
-}
-
-std::string
-tierName(int tier)
-{
-    return "tier" + std::to_string(tier);
-}
-
 struct DiffCase
 {
     std::uint32_t numCounters;
@@ -254,15 +237,15 @@ runSchemeDiff(const DiffCase &c)
 }
 
 /** Deliver rows[begin, end) as ragged onActivateBatch chunks (sizes
- *  0 and 1 included) through the kernel of @p tier. */
+ *  0 and 1 included). */
 void
-feedRagged(TreeBundle &s, const std::vector<RowAddr> &rows,
-           std::size_t begin, std::size_t end, int tier)
+feedRagged(MitigationScheme &s, const std::vector<RowAddr> &rows,
+           std::size_t begin, std::size_t end)
 {
     std::size_t chunk = 1;
     while (begin < end) {
         const std::size_t n = std::min(chunk % 4099, end - begin);
-        s.onActivateBatch(rows.data() + begin, n, tier);
+        s.onActivateBatch(rows.data() + begin, n);
         begin += n;
         chunk = chunk * 13 + 7;
     }
@@ -302,16 +285,11 @@ TEST(TreeBundleDiff, NonPow2Counters)
     }
 }
 
-class TreeBundleBatch : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(TreeBundleBatch, BatchMatchesPerCallAccess)
+TEST(TreeBundleBatch, BatchMatchesPerCallAccess)
 {
     // One call per activation, one batch per bank, and ragged batches
     // must produce identical per-bank stats and tree shapes (non-pow2
     // M, refresh-heavy DRCAT, uneven stream lengths).
-    const int tier = GetParam();
     constexpr std::uint32_t kBanks = 8;
     const SchemeConfig cfg = catConfig(true, 48, 256);
     const auto perCall = makeBankSchemes(cfg, kRows, kBanks);
@@ -322,8 +300,8 @@ TEST_P(TreeBundleBatch, BatchMatchesPerCallAccess)
         const auto rows = adversarialStream(40000 + 7777 * b, kRows, 99 + b);
         for (const RowAddr r : rows)
             perCall[b]->onActivate(r);
-        asCat(*perBatch[b]).onActivateBatch(rows.data(), rows.size(), tier);
-        feedRagged(asCat(*ragged[b]), rows, 0, rows.size(), tier);
+        perBatch[b]->onActivateBatch(rows.data(), rows.size());
+        feedRagged(*ragged[b], rows, 0, rows.size());
 
         expectSameStats(perCall[b]->stats(), perBatch[b]->stats());
         expectSameStats(perCall[b]->stats(), ragged[b]->stats());
@@ -334,24 +312,20 @@ TEST_P(TreeBundleBatch, BatchMatchesPerCallAccess)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(EveryTier, TreeBundleBatch,
-                         ::testing::ValuesIn(everyTier()),
-                         [](const auto &info) { return tierName(info.param); });
-
 /**
- * The batch kernel at every tier over trees of L = 7 to 16 levels:
+ * The batch loop over trees of L = 7 to 16 levels:
  * leaf maps of 2^6 to 2^15 entries, from a map whose blocks are 1024
  * rows to one whose blocks are two rows, with PRCAT's per-epoch
  * rebuilds and DRCAT's merges rewriting them.
  */
 class TreeBundleDepth
-    : public ::testing::TestWithParam<std::tuple<bool, std::uint32_t, int>>
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint32_t>>
 {
 };
 
 TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
 {
-    const auto [weights, levels, tier] = GetParam();
+    const auto [weights, levels] = GetParam();
     constexpr std::uint32_t kT = 256;
     constexpr std::size_t kEpoch = 30000;
     const SchemeConfig cfg = catConfig(weights, 64, kT, levels);
@@ -372,7 +346,7 @@ TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
             ASSERT_TRUE(sameAction(perCall->onActivate(rows[i]),
                                    bare.access(rows[i])))
                 << "access " << i;
-        feedRagged(asCat(*batched), rows, begin, end, tier);
+        feedRagged(*batched, rows, begin, end);
     }
 
     expectSameStats(perCall->stats(), bare.stats);
@@ -394,12 +368,10 @@ TEST_P(TreeBundleDepth, BatchMatchesPerCallAndBareTree)
 INSTANTIATE_TEST_SUITE_P(
     EveryLevelCount, TreeBundleDepth,
     ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(7u, 9u, 11u, 13u, 16u),
-                       ::testing::ValuesIn(everyTier())),
+                       ::testing::Values(7u, 9u, 11u, 13u, 16u)),
     [](const auto &info) {
         return std::string(std::get<0>(info.param) ? "Drcat" : "Prcat")
-               + "_L" + std::to_string(std::get<1>(info.param)) + "_"
-               + tierName(std::get<2>(info.param));
+               + "_L" + std::to_string(std::get<1>(info.param));
     });
 
 namespace
@@ -467,19 +439,15 @@ runPooledDiff(bool weights, std::size_t quantum)
 
 } // namespace
 
-TEST(TreeBundleDeath, RowOutOfRangePanicsAtEveryTier)
+TEST(TreeBundleDeath, RowOutOfRangePanics)
 {
-    // The bad row sits in the second full 16-row group, after a whole
-    // group of good rows, so each tier meets it on its own path.
-    for (const int tier : everyTier()) {
-        const auto s = makeScheme(catConfig(true, 64, 1024), kRows);
-        std::vector<RowAddr> rows(40, 7);
-        rows[21] = kRows;
-        EXPECT_DEATH(asCat(*s).onActivateBatch(rows.data(), rows.size(),
-                                               tier),
-                     "row 65536 out of range")
-            << tierName(tier);
-    }
+    // The bad row follows good ones, so the batch loop meets it
+    // mid-chunk on its fast path.
+    const auto batched = makeScheme(catConfig(true, 64, 1024), kRows);
+    std::vector<RowAddr> rows(40, 7);
+    rows[21] = kRows;
+    EXPECT_DEATH(batched->onActivateBatch(rows.data(), rows.size()),
+                 "row 65536 out of range");
     const auto s = makeScheme(catConfig(false, 64, 1024), kRows);
     EXPECT_DEATH(s->onActivate(kRows + 5), "row 65541 out of range");
 }
