@@ -4,9 +4,9 @@
 Reads the ``metrics`` object of each guarded bench's
 ``BENCH_<name>.json`` (produced by scripts/run_benches.sh) and enforces
 the committed floors in ``scripts/reference_perf.json``.  The reference
-file holds one entry per bench under ``benches`` (the micro-bench's
-bundle batch loop and the fleet-scale shard scaling curve); a bench that
-did not run is skipped, so BENCH_FILTERed invocations stay green.  A
+file holds one entry per bench under ``benches`` (today the
+micro-bench's bundle batch loop); a bench that did not run is skipped,
+so BENCH_FILTERed invocations stay green.  A
 bench that ran must report every metric its entry gates - the tier
 metric, each ratio and throughput floor, each trajectory metric - and
 fails naming the metric otherwise, so a renamed or dropped metric
@@ -14,15 +14,11 @@ cannot silently disarm its floor (or fall back to the tier-0 floors).
 
 Three kinds of guard, in increasing statefulness:
 
-* **Ratio floors** (bundle vs flattened tree, 4-shard vs 1-shard
-  fleet speedup) are machine-relative, so they get hard per-tier
-  floors: each bench reports which hardware class it ran on
-  (``bundle_simd_tier``: 2 = AVX-512 host, 0 = any other; both run
-  the same scalar batch loop;
-  ``fleet_worker_tier``: 2 = host has >= 4 cores, 1 = 2-3, 0 = 1)
-  and each ratio must clear the floor committed for that tier.
-  A 1-core CI box cannot show a 4x shard speedup, so tier 0's fleet
-  floors only catch pathological slowdowns.
+* **Ratio floors** (bundle vs flattened tree) are machine-relative,
+  so they get hard per-tier floors: each bench reports which hardware
+  class it ran on (``bundle_simd_tier``: 2 = AVX-512 host, 0 = any
+  other; both run the same scalar batch loop) and each ratio must
+  clear the floor committed for that tier.
 * **Absolute throughput floors** (activations/second) vary with
   hardware, so they only get loose sanity floors
   (``reference * min_frac``) catching order-of-magnitude regressions.

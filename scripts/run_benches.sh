@@ -26,17 +26,14 @@
 #                  check auto-skips benches whose scale differs from
 #                  the committed reference scale
 #   CATSIM_CHECK_PERF  set to 0 to skip the hot-path throughput gate
-#                  (scripts/check_perf.py over the micro-bench's and
-#                  fleet bench's @@METRIC throughputs; auto-skips
-#                  benches that were filtered out)
+#                  (scripts/check_perf.py over the micro-bench's
+#                  @@METRIC throughputs; auto-skips benches that were
+#                  filtered out)
 #   CATSIM_PERF_HISTORY  set to 1 to append this run's tracked
 #                  throughput metrics to scripts/perf_history.jsonl
 #                  (the cross-PR trajectory file; commit the appended
 #                  lines with the PR). Off by default so CI reruns do
 #                  not fork the history.
-#   CATSIM_SHARDS  fleet shard count for bench_fleet_scale's
-#                  fleet_result_* metrics (results are shard-count
-#                  invariant; CI diffs 1 vs 4)
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -77,7 +74,6 @@ for bench in "${BUILD_DIR}"/bench/bench_*; do
     echo "==> ${name} (scale=${SCALE}, jobs=${JOBS})"
     start="$(now_ms)"
     if CATSIM_SCALE="${SCALE}" CATSIM_JOBS="${JOBS}" \
-        CATSIM_SHARDS="${CATSIM_SHARDS:-}" \
         CATSIM_CHECKPOINT="${CATSIM_CHECKPOINT:-}" "${bench}" \
         > "${log}" 2>&1; then
         exit_code=0
@@ -126,8 +122,8 @@ if [ "${CATSIM_CHECK_METRICS:-1}" != "0" ] && [ -f "${REFERENCE}" ] \
     fi
 fi
 
-# Gate the hot-path throughput (bundle + fleet speedup floors per
-# hardware tier, loose absolute sanity floors, and the cross-PR
+# Gate the hot-path throughput (bundle speedup floors per hardware
+# tier, loose absolute sanity floors, and the cross-PR
 # trajectory guard; see scripts/reference_perf.json and
 # scripts/perf_history.jsonl).
 PERF_REFERENCE="${REPO_ROOT}/scripts/reference_perf.json"

@@ -1,21 +1,21 @@
 /**
  * @file
- * The parallel-for that runs every sweep grid and sharded fleet.
+ * The parallel-for that runs every sweep grid.
  *
  * parallelFor starts a plain group of threads that pull cell indices
  * from one shared atomic counter and joins them, so uneven cells (an
- * attacked shard, a cell whose baseline is still running) balance
- * without any scheduler.  The job count defaults to the CATSIM_JOBS
- * environment variable (hardware concurrency when unset); one job
- * degenerates to inline execution on the calling thread so the serial
- * path needs no special casing.
+ * ETO cell next to a replay, a cell whose baseline is still running)
+ * balance without any scheduler.  The job count defaults to the
+ * CATSIM_JOBS environment variable (hardware concurrency when unset);
+ * one job degenerates to inline execution on the calling thread so the
+ * serial path needs no special casing.
  *
  * Determinism contract: scheduling decides only WHERE and WHEN a cell
- * runs, never what it computes.  Callers index results by cell (grid
- * cell or shard id), never by completion order, and each cell is a
- * pure function of its spec, so any job count produces bit-identical
- * output.  Errors are deterministic too: the failure of the LOWEST
- * failing index is rethrown (see below), not the first to finish.
+ * runs, never what it computes.  Callers index results by cell, never
+ * by completion order, and each cell is a pure function of its spec,
+ * so any job count produces bit-identical output.  Errors are
+ * deterministic too: the failure of the LOWEST failing index is
+ * rethrown (see below), not the first to finish.
  */
 
 #ifndef CATSIM_COMMON_PARALLEL_HPP

@@ -33,6 +33,8 @@ CounterCache::CounterCache(RowAddr num_rows,
 RefreshAction
 CounterCache::onActivate(RowAddr row)
 {
+    if (row >= numRows_)
+        CATSIM_PANIC("row ", row, " out of range");
     ++stats_.activations;
     ++tick_;
 

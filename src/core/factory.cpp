@@ -232,8 +232,7 @@ makeBankSchemes(const SchemeConfig &config, RowAddr num_rows,
         if (first_bank % k != 0)
             CATSIM_FATAL("first_bank=", first_bank,
                          " splits a banksPerPool=", k,
-                         " counter-pool group (shard boundaries must "
-                         "align to pool groups)");
+                         " counter-pool group");
         // One pool per group of k consecutive banks (a rank in flat
         // bank order) and one scheme per bank on it; a short tail
         // group keeps the per-bank budget, not the full-rank one.

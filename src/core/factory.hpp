@@ -111,15 +111,15 @@ std::unique_ptr<MitigationScheme> makeScheme(const SchemeConfig &config,
  * bank's config derives its seed exactly as the historical per-bank
  * loops did (seed * 1000003 + GLOBAL bank index, where the global
  * index is first_bank + b), so per-bank construction is byte-identical
- * to calling makeScheme in a loop - and a shard building banks
- * [first_bank, first_bank + num_banks) gets the same instances the
- * whole-topology call would.  With config.banksPerPool = k > 1 and a
- * CAT-family kind, each group of k consecutive banks (a rank, when
- * k = banksPerRank) shares one SharedCounterPool of k x numCounters
- * counters, one TreeBundle per bank on it (a short tail group keeps
- * the per-bank budget); the pool's lifetime is tied to the returned
- * schemes, and first_bank must be a multiple of k (fatal otherwise)
- * so shard boundaries never split a pool group.
+ * to calling makeScheme in a loop - and a caller building banks
+ * [first_bank, first_bank + num_banks), as replaySources does one pool
+ * group at a time, gets the same instances the whole-topology call
+ * would.  With config.banksPerPool = k > 1 and a CAT-family kind, each
+ * group of k consecutive banks (a rank, when k = banksPerRank) shares
+ * one SharedCounterPool of k x numCounters counters, one TreeBundle
+ * per bank on it (a short tail group keeps the per-bank budget); the
+ * pool's lifetime is tied to the returned schemes, and first_bank must
+ * be a multiple of k (fatal otherwise) so no pool group is split.
  */
 std::vector<std::unique_ptr<MitigationScheme>> makeBankSchemes(
     const SchemeConfig &config, RowAddr num_rows,

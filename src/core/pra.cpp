@@ -10,6 +10,17 @@
 namespace catsim
 {
 
+PraDecisionRule
+praDecisionRule(double p)
+{
+    // ceil(log2(1/p)) bits per decision; 9 bits for p = 0.002..0.003.
+    // 1/p > 1 for every p in (0,1), so bits is at least 1.
+    const auto bits = static_cast<unsigned>(std::ceil(std::log2(1.0 / p)));
+    const auto accept = static_cast<std::uint32_t>(
+        std::llround(p * std::pow(2.0, bits)));
+    return {bits, accept ? accept : 1};
+}
+
 Pra::Pra(RowAddr num_rows, double p, std::unique_ptr<PrngSource> prng)
     : MitigationScheme(num_rows),
       p_(p),
@@ -17,14 +28,7 @@ Pra::Pra(RowAddr num_rows, double p, std::unique_ptr<PrngSource> prng)
 {
     if (p <= 0.0 || p >= 1.0)
         CATSIM_FATAL("PRA probability must be in (0,1), got ", p);
-    // ceil(log2(1/p)) bits per decision; 9 bits for p = 0.002..0.003.
-    bits_ = static_cast<unsigned>(std::ceil(std::log2(1.0 / p)));
-    if (bits_ == 0)
-        bits_ = 1;
-    acceptBelow_ = static_cast<std::uint32_t>(
-        std::llround(p * std::pow(2.0, bits_)));
-    if (acceptBelow_ == 0)
-        acceptBelow_ = 1;
+    rule_ = praDecisionRule(p);
 }
 
 RefreshAction
@@ -65,10 +69,10 @@ RefreshAction
 Pra::onActivate(RowAddr row)
 {
     ++stats_.activations;
-    stats_.prngBits += bits_;
+    stats_.prngBits += rule_.bits;
 
-    const std::uint32_t draw = prng_->nextBits(bits_);
-    if (draw >= acceptBelow_)
+    const std::uint32_t draw = prng_->nextBits(rule_.bits);
+    if (draw >= rule_.acceptBelow)
         return {};
 
     const RefreshAction act =

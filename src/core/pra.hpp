@@ -13,6 +13,7 @@
 #ifndef CATSIM_CORE_PRA_HPP
 #define CATSIM_CORE_PRA_HPP
 
+#include <cstdint>
 #include <memory>
 
 #include "core/adjacency.hpp"
@@ -21,6 +22,19 @@
 
 namespace catsim
 {
+
+/**
+ * PRA's decision rule for a refresh probability p in (0,1), shared by
+ * Pra and the Monte-Carlo window model (reliability/montecarlo): draw
+ * `bits` = ceil(log2(1/p)) PRNG bits per activation, and refresh when
+ * the draw is below `acceptBelow` = max(1, round(p * 2^bits)).
+ */
+struct PraDecisionRule
+{
+    unsigned bits;
+    std::uint32_t acceptBelow;
+};
+PraDecisionRule praDecisionRule(double p);
 
 /** Probabilistic neighbor-refresh mitigation. */
 class Pra : public MitigationScheme
@@ -38,7 +52,7 @@ class Pra : public MitigationScheme
     std::string name() const override;
 
     double probability() const { return p_; }
-    unsigned bitsPerDraw() const { return bits_; }
+    unsigned bitsPerDraw() const { return rule_.bits; }
 
     /**
      * Use a physical-adjacency model for victim selection (paper
@@ -52,8 +66,7 @@ class Pra : public MitigationScheme
 
   private:
     double p_;
-    unsigned bits_;
-    std::uint32_t acceptBelow_;
+    PraDecisionRule rule_{};
     std::unique_ptr<PrngSource> prng_;
     const RowAdjacency *adjacency_ = nullptr;
 };

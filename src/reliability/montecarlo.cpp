@@ -7,6 +7,7 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/pra.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace catsim
@@ -28,21 +29,17 @@ praWindowFailures(PrngSource &prng, std::uint32_t threshold, double p,
 {
     if (p <= 0.0 || p >= 1.0)
         CATSIM_FATAL("probability must be in (0,1)");
-    const unsigned bits =
-        static_cast<unsigned>(std::ceil(std::log2(1.0 / p)));
-    const auto accept = static_cast<std::uint32_t>(
-        std::llround(p * std::pow(2.0, bits)));
+    const PraDecisionRule rule = praDecisionRule(p);
 
     McResult res;
     res.windows = windows;
     // Each trial models one hammered victim: its disturbance counter
     // restarts whenever a refresh is accepted; the trial fails when T
     // consecutive draws all miss the accept region.
-    const std::uint32_t acceptBelow = accept ? accept : 1;
     for (std::uint64_t w = 0; w < windows; ++w) {
         bool refreshed = false;
         for (std::uint32_t i = 0; i < threshold; ++i) {
-            if (prng.nextBits(bits) < acceptBelow) {
+            if (prng.nextBits(rule.bits) < rule.acceptBelow) {
                 refreshed = true;
                 break;
             }

@@ -69,8 +69,7 @@ ReplayLane::step(std::size_t budget)
 ReplayResult
 replaySources(
     const std::vector<std::unique_ptr<ActivationSource>> &sources,
-    const SchemeConfig &scheme_config, RowAddr rows_per_bank,
-    std::uint32_t first_bank)
+    const SchemeConfig &scheme_config, RowAddr rows_per_bank)
 {
     ReplayResult res;
     res.banks = sources.size();
@@ -89,7 +88,7 @@ replaySources(
         // a per-row backing array, so keeping every bank's scheme
         // would multiply peak memory for nothing.
         const auto schemes =
-            makeBankSchemes(scheme_config, rows_per_bank, n, first_bank + g);
+            makeBankSchemes(scheme_config, rows_per_bank, n, g);
         std::vector<ReplayLane> lanes;
         for (std::uint32_t b = 0; b < n; ++b) {
             if (!sources[g + b])

@@ -50,9 +50,9 @@ struct ReplayResult
 
 /**
  * One bank's replay cursor: its source, its scheme, and the unplayed
- * rest of the current chunk.  Every replay path - whole-stream,
- * rank-pooled round robin, and streamed trace windows - steps lanes,
- * so there is exactly one loop that hands activations to a scheme.
+ * rest of the current chunk.  Both replay paths - whole-stream and
+ * rank-pooled round robin - step lanes, so there is exactly one loop
+ * that hands activations to a scheme.
  */
 class ReplayLane
 {
@@ -105,17 +105,10 @@ ReplayResult replayActivations(
  * pool take round-robin turns of a fixed activation quantum, so they
  * contend for the pool roughly in parallel; private banks run to the
  * end of their streams one after the other.
- *
- * @param first_bank Global flat-bank index of sources[0].  A shard
- *     replaying banks [first_bank, first_bank + n) produces exactly
- *     the per-bank schemes (seeds, pool groups) the whole-topology
- *     call would, so sharded results merge bit-identically; must be
- *     pool-group-aligned when scheme_config.banksPerPool > 1.
  */
 ReplayResult replaySources(
     const std::vector<std::unique_ptr<ActivationSource>> &sources,
-    const SchemeConfig &scheme_config, RowAddr rows_per_bank,
-    std::uint32_t first_bank = 0);
+    const SchemeConfig &scheme_config, RowAddr rows_per_bank);
 
 } // namespace catsim
 

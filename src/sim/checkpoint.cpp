@@ -1,19 +1,15 @@
 #include "checkpoint.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <set>
 
 #include "common/checksum.hpp"
 #include "common/durable_io.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 
 namespace catsim
 {
@@ -60,13 +56,6 @@ checkpointDirFromEnv()
 {
     const char *env = std::getenv("CATSIM_CHECKPOINT");
     return env ? env : "";
-}
-
-bool
-keepGoingFromEnv()
-{
-    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
-    return env && std::string(env) == "1";
 }
 
 std::string
@@ -242,135 +231,6 @@ BlobReader::getStats(SchemeStats *s)
         if (!getU64(&(s->*field)))
             return false;
     return true;
-}
-
-CellError
-currentCellError(std::size_t index, const std::string &label, int attempts)
-{
-    CellError err{index, label, "unknown error", attempts};
-    try {
-        throw;
-    } catch (const std::exception &e) {
-        err.message = e.what();
-    } catch (...) {
-    }
-    return err;
-}
-
-JournaledRunner::JournaledRunner(std::size_t jobs)
-    : jobs_(jobs ? jobs : 1), dir_(checkpointDirFromEnv()),
-      keepGoing_(keepGoingFromEnv())
-{
-}
-
-void
-JournaledRunner::run(
-    const JournaledGrid &grid,
-    const std::function<bool(std::size_t, const std::string &)> &restore,
-    const std::function<void(std::size_t)> &eval,
-    const std::function<std::string(std::size_t)> &encode)
-{
-    const std::size_t n = grid.keys.size();
-    errors_.clear();
-    resumed_ = 0;
-    const std::unique_ptr<CheckpointJournal> journal =
-        dir_.empty() ? nullptr
-                     : std::make_unique<CheckpointJournal>(dir_, grid.runKey);
-
-    // Replay: journaled cells (validated by key + CRC at open) are
-    // decoded in place and never re-run.
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    std::string blob;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (journal && journal->lookup(grid.keys[i], &blob)
-            && restore(i, blob))
-            ++resumed_;
-        else
-            pending.push_back(i);
-    }
-    if (resumed_ > 0)
-        CATSIM_INFORM("checkpoint: resumed ", resumed_, "/", n, " ",
-                      grid.what, " from ", journal->path());
-
-    // One cell per group first: a worker handed a group's second cell
-    // would only block on the set-up its first cell is still running.
-    if (!grid.groups.empty()) {
-        std::vector<char> leads(n, 0);
-        std::set<std::string_view> seen;
-        for (const std::size_t i : pending)
-            leads[i] = seen.insert(grid.groups[i]).second;
-        std::stable_partition(pending.begin(), pending.end(),
-                              [&leads](std::size_t i) { return leads[i]; });
-    }
-
-    // Losing a record only costs a re-run on resume, so keep-going
-    // carries on; fail-fast dies loudly, because a broken journal would
-    // make every later resume silently partial.
-    const auto journalCell = [&](std::size_t i) {
-        const std::string encoded = encode(i);
-        try {
-            journal->append(grid.keys[i], encoded);
-        } catch (const std::exception &e) {
-            if (!keepGoing_)
-                throw;
-            CATSIM_WARN("checkpoint append failed for ", grid.labels[i],
-                        ": ", e.what());
-        }
-    };
-
-    std::vector<CellError> errors;
-    std::mutex errMutex;
-    const int maxAttempts = keepGoing_ ? 2 : 1;
-    const auto runCell = [&](std::size_t pi) {
-        const std::size_t i = pending[pi];
-        for (int attempt = 1;; ++attempt) {
-            try {
-                fault::maybeThrow(grid.failSite);
-                eval(i);
-                if (journal)
-                    journalCell(i);
-                return;
-            } catch (...) {
-                if (attempt < maxAttempts)
-                    continue; // transient? one retry
-                {
-                    std::lock_guard<std::mutex> lock(errMutex);
-                    errors.push_back(
-                        currentCellError(i, grid.labels[i], attempt));
-                }
-                if (!keepGoing_)
-                    throw; // poisons the grid: no new cells start
-                return;    // failed cells are never journaled
-            }
-        }
-    };
-    try {
-        parallelFor(pending.size(), runCell, jobs_);
-    } catch (...) {
-        // parallelFor names the failure by its position among the
-        // pending cells; the report below names it by its grid index.
-        if (keepGoing_ || errors.empty())
-            throw;
-    }
-
-    std::sort(errors.begin(), errors.end(),
-              [](const CellError &a, const CellError &b) {
-                  return a.index < b.index;
-              });
-    errors_ = std::move(errors);
-    if (errors_.empty())
-        return;
-    if (!keepGoing_) {
-        const CellError &e = errors_.front();
-        throw std::runtime_error("cell " + std::to_string(e.index) + " ("
-                                 + e.label + "): " + e.message);
-    }
-    CATSIM_WARN("keep-going: ", errors_.size(), "/", grid.keys.size(), " ",
-                grid.what, " failed permanently and were not checkpointed");
-    for (const auto &e : errors_)
-        CATSIM_WARN("  cell ", e.index, " (", e.label, "), ", e.attempts,
-                    " attempts: ", e.message);
 }
 
 } // namespace catsim

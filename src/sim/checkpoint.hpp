@@ -1,10 +1,9 @@
 /**
  * @file
- * Crash-safe run journal, its binary codec, and the journaled-task
- * runner shared by sweeps and fleet shards.
+ * Crash-safe run journal and its binary codec.
  *
- * Every SweepRunner cell, fleet shard and Monte-Carlo trial batch is a
- * pure deterministic function of its spec, so a long run can be made
+ * Every SweepRunner cell and Monte-Carlo trial batch is a pure
+ * deterministic function of its spec, so a long run can be made
  * crash-safe by journaling each completed unit of work: one record
  * per cell, appended (and fsync'd) the moment the cell finishes.  On
  * restart the journal is replayed, every record whose key and CRC32
@@ -35,13 +34,11 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/mitigation.hpp"
 
@@ -50,9 +47,6 @@ namespace catsim
 
 /** Checkpoint directory from CATSIM_CHECKPOINT ("" = disabled). */
 std::string checkpointDirFromEnv();
-
-/** Keep-going mode from CATSIM_SWEEP_KEEP_GOING (=1 enables). */
-bool keepGoingFromEnv();
 
 /** Journal file name (not path) for a run key: hash-suffixed. */
 std::string checkpointFileName(const std::string &runKey);
@@ -181,114 +175,16 @@ class BlobReader
 };
 
 /**
- * One cell that failed permanently: which cell, what it was, and what
- * its final attempt threw.  A cell is a sweep grid point or a fleet
- * shard.  Failed cells are NOT journaled, so a checkpointed resume
- * re-runs exactly them.
+ * One sweep cell that failed permanently: which cell, what it was, and
+ * what its final attempt threw.  Failed cells are NOT journaled, so a
+ * checkpointed resume re-runs exactly them.
  */
 struct CellError
 {
-    std::size_t index = 0;  //!< position in the grid (sweep cell, shard)
+    std::size_t index = 0;  //!< position in the sweep grid
     std::string label;      //!< cell label for the error report
     std::string message;    //!< what() of the last attempt
     int attempts = 0;       //!< evaluation attempts made (max 2)
-};
-
-/** A CellError for cell @p index from the exception being handled. */
-CellError currentCellError(std::size_t index, const std::string &label,
-                           int attempts);
-
-/**
- * One grid for JournaledRunner::run: cell i is journaled under keys[i]
- * and named labels[i] in error reports.
- */
-struct JournaledGrid
-{
-    std::string what;          //!< log noun, e.g. "cmrpo cells"
-    std::string runKey;        //!< journal identity, see checkpointFileName
-    const char *failSite = ""; //!< fail point fired before each attempt
-    std::vector<std::string> keys;
-    std::vector<std::string> labels;
-    /**
-     * groups[i] names the shared set-up cell i waits on (a sweep
-     * cell's baseline: ExperimentRunner::cacheKey); empty means index
-     * order.  See JournaledRunner for the hand-out order.
-     */
-    std::vector<std::string> groups;
-};
-
-/**
- * The journaled-task runner behind SweepRunner::run* and
- * ShardedSim::run.  Its one entry point, run(), replays the journal,
- * evaluates the missing cells on parallelFor, journals each cell the
- * moment it finishes, and reports failures.
- *
- * Hand-out order: the first pending cell of every group, in index
- * order, then every other pending cell, in index order.  A group whose
- * first cell is journaled leads with its next pending one.  So a
- * workload-major sweep starts up to jobs() distinct baselines at once
- * instead of parking its workers on the first workload's baseline.
- * The order decides only when a cell runs, never its result; it does
- * decide which hit of the grid's fail point (e.g. sweep_cell@N) lands
- * on which cell, since hits are counted as cells are handed out.
- *
- *  - fail-fast (default): the first failure stops the hand-out of new
- *    cells and is rethrown as "cell <grid index> (<label>): <what>";
- *    cells finished before it stay journaled.  With several failing
- *    cells, jobs() == 1 meets the first one in hand-out order.
- *  - keep-going (CATSIM_SWEEP_KEEP_GOING=1): a failing cell is retried
- *    once, then recorded as a CellError while the rest of the grid
- *    completes; lastErrors() lists them by grid index.
- *
- * Results live with the caller: run() only calls back into it, by cell
- * index, to restore, evaluate and encode a cell.  Not thread-safe
- * against concurrent run() calls on one runner.
- */
-class JournaledRunner
-{
-  public:
-    /** The journal dir and keep-going mode default to the environment
-     *  (CATSIM_CHECKPOINT, CATSIM_SWEEP_KEEP_GOING). */
-    explicit JournaledRunner(std::size_t jobs);
-
-    std::size_t jobs() const { return jobs_; }
-    void setCheckpointDir(const std::string &dir) { dir_ = dir; }
-    const std::string &checkpointDir() const { return dir_; }
-    void setKeepGoing(bool keepGoing) { keepGoing_ = keepGoing; }
-    bool keepGoing() const { return keepGoing_; }
-
-    /**
-     * Invocation number of @p kind in this process, a run-key part:
-     * it tells repeated grids apart and is reproduced by a re-run of
-     * the same program, so resume matches.
-     */
-    std::uint64_t nextSeq(const std::string &kind) { return seq_[kind]++; }
-
-    /**
-     * Run every cell of @p grid (see the class comment): @p restore
-     * decodes a journal blob into cell i's result (false re-runs the
-     * cell), @p eval evaluates cell i, and @p encode returns cell i's
-     * result as a journal blob.
-     */
-    void run(const JournaledGrid &grid,
-             const std::function<bool(std::size_t, const std::string &)>
-                 &restore,
-             const std::function<void(std::size_t)> &eval,
-             const std::function<std::string(std::size_t)> &encode);
-
-    /** Errors of the most recent run, sorted by cell index. */
-    const std::vector<CellError> &lastErrors() const { return errors_; }
-
-    /** Cells served from the journal by the most recent run. */
-    std::size_t lastResumed() const { return resumed_; }
-
-  private:
-    std::size_t jobs_;
-    std::string dir_;
-    bool keepGoing_;
-    std::map<std::string, std::uint64_t> seq_;
-    std::vector<CellError> errors_;
-    std::size_t resumed_ = 0;
 };
 
 } // namespace catsim

@@ -188,7 +188,7 @@ class ExperimentRunner
     /**
      * The identity of a (preset, workload) baseline: its key in the
      * in-memory cache, and the name and header key of its disk cache
-     * file.  Sweeps group cells by it (JournaledGrid::groups).
+     * file.  Sweeps hand out one cell per key first (sim/sweep.hpp).
      */
     std::string cacheKey(SystemPreset preset,
                          const WorkloadSpec &workload) const;

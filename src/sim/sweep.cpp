@@ -1,8 +1,17 @@
 #include "sweep.hpp"
 
+#include <algorithm>
+#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
+
+#include "common/fault_injection.hpp"
+#include "common/logging.hpp"
 
 namespace catsim
 {
@@ -90,10 +99,33 @@ markFailed(EvalResult *e)
     e->cmrpo = std::numeric_limits<double>::quiet_NaN();
 }
 
+/** Keep-going mode from CATSIM_SWEEP_KEEP_GOING (=1 enables). */
+bool
+keepGoingFromEnv()
+{
+    const char *env = std::getenv("CATSIM_SWEEP_KEEP_GOING");
+    return env && std::string(env) == "1";
+}
+
+/** A CellError for cell @p index from the exception being handled. */
+CellError
+currentCellError(std::size_t index, const std::string &label, int attempts)
+{
+    CellError err{index, label, "unknown error", attempts};
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        err.message = e.what();
+    } catch (...) {
+    }
+    return err;
+}
+
 } // namespace
 
 SweepRunner::SweepRunner(double scale, std::size_t jobs)
-    : runner_(scale), tasks_(jobs)
+    : runner_(scale), jobs_(jobs ? jobs : 1),
+      checkpointDir_(checkpointDirFromEnv()), keepGoing_(keepGoingFromEnv())
 {
 }
 
@@ -103,45 +135,128 @@ SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
                           const Eval &eval)
 {
     const std::size_t n = cells.size();
-    JournaledGrid grid;
-    grid.what = std::string(kind) + " cells";
-    grid.failSite = "sweep_cell";
-    for (std::size_t i = 0; i < n; ++i) {
-        grid.keys.push_back(std::string(kind) + '#' + std::to_string(i)
-                            + '|' + cellSpec(cells[i]));
-        grid.labels.push_back(cellLabel(cells[i]));
-        // A sweep cell's group is its baseline, so distinct baselines
-        // start first; closed-loop cells share no set-up.
-        if constexpr (std::is_same_v<Cell, SweepCell>) {
-            const SweepCell &c = cells[i];
-            grid.groups.push_back(runner_.cacheKey(c.preset, c.workload));
-        }
-    }
-    const std::uint64_t seq = tasks_.nextSeq(kind);
-    if (!tasks_.checkpointDir().empty()) {
+    std::vector<std::string> keys;
+    keys.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        keys.push_back(std::string(kind) + '#' + std::to_string(i) + '|'
+                       + cellSpec(cells[i]));
+    const std::uint64_t seq = seq_[kind]++;
+    errors_.clear();
+    resumed_ = 0;
+    std::unique_ptr<CheckpointJournal> journal;
+    if (!checkpointDir_.empty()) {
         std::ostringstream runKey;
         runKey << kind << "|seq=" << seq << "|scale=" << std::hexfloat
                << scale() << "|cells=" << n;
-        for (const auto &k : grid.keys)
+        for (const auto &k : keys)
             runKey << '|' << k;
-        grid.runKey = runKey.str();
+        journal =
+            std::make_unique<CheckpointJournal>(checkpointDir_, runKey.str());
     }
 
+    // Replay: journaled cells (validated by key + CRC at open) are
+    // decoded in place and never re-run.
     std::vector<Result> results(n);
-    tasks_.run(
-        grid,
-        [&results](std::size_t i, const std::string &blob) {
+    std::vector<std::size_t> pending;
+    pending.reserve(n);
+    std::string blob;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (journal && journal->lookup(keys[i], &blob)) {
             BlobReader r(blob);
-            return getResult(r, &results[i]) && r.atEnd();
-        },
-        [&](std::size_t i) { results[i] = eval(cells[i]); },
-        [&results](std::size_t i) {
-            BlobWriter w;
-            putResult(w, results[i]);
-            return w.str();
-        });
-    for (const CellError &e : tasks_.lastErrors())
+            if (getResult(r, &results[i]) && r.atEnd()) {
+                ++resumed_;
+                continue;
+            }
+        }
+        pending.push_back(i);
+    }
+    if (resumed_ > 0)
+        CATSIM_INFORM("checkpoint: resumed ", resumed_, "/", n, " ", kind,
+                      " cells from ", journal->path());
+
+    // One cell per baseline first: a worker handed a baseline's second
+    // cell would only block on the timing run its first cell is still
+    // running.  Closed-loop cells share no baseline and keep index
+    // order.
+    if constexpr (std::is_same_v<Cell, SweepCell>) {
+        std::vector<char> leads(n, 0);
+        std::set<std::string> seen;
+        for (const std::size_t i : pending)
+            leads[i] = seen.insert(runner_.cacheKey(cells[i].preset,
+                                                    cells[i].workload))
+                           .second;
+        std::stable_partition(pending.begin(), pending.end(),
+                              [&leads](std::size_t i) { return leads[i]; });
+    }
+
+    // Losing a record only costs a re-run on resume, so keep-going
+    // carries on; fail-fast dies loudly, because a broken journal would
+    // make every later resume silently partial.
+    const auto journalCell = [&](std::size_t i) {
+        BlobWriter w;
+        putResult(w, results[i]);
+        try {
+            journal->append(keys[i], w.str());
+        } catch (const std::exception &e) {
+            if (!keepGoing_)
+                throw;
+            CATSIM_WARN("checkpoint append failed for ",
+                        cellLabel(cells[i]), ": ", e.what());
+        }
+    };
+
+    std::mutex errMutex;
+    const int maxAttempts = keepGoing_ ? 2 : 1;
+    const auto runCell = [&](std::size_t pi) {
+        const std::size_t i = pending[pi];
+        for (int attempt = 1;; ++attempt) {
+            try {
+                fault::maybeThrow("sweep_cell");
+                results[i] = eval(cells[i]);
+                if (journal)
+                    journalCell(i);
+                return;
+            } catch (...) {
+                if (attempt < maxAttempts)
+                    continue; // transient? one retry
+                {
+                    std::lock_guard<std::mutex> lock(errMutex);
+                    errors_.push_back(
+                        currentCellError(i, cellLabel(cells[i]), attempt));
+                }
+                if (!keepGoing_)
+                    throw; // poisons the grid: no new cells start
+                return;    // failed cells are never journaled
+            }
+        }
+    };
+    try {
+        parallelFor(pending.size(), runCell, jobs_);
+    } catch (...) {
+        // parallelFor names the failure by its position among the
+        // pending cells; the report below names it by its grid index.
+        if (keepGoing_ || errors_.empty())
+            throw;
+    }
+
+    std::sort(errors_.begin(), errors_.end(),
+              [](const CellError &a, const CellError &b) {
+                  return a.index < b.index;
+              });
+    if (errors_.empty())
+        return results;
+    if (!keepGoing_) {
+        const CellError &e = errors_.front();
+        throw std::runtime_error("cell " + std::to_string(e.index) + " ("
+                                 + e.label + "): " + e.message);
+    }
+    CATSIM_WARN("keep-going: ", errors_.size(), "/", n, " ", kind,
+                " cells failed permanently and were not checkpointed");
+    for (const auto &e : errors_) {
+        CATSIM_WARN("  cell ", e.index, " (", e.label, "), ", e.attempts,
+                    " attempts: ", e.message);
         markFailed(&results[e.index]);
+    }
     return results;
 }
 

@@ -15,27 +15,34 @@
  * run: the underlying ExperimentRunner's cache hands out per-key
  * shared futures, so the first cell to need a baseline computes it and
  * concurrent cells block instead of duplicating the work.  To keep
- * workers from blocking, the runner hands out the first cell of every
- * baseline before any second cell (JournaledRunner), so a cold
- * workload-major grid computes up to `jobs` baselines at once.
+ * workers from blocking, the runner hands out the first pending cell
+ * of every baseline, in index order, before any second cell, so a cold
+ * workload-major grid computes up to `jobs` baselines at once.  The
+ * order decides only when a cell runs, never its result; it does
+ * decide which hit of the `sweep_cell` fail point lands on which cell,
+ * since hits are counted as cells are handed out.
  *
- * Crash safety: every run* call goes through the JournaledRunner
- * (sim/checkpoint.hpp).  With CATSIM_CHECKPOINT=dir every finished
- * cell is journaled the moment it completes, and a restarted run
- * replays the journal and re-runs only the missing cells - because
- * each cell is a pure function of its spec, the resumed output is
- * byte-identical to an uninterrupted run.  With
+ * Crash safety: with CATSIM_CHECKPOINT=dir every finished cell is
+ * journaled (sim/checkpoint.hpp) the moment it completes, and a
+ * restarted run replays the journal and re-runs only the missing cells
+ * - because each cell is a pure function of its spec, the resumed
+ * output is byte-identical to an uninterrupted run.  The default is
+ * fail-fast: the first failure stops the hand-out of new cells and is
+ * rethrown as "cell <grid index> (<label>): <what>".  With
  * CATSIM_SWEEP_KEEP_GOING=1 a failing cell is retried once and then
  * recorded as a structured CellError while the rest of the grid
  * completes; its result slot holds NaN (metric runs) or an EvalResult
- * with cmrpo = NaN.  The default remains fail-fast.
+ * with cmrpo = NaN.
  */
 
 #ifndef CATSIM_SIM_SWEEP_HPP
 #define CATSIM_SIM_SWEEP_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -142,7 +149,7 @@ class SweepRunner
     /** The shared runner (baseline cache, counters, disk cache dir). */
     ExperimentRunner &runner() { return runner_; }
 
-    std::size_t jobs() const { return tasks_.jobs(); }
+    std::size_t jobs() const { return jobs_; }
     double scale() const { return runner_.scale(); }
 
     /**
@@ -150,14 +157,8 @@ class SweepRunner
      * checkpointing.  Defaults to the CATSIM_CHECKPOINT environment
      * variable.  Not thread-safe against in-flight runs.
      */
-    void setCheckpointDir(const std::string &dir)
-    {
-        tasks_.setCheckpointDir(dir);
-    }
-    const std::string &checkpointDir() const
-    {
-        return tasks_.checkpointDir();
-    }
+    void setCheckpointDir(const std::string &dir) { checkpointDir_ = dir; }
+    const std::string &checkpointDir() const { return checkpointDir_; }
 
     /**
      * Keep-going mode: a failing cell is retried once, then recorded
@@ -166,28 +167,26 @@ class SweepRunner
      * off means fail-fast (the first cell failure aborts the grid,
      * though cells finished before it are still journaled).
      */
-    void setKeepGoing(bool keepGoing) { tasks_.setKeepGoing(keepGoing); }
-    bool keepGoing() const { return tasks_.keepGoing(); }
+    void setKeepGoing(bool keepGoing) { keepGoing_ = keepGoing; }
+    bool keepGoing() const { return keepGoing_; }
 
     /**
      * Per-cell errors from the most recent run* call (empty on full
      * success; in fail-fast mode the first of them was thrown).
      * Sorted by cell index.
      */
-    const std::vector<CellError> &lastErrors() const
-    {
-        return tasks_.lastErrors();
-    }
+    const std::vector<CellError> &lastErrors() const { return errors_; }
 
     /** Cells served from the journal by the most recent run* call. */
-    std::size_t lastResumedCells() const { return tasks_.lastResumed(); }
+    std::size_t lastResumedCells() const { return resumed_; }
 
   private:
     /**
-     * Shared body of every run* method: builds the journal keys and
-     * hands the grid to the JournaledRunner, which calls @p eval on
-     * each cell to run.  @p kind names the run flavor (part of the
-     * journal run key).
+     * Shared body of every run* method: replays the journal, evaluates
+     * the missing cells with @p eval on parallelFor in hand-out order,
+     * journals each cell the moment it finishes, and reports failures
+     * (see the file comment).  @p kind names the run flavor (part of
+     * the journal run key).
      */
     template <typename Result, typename Cell, typename Eval>
     std::vector<Result> runJournaled(const char *kind,
@@ -195,7 +194,15 @@ class SweepRunner
                                      const Eval &eval);
 
     ExperimentRunner runner_;
-    JournaledRunner tasks_;
+    std::size_t jobs_;
+    std::string checkpointDir_;
+    bool keepGoing_;
+    /** Invocations per run kind in this process, a run-key part: it
+     *  tells repeated grids apart and is reproduced by a re-run of the
+     *  same program, so resume matches. */
+    std::map<std::string, std::uint64_t> seq_;
+    std::vector<CellError> errors_;
+    std::size_t resumed_ = 0;
 };
 
 } // namespace catsim

@@ -4,7 +4,7 @@
  * shared distinct-row placement helper, straddling-pair structure of
  * the many-sided and half-double kernels, blast-radius flow through
  * RowAdjacency::victimsWithin, and placement invariance under
- * CATSIM_JOBS / CATSIM_SHARDS.
+ * CATSIM_JOBS.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@ namespace
 // parallelism knobs so the tests below prove it against a clean slate.
 const bool kEnvScrubbed = [] {
     ::unsetenv("CATSIM_JOBS");
-    ::unsetenv("CATSIM_SHARDS");
     return true;
 }();
 
@@ -179,25 +178,21 @@ TEST(AttackKernel, BlastRadiusTwoFlowsThroughAdjacency)
     }
 }
 
-TEST(AttackKernel, PlacementIgnoresJobsAndShardsEnv)
+TEST(AttackKernel, PlacementIgnoresJobsEnv)
 {
     const auto reference =
         placeTargets(AttackKernelKind::ManySided, 5, 8);
     const auto referenceHd =
         placeTargets(AttackKernelKind::HalfDouble, 5, 8);
     EnvVarGuard jobs("CATSIM_JOBS");
-    EnvVarGuard shards("CATSIM_SHARDS");
     for (const char *j : {"1", "7"}) {
-        for (const char *s : {"1", "5"}) {
-            ::setenv("CATSIM_JOBS", j, 1);
-            ::setenv("CATSIM_SHARDS", s, 1);
-            EXPECT_EQ(placeTargets(AttackKernelKind::ManySided, 5, 8),
-                      reference)
-                << "jobs=" << j << " shards=" << s;
-            EXPECT_EQ(placeTargets(AttackKernelKind::HalfDouble, 5, 8),
-                      referenceHd)
-                << "jobs=" << j << " shards=" << s;
-        }
+        ::setenv("CATSIM_JOBS", j, 1);
+        EXPECT_EQ(placeTargets(AttackKernelKind::ManySided, 5, 8),
+                  reference)
+            << "jobs=" << j;
+        EXPECT_EQ(placeTargets(AttackKernelKind::HalfDouble, 5, 8),
+                  referenceHd)
+            << "jobs=" << j;
     }
 }
 

@@ -22,7 +22,6 @@
 #include "common/fault_injection.hpp"
 #include "reliability/montecarlo.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/shard.hpp"
 #include "sim/sweep.hpp"
 
 namespace catsim
@@ -152,17 +151,6 @@ pinnedEvalBlob()
     return w.str();
 }
 
-/** A ReplayResult journal blob: pinnedStats(201), banks 211, epochs
- *  212. */
-std::string
-pinnedReplayBlob()
-{
-    BlobWriter w;
-    for (std::uint64_t v = 201; v <= 212; ++v)
-        w.putU64(v);
-    return w.str();
-}
-
 /** HeaderAndRecordBytesArePinned's journal file, as hex. */
 const char *const kPinnedJournalHex =
     "314a4d495354414301000000000000000a0000000000000070696e6e65642d72"
@@ -170,11 +158,7 @@ const char *const kPinnedJournalHex =
     "000000f83f00000000000004400000000000000c400000000000001240000000"
     "0000001640650000000000000066000000000000006700000000000000680000"
     "000000000069000000000000006a000000000000006b000000000000006c0000"
-    "00000000006d000000000000006e00000000000000ba58b7840b000000000000"
-    "00600000000000000072756e2d73686172642330c900000000000000ca000000"
-    "00000000cb00000000000000cc00000000000000cd00000000000000ce000000"
-    "00000000cf00000000000000d000000000000000d100000000000000d2000000"
-    "00000000d300000000000000d400000000000000db793320";
+    "00000000006d000000000000006e00000000000000ba58b784";
 
 } // namespace
 
@@ -236,8 +220,8 @@ TEST(CheckpointJournalTest, DistinctRunKeysUseDistinctFiles)
 /**
  * The journal layout is an on-disk contract: a run killed under one
  * binary must resume under the next.  Pins the header and record
- * framing and the file name; the Pinned*RecordResumes tests below pin
- * the blob layouts the sweep and fleet runners decode.
+ * framing and the file name; PinnedEvalResultRecordResumes below pins
+ * the blob layout the sweep runner decodes.
  */
 TEST(CheckpointJournalTest, HeaderAndRecordBytesArePinned)
 {
@@ -245,7 +229,6 @@ TEST(CheckpointJournalTest, HeaderAndRecordBytesArePinned)
     {
         CheckpointJournal j(dir.string(), "pinned-run");
         j.append("cmrpo#0", pinnedEvalBlob());
-        j.append("run-shard#0", pinnedReplayBlob());
     }
     EXPECT_EQ(checkpointFileName("pinned-run"), "run-b2effe8bd4967c05.catj");
     EXPECT_EQ(toHex(readFile(dir / checkpointFileName("pinned-run"))),
@@ -603,42 +586,6 @@ TEST(CheckpointSweep, PinnedEvalResultRecordResumes)
     EXPECT_EQ(got[0].power.refresh, 4.5);
     EXPECT_EQ(got[0].baselineSeconds, 5.5);
     EXPECT_EQ(got[0].stats, pinnedStats(101));
-    std::filesystem::remove_all(dir);
-}
-
-/** The fleet counterpart: a journaled ReplayResult resumes field by
- *  field and the shard is never simulated. */
-TEST(CheckpointFleet, PinnedReplayResultRecordResumes)
-{
-    const auto dir = freshDir("ckpt_pinned_replay");
-    SchemeConfig cfg;
-    cfg.kind = SchemeKind::Prcat;
-    cfg.numCounters = 16;
-    cfg.maxLevels = 11;
-    cfg.threshold = 2048;
-    const ShardPlan plan = ShardPlan::make(4, 1);
-    const std::string key = "run-shard#0|first=0|n=4";
-    CheckpointJournal(dir.string(), "fleet-run|tag=pin|seq=0|"
-                                        + cfg.format() + "|rows=65536|"
-                                        + plan.spec() + "|" + key)
-        .append(key, pinnedReplayBlob());
-
-    ::setenv("CATSIM_CHECKPOINT", dir.c_str(), 1);
-    ShardedSim sim(cfg, 65536, plan, 1);
-    ::unsetenv("CATSIM_CHECKPOINT");
-    const FleetResult fleet = sim.run(
-        [](std::uint32_t) -> std::unique_ptr<ActivationSource> {
-            throw std::runtime_error("a journaled shard must not run");
-        },
-        "pin");
-    EXPECT_EQ(fleet.resumedShards, 1u);
-    ReplayResult expected;
-    expected.stats = pinnedStats(201);
-    expected.banks = 211;
-    expected.epochs = 212;
-    ASSERT_EQ(fleet.perShard.size(), 1u);
-    EXPECT_EQ(fleet.perShard[0], expected);
-    EXPECT_EQ(fleet.total, expected);
     std::filesystem::remove_all(dir);
 }
 

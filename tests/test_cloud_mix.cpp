@@ -2,50 +2,22 @@
  * @file
  * Determinism tests for the benign multi-tenant cloud-mix generator:
  * stream determinism, epoch cadence, deterministic phase changes, and
- * bit-identical replay between replaySources and a 4-shard ShardedSim
- * with byte-identical checkpoint resume - including through the new
- * Misra-Gries and RFM schemes.
+ * bit-identical repeated replay through replaySources - including
+ * through the Misra-Gries and RFM schemes.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <set>
 #include <vector>
 
-#include "sim/shard.hpp"
+#include "sim/activation_sim.hpp"
 
 namespace catsim
 {
 
 namespace
 {
-
-// Shard/job counts and checkpointing must come from the tests, not
-// from the invoking environment.
-const bool kEnvScrubbed = [] {
-    ::unsetenv("CATSIM_JOBS");
-    ::unsetenv("CATSIM_SHARDS");
-    ::unsetenv("CATSIM_CHECKPOINT");
-    return true;
-}();
-
-struct EnvVarGuard
-{
-    explicit EnvVarGuard(const char *name) : name_(name) {}
-    ~EnvVarGuard() { ::unsetenv(name_); }
-    const char *name_;
-};
-
-std::filesystem::path
-freshDir(const std::string &name)
-{
-    const auto dir =
-        std::filesystem::temp_directory_path() / ("catsim_" + name);
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 constexpr RowAddr kRows = 65536;
 constexpr std::uint32_t kBanks = 16;
@@ -87,19 +59,18 @@ drain(CloudMixSource &source, std::uint64_t *epochs = nullptr)
     }
 }
 
-/** Per-global-bank cloud-mix source; identical at any shard count. */
+/** Bank @p bank's cloud-mix source, seeded from the bank alone. */
 std::unique_ptr<ActivationSource>
 makeCloudSource(std::uint32_t bank)
 {
     CloudMixParams p = mixParams(1000 + bank);
-    // Skew the per-bank lengths so the dynamic shard hand-out has
-    // something to balance.
+    // Uneven streams: banks 0, 1, 8 and 9 run 5x the activations.
     p.actsPerEpoch = (bank % 8 < 2) ? 20000 : 4000;
     return std::make_unique<CloudMixSource>(p);
 }
 
 ReplayResult
-unshardedRun(const SchemeConfig &cfg)
+cloudRun(const SchemeConfig &cfg)
 {
     std::vector<std::unique_ptr<ActivationSource>> sources;
     for (std::uint32_t b = 0; b < kBanks; ++b)
@@ -198,39 +169,19 @@ TEST(CloudMix, PhasesProduceDistinctWorkingSets)
         << "phase change left every hot row in place";
 }
 
-TEST(CloudMix, ShardedRunMatchesUnshardedForEveryScheme)
+TEST(CloudMix, ReplayIsDeterministicForEveryScheme)
 {
+    // Fresh sources and schemes each run: the replay is a pure
+    // function of the sources' seeds and the scheme config.
     for (const SchemeConfig &cfg : schemeMatrix()) {
-        const ReplayResult oracle = unshardedRun(cfg);
-        ShardedSim sim(cfg, kRows, ShardPlan::make(kBanks, 4), 4);
-        const FleetResult fleet = sim.run(makeCloudSource, "cloud");
-        EXPECT_EQ(fleet.total, oracle)
+        const ReplayResult first = cloudRun(cfg);
+        EXPECT_EQ(first.banks, kBanks);
+        EXPECT_EQ(first.epochs, 2u);
+        EXPECT_EQ(first.stats.activations, 4u * 2 * 20000 + 12u * 2 * 4000)
             << "scheme " << static_cast<int>(cfg.kind);
-        EXPECT_TRUE(fleet.errors.empty());
+        EXPECT_EQ(cloudRun(cfg), first)
+            << "scheme " << static_cast<int>(cfg.kind);
     }
-}
-
-TEST(CloudMix, FleetCheckpointResumesByteIdentically)
-{
-    const auto dir = freshDir("cloud_ckpt");
-    EnvVarGuard env("CATSIM_CHECKPOINT");
-    ::setenv("CATSIM_CHECKPOINT", dir.c_str(), 1);
-
-    // Run the new-scheme leg through the journal: a fresh ShardedSim
-    // with the same params must replay every shard from bytes.
-    const SchemeConfig cfg = schemeMatrix()[1]; // Misra-Gries
-    ShardedSim first(cfg, kRows, ShardPlan::make(kBanks, 4), 2);
-    const FleetResult cold = first.run(makeCloudSource, "cloud_ck");
-    EXPECT_EQ(cold.resumedShards, 0u);
-
-    ShardedSim second(cfg, kRows, ShardPlan::make(kBanks, 4), 2);
-    const FleetResult warm = second.run(makeCloudSource, "cloud_ck");
-    EXPECT_EQ(warm.resumedShards, 4u);
-    EXPECT_EQ(warm.total, cold.total) << "resumed cloud fleet";
-    for (std::size_t i = 0; i < cold.perShard.size(); ++i)
-        EXPECT_EQ(warm.perShard[i], cold.perShard[i])
-            << "resumed shard " << i;
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CloudMixDeath, RejectsBadParams)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/counter_cache.hpp"
 
 namespace catsim
@@ -105,6 +107,18 @@ TEST(CounterCacheDeath, RejectsBadWays)
 {
     EXPECT_EXIT(CounterCache(65536, 100, 8, 32768),
                 ::testing::ExitedWithCode(1), "multiple of ways");
+}
+
+TEST(CounterCacheDeath, RowOutOfRangePanics)
+{
+    // backing_ has one counter per row; the row past the last one must
+    // stop the run instead of writing past the array.
+    CounterCache cc(65536, 2048, 8, 64);
+    cc.onActivate(65535);
+    EXPECT_DEATH(cc.onActivate(65536), "row 65536 out of range");
+    const std::vector<RowAddr> rows{3, 65536 + 9};
+    EXPECT_DEATH(cc.onActivateBatch(rows.data(), rows.size()),
+                 "row 65545 out of range");
 }
 
 namespace

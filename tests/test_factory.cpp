@@ -134,6 +134,19 @@ TEST(FactoryDeath, SingleInstanceCannotSharePool)
                 "makeBankSchemes");
 }
 
+TEST(FactoryDeath, MisalignedPoolGroupIsFatal)
+{
+    // A first_bank inside a pool group would split a SharedCounterPool.
+    SchemeConfig cfg;
+    cfg.kind = SchemeKind::Prcat;
+    cfg.numCounters = 16;
+    cfg.maxLevels = 11;
+    cfg.threshold = 2048;
+    cfg.banksPerPool = 8;
+    EXPECT_EXIT(makeBankSchemes(cfg, 65536, 8, 4),
+                ::testing::ExitedWithCode(1), "splits a banksPerPool");
+}
+
 TEST(Factory, BankSchemesMatchPerBankConstruction)
 {
     // makeBankSchemes must reproduce the historical per-bank loop:
