@@ -18,9 +18,10 @@
  *
  * Each site decides what "failing" means locally: saveBaseline's torn
  * site truncates the payload it writes, the checkpoint append site
- * throws after a partial record, the sweep-cell site throws before
- * evaluating.  Sites that model a crash throw FaultInjected, which is
- * an ordinary std::runtime_error to everything above.
+ * throws after a partial record, the sweep-cell site fails one
+ * attempt of one sweep cell (sim/sweep.hpp).  Sites that model a crash
+ * throw FaultInjected, which is an ordinary std::runtime_error to
+ * everything above.
  */
 
 #ifndef CATSIM_COMMON_FAULT_INJECTION_HPP

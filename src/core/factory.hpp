@@ -71,6 +71,13 @@ struct SchemeConfig
                && (kind == SchemeKind::Prcat || kind == SchemeKind::Drcat);
     }
 
+    /** Banks per counter-pool group: banksPerPool when shared, else 1. */
+    std::uint32_t
+    poolBanks() const
+    {
+        return sharesPool() ? banksPerPool : 1;
+    }
+
     /** Human-readable label, e.g. "DRCAT_64". */
     std::string label() const;
 

@@ -1,6 +1,7 @@
 #include "activation_sim.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -24,6 +25,17 @@ constexpr std::size_t kPoolQuantum = 1024;
 
 } // namespace
 
+ReplayLane::ReplayLane(ActivationSource &source,
+                       std::vector<MitigationScheme *> schemes)
+    : source_(&source), schemes_(std::move(schemes))
+{
+    if (schemes_.empty())
+        CATSIM_FATAL("replay lane needs at least one scheme");
+    if (source_->closedLoop() && schemes_.size() != 1)
+        CATSIM_FATAL("a closed-loop source reacts to one scheme, not ",
+                     schemes_.size());
+}
+
 bool
 ReplayLane::step(std::size_t budget)
 {
@@ -38,7 +50,8 @@ ReplayLane::step(std::size_t budget)
                 return false;
             }
             if (chunk == SourceChunk::Epoch) {
-                scheme_->onEpoch();
+                for (MitigationScheme *scheme : schemes_)
+                    scheme->onEpoch();
                 ++epochs_;
                 continue;
             }
@@ -48,8 +61,9 @@ ReplayLane::step(std::size_t budget)
             // Per-activation loop: the source sees every
             // RefreshAction, which is what lets adaptive attackers
             // react.
+            MitigationScheme &scheme = *schemes_.front();
             for (std::size_t i = 0; i < take; ++i) {
-                const RefreshAction act = scheme_->onActivate(rows_[i]);
+                const RefreshAction act = scheme.onActivate(rows_[i]);
                 source_->onRefreshAction(rows_[i], act);
             }
         } else {
@@ -57,7 +71,8 @@ ReplayLane::step(std::size_t budget)
             // time), so nearly the whole stream goes through tight
             // per-scheme inner loops instead of one virtual call per
             // activation.
-            scheme_->onActivateBatch(rows_, take);
+            for (MitigationScheme *scheme : schemes_)
+                scheme->onActivateBatch(rows_, take);
         }
         rows_ += take;
         pending_ -= take;
@@ -66,17 +81,29 @@ ReplayLane::step(std::size_t budget)
     return true;
 }
 
-ReplayResult
+std::vector<ReplayResult>
 replaySources(
     const std::vector<std::unique_ptr<ActivationSource>> &sources,
-    const SchemeConfig &scheme_config, RowAddr rows_per_bank)
+    const std::vector<SchemeConfig> &scheme_configs,
+    RowAddr rows_per_bank)
 {
-    ReplayResult res;
-    res.banks = sources.size();
+    if (scheme_configs.empty())
+        CATSIM_FATAL("replay needs at least one scheme config");
+    const std::uint32_t groupBanks = scheme_configs.front().poolBanks();
+    for (const SchemeConfig &cfg : scheme_configs) {
+        if (cfg.kind == SchemeKind::None)
+            CATSIM_FATAL("replay needs a real scheme, not None");
+        if (cfg.poolBanks() != groupBanks)
+            CATSIM_FATAL("configs replayed together need one pool "
+                         "grouping, got ", groupBanks, " and ",
+                         cfg.poolBanks(), " banks per pool");
+    }
+    const std::size_t numConfigs = scheme_configs.size();
+    std::vector<ReplayResult> res(numConfigs);
+    for (ReplayResult &r : res)
+        r.banks = sources.size();
 
     const auto numBanks = static_cast<std::uint32_t>(sources.size());
-    const std::uint32_t groupBanks =
-        scheme_config.sharesPool() ? scheme_config.banksPerPool : 1;
     const std::size_t quantum =
         groupBanks > 1 ? kPoolQuantum : ReplayLane::kWholeStream;
     for (std::uint32_t g = 0; g < numBanks; g += groupBanks) {
@@ -87,15 +114,18 @@ replaySources(
         // Only this group's schemes are alive: a CounterCache carries
         // a per-row backing array, so keeping every bank's scheme
         // would multiply peak memory for nothing.
-        const auto schemes =
-            makeBankSchemes(scheme_config, rows_per_bank, n, g);
+        std::vector<std::vector<std::unique_ptr<MitigationScheme>>>
+            schemes;
+        for (const SchemeConfig &cfg : scheme_configs)
+            schemes.push_back(makeBankSchemes(cfg, rows_per_bank, n, g));
         std::vector<ReplayLane> lanes;
         for (std::uint32_t b = 0; b < n; ++b) {
             if (!sources[g + b])
                 continue;
-            if (!schemes[b])
-                CATSIM_FATAL("replay needs a real scheme, not None");
-            lanes.emplace_back(*sources[g + b], *schemes[b]);
+            std::vector<MitigationScheme *> bankSchemes;
+            for (const auto &configSchemes : schemes)
+                bankSchemes.push_back(configSchemes[b].get());
+            lanes.emplace_back(*sources[g + b], std::move(bankSchemes));
         }
         // Round-robin turns in bank order until every lane has ended;
         // a private bank plays its whole stream in one turn.
@@ -104,14 +134,27 @@ replaySources(
             for (ReplayLane &lane : lanes)
                 live |= lane.step(quantum);
         }
-        // Epochs follow bank 0, which is then the group's first lane.
-        if (g == 0 && sources[0])
-            res.epochs = lanes.front().epochs();
-        for (std::uint32_t b = 0; b < n; ++b)
-            if (sources[g + b])
-                res.stats.add(schemes[b]->stats());
+        for (std::size_t k = 0; k < numConfigs; ++k) {
+            // Epochs follow bank 0, which is then the group's first
+            // lane.
+            if (g == 0 && sources[0])
+                res[k].epochs = lanes.front().epochs();
+            for (std::uint32_t b = 0; b < n; ++b)
+                if (sources[g + b])
+                    res[k].stats.add(schemes[k][b]->stats());
+        }
     }
     return res;
+}
+
+ReplayResult
+replaySources(
+    const std::vector<std::unique_ptr<ActivationSource>> &sources,
+    const SchemeConfig &scheme_config, RowAddr rows_per_bank)
+{
+    return replaySources(sources, std::vector<SchemeConfig>{scheme_config},
+                         rows_per_bank)
+        .front();
 }
 
 ReplayResult

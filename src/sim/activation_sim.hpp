@@ -49,10 +49,17 @@ struct ReplayResult
 };
 
 /**
- * One bank's replay cursor: its source, its scheme, and the unplayed
- * rest of the current chunk.  Both replay paths - whole-stream and
- * rank-pooled round robin - step lanes, so there is exactly one loop
- * that hands activations to a scheme.
+ * One bank's replay cursor: its source, the schemes it feeds, and the
+ * unplayed rest of the current chunk.  Both replay paths - whole-stream
+ * and rank-pooled round robin - step lanes, so there is exactly one
+ * loop that hands activations to a scheme.
+ *
+ * An open-loop source cannot see what a scheme does, so one stimulus
+ * pass can feed several schemes: every chunk goes to each of them in
+ * list order, and every Epoch chunk resets each of them, so each
+ * scheme sees exactly the calls a lane of its own would make.  A
+ * closed-loop source reacts to its scheme's RefreshActions and takes
+ * exactly one (fatal otherwise).
  */
 class ReplayLane
 {
@@ -60,18 +67,19 @@ class ReplayLane
     /** Budget that plays a lane to the end of its stream. */
     static constexpr std::size_t kWholeStream = ~std::size_t{0};
 
-    /** Both must outlive the lane. */
-    ReplayLane(ActivationSource &source, MitigationScheme &scheme)
-        : source_(&source), scheme_(&scheme)
-    {
-    }
+    /** The source and every scheme must outlive the lane; @p schemes
+     *  is non-empty, and a single scheme when the source is closed
+     *  loop. */
+    ReplayLane(ActivationSource &source,
+               std::vector<MitigationScheme *> schemes);
 
     /**
      * Feed up to @p budget activations.  Open-loop rows go through
-     * onActivateBatch; closed-loop rows go through onActivate one at a
-     * time, and the source gets each RefreshAction back.  Epoch chunks
-     * reset the scheme and cost no budget.  Returns false once the
-     * source has reached End (and on every later call).
+     * each scheme's onActivateBatch; closed-loop rows go through
+     * onActivate one at a time, and the source gets each RefreshAction
+     * back.  Epoch chunks reset the schemes and cost no budget.
+     * Returns false once the source has reached End (and on every
+     * later call).
      */
     bool step(std::size_t budget);
 
@@ -80,7 +88,7 @@ class ReplayLane
 
   private:
     ActivationSource *source_;
-    MitigationScheme *scheme_;
+    std::vector<MitigationScheme *> schemes_;
     const RowAddr *rows_ = nullptr;
     std::size_t pending_ = 0;
     Count epochs_ = 0;
@@ -97,15 +105,27 @@ ReplayResult replayActivations(
 
 /**
  * Drive one ActivationSource per bank through fresh per-bank scheme
- * instances (sources[i] is bank i's stream), one ReplayLane per bank;
- * closed-loop sources thereby observe the defense (see ReplayLane).
- * Null entries are skipped (bank idle).  Banks replay one pool group
- * at a time - a single bank when pools are private - and only the
- * current group's schemes are alive.  The banks of a shared counter
- * pool take round-robin turns of a fixed activation quantum, so they
- * contend for the pool roughly in parallel; private banks run to the
- * end of their streams one after the other.
+ * instances of every config in @p scheme_configs (sources[i] is bank
+ * i's stream), one ReplayLane per bank; closed-loop sources thereby
+ * observe the defense (see ReplayLane).  Returns one ReplayResult per
+ * config, in order, each equal to a replay of that config alone: the
+ * configs share one stimulus pass, so open-loop sources are generated
+ * once for all of them, while a closed-loop source takes a single
+ * config (fatal otherwise).  Null entries are skipped (bank idle).
+ * Banks replay one pool group at a time - a single bank when pools
+ * are private - and only the current group's schemes are alive.  The
+ * banks of a shared counter pool take round-robin turns of a fixed
+ * activation quantum, so they contend for the pool roughly in
+ * parallel; private banks run to the end of their streams one after
+ * the other.  Every config must have the same pool grouping (fatal
+ * otherwise), since the grouping decides the turn order.
  */
+std::vector<ReplayResult> replaySources(
+    const std::vector<std::unique_ptr<ActivationSource>> &sources,
+    const std::vector<SchemeConfig> &scheme_configs,
+    RowAddr rows_per_bank);
+
+/** replaySources with a single config. */
 ReplayResult replaySources(
     const std::vector<std::unique_ptr<ActivationSource>> &sources,
     const SchemeConfig &scheme_config, RowAddr rows_per_bank);

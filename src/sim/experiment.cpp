@@ -47,6 +47,14 @@ rateBasedScheme(SchemeKind kind)
     return kind == SchemeKind::Pra || kind == SchemeKind::Rfm;
 }
 
+bool
+anyClosedLoop(const std::vector<std::unique_ptr<ActivationSource>> &sources)
+{
+    return std::any_of(sources.begin(), sources.end(), [](const auto &s) {
+        return s && s->closedLoop();
+    });
+}
+
 } // namespace
 
 TimingConfig
@@ -405,26 +413,70 @@ ExperimentRunner::adaptiveSources(const TimingConfig &sys,
     return sources;
 }
 
+std::vector<std::unique_ptr<ActivationSource>>
+ExperimentRunner::adaptiveFleet(const TimingConfig &sys,
+                                const AdaptiveAttackSpec &attack)
+{
+    stimulusPasses_.fetch_add(1);
+    return adaptiveSources(sys, attack);
+}
+
+bool
+ExperimentRunner::adaptiveClosedLoop(SystemPreset preset,
+                                     const AdaptiveAttackSpec &attack) const
+{
+    return anyClosedLoop(adaptiveSources(makeSystem(preset), attack));
+}
+
 EvalResult
 ExperimentRunner::evalAdaptive(SystemPreset preset,
                                const AdaptiveAttackSpec &attack,
                                const SchemeConfig &scheme)
 {
+    return evalAdaptive(preset, attack, std::vector<SchemeConfig>{scheme})
+        .front();
+}
+
+std::vector<EvalResult>
+ExperimentRunner::evalAdaptive(SystemPreset preset,
+                               const AdaptiveAttackSpec &attack,
+                               const std::vector<SchemeConfig> &schemes)
+{
+    if (schemes.empty())
+        return {};
     const TimingConfig sys = makeSystem(preset);
-    const SchemeConfig sim = scaledScheme(scheme);
+    const RowAddr rows = sys.geometry.rowsPerBank;
+    std::vector<SchemeConfig> sims;
+    for (const SchemeConfig &scheme : schemes)
+        sims.push_back(scaledScheme(scheme));
+
+    auto sources = adaptiveFleet(sys, attack);
+    std::vector<ReplayResult> replays;
+    if (anyClosedLoop(sources)) {
+        // The sources re-aim on the RefreshActions of the scheme they
+        // face, so every scheme needs a fleet of its own.
+        for (std::size_t k = 0; k < sims.size(); ++k) {
+            if (k > 0)
+                sources = adaptiveFleet(sys, attack);
+            replays.push_back(replaySources(sources, sims[k], rows));
+        }
+    } else {
+        replays = replaySources(sources, sims, rows);
+    }
+
     const double epochCycles =
         static_cast<double>(sys.timing.refreshIntervalCycles()) * scale_;
-
-    const auto sources = adaptiveSources(sys, attack);
-    const ReplayResult replay =
-        replaySources(sources, sim, sys.geometry.rowsPerBank);
     // The "baseline" run time of a closed-loop cell is the simulated
     // wall clock itself: epochs * the scaled 64 ms refresh interval.
     const double execSeconds =
         sys.timing.cyclesToNs(static_cast<Cycle>(
             epochCycles * static_cast<double>(attack.epochs)))
         * 1e-9;
-    return evalFromReplay(replay, scheme, execSeconds, sys);
+    std::vector<EvalResult> out;
+    for (std::size_t k = 0; k < schemes.size(); ++k)
+        out.push_back(
+            evalFromReplay(replays[k], schemes[k], execSeconds, sys));
+    return out;
 }
 
 namespace
@@ -513,7 +565,7 @@ ExperimentRunner::evalAdaptiveDisturbance(SystemPreset preset,
     // exactly as they do in the CMRPO leg).  Only the current bank's
     // scheme is alive, as in replaySources: CounterCache and
     // Misra-Gries carry per-row arrays.
-    const auto sources = adaptiveSources(sys, attack);
+    const auto sources = adaptiveFleet(sys, attack);
 
     std::uint32_t maxReached = 0;
     for (std::uint32_t b = 0; b < sources.size(); ++b) {
@@ -555,29 +607,44 @@ ExperimentRunner::evalAdaptiveEto(SystemPreset preset,
                                   const AdaptiveAttackSpec &attack,
                                   const SchemeConfig &scheme)
 {
+    return evalAdaptiveEto(preset, attack,
+                           std::vector<SchemeConfig>{scheme})
+        .front();
+}
+
+std::vector<double>
+ExperimentRunner::evalAdaptiveEto(SystemPreset preset,
+                                  const AdaptiveAttackSpec &attack,
+                                  const std::vector<SchemeConfig> &schemes)
+{
+    if (schemes.empty())
+        return {};
     TimingConfig sys = makeSystem(preset);
     sys.recordActivations = false;
     sys.epochScale = scale_;
 
     // Sources are stateful (closed-loop ones mutate their aggressor
-    // sets), so each leg gets a fresh, identically seeded fleet.
+    // sets), so each leg gets a fresh, identically seeded fleet.  The
+    // baseline leg runs no scheme, so one serves every scheme.
     TimingConfig baseSys = sys;
     baseSys.scheme = SchemeConfig{};
     baseSys.scheme.kind = SchemeKind::None;
-    const auto baseSources = adaptiveSources(baseSys, attack);
-    const TimingResult base = runTimingOnSources(baseSys, baseSources);
+    const TimingResult base =
+        runTimingOnSources(baseSys, adaptiveFleet(baseSys, attack));
 
-    TimingConfig mitSys = sys;
-    mitSys.scheme = scaledScheme(scheme);
-    const auto mitSources = adaptiveSources(mitSys, attack);
-    const TimingResult mitigated =
-        runTimingOnSources(mitSys, mitSources);
-
-    const double raw = eto(base.execSeconds, mitigated.execSeconds);
-    // De-scale: the per-epoch blocking time is faithful, but a scaled
-    // epoch is 1/s shorter, inflating the relative overhead.
-    const double corr = rateBasedScheme(scheme.kind) ? 1.0 : scale_;
-    return raw * corr;
+    std::vector<double> out;
+    for (const SchemeConfig &scheme : schemes) {
+        TimingConfig mitSys = sys;
+        mitSys.scheme = scaledScheme(scheme);
+        const TimingResult mitigated =
+            runTimingOnSources(mitSys, adaptiveFleet(mitSys, attack));
+        const double raw = eto(base.execSeconds, mitigated.execSeconds);
+        // De-scale: the per-epoch blocking time is faithful, but a
+        // scaled epoch is 1/s shorter, inflating the relative overhead.
+        const double corr = rateBasedScheme(scheme.kind) ? 1.0 : scale_;
+        out.push_back(raw * corr);
+    }
+    return out;
 }
 
 double

@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "energy/cmrpo.hpp"
@@ -139,6 +140,25 @@ class ExperimentRunner
                             const SchemeConfig &scheme);
 
     /**
+     * evalAdaptive for every scheme of @p schemes against one attack;
+     * result k belongs to schemes[k] and equals evalAdaptive on it
+     * alone, bit for bit.  When the attack's sources are open loop
+     * (ActivationSource::closedLoop), no scheme can influence them, so
+     * one fleet feeds every scheme in one replay pass, and the schemes
+     * must then share one pool grouping (replaySources).  Closed-loop
+     * sources react to the scheme they face, so each scheme gets a
+     * fleet of its own.
+     */
+    std::vector<EvalResult> evalAdaptive(
+        SystemPreset preset, const AdaptiveAttackSpec &attack,
+        const std::vector<SchemeConfig> &schemes);
+
+    /** True when the attack's sources react to the defense
+     *  (ActivationSource::closedLoop), so schemes cannot share them. */
+    bool adaptiveClosedLoop(SystemPreset preset,
+                            const AdaptiveAttackSpec &attack) const;
+
+    /**
      * Attacker-success complement to evalAdaptive's defense-cost view:
      * the maximum number of activations any single row accumulated
      * before a refresh covered both of its victims (the
@@ -167,6 +187,17 @@ class ExperimentRunner
     double evalAdaptiveEto(SystemPreset preset,
                            const AdaptiveAttackSpec &attack,
                            const SchemeConfig &scheme);
+
+    /**
+     * evalAdaptiveEto for every scheme of @p schemes against one
+     * attack; result k belongs to schemes[k] and equals evalAdaptiveEto
+     * on it alone, bit for bit.  The baseline leg runs no scheme, so
+     * it runs once for all of them; each scheme then gets its own
+     * mitigated leg on a fresh fleet.
+     */
+    std::vector<double> evalAdaptiveEto(
+        SystemPreset preset, const AdaptiveAttackSpec &attack,
+        const std::vector<SchemeConfig> &schemes);
 
     /** Records per core targeting ~1.2 scaled epochs for a profile. */
     std::uint64_t recordsFor(const WorkloadSpec &workload,
@@ -206,6 +237,10 @@ class ExperimentRunner
     /** Baselines satisfied from the on-disk cache. */
     std::uint64_t baselineDiskLoads() const { return diskLoads_.load(); }
 
+    /** Attacker fleets built by the evalAdaptive* family: one per
+     *  stimulus pass, however many schemes the pass fed. */
+    std::uint64_t stimulusPasses() const { return stimulusPasses_.load(); }
+
   private:
     /** A cached baseline plus the mapper its streams were built with. */
     struct BaselineEntry
@@ -227,6 +262,9 @@ class ExperimentRunner
     std::vector<std::unique_ptr<ActivationSource>> adaptiveSources(
         const TimingConfig &sys,
         const AdaptiveAttackSpec &attack) const;
+    /** adaptiveSources for one stimulus pass, counted. */
+    std::vector<std::unique_ptr<ActivationSource>> adaptiveFleet(
+        const TimingConfig &sys, const AdaptiveAttackSpec &attack);
     SchemeConfig scaledScheme(const SchemeConfig &scheme) const;
     EvalResult evalFromReplay(const ReplayResult &replay,
                               const SchemeConfig &scheme,
@@ -244,6 +282,7 @@ class ExperimentRunner
     std::map<std::string, std::shared_future<BaselinePtr>> baselines_;
     std::atomic<std::uint64_t> computeCount_{0};
     std::atomic<std::uint64_t> diskLoads_{0};
+    std::atomic<std::uint64_t> stimulusPasses_{0};
 };
 
 } // namespace catsim

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
@@ -26,17 +27,40 @@ cellSpec(const SweepCell &c)
     return c.system().format() + "|tag=" + std::to_string(c.tag);
 }
 
+/** Every AdaptiveAttackSpec field, as the tail of a spec string. */
+std::string
+attackSpec(const AdaptiveAttackSpec &a)
+{
+    std::ostringstream os;
+    os << "|attacker=" << attackerKindName(a.attacker)
+       << "|mode=" << static_cast<int>(a.mode) << "|kernel=" << a.kernel
+       << "|seed=" << a.seed << "|targets=" << a.targetsPerBank
+       << "|epochs=" << a.epochs;
+    return os.str();
+}
+
 std::string
 cellSpec(const AdaptiveCell &c)
 {
-    std::ostringstream os;
-    os << SystemConfig{c.preset, WorkloadSpec{}, c.scheme}.format()
-       << "|attacker=" << attackerKindName(c.attack.attacker)
-       << "|mode=" << static_cast<int>(c.attack.mode)
-       << "|kernel=" << c.attack.kernel << "|seed=" << c.attack.seed
-       << "|targets=" << c.attack.targetsPerBank
-       << "|epochs=" << c.attack.epochs;
-    return os.str();
+    return SystemConfig{c.preset, WorkloadSpec{}, c.scheme}.format()
+           + attackSpec(c.attack);
+}
+
+/** What a group of cells shares: the preset and the whole attack. */
+std::string
+stimulusKey(const AdaptiveCell &c)
+{
+    return std::to_string(static_cast<int>(c.preset)) + attackSpec(c.attack);
+}
+
+/** The schemes of a group's cells, in order. */
+std::vector<SchemeConfig>
+groupSchemes(const std::vector<const AdaptiveCell *> &group)
+{
+    std::vector<SchemeConfig> schemes;
+    for (const AdaptiveCell *c : group)
+        schemes.push_back(c->scheme);
+    return schemes;
 }
 
 std::string
@@ -129,10 +153,12 @@ SweepRunner::SweepRunner(double scale, std::size_t jobs)
 {
 }
 
-template <typename Result, typename Cell, typename Eval>
+template <typename Result, typename Cell, typename Eval, typename GroupKey,
+          typename EvalGroup>
 std::vector<Result>
 SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
-                          const Eval &eval)
+                          const Eval &eval, const GroupKey &groupKey,
+                          const EvalGroup &evalGroup)
 {
     const std::size_t n = cells.size();
     std::vector<std::string> keys;
@@ -189,6 +215,31 @@ SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
                               [&leads](std::size_t i) { return leads[i]; });
     }
 
+    // Tasks, in hand-out order.  Cells with the same non-empty group
+    // key share one evaluation, at most ceil(pending / jobs) of them
+    // per task so that no grid has fewer tasks than workers; a task
+    // goes out in the place of its first cell.
+    std::vector<std::vector<std::size_t>> tasks;
+    constexpr bool kGrouped = !std::is_null_pointer_v<GroupKey>;
+    if constexpr (kGrouped) {
+        const std::size_t cap = (pending.size() + jobs_ - 1) / jobs_;
+        std::map<std::string, std::size_t> open; // key -> its last task
+        for (const std::size_t i : pending) {
+            const std::string key = groupKey(cells[i]);
+            const auto it = key.empty() ? open.end() : open.find(key);
+            if (it != open.end() && tasks[it->second].size() < cap) {
+                tasks[it->second].push_back(i);
+                continue;
+            }
+            if (!key.empty())
+                open[key] = tasks.size();
+            tasks.push_back({i});
+        }
+    } else {
+        for (const std::size_t i : pending)
+            tasks.push_back({i});
+    }
+
     // Losing a record only costs a re-run on resume, so keep-going
     // carries on; fail-fast dies loudly, because a broken journal would
     // make every later resume silently partial.
@@ -207,9 +258,24 @@ SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
 
     std::mutex errMutex;
     const int maxAttempts = keepGoing_ ? 2 : 1;
-    const auto runCell = [&](std::size_t pi) {
-        const std::size_t i = pending[pi];
-        for (int attempt = 1;; ++attempt) {
+    // Cell i's attempt failed; called while its error is handled.  True
+    // when a retry is left; else the error is recorded, and fail-fast
+    // rethrows it, which poisons the grid: no new task starts.
+    const auto failed = [&](std::size_t i, int attempt) {
+        if (attempt < maxAttempts)
+            return true; // transient? one retry
+        {
+            std::lock_guard<std::mutex> lock(errMutex);
+            errors_.push_back(
+                currentCellError(i, cellLabel(cells[i]), attempt));
+        }
+        if (!keepGoing_)
+            throw;
+        return false; // failed cells are never journaled
+    };
+    // Cell i alone, from attempt @p first on.
+    const auto runCell = [&](std::size_t i, int first) {
+        for (int attempt = first; attempt <= maxAttempts; ++attempt) {
             try {
                 fault::maybeThrow("sweep_cell");
                 results[i] = eval(cells[i]);
@@ -217,24 +283,56 @@ SweepRunner::runJournaled(const char *kind, const std::vector<Cell> &cells,
                     journalCell(i);
                 return;
             } catch (...) {
-                if (attempt < maxAttempts)
-                    continue; // transient? one retry
-                {
-                    std::lock_guard<std::mutex> lock(errMutex);
-                    errors_.push_back(
-                        currentCellError(i, cellLabel(cells[i]), attempt));
-                }
-                if (!keepGoing_)
-                    throw; // poisons the grid: no new cells start
-                return;    // failed cells are never journaled
+                if (!failed(i, attempt))
+                    return;
             }
         }
     };
+    const auto runTask = [&](std::size_t t) {
+        const std::vector<std::size_t> &task = tasks[t];
+        if constexpr (kGrouped) {
+            if (task.size() > 1) {
+                std::vector<const Cell *> group;
+                for (const std::size_t i : task)
+                    group.push_back(&cells[i]);
+                std::vector<Result> out;
+                bool shared = true;
+                try {
+                    out = evalGroup(group);
+                } catch (...) {
+                    shared = false;
+                }
+                if (!shared) {
+                    // Re-run alone, each cell names its own failure.
+                    for (const std::size_t i : task)
+                        runCell(i, 1);
+                    return;
+                }
+                // The shared pass was every cell's first attempt; each
+                // cell still passes the fail point itself, in task
+                // order, and a hit fails that cell alone.
+                for (std::size_t k = 0; k < task.size(); ++k) {
+                    const std::size_t i = task[k];
+                    try {
+                        fault::maybeThrow("sweep_cell");
+                        results[i] = std::move(out[k]);
+                        if (journal)
+                            journalCell(i);
+                    } catch (...) {
+                        if (failed(i, 1))
+                            runCell(i, 2);
+                    }
+                }
+                return;
+            }
+        }
+        runCell(task.front(), 1);
+    };
     try {
-        parallelFor(pending.size(), runCell, jobs_);
+        parallelFor(tasks.size(), runTask, jobs_);
     } catch (...) {
-        // parallelFor names the failure by its position among the
-        // pending cells; the report below names it by its grid index.
+        // parallelFor names the failure by its task's position; the
+        // report below names it by its grid index.
         if (keepGoing_ || errors_.empty())
             throw;
     }
@@ -281,18 +379,50 @@ SweepRunner::runEto(const std::vector<SweepCell> &cells)
 std::vector<EvalResult>
 SweepRunner::runAdaptive(const std::vector<AdaptiveCell> &cells)
 {
+    // Cells of one attack share its fleet when the fleet is open loop
+    // and their schemes share a pool grouping; closed-loop sources
+    // react to their own cell's scheme, so such a cell runs alone.
+    std::map<std::string, bool> closedLoop; // stimulusKey -> probe
+    const auto groupKey = [this, &closedLoop](const AdaptiveCell &c) {
+        const std::string stimulus = stimulusKey(c);
+        auto it = closedLoop.find(stimulus);
+        if (it == closedLoop.end())
+            it = closedLoop
+                     .emplace(stimulus, runner_.adaptiveClosedLoop(
+                                            c.preset, c.attack))
+                     .first;
+        return it->second ? std::string()
+                          : stimulus + "|pool="
+                                + std::to_string(c.scheme.poolBanks());
+    };
     return runJournaled<EvalResult>(
-        "adaptive", cells, [this](const AdaptiveCell &c) {
+        "adaptive", cells,
+        [this](const AdaptiveCell &c) {
             return runner_.evalAdaptive(c.preset, c.attack, c.scheme);
+        },
+        groupKey,
+        [this](const std::vector<const AdaptiveCell *> &group) {
+            return runner_.evalAdaptive(group.front()->preset,
+                                        group.front()->attack,
+                                        groupSchemes(group));
         });
 }
 
 std::vector<double>
 SweepRunner::runAdaptiveEto(const std::vector<AdaptiveCell> &cells)
 {
+    // Cells of one attack share its unmitigated leg, open or closed
+    // loop: that leg runs no scheme.
     return runJournaled<double>(
-        "adaptive-eto", cells, [this](const AdaptiveCell &c) {
+        "adaptive-eto", cells,
+        [this](const AdaptiveCell &c) {
             return runner_.evalAdaptiveEto(c.preset, c.attack, c.scheme);
+        },
+        stimulusKey,
+        [this](const std::vector<const AdaptiveCell *> &group) {
+            return runner_.evalAdaptiveEto(group.front()->preset,
+                                           group.front()->attack,
+                                           groupSchemes(group));
         });
 }
 

@@ -17,10 +17,22 @@
  * concurrent cells block instead of duplicating the work.  To keep
  * workers from blocking, the runner hands out the first pending cell
  * of every baseline, in index order, before any second cell, so a cold
- * workload-major grid computes up to `jobs` baselines at once.  The
- * order decides only when a cell runs, never its result; it does
+ * workload-major grid computes up to `jobs` baselines at once.
+ *
+ * Adaptive cells share no baseline, but cells of one attack can share
+ * its stimulus (runAdaptive, runAdaptiveEto): the runner hands them
+ * out group-major, as one task per group of pending cells with the
+ * same preset and attack spec (and, for runAdaptive, an open-loop
+ * attack and one pool grouping), at most ceil(pending / jobs) cells
+ * per task, and tasks in the order of their first cell.  A group is
+ * evaluated in one call, then each of its cells passes the
+ * `sweep_cell` fail point in task order; a fired hit fails that cell
+ * alone, and a group whose evaluation throws re-runs its cells one at
+ * a time, so a failure is always named by its own cell.
+ *
+ * The order decides only when a cell runs, never its result; it does
  * decide which hit of the `sweep_cell` fail point lands on which cell,
- * since hits are counted as cells are handed out.
+ * since every attempt of a cell takes one hit, in hand-out order.
  *
  * Crash safety: with CATSIM_CHECKPOINT=dir every finished cell is
  * journaled (sim/checkpoint.hpp) the moment it completes, and a
@@ -105,7 +117,10 @@ class SweepRunner
      * Closed-loop adaptive-attack replay for every cell; results[i]
      * belongs to cells[i].  Cells never touch the baseline cache, so
      * the grid parallelizes embarrassingly and stays bit-identical at
-     * any job count.
+     * any job count.  Cells of one open-loop attack whose schemes
+     * share a pool grouping go out as groups (see the file comment)
+     * and share one fleet (ExperimentRunner::evalAdaptive); a
+     * closed-loop attack's cells go out one per task.
      */
     std::vector<EvalResult> runAdaptive(
         const std::vector<AdaptiveCell> &cells);
@@ -115,6 +130,8 @@ class SweepRunner
      * cell, see ExperimentRunner::evalAdaptiveEto); results[i] belongs
      * to cells[i].  Like runAdaptive, cells are pure functions of
      * their spec - no baseline cache, bit-identical at any job count.
+     * Cells of one attack, open or closed loop, go out as groups (see
+     * the file comment) and share one unmitigated leg.
      */
     std::vector<double> runAdaptiveEto(
         const std::vector<AdaptiveCell> &cells);
@@ -122,10 +139,11 @@ class SweepRunner
     /**
      * Arbitrary per-cell metric over closed-loop cells (the
      * AdaptiveCell counterpart of runMetric); results[i] belongs to
-     * cells[i].  @p fn must be deterministic given its cell and
-     * thread-safe - the runner's evalAdaptive* family is.  fig14 uses
-     * this for the attacker-success (max inter-refresh disturbance)
-     * complement of the CMRPO grid.
+     * cells[i], and every cell goes out alone.  @p fn must be
+     * deterministic given its cell and thread-safe - the runner's
+     * evalAdaptive* family is.  fig14 uses this for the
+     * attacker-success (max inter-refresh disturbance) complement of
+     * the CMRPO grid.
      */
     std::vector<double> runAdaptiveMetric(
         const std::vector<AdaptiveCell> &cells,
@@ -186,12 +204,19 @@ class SweepRunner
      * the missing cells with @p eval on parallelFor in hand-out order,
      * journals each cell the moment it finishes, and reports failures
      * (see the file comment).  @p kind names the run flavor (part of
-     * the journal run key).
+     * the journal run key).  When @p groupKey is given, pending cells
+     * whose keys are equal and non-empty go out together as one task,
+     * and @p evalGroup maps the task's cells to their results in
+     * order.
      */
-    template <typename Result, typename Cell, typename Eval>
+    template <typename Result, typename Cell, typename Eval,
+              typename GroupKey = std::nullptr_t,
+              typename EvalGroup = std::nullptr_t>
     std::vector<Result> runJournaled(const char *kind,
                                      const std::vector<Cell> &cells,
-                                     const Eval &eval);
+                                     const Eval &eval,
+                                     const GroupKey &groupKey = nullptr,
+                                     const EvalGroup &evalGroup = nullptr);
 
     ExperimentRunner runner_;
     std::size_t jobs_;

@@ -495,7 +495,7 @@ TEST(ReplayLane, StepsWithinBudgetAndEpochsCostNothing)
     const std::vector<RowAddr> stream = {1, 2, 3, kEpochMarker, 4, 5};
     RecordedStreamSource source(stream);
     RecordingScheme scheme;
-    ReplayLane lane(source, scheme);
+    ReplayLane lane(source, {&scheme});
 
     EXPECT_TRUE(lane.step(2));
     EXPECT_EQ(scheme.take(), (Calls{"batch(2)"}));
@@ -518,7 +518,7 @@ TEST(ReplayLane, ClosedLoopSourceGetsOneRefreshActionPerActivation)
          {std::size_t{2}, ReplayLane::kWholeStream}) {
         FeedbackSource source(stream);
         RecordingScheme scheme;
-        ReplayLane lane(source, scheme);
+        ReplayLane lane(source, {&scheme});
         while (lane.step(budget)) {
         }
         EXPECT_EQ(scheme.take(),
@@ -529,6 +529,102 @@ TEST(ReplayLane, ClosedLoopSourceGetsOneRefreshActionPerActivation)
             {1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}};
         EXPECT_EQ(source.feedback, expected) << "budget " << budget;
     }
+}
+
+TEST(ReplayLane, SharedLaneGivesEverySchemeItsSoloCalls)
+{
+    // Two schemes on one open-loop lane each get exactly the calls a
+    // lane of their own makes, epochs included.
+    const std::vector<RowAddr> stream = {kEpochMarker, 1, 2, 3,
+                                         kEpochMarker, kEpochMarker, 4, 5};
+    RecordedStreamSource soloSource(stream);
+    RecordingScheme solo;
+    ReplayLane soloLane(soloSource, {&solo});
+    RecordedStreamSource sharedSource(stream);
+    RecordingScheme first;
+    RecordingScheme second;
+    ReplayLane sharedLane(sharedSource, {&first, &second});
+    for (bool live = true; live;) {
+        live = soloLane.step(2);
+        EXPECT_EQ(sharedLane.step(2), live);
+        const Calls calls = solo.take();
+        EXPECT_EQ(first.take(), calls);
+        EXPECT_EQ(second.take(), calls);
+    }
+    EXPECT_EQ(first.played, solo.played);
+    EXPECT_EQ(second.played, solo.played);
+    EXPECT_EQ(sharedLane.epochs(), soloLane.epochs());
+    EXPECT_EQ(sharedLane.epochs(), 3u);
+}
+
+namespace
+{
+
+/**
+ * pinnedStreams with empty segments: every bank opens with an epoch
+ * marker, doubles one marker and ends on one, and bank 1 holds no
+ * activation at all.
+ */
+std::vector<std::vector<RowAddr>>
+streamsWithEmptySegments(std::uint32_t banks)
+{
+    auto streams = pinnedStreams(banks);
+    for (auto &s : streams) {
+        s.insert(s.begin(), kEpochMarker);
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(s.size() / 2),
+                 {kEpochMarker, kEpochMarker});
+        s.push_back(kEpochMarker);
+    }
+    streams[1] = {kEpochMarker, kEpochMarker};
+    return streams;
+}
+
+/** replaySources of @p configs in one pass against one pass each. */
+void
+expectSharedPassMatchesSoloPasses(const std::vector<SchemeConfig> &configs)
+{
+    constexpr RowAddr kRows = 65536;
+    const auto streams = streamsWithEmptySegments(10);
+    auto sources = recordedSources(streams);
+    sources[6].reset(); // an idle bank inside a pool group
+    const auto shared = replaySources(sources, configs, kRows);
+    ASSERT_EQ(shared.size(), configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        auto soloSources = recordedSources(streams);
+        soloSources[6].reset();
+        const ReplayResult solo =
+            replaySources(soloSources, configs[k], kRows);
+        EXPECT_EQ(shared[k].stats, solo.stats) << configs[k].label();
+        EXPECT_EQ(shared[k].epochs, solo.epochs) << configs[k].label();
+        EXPECT_EQ(shared[k].banks, solo.banks) << configs[k].label();
+        EXPECT_GT(solo.stats.activations, 0u) << configs[k].label();
+    }
+    EXPECT_EQ(shared.front().epochs, 7u); // 3 pinned + 4 inserted
+}
+
+} // namespace
+
+TEST(ReplayShared, PrivateConfigsMatchTheirSoloReplays)
+{
+    // Every private kind, one of them listed twice.
+    std::vector<SchemeConfig> configs;
+    for (const auto kind :
+         {SchemeKind::Drcat, SchemeKind::Sca, SchemeKind::Pra,
+          SchemeKind::CounterCache, SchemeKind::MisraGries,
+          SchemeKind::Rfm, SchemeKind::Prcat, SchemeKind::Drcat})
+        configs.push_back(pinnedConfig(kind));
+    expectSharedPassMatchesSoloPasses(configs);
+}
+
+TEST(ReplayShared, RankPooledConfigsMatchTheirSoloReplays)
+{
+    // Pools of 8 over 10 banks: a full group and a tail of 2.
+    SchemeConfig wide = pinnedConfig(SchemeKind::Prcat, 8);
+    wide.numCounters = 32;
+    expectSharedPassMatchesSoloPasses(
+        {pinnedConfig(SchemeKind::Prcat, 8),
+         pinnedConfig(SchemeKind::Drcat, 8), wide,
+         pinnedConfig(SchemeKind::Prcat, 8)});
 }
 
 TEST(ReplayPinned, ResultsMatchTheirPinnedValues)
@@ -549,6 +645,38 @@ TEST(ReplayPinned, ResultsMatchTheirPinnedValues)
                           && result.epochs == pinned->epochs;
         EXPECT_TRUE(same) << "actual: " << pinnedRow(name, result);
     }
+}
+
+TEST(ReplayDeathTest, ClosedLoopSourceTakesOneScheme)
+{
+    const std::vector<RowAddr> stream = {1, 2, 3};
+    FeedbackSource source(stream);
+    RecordingScheme first;
+    RecordingScheme second;
+    EXPECT_EXIT(ReplayLane(source, {&first, &second}),
+                ::testing::ExitedWithCode(1), "reacts to one scheme");
+
+    std::vector<std::unique_ptr<ActivationSource>> sources;
+    AttackSourceParams p;
+    p.targets = {500, 502};
+    p.actsPerEpoch = 1000;
+    sources.push_back(std::make_unique<RefreshAwareAttackerSource>(p));
+    const SchemeConfig cfg = pinnedConfig(SchemeKind::Drcat);
+    EXPECT_EXIT(replaySources(sources, std::vector<SchemeConfig>{cfg, cfg},
+                              65536),
+                ::testing::ExitedWithCode(1), "reacts to one scheme");
+}
+
+TEST(ReplayDeathTest, MixedPoolGroupingsAreFatal)
+{
+    const auto streams = pinnedStreams(4);
+    const auto sources = recordedSources(streams);
+    EXPECT_EXIT(replaySources(sources,
+                              std::vector<SchemeConfig>{
+                                  pinnedConfig(SchemeKind::Prcat, 4),
+                                  pinnedConfig(SchemeKind::Prcat)},
+                              65536),
+                ::testing::ExitedWithCode(1), "one pool grouping");
 }
 
 TEST(ReplayDeathTest, LiveSourceWithoutSchemeIsFatal)

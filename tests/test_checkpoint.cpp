@@ -559,6 +559,137 @@ TEST(CheckpointSweep, CmrpoKillAndResumeUnderHandOutOrder)
                              {"cmrpo#0", "cmrpo#3"});
 }
 
+namespace
+{
+
+/**
+ * {DRCAT, SCA, PRA} x {Static, CloudMix}, scheme-major: cell 2s + a.
+ * Both attacks are open loop, so a serial run hands out two groups,
+ * Static's cells {0, 2, 4} and then CloudMix's {1, 3, 5}.
+ */
+std::vector<AdaptiveCell>
+adaptiveGroupGrid()
+{
+    std::vector<AdaptiveCell> cells;
+    for (SchemeKind kind :
+         {SchemeKind::Drcat, SchemeKind::Sca, SchemeKind::Pra}) {
+        for (AttackerKind attacker :
+             {AttackerKind::Static, AttackerKind::CloudMix}) {
+            AdaptiveCell c;
+            c.attack.attacker = attacker;
+            c.attack.epochs = 1;
+            c.scheme.kind = kind;
+            c.scheme.numCounters = 64;
+            c.scheme.maxLevels = 11;
+            c.scheme.threshold = 32768;
+            c.scheme.praProbability = 0.002;
+            cells.push_back(c);
+        }
+    }
+    return cells;
+}
+
+} // namespace
+
+/**
+ * A fail-point kills a serial adaptive grid inside its second group;
+ * the journal holds exactly the cells that finished, and a resume
+ * recomputes only the missing ones, as one group.
+ */
+TEST(CheckpointSweep, AdaptiveKillAndResumeMidGroup)
+{
+    FailpointGuard guard;
+    const auto dir = freshDir("ckpt_adaptive_group");
+    const auto cells = adaptiveGroupGrid();
+
+    SweepRunner ref(kTestScale, 1);
+    const auto expected = ref.runAdaptive(cells);
+    EXPECT_EQ(ref.runner().stimulusPasses(), 2u);
+
+    // Hits go out group-major: cells 0, 2, 4, then 1, 3, 5.  The
+    // fifth kills cell 3, between its two group-mates.
+    SweepRunner victim(kTestScale, 1);
+    victim.setCheckpointDir(dir.string());
+    fault::installFailpoints("sweep_cell@5");
+    try {
+        victim.runAdaptive(cells);
+        FAIL() << "expected fail-fast throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("cell 3"), std::string::npos)
+            << e.what();
+    }
+    fault::installFailpoints("");
+    EXPECT_EQ(journaledCells(dir),
+              (std::vector<std::string>{"adaptive#0", "adaptive#2",
+                                        "adaptive#4", "adaptive#1"}));
+
+    SweepRunner resumed(kTestScale, 1);
+    resumed.setCheckpointDir(dir.string());
+    const auto got = resumed.runAdaptive(cells);
+    EXPECT_EQ(resumed.lastResumedCells(), 4u);
+    EXPECT_EQ(resumed.runner().stimulusPasses(), 1u)
+        << "cells 3 and 5 share one fleet";
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameEval(got[i], expected[i], i);
+
+    SweepRunner third(kTestScale, 1);
+    third.setCheckpointDir(dir.string());
+    const auto again = third.runAdaptive(cells);
+    EXPECT_EQ(third.lastResumedCells(), cells.size());
+    EXPECT_EQ(third.runner().stimulusPasses(), 0u);
+    ASSERT_EQ(again.size(), expected.size());
+    for (std::size_t i = 0; i < again.size(); ++i)
+        expectSameEval(again[i], expected[i], i);
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Keep-going inside a group: the cell whose fail-point hits fire is
+ * retried once on its own and then reported under its grid index,
+ * while its group-mates finish and are journaled.
+ */
+TEST(CheckpointSweep, AdaptiveKeepGoingRetriesGroupCellAlone)
+{
+    FailpointGuard guard;
+    const auto dir = freshDir("ckpt_adaptive_keepgoing");
+    const auto cells = adaptiveGroupGrid();
+    SweepRunner ref(kTestScale, 1);
+    const auto expected = ref.runAdaptive(cells);
+
+    // Hit 2 is cell 2's shared attempt, hit 3 its lone retry.
+    SweepRunner runner(kTestScale, 1);
+    runner.setCheckpointDir(dir.string());
+    runner.setKeepGoing(true);
+    fault::installFailpoints("sweep_cell@2,sweep_cell@3");
+    const auto got = runner.runAdaptive(cells);
+    fault::installFailpoints("");
+    ASSERT_EQ(runner.lastErrors().size(), 1u);
+    EXPECT_EQ(runner.lastErrors()[0].index, 2u);
+    EXPECT_EQ(runner.lastErrors()[0].attempts, 2);
+    EXPECT_EQ(runner.runner().stimulusPasses(), 2u)
+        << "the lone retry fails before it builds a fleet";
+    EXPECT_TRUE(std::isnan(got[2].cmrpo));
+    for (std::size_t i : {0, 1, 3, 4, 5})
+        expectSameEval(got[i], expected[i], i);
+    EXPECT_EQ(journaledCells(dir),
+              (std::vector<std::string>{"adaptive#0", "adaptive#4",
+                                        "adaptive#1", "adaptive#3",
+                                        "adaptive#5"}));
+
+    // A transient failure costs the one retry and nothing else.
+    SweepRunner transient(kTestScale, 1);
+    transient.setKeepGoing(true);
+    fault::installFailpoints("sweep_cell@2");
+    const auto healed = transient.runAdaptive(cells);
+    EXPECT_TRUE(transient.lastErrors().empty());
+    EXPECT_EQ(transient.runner().stimulusPasses(), 3u)
+        << "two groups and the lone retry";
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        expectSameEval(healed[i], expected[i], i);
+    std::filesystem::remove_all(dir);
+}
+
 /** A journal holding pinnedEvalBlob() under the sweep's run and cell
  *  keys resumes to exactly those values, field by field. */
 TEST(CheckpointSweep, PinnedEvalResultRecordResumes)

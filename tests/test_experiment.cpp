@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "sim/experiment.hpp"
 
@@ -147,6 +148,99 @@ TEST(Experiment, EtoNonNegativeAndSmall)
                                     scheme(SchemeKind::Drcat));
     EXPECT_GE(e, -0.01);
     EXPECT_LT(e, 0.2);
+}
+
+namespace
+{
+
+/** The scheme-list cases compare two paths bit for bit, so a short
+ *  epoch serves them; it keeps them affordable under the sanitizers. */
+constexpr double kListScale = 0.005;
+
+/** Every attacker family, with one placement and one epoch each. */
+std::vector<AdaptiveAttackSpec>
+everyAttack()
+{
+    std::vector<AdaptiveAttackSpec> attacks;
+    for (const AttackerKind kind :
+         {AttackerKind::Static, AttackerKind::MultiBank,
+          AttackerKind::ManySided, AttackerKind::HalfDouble,
+          AttackerKind::CloudMix, AttackerKind::RefreshAware}) {
+        AdaptiveAttackSpec a;
+        a.attacker = kind;
+        a.kernel = 2;
+        a.epochs = 1;
+        a.targetsPerBank = kind == AttackerKind::ManySided
+                                   || kind == AttackerKind::HalfDouble
+                               ? 8
+                               : 4;
+        attacks.push_back(a);
+    }
+    return attacks;
+}
+
+} // namespace
+
+TEST(Experiment, AdaptiveSchemeListMatchesOneSchemeAtATime)
+{
+    // One stimulus pass for an open-loop attack, one per scheme for
+    // the closed-loop one, and every result bit for bit its own
+    // single-scheme call's; DRCAT is listed twice.
+    const std::vector<SchemeConfig> schemes = {
+        scheme(SchemeKind::Drcat), scheme(SchemeKind::CounterCache, 2048),
+        scheme(SchemeKind::Pra), scheme(SchemeKind::Drcat)};
+    for (const AdaptiveAttackSpec &attack : everyAttack()) {
+        const char *name = attackerKindName(attack.attacker);
+        ExperimentRunner runner(kListScale);
+        const auto listed =
+            runner.evalAdaptive(SystemPreset::DualCore2Ch, attack, schemes);
+        const bool closed =
+            runner.adaptiveClosedLoop(SystemPreset::DualCore2Ch, attack);
+        EXPECT_EQ(closed, attack.attacker == AttackerKind::RefreshAware)
+            << name;
+        EXPECT_EQ(runner.stimulusPasses(), closed ? schemes.size() : 1u)
+            << name;
+        ASSERT_EQ(listed.size(), schemes.size()) << name;
+        for (std::size_t k = 0; k < schemes.size(); ++k) {
+            const EvalResult alone = runner.evalAdaptive(
+                SystemPreset::DualCore2Ch, attack, schemes[k]);
+            EXPECT_EQ(listed[k].cmrpo, alone.cmrpo) << name << " " << k;
+            EXPECT_EQ(listed[k].power.dynamic, alone.power.dynamic)
+                << name << " " << k;
+            EXPECT_EQ(listed[k].power.statik, alone.power.statik)
+                << name << " " << k;
+            EXPECT_EQ(listed[k].power.refresh, alone.power.refresh)
+                << name << " " << k;
+            EXPECT_EQ(listed[k].baselineSeconds, alone.baselineSeconds)
+                << name << " " << k;
+            EXPECT_EQ(listed[k].stats, alone.stats) << name << " " << k;
+            EXPECT_GT(alone.stats.activations, 0u) << name << " " << k;
+        }
+    }
+}
+
+TEST(Experiment, AdaptiveEtoSchemeListMatchesOneSchemeAtATime)
+{
+    // One unmitigated leg for the whole list, then one mitigated leg
+    // per scheme; DRCAT is listed twice.
+    const std::vector<SchemeConfig> schemes = {scheme(SchemeKind::Drcat),
+                                               scheme(SchemeKind::Pra),
+                                               scheme(SchemeKind::Drcat)};
+    for (const AdaptiveAttackSpec &attack : everyAttack()) {
+        const char *name = attackerKindName(attack.attacker);
+        ExperimentRunner runner(kListScale);
+        const auto listed = runner.evalAdaptiveEto(
+            SystemPreset::DualCore2Ch, attack, schemes);
+        EXPECT_EQ(runner.stimulusPasses(), 1 + schemes.size()) << name;
+        ASSERT_EQ(listed.size(), schemes.size()) << name;
+        for (std::size_t k = 0; k < 2; ++k)
+            EXPECT_EQ(listed[k],
+                      runner.evalAdaptiveEto(SystemPreset::DualCore2Ch,
+                                             attack, schemes[k]))
+                << name << " " << k;
+        EXPECT_EQ(listed[2], listed[0]) << name;
+        EXPECT_GT(listed[0], 0.0) << name;
+    }
 }
 
 TEST(Experiment, PresetsDiffer)

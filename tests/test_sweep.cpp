@@ -201,6 +201,149 @@ TEST(Sweep, AdaptiveParallelMatchesSerialWithoutBaselines)
     }
 }
 
+namespace
+{
+
+SchemeConfig
+adaptiveScheme(SchemeKind kind, std::uint32_t counters,
+               std::uint32_t banks_per_pool = 0)
+{
+    SchemeConfig cfg;
+    cfg.kind = kind;
+    cfg.numCounters = counters;
+    cfg.maxLevels = 11;
+    cfg.threshold = 32768;
+    cfg.praProbability = 0.002;
+    cfg.banksPerPool = banks_per_pool;
+    return cfg;
+}
+
+AdaptiveCell
+adaptiveCell(AttackerKind attacker, const SchemeConfig &scheme)
+{
+    AdaptiveCell c;
+    c.attack.attacker = attacker;
+    c.attack.epochs = 1;
+    if (attacker == AttackerKind::ManySided
+        || attacker == AttackerKind::HalfDouble)
+        c.attack.targetsPerBank = 8;
+    c.scheme = scheme;
+    return c;
+}
+
+/** perfbench's closed_loop grid at one epoch. */
+struct ClosedLoopGrid
+{
+    /** {MG, CC, PRCAT, DRCAT, PRA, RFM} x {Static, RefreshAware,
+     *  ManySided, HalfDouble, CloudMix}, scheme-major. */
+    std::vector<AdaptiveCell> cmrpo;
+    /** {Static, RefreshAware} x {PRCAT, DRCAT, PRA}. */
+    std::vector<AdaptiveCell> eto;
+};
+
+ClosedLoopGrid
+closedLoopGrid()
+{
+    const SchemeConfig schemes[] = {
+        adaptiveScheme(SchemeKind::MisraGries, 512),
+        adaptiveScheme(SchemeKind::CounterCache, 2048),
+        adaptiveScheme(SchemeKind::Prcat, 64),
+        adaptiveScheme(SchemeKind::Drcat, 64),
+        adaptiveScheme(SchemeKind::Pra, 0),
+        adaptiveScheme(SchemeKind::Rfm, 0),
+    };
+    const AttackerKind attackers[] = {
+        AttackerKind::Static, AttackerKind::RefreshAware,
+        AttackerKind::ManySided, AttackerKind::HalfDouble,
+        AttackerKind::CloudMix};
+    ClosedLoopGrid grid;
+    for (const SchemeConfig &cfg : schemes)
+        for (const AttackerKind attacker : attackers)
+            grid.cmrpo.push_back(adaptiveCell(attacker, cfg));
+    for (const std::size_t a : {0, 1})
+        for (const std::size_t s : {2, 3, 4})
+            grid.eto.push_back(adaptiveCell(attackers[a], schemes[s]));
+    return grid;
+}
+
+} // namespace
+
+TEST(Sweep, AdaptiveGroupsShareStimulusAtAnyJobs)
+{
+    // Cells of one open-loop attack share one fleet, and cells of one
+    // attack share one unmitigated ETO leg.  Per cell, the grid would
+    // build 30 + 2 x 6 = 42 fleets; grouped it builds 18.
+    const ClosedLoopGrid grid = closedLoopGrid();
+
+    SweepRunner serial(kTestScale, 1);
+    const auto cmrpo = serial.runAdaptive(grid.cmrpo);
+    // 4 open-loop attacks + 6 RefreshAware cells.
+    EXPECT_EQ(serial.runner().stimulusPasses(), 10u);
+    const auto etos = serial.runAdaptiveEto(grid.eto);
+    // + 2 unmitigated legs + 6 mitigated legs.
+    EXPECT_EQ(serial.runner().stimulusPasses(), 18u);
+
+    // Four workers cap a task at ceil(6 / 4) = 2 ETO cells, so each
+    // attack's three ETO cells take two tasks and two unmitigated legs.
+    SweepRunner parallel4(kTestScale, 4);
+    const auto cmrpo4 = parallel4.runAdaptive(grid.cmrpo);
+    EXPECT_EQ(parallel4.runner().stimulusPasses(), 10u);
+    const auto etos4 = parallel4.runAdaptiveEto(grid.eto);
+    EXPECT_EQ(parallel4.runner().stimulusPasses(), 20u);
+
+    // The per-cell path, through the per-cell callback.
+    SweepRunner perCell(kTestScale, 4);
+    std::vector<EvalResult> alone(grid.cmrpo.size());
+    perCell.runAdaptiveMetric(
+        grid.cmrpo, [&](ExperimentRunner &r, const AdaptiveCell &c) {
+            const auto i = static_cast<std::size_t>(&c - grid.cmrpo.data());
+            alone[i] = r.evalAdaptive(c.preset, c.attack, c.scheme);
+            return alone[i].cmrpo;
+        });
+    EXPECT_EQ(perCell.runner().stimulusPasses(), 30u);
+    const auto etosAlone = perCell.runAdaptiveMetric(
+        grid.eto, [](ExperimentRunner &r, const AdaptiveCell &c) {
+            return r.evalAdaptiveEto(c.preset, c.attack, c.scheme);
+        });
+    EXPECT_EQ(perCell.runner().stimulusPasses(), 42u);
+
+    ASSERT_EQ(cmrpo.size(), grid.cmrpo.size());
+    ASSERT_EQ(cmrpo4.size(), grid.cmrpo.size());
+    for (std::size_t i = 0; i < cmrpo.size(); ++i) {
+        expectBitIdentical(cmrpo[i], cmrpo4[i], i);
+        expectBitIdentical(cmrpo[i], alone[i], i);
+        EXPECT_GT(cmrpo[i].stats.activations, 0u) << "cell " << i;
+    }
+    EXPECT_EQ(etos, etos4);
+    EXPECT_EQ(etos, etosAlone);
+}
+
+TEST(Sweep, AdaptiveGroupsSplitByPoolGrouping)
+{
+    // Private and rank-pooled schemes cannot share one replay pass, so
+    // one open-loop attack takes one fleet per pool grouping.
+    const std::vector<AdaptiveCell> cells = {
+        adaptiveCell(AttackerKind::Static,
+                     adaptiveScheme(SchemeKind::Drcat, 64)),
+        adaptiveCell(AttackerKind::Static,
+                     adaptiveScheme(SchemeKind::Drcat, 64, 4)),
+        adaptiveCell(AttackerKind::Static,
+                     adaptiveScheme(SchemeKind::Sca, 64)),
+        adaptiveCell(AttackerKind::Static,
+                     adaptiveScheme(SchemeKind::Prcat, 64, 4)),
+    };
+    SweepRunner sweep(kTestScale, 1);
+    const auto got = sweep.runAdaptive(cells);
+    EXPECT_EQ(sweep.runner().stimulusPasses(), 2u);
+    ExperimentRunner direct(kTestScale);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        expectBitIdentical(got[i],
+                           direct.evalAdaptive(cells[i].preset,
+                                               cells[i].attack,
+                                               cells[i].scheme),
+                           i);
+}
+
 TEST(Sweep, BaselineComputedOnceUnderContention)
 {
     // Eight cells hammer the same (preset, workload) concurrently;
