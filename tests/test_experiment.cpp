@@ -243,6 +243,97 @@ TEST(Experiment, AdaptiveEtoSchemeListMatchesOneSchemeAtATime)
     }
 }
 
+namespace
+{
+
+/** The disturbance grid's schemes (fig14/fig16) at T = 32K, in the
+ *  column order of kPinnedDisturbance. */
+std::vector<SchemeConfig>
+disturbanceSchemes()
+{
+    SchemeConfig rfm = scheme(SchemeKind::Rfm);
+    rfm.rfmBudget = 64;
+    return {scheme(SchemeKind::CounterCache, 2048),
+            scheme(SchemeKind::Prcat),
+            scheme(SchemeKind::Drcat),
+            scheme(SchemeKind::Pra),
+            scheme(SchemeKind::MisraGries, 512),
+            rfm};
+}
+
+/** One row of evalAdaptiveDisturbance results (kernel 1, Medium). */
+struct PinnedDisturbance
+{
+    AttackerKind attacker;
+    std::uint64_t epochs;
+    double values[6]; //!< CC_2048 PRCAT_64 DRCAT_64 PRA MG_512 RFM_64
+};
+
+/**
+ * Recorded at kTestScale with the hand-rolled ledger loop that
+ * predates the ledger's move onto replaySources.  One epoch pins the
+ * count and reset rule; two epochs also pin the epoch reset, which
+ * one epoch cannot see.
+ */
+const PinnedDisturbance kPinnedDisturbance[] = {
+    {AttackerKind::Static, 1,
+     {1, 1.001526717557252, 1.001526717557252, 5.0183206106870228, 1,
+      0.70687022900763363}},
+    {AttackerKind::RefreshAware, 1,
+     {1, 0.99694656488549616, 0.99694656488549616, 4.1480916030534347,
+      1, 0.6824427480916031}},
+    {AttackerKind::HalfDouble, 1,
+     {1, 1, 1, 2.5099236641221374, 1, 0.71603053435114505}},
+    {AttackerKind::CloudMix, 1,
+     {0.88854961832061063, 0.42748091603053434, 0.42748091603053434,
+      0.88854961832061063, 0.88854961832061063, 0.73740458015267174}},
+    {AttackerKind::Static, 2,
+     {1, 1.001526717557252, 1.001526717557252, 5.0183206106870228, 1,
+      0.88854961832061063}},
+    {AttackerKind::RefreshAware, 2,
+     {1, 0.99694656488549616, 0.99694656488549616, 4.3251908396946561,
+      1, 1.0305343511450382}},
+    {AttackerKind::HalfDouble, 2,
+     {1, 1, 1, 2.5648854961832059, 1, 0.8442748091603054}},
+    {AttackerKind::CloudMix, 2,
+     {0.9007633587786259, 0.67938931297709926, 0.67938931297709926,
+      0.88854961832061063, 0.9007633587786259, 0.73740458015267174}},
+};
+
+} // namespace
+
+TEST(ExperimentRunner, DisturbancePinned)
+{
+    const std::vector<SchemeConfig> schemes = disturbanceSchemes();
+    ExperimentRunner runner(kTestScale);
+    for (const PinnedDisturbance &pin : kPinnedDisturbance) {
+        AdaptiveAttackSpec attack;
+        attack.attacker = pin.attacker;
+        attack.kernel = 1;
+        attack.epochs = pin.epochs;
+        attack.targetsPerBank =
+            pin.attacker == AttackerKind::HalfDouble ? 8 : 4;
+        for (std::size_t k = 0; k < schemes.size(); ++k)
+            EXPECT_EQ(runner.evalAdaptiveDisturbance(
+                          SystemPreset::DualCore2Ch, attack, schemes[k]),
+                      pin.values[k])
+                << attackerKindName(pin.attacker) << " epochs "
+                << pin.epochs << " " << schemes[k].label();
+    }
+}
+
+TEST(ExperimentRunnerDeath, DisturbanceRejectsSharedPool)
+{
+    ExperimentRunner runner(kListScale);
+    SchemeConfig cfg = scheme(SchemeKind::Drcat);
+    cfg.banksPerPool = 8;
+    AdaptiveAttackSpec attack;
+    attack.epochs = 1;
+    EXPECT_EXIT(runner.evalAdaptiveDisturbance(SystemPreset::DualCore2Ch,
+                                               attack, cfg),
+                ::testing::ExitedWithCode(1), "banksPerPool=8");
+}
+
 TEST(Experiment, PresetsDiffer)
 {
     const auto dual = makeSystem(SystemPreset::DualCore2Ch);
