@@ -6,6 +6,8 @@
 #ifndef CATSIM_BENCH_BENCH_COMMON_HPP
 #define CATSIM_BENCH_BENCH_COMMON_HPP
 
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "sim/experiment.hpp"
@@ -36,6 +39,29 @@ benchScale()
     if (!env)
         return 0.2;
     return experimentScale();
+}
+
+/**
+ * Attack target placements averaged per cell (fig13, fig14, fig16):
+ * CATSIM_ATTACK_KERNELS when set, otherwise 3 (the paper uses 12).  As
+ * with CATSIM_SCALE, a set value must be wholly the number, here an
+ * integer in [1, 12]; anything else is fatal rather than quietly
+ * running another placement count.
+ */
+inline std::uint64_t
+attackKernelCount()
+{
+    const char *env = std::getenv("CATSIM_ATTACK_KERNELS");
+    if (!env)
+        return 3;
+    char *end = nullptr;
+    const long v = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0'
+        || std::isspace(static_cast<unsigned char>(env[0])) || v < 1
+        || v > 12)
+        CATSIM_FATAL("CATSIM_ATTACK_KERNELS='", env,
+                     "' is not an integer in [1, 12]");
+    return static_cast<std::uint64_t>(v);
 }
 
 /** Print the standard bench banner. */

@@ -23,18 +23,6 @@ using namespace catsim;
 namespace
 {
 
-/** Kernels averaged per cell (paper uses 12; 3 keeps the bench quick;
- *  raise via CATSIM_ATTACK_KERNELS). */
-std::uint64_t
-kernelCount()
-{
-    const char *env = std::getenv("CATSIM_ATTACK_KERNELS");
-    if (!env)
-        return 3;
-    const long v = std::atol(env);
-    return v >= 1 && v <= 12 ? static_cast<std::uint64_t>(v) : 3;
-}
-
 SweepCell
 attackCell(AttackMode mode, std::uint64_t kernel,
            const SchemeConfig &cfg)
@@ -58,7 +46,7 @@ main()
     SweepRunner sweep(scale);
     benchBanner("Fig 13: ETO under kernel attacks", scale,
                 sweep.jobs());
-    const std::uint64_t kernels = kernelCount();
+    const std::uint64_t kernels = attackKernelCount();
     std::cout << "averaging over " << kernels
               << " attack kernels per cell (paper: 12; set "
                  "CATSIM_ATTACK_KERNELS)\n\n";

@@ -29,22 +29,6 @@
 
 using namespace catsim;
 
-namespace
-{
-
-/** Kernels averaged per cell (env CATSIM_ATTACK_KERNELS, default 3). */
-std::uint64_t
-kernelCount()
-{
-    const char *env = std::getenv("CATSIM_ATTACK_KERNELS");
-    if (!env)
-        return 3;
-    const long v = std::atol(env);
-    return v >= 1 && v <= 12 ? static_cast<std::uint64_t>(v) : 3;
-}
-
-} // namespace
-
 int
 main()
 {
@@ -52,7 +36,7 @@ main()
     SweepRunner sweep(scale);
     benchBanner("Fig 14: CMRPO under adaptive (closed-loop) attackers",
                 scale, sweep.jobs());
-    const std::uint64_t kernels = kernelCount();
+    const std::uint64_t kernels = attackKernelCount();
     std::cout << "averaging over " << kernels
               << " target placements per cell (CATSIM_ATTACK_KERNELS)"
               << "\n\n";

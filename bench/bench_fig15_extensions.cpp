@@ -6,7 +6,7 @@
  * axis per leg, everything through one SweepRunner grid:
  *
  *   eviction   the counter-cache victim policy (Section II baseline):
- *              frozen legacy default vs LRU / LFU / PRNG-random
+ *              LRU (the default) vs LFU / PRNG-random
  *   M +/- 1    CAT counter budgets off the power of two (uneven
  *              deepest pre-split level, see cat_tree.hpp): does the
  *              CMRPO curve move smoothly between pow2 anchors?
@@ -61,9 +61,9 @@ main()
     const std::uint32_t threshold = 32768;
 
     // Leg 1: counter-cache eviction policy.
-    const EvictionPolicyKind policies[] = {
-        EvictionPolicyKind::Legacy, EvictionPolicyKind::Lru,
-        EvictionPolicyKind::Lfu, EvictionPolicyKind::Random};
+    const EvictionPolicyKind policies[] = {EvictionPolicyKind::Lru,
+                                           EvictionPolicyKind::Lfu,
+                                           EvictionPolicyKind::Random};
     std::vector<SchemeConfig> evictionConfigs;
     for (EvictionPolicyKind p : policies) {
         SchemeConfig cfg =
@@ -167,11 +167,9 @@ main()
     benchMetric("eto_attack_DRCAT_16_perbank", etos[0]);
     benchMetric("eto_attack_DRCAT_16_rank8", etos[1]);
 
-    std::cout << "\nExpected shape: the frozen legacy eviction policy "
-                 "tracks LRU closely (it is LRU with a different "
-                 "invalid-way preference), LFU lags under phase "
-                 "changes and random adds PRNG energy per conflict "
-                 "miss; CMRPO moves smoothly through non-power-of-two "
+    std::cout << "\nExpected shape: LFU lags LRU under phase changes "
+                 "and random adds PRNG energy per conflict miss; "
+                 "CMRPO moves smoothly through non-power-of-two "
                  "M (the uneven pre-split level adds no cliff); and "
                  "per-rank pooling does NOT pay on this suite - the "
                  "demand is symmetric across banks, so sharing buys "

@@ -41,17 +41,6 @@ using namespace catsim;
 namespace
 {
 
-/** Kernels averaged per cell (env CATSIM_ATTACK_KERNELS, default 3). */
-std::uint64_t
-kernelCount()
-{
-    const char *env = std::getenv("CATSIM_ATTACK_KERNELS");
-    if (!env)
-        return 3;
-    const long v = std::atol(env);
-    return v >= 1 && v <= 12 ? static_cast<std::uint64_t>(v) : 3;
-}
-
 /** Straddle scenarios hammer pairs; give them 4 pairs per bank. */
 std::uint32_t
 targetsFor(AttackerKind attacker)
@@ -60,6 +49,14 @@ targetsFor(AttackerKind attacker)
                    || attacker == AttackerKind::HalfDouble
                ? 8
                : 4;
+}
+
+/** Placements a scenario's cells average over: CloudMix has no
+ *  targets to place, so one placement stands for all of them. */
+std::uint64_t
+placementsFor(AttackerKind attacker, std::uint64_t kernels)
+{
+    return attacker == AttackerKind::CloudMix ? 1 : kernels;
 }
 
 } // namespace
@@ -72,10 +69,10 @@ main()
     benchBanner("Fig 16: modern-attack scenario corpus "
                 "(many-sided, half-double, cloud mix)",
                 scale, sweep.jobs());
-    const std::uint64_t kernels = kernelCount();
+    const std::uint64_t kernels = attackKernelCount();
     std::cout << "averaging over " << kernels
-              << " target placements per cell (CATSIM_ATTACK_KERNELS)"
-              << "\n\n";
+              << " target placements per cell (CATSIM_ATTACK_KERNELS); "
+                 "CloudMix has no targets and runs one\n\n";
 
     constexpr int kAttackers = 4;
     constexpr int kSchemes = 6;
@@ -101,11 +98,12 @@ main()
                                          "PRA", "MG",    "RFM"};
 
     // One flat closed-loop grid: scenario rows x scheme columns x
-    // `kernels` placements per cell.
+    // placementsFor() placements per cell.
     std::vector<AdaptiveCell> cells;
     for (AttackerKind attacker : attackers) {
         for (const SchemeConfig &cfg : schemes) {
-            for (std::uint64_t k = 1; k <= kernels; ++k) {
+            for (std::uint64_t k = 1;
+                 k <= placementsFor(attacker, kernels); ++k) {
                 AdaptiveCell c;
                 c.preset = SystemPreset::DualCore2Ch;
                 c.attack.attacker = attacker;
@@ -127,7 +125,8 @@ main()
         std::vector<std::string> row{attackerKindName(attackers[a])};
         for (int s = 0; s < kSchemes; ++s) {
             RunningStat stat;
-            for (std::uint64_t k = 1; k <= kernels; ++k)
+            for (std::uint64_t k = 1;
+                 k <= placementsFor(attackers[a], kernels); ++k)
                 stat.add(results[idx++].cmrpo);
             row.push_back(TextTable::pct(stat.mean(), 2));
             benchMetric("cmrpo_mean_"

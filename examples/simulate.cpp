@@ -11,7 +11,7 @@
  *            kind=gaussian|multibank|manysided|halfdouble
  *                                          (alias: kernelkind=)
  *            rfmbudget=64
- *            policy=legacy|lru|lfu|random  (alias: eviction=)
+ *            policy=lru|lfu|random         (alias: eviction=)
  *            pool=K                        (alias: bankspool=)
  *
  * Everything except scale=/eto=/trace= is read by SystemConfig::parse

@@ -19,7 +19,7 @@ CounterCache::CounterCache(RowAddr num_rows,
       sets_(cache_counters / ways),
       threshold_(threshold),
       policy_(policy ? std::move(policy)
-                     : makeEvictionPolicy(EvictionPolicyKind::Legacy, 0)),
+                     : makeEvictionPolicy(EvictionPolicyKind::Lru, 0)),
       backing_(num_rows, 0)
 {
     if (ways == 0 || cache_counters % ways != 0)
@@ -87,15 +87,6 @@ void
 CounterCache::onEpoch()
 {
     std::fill(backing_.begin(), backing_.end(), 0);
-}
-
-std::string
-CounterCache::name() const
-{
-    std::string n = "CC_" + std::to_string(cacheCounters_);
-    if (std::string(policy_->name()) != "legacy")
-        n += "_" + std::string(policy_->name());
-    return n;
 }
 
 } // namespace catsim

@@ -10,9 +10,9 @@
  * refreshed - at the price of counter storage, cache management, and
  * DRAM traffic on misses.
  *
- * Victim selection is pluggable (eviction_policy.hpp): the historical
- * policy is the frozen default, and LRU/LFU/random variants feed the
- * eviction-sensitivity study (bench_fig15_extensions).
+ * Victim selection is pluggable (eviction_policy.hpp): LRU is the
+ * default, and LFU/random variants feed the eviction-sensitivity
+ * study (bench_fig15_extensions).
  */
 
 #ifndef CATSIM_CORE_COUNTER_CACHE_HPP
@@ -39,8 +39,7 @@ class CounterCache : public MitigationScheme
      *                   (e.g. 2048 for the paper's "2K counter cache").
      * @param ways       Set associativity.
      * @param threshold  Refresh threshold (T).
-     * @param policy     Victim-selection strategy; null selects the
-     *                   frozen legacy policy.
+     * @param policy     Victim-selection strategy; null selects LRU.
      */
     CounterCache(RowAddr num_rows, std::uint32_t cache_counters,
                  std::uint32_t ways, std::uint32_t threshold,
@@ -48,7 +47,6 @@ class CounterCache : public MitigationScheme
 
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
-    std::string name() const override;
 
     Count hits() const { return hits_; }
     Count misses() const { return misses_; }

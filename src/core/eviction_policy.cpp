@@ -10,35 +10,6 @@ namespace catsim
 namespace
 {
 
-/**
- * The historical policy, frozen: scan ways ascending, remember the
- * LAST invalid way seen; while no invalid way has been seen yet, track
- * the least-recently-used valid way.  (Textbook LRU instead takes the
- * FIRST invalid way - the difference is observable once a set has
- * been warmed unevenly, which is why the legacy behaviour is pinned
- * here rather than "fixed".)
- */
-class LegacyEviction : public EvictionPolicy
-{
-  public:
-    std::uint32_t
-    pickVictim(const CacheWayState *set, std::uint32_t ways) override
-    {
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 0; w < ways; ++w) {
-            if (!set[w].valid) {
-                victim = w;
-            } else if (set[victim].valid
-                       && set[w].lastUse < set[victim].lastUse) {
-                victim = w;
-            }
-        }
-        return victim;
-    }
-
-    const char *name() const override { return "legacy"; }
-};
-
 class LruEviction : public EvictionPolicy
 {
   public:
@@ -54,8 +25,6 @@ class LruEviction : public EvictionPolicy
         }
         return victim;
     }
-
-    const char *name() const override { return "lru"; }
 };
 
 class LfuEviction : public EvictionPolicy
@@ -75,8 +44,6 @@ class LfuEviction : public EvictionPolicy
         }
         return victim;
     }
-
-    const char *name() const override { return "lfu"; }
 };
 
 class RandomEviction : public EvictionPolicy
@@ -94,7 +61,6 @@ class RandomEviction : public EvictionPolicy
         return prng_.nextBits(16) % ways;
     }
 
-    const char *name() const override { return "random"; }
     Count prngBits() const override { return bits_; }
 
   private:
@@ -108,8 +74,6 @@ EvictionPolicyKind
 parseEvictionPolicy(const std::string &name)
 {
     const std::string s = asciiLower(name);
-    if (s == "legacy" || s == "default")
-        return EvictionPolicyKind::Legacy;
     if (s == "lru")
         return EvictionPolicyKind::Lru;
     if (s == "lfu")
@@ -117,15 +81,13 @@ parseEvictionPolicy(const std::string &name)
     if (s == "random")
         return EvictionPolicyKind::Random;
     CATSIM_FATAL("unknown eviction policy '", name,
-                 "' (legacy|lru|lfu|random)");
+                 "' (lru|lfu|random)");
 }
 
 const char *
 evictionPolicyName(EvictionPolicyKind kind)
 {
     switch (kind) {
-      case EvictionPolicyKind::Legacy:
-        return "legacy";
       case EvictionPolicyKind::Lru:
         return "lru";
       case EvictionPolicyKind::Lfu:
@@ -140,8 +102,6 @@ std::unique_ptr<EvictionPolicy>
 makeEvictionPolicy(EvictionPolicyKind kind, std::uint64_t seed)
 {
     switch (kind) {
-      case EvictionPolicyKind::Legacy:
-        return std::make_unique<LegacyEviction>();
       case EvictionPolicyKind::Lru:
         return std::make_unique<LruEviction>();
       case EvictionPolicyKind::Lfu:

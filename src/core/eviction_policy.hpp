@@ -4,13 +4,11 @@
  *
  * The paper's counter-cache baseline (Section II) fixes one cache
  * organization; bench_fig15_extensions studies how sensitive its
- * CMRPO is to the eviction policy.  The historical policy is frozen
- * as `EvictionPolicyKind::Legacy` (the default - construction through
- * the factory without an explicit policy is byte-for-byte the old
- * cache), alongside textbook LRU, LFU, and a PRNG-driven random
- * policy.  Random draws through the existing `PrngSource` abstraction
- * so runs stay deterministic given the scheme seed, and the bits it
- * consumes are charged to `SchemeStats::prngBits` like PRA's.
+ * CMRPO is to the eviction policy.  LRU is the default, alongside
+ * LFU and a PRNG-driven random policy.  Random draws through the
+ * existing `PrngSource` abstraction so runs stay deterministic given
+ * the scheme seed, and the bits it consumes are charged to
+ * `SchemeStats::prngBits` like PRA's.
  */
 
 #ifndef CATSIM_CORE_EVICTION_POLICY_HPP
@@ -28,8 +26,7 @@ namespace catsim
 /** Victim-selection strategy selector (SchemeConfig::evictionPolicy). */
 enum class EvictionPolicyKind
 {
-    Legacy, //!< frozen historical policy (last invalid way, else LRU)
-    Lru,    //!< first invalid way, else least-recently used
+    Lru,    //!< first invalid way, else least-recently used (default)
     Lfu,    //!< first invalid way, else least use count (LRU tiebreak)
     Random, //!< first invalid way, else a PrngSource draw
 };
@@ -59,14 +56,11 @@ class EvictionPolicy
     virtual std::uint32_t pickVictim(const CacheWayState *set,
                                      std::uint32_t ways) = 0;
 
-    /** Policy name for labels/reports, e.g. "lru". */
-    virtual const char *name() const = 0;
-
     /** Random bits drawn so far (non-zero for Random only). */
     virtual Count prngBits() const { return 0; }
 };
 
-/** Parse "legacy|lru|lfu|random" (case-insensitive). */
+/** Parse "lru|lfu|random" (case-insensitive). */
 EvictionPolicyKind parseEvictionPolicy(const std::string &name);
 
 /** Policy name, e.g. "lru". */

@@ -38,9 +38,8 @@ SchemeConfig::label() const
         break;
       case SchemeKind::CounterCache:
         os << "CC_" << numCounters;
-        // The legacy default is omitted so pre-existing labels stay
-        // unchanged.
-        if (evictionPolicy != EvictionPolicyKind::Legacy)
+        // The default policy is omitted, as format() omits it.
+        if (evictionPolicy != SchemeConfig{}.evictionPolicy)
             os << '_' << evictionPolicyName(evictionPolicy);
         break;
       case SchemeKind::MisraGries:
@@ -98,7 +97,7 @@ SchemeConfig::parse(const Config &cfg)
     // `eviction=` and `bankspool=` are the historical simulate CLI
     // spellings, kept as aliases of the canonical keys.
     s.evictionPolicy = parseEvictionPolicy(
-        cfg.getString("policy", cfg.getString("eviction", "legacy")));
+        cfg.getString("policy", cfg.getString("eviction", "lru")));
     s.banksPerPool = static_cast<std::uint32_t>(
         cfg.getUint("pool", cfg.getUint("bankspool", 0)));
     return s;
@@ -196,10 +195,7 @@ makeOne(const SchemeConfig &config, RowAddr num_rows)
         return std::make_unique<CounterCache>(
             num_rows, config.numCounters, config.cacheWays,
             config.threshold,
-            config.evictionPolicy == EvictionPolicyKind::Legacy
-                ? nullptr
-                : makeEvictionPolicy(config.evictionPolicy,
-                                     config.seed));
+            makeEvictionPolicy(config.evictionPolicy, config.seed));
       case SchemeKind::MisraGries:
         return std::make_unique<MisraGries>(
             num_rows, config.numCounters, config.threshold);

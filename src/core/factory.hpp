@@ -51,8 +51,8 @@ struct SchemeConfig
      * schedule with the refresh threshold.
      */
     std::vector<std::uint32_t> splitThresholds;
-    /** Counter-cache victim selection; Legacy is the frozen default. */
-    EvictionPolicyKind evictionPolicy = EvictionPolicyKind::Legacy;
+    /** Counter-cache victim selection. */
+    EvictionPolicyKind evictionPolicy = EvictionPolicyKind::Lru;
     /**
      * CAT counter-pool sharing: 0 or 1 keeps the paper's private
      * per-bank pools; k > 1 shares one pool of k x numCounters

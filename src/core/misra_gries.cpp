@@ -1,7 +1,5 @@
 #include "misra_gries.hpp"
 
-#include <sstream>
-
 #include "common/bit.hpp"
 #include "common/logging.hpp"
 #include "core/pra.hpp"
@@ -136,14 +134,6 @@ MisraGries::trackedCount(RowAddr row) const
 {
     const std::uint32_t slot = slotOf_[row];
     return slot ? entries_[slot - 1].count : 0;
-}
-
-std::string
-MisraGries::name() const
-{
-    std::ostringstream os;
-    os << "MG_" << entries_.size();
-    return os.str();
 }
 
 } // namespace catsim

@@ -63,7 +63,6 @@ class MisraGries : public MitigationScheme
 
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
-    std::string name() const override;
 
     /**
      * Use a physical-adjacency model for victim selection; must

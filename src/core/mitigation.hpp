@@ -14,7 +14,6 @@
 #define CATSIM_CORE_MITIGATION_HPP
 
 #include <cstddef>
-#include <string>
 
 #include "common/types.hpp"
 
@@ -139,9 +138,6 @@ class MitigationScheme
      * clears accumulated disturbance, so counting schemes reset here.
      */
     virtual void onEpoch() {}
-
-    /** Scheme name for reports, e.g. "DRCAT_64". */
-    virtual std::string name() const = 0;
 
     /** Event counts so far. */
     const SchemeStats &stats() const { return stats_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hpp"
 
@@ -80,14 +79,6 @@ Pra::onActivate(RowAddr row)
     ++stats_.refreshEvents;
     stats_.victimRowsRefreshed += act.rowCount;
     return act;
-}
-
-std::string
-Pra::name() const
-{
-    std::ostringstream os;
-    os << "PRA_" << p_;
-    return os.str();
 }
 
 } // namespace catsim

@@ -49,7 +49,6 @@ class Pra : public MitigationScheme
         std::unique_ptr<PrngSource> prng = nullptr);
 
     RefreshAction onActivate(RowAddr row) override;
-    std::string name() const override;
 
     double probability() const { return p_; }
     unsigned bitsPerDraw() const { return rule_.bits; }

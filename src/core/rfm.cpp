@@ -1,7 +1,5 @@
 #include "rfm.hpp"
 
-#include <sstream>
-
 #include "common/logging.hpp"
 #include "core/pra.hpp"
 
@@ -38,14 +36,6 @@ Rfm::onEpoch()
     // full retention pass clears it entirely).
     raa_ = 0;
     ++stats_.epochResets;
-}
-
-std::string
-Rfm::name() const
-{
-    std::ostringstream os;
-    os << "RFM_" << budget_;
-    return os.str();
 }
 
 } // namespace catsim

@@ -36,7 +36,6 @@ class Rfm : public MitigationScheme
 
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
-    std::string name() const override;
 
     /**
      * Use a physical-adjacency model for victim selection; must

@@ -66,12 +66,6 @@ Sca::onEpoch()
     std::fill(counters_.begin(), counters_.end(), 0);
 }
 
-std::string
-Sca::name() const
-{
-    return "SCA_" + std::to_string(numCounters_);
-}
-
 std::uint32_t
 Sca::counterValue(std::uint32_t group) const
 {

@@ -41,7 +41,6 @@ class Sca : public MitigationScheme
     void onActivateBatch(const RowAddr *rows, std::size_t count) override;
 
     void onEpoch() override;
-    std::string name() const override;
 
     std::uint32_t numCounters() const { return numCounters_; }
     std::uint32_t groupSize() const { return groupSize_; }

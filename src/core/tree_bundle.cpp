@@ -125,17 +125,4 @@ TreeBundle::onEpoch()
     ++stats_.epochResets;
 }
 
-std::string
-TreeBundle::name() const
-{
-    const auto &p = tree_.params();
-    const std::uint32_t m =
-        p.presplitCounters ? p.presplitCounters : p.numCounters;
-    std::string n = p.enableWeights ? "DRCAT_" : "PRCAT_";
-    n += std::to_string(m);
-    if (p.sharedPool != nullptr)
-        n += "_rank" + std::to_string(p.numCounters / m);
-    return n;
-}
-
 } // namespace catsim

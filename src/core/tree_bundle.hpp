@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -96,9 +95,6 @@ class TreeBundle : public MitigationScheme
      * for DRCAT (weights enabled), paper Section V.
      */
     void onEpoch() override;
-
-    /** e.g. "DRCAT_64", or "PRCAT_64_rank8" on a rank-shared pool. */
-    std::string name() const override;
 
     /** The bank's tree, for probes and reports. */
     const CatTree &tree() const { return tree_; }

@@ -266,4 +266,46 @@ CloudMixSource::next(const RowAddr **rows, std::size_t *count)
     return SourceChunk::Rows;
 }
 
+DisturbanceLedger::DisturbanceLedger(
+    std::unique_ptr<ActivationSource> source, RowAddr num_rows)
+    : source_(std::move(source)),
+      sourceClosed_(source_->closedLoop()),
+      numRows_(num_rows)
+{
+}
+
+SourceChunk
+DisturbanceLedger::next(const RowAddr **rows, std::size_t *count)
+{
+    // The counts live only while the bank plays: a fleet's ledgers are
+    // built up front, but a replay plays private banks one at a time.
+    if (counts_.empty())
+        counts_.assign(numRows_, 0);
+    const SourceChunk chunk = source_->next(rows, count);
+    if (chunk == SourceChunk::Epoch)
+        std::fill(counts_.begin(), counts_.end(), 0);
+    else if (chunk == SourceChunk::End)
+        counts_ = std::vector<std::uint32_t>();
+    return chunk;
+}
+
+void
+DisturbanceLedger::onRefreshAction(RowAddr row, const RefreshAction &act)
+{
+    const std::uint32_t reached = ++counts_[row];
+    if (reached > max_)
+        max_ = reached;
+    if (act.triggered()) {
+        for (std::int64_t r = static_cast<std::int64_t>(act.lo) + 1;
+             r <= static_cast<std::int64_t>(act.hi) - 1; ++r)
+            counts_[static_cast<std::size_t>(r)] = 0;
+        if (act.lo <= 1 && act.hi >= 1)
+            counts_[0] = 0;
+        if (act.lo <= numRows_ - 2 && act.hi >= numRows_ - 2)
+            counts_[numRows_ - 1] = 0;
+    }
+    if (sourceClosed_)
+        source_->onRefreshAction(row, act);
+}
+
 } // namespace catsim

@@ -3,7 +3,7 @@
  * Pluggable per-bank activation sources for replay (ReplayLane).
  *
  * A mitigation scheme consumes one bank's row-activation stream; an
- * ActivationSource produces it.  Three families exist:
+ * ActivationSource produces it.  Four families exist:
  *
  *  - RecordedStreamSource: replays a stream recorded by the timing
  *    simulator (or ingested from a trace file).  Chunks are handed out
@@ -18,6 +18,12 @@
  *    returns; when the defense refreshes around one of its aggressor
  *    rows it rotates that aggressor elsewhere, defeating defenses
  *    whose strength comes from learning stable hot locations.
+ *  - CloudMixSource: a benign open-loop multi-tenant Zipf mix whose
+ *    hot sets move at phase changes.
+ *
+ * DisturbanceLedger wraps any of them: it passes the stream through
+ * unchanged and keeps a hammer count per row from the RefreshActions
+ * it observes.
  *
  * Closed-loop sources (closedLoop() == true) are driven one activation
  * at a time and receive onRefreshAction() after each; open-loop
@@ -29,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -270,6 +277,51 @@ class CloudMixSource : public ActivationSource
     std::uint64_t producedInEpoch_ = 0;
     std::uint64_t epochsDone_ = 0;
     bool pendingEpoch_ = false;
+};
+
+/**
+ * Per-bank hammer ledger, as a pass-through on one bank's source: it
+ * counts activations per row and resets a row's count when a refresh
+ * covers ALL of its victims - interior rows need both neighbors in
+ * [lo, hi] (i.e. row in [lo+1, hi-1]); the bank-edge rows have a
+ * single victim (row 1 resp. N-2) and reset whenever that victim is
+ * covered.  An Epoch chunk (retention refresh rewrites every row)
+ * resets every count.  The maximum count ever reached is the
+ * attacker's best disturbance before the defense intervened.
+ *
+ * This is the exact form of the rule; the SafetyChecker in
+ * tests/test_integration_safety.cpp (and the tree-level copy in
+ * test_cat_tree.cpp) deliberately keeps the conservative variant
+ * that widens to the edges only when the refresh range touches them
+ * - failing to reset there only makes the safety assertion stricter,
+ * while a success *metric* must not over-report the attacker.
+ *
+ * The ledger is closed loop, so a replay lane hands it every
+ * RefreshAction; it forwards each one to the wrapped source when
+ * that source is closed loop too.  Its counts are held from the first
+ * next() until End.
+ */
+class DisturbanceLedger : public ActivationSource
+{
+  public:
+    DisturbanceLedger(std::unique_ptr<ActivationSource> source,
+                      RowAddr num_rows);
+
+    bool closedLoop() const override { return true; }
+    SourceChunk next(const RowAddr **rows, std::size_t *count) override;
+    void onRefreshAction(RowAddr row,
+                         const RefreshAction &act) override;
+
+    /** Highest count any row has reached. */
+    std::uint32_t maxReached() const { return max_; }
+
+  private:
+    std::unique_ptr<ActivationSource> source_;
+    /** source_->closedLoop(), asked once rather than per activation. */
+    bool sourceClosed_;
+    RowAddr numRows_;
+    std::vector<std::uint32_t> counts_;
+    std::uint32_t max_ = 0;
 };
 
 } // namespace catsim

@@ -479,67 +479,6 @@ ExperimentRunner::evalAdaptive(SystemPreset preset,
     return out;
 }
 
-namespace
-{
-
-/**
- * Per-bank hammer ledger: counts activations per row and resets a
- * row's clock when a refresh covers ALL of its victims - interior
- * rows need both neighbors in [lo, hi] (i.e. row in [lo+1, hi-1]);
- * the bank-edge rows have a single victim (row 1 resp. N-2) and
- * reset whenever that victim is covered.  The maximum count ever
- * reached is the attacker's best disturbance before the defense
- * intervened.
- *
- * This is the exact form of the rule; the SafetyChecker in
- * tests/test_integration_safety.cpp (and the tree-level copy in
- * test_cat_tree.cpp) deliberately keeps the conservative variant
- * that widens to the edges only when the refresh range touches them
- * - failing to reset there only makes the safety assertion stricter,
- * while a success *metric* must not over-report the attacker.
- */
-class DisturbanceLedger
-{
-  public:
-    explicit DisturbanceLedger(RowAddr num_rows)
-        : numRows_(num_rows), counts_(num_rows, 0)
-    {
-    }
-
-    void
-    onActivate(RowAddr row, const RefreshAction &act)
-    {
-        const std::uint32_t reached = ++counts_[row];
-        if (reached > max_)
-            max_ = reached;
-        if (act.triggered()) {
-            for (std::int64_t r = static_cast<std::int64_t>(act.lo) + 1;
-                 r <= static_cast<std::int64_t>(act.hi) - 1; ++r)
-                counts_[static_cast<std::size_t>(r)] = 0;
-            if (act.lo <= 1 && act.hi >= 1)
-                counts_[0] = 0;
-            if (act.lo <= numRows_ - 2 && act.hi >= numRows_ - 2)
-                counts_[numRows_ - 1] = 0;
-        }
-    }
-
-    /** Retention refresh rewrites every row: all clocks restart. */
-    void
-    onEpoch()
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-    }
-
-    std::uint32_t maxReached() const { return max_; }
-
-  private:
-    RowAddr numRows_;
-    std::vector<std::uint32_t> counts_;
-    std::uint32_t max_ = 0;
-};
-
-} // namespace
-
 double
 ExperimentRunner::evalAdaptiveDisturbance(SystemPreset preset,
                                           const AdaptiveAttackSpec &attack,
@@ -548,53 +487,28 @@ ExperimentRunner::evalAdaptiveDisturbance(SystemPreset preset,
     const TimingConfig sys = makeSystem(preset);
     const SchemeConfig sim = scaledScheme(scheme);
     const RowAddr rows = sys.geometry.rowsPerBank;
-    if (sim.kind == SchemeKind::None)
-        CATSIM_FATAL("disturbance eval needs a real scheme, not None");
-    // The ledger replays banks independently, one after the other; a
-    // rank-shared pool would be drained by the first bank (the
-    // starvation artifact replaySources interleaves away), so reject
-    // it rather than report a biased metric.
+    // The disturbance metric is defined on private per-bank counters,
+    // and no figure or test measures it on a rank-shared pool, so
+    // reject one rather than report an unchecked number.
     if (sim.sharesPool())
         CATSIM_FATAL("disturbance eval does not support rank-shared "
                      "counter pools (banksPerPool=", sim.banksPerPool,
                      ")");
 
-    // Same sources and per-bank schemes as evalAdaptive, but stepped
-    // one activation at a time through the ledger (batch and per-call
-    // delivery are semantically identical, so the schemes behave
-    // exactly as they do in the CMRPO leg).  Only the current bank's
-    // scheme is alive, as in replaySources: CounterCache and
-    // Misra-Gries carry per-row arrays.
-    const auto sources = adaptiveFleet(sys, attack);
+    // Same sources and per-bank schemes as evalAdaptive; the ledgers
+    // are closed loop, so the replay steps every scheme one activation
+    // at a time and shows each ledger the RefreshAction.
+    std::vector<std::unique_ptr<ActivationSource>> ledgers;
+    for (auto &source : adaptiveFleet(sys, attack))
+        ledgers.push_back(
+            std::make_unique<DisturbanceLedger>(std::move(source), rows));
+    replaySources(ledgers, sim, rows);
 
     std::uint32_t maxReached = 0;
-    for (std::uint32_t b = 0; b < sources.size(); ++b) {
-        ActivationSource &source = *sources[b];
-        const auto bankSchemes = makeBankSchemes(sim, rows, 1, b);
-        MitigationScheme &bankScheme = *bankSchemes.front();
-        const bool closed = source.closedLoop();
-        DisturbanceLedger ledger(rows);
-        for (;;) {
-            const RowAddr *rowsPtr = nullptr;
-            std::size_t count = 0;
-            const SourceChunk chunk = source.next(&rowsPtr, &count);
-            if (chunk == SourceChunk::End)
-                break;
-            if (chunk == SourceChunk::Epoch) {
-                bankScheme.onEpoch();
-                ledger.onEpoch();
-                continue;
-            }
-            for (std::size_t i = 0; i < count; ++i) {
-                const RefreshAction act =
-                    bankScheme.onActivate(rowsPtr[i]);
-                ledger.onActivate(rowsPtr[i], act);
-                if (closed)
-                    source.onRefreshAction(rowsPtr[i], act);
-            }
-        }
-        maxReached = std::max(maxReached, ledger.maxReached());
-    }
+    for (const auto &ledger : ledgers)
+        maxReached = std::max(
+            maxReached,
+            static_cast<const DisturbanceLedger &>(*ledger).maxReached());
     // Normalize against the threshold every counting scheme ran with
     // in this scaled run (scaledScheme leaves PRA's threshold field
     // untouched, so it is re-derived here for all kinds).

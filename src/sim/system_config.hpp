@@ -24,7 +24,7 @@
  *   counters=<M> levels=<L> threshold=<T>
  *   p=<PRA prob> lfsr=0|1 ways=<CC assoc> schemeseed=<n>
  *   rfmbudget=<ACTs per RFM command>
- *   policy=legacy|lru|lfu|random       (alias: eviction=)
+ *   policy=lru|lfu|random              (alias: eviction=)
  *   pool=<banks per shared pool>       (alias: bankspool=)
  */
 

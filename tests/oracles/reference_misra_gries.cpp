@@ -6,8 +6,6 @@
 
 #include "reference_misra_gries.hpp"
 
-#include <sstream>
-
 #include "common/logging.hpp"
 #include "core/pra.hpp"
 
@@ -115,14 +113,6 @@ ReferenceMisraGries::trackedCount(RowAddr row) const
             return e.count;
     }
     return 0;
-}
-
-std::string
-ReferenceMisraGries::name() const
-{
-    std::ostringstream os;
-    os << "MG_" << entries_.size();
-    return os.str();
 }
 
 } // namespace catsim

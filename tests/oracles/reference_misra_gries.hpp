@@ -40,7 +40,6 @@ class ReferenceMisraGries : public MitigationScheme
 
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
-    std::string name() const override;
 
     void setAdjacency(const RowAdjacency *adjacency)
     {

@@ -456,7 +456,6 @@ class RecordingScheme : public MitigationScheme
     }
 
     void onEpoch() override { calls.push_back("epoch"); }
-    std::string name() const override { return "recording"; }
 
     /** The calls since the last take(), then cleared. */
     std::vector<std::string>

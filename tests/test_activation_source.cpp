@@ -2,13 +2,15 @@
  * @file
  * Tests for the pluggable activation sources and the replaySources
  * engine: recorded-stream equivalence with the historical replay
- * loop, synthetic generator determinism, and the closed-loop
- * refresh-aware attacker's feedback behaviour.
+ * loop, synthetic generator determinism, the closed-loop
+ * refresh-aware attacker's feedback behaviour, and the disturbance
+ * ledger's reset rules and pass-through.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -307,6 +309,103 @@ TEST(RefreshAwareAttackerSource, ClosedLoopBeatsStaticOnTreeSchemes)
     EXPECT_EQ(statics.stats.activations, adaptive.stats.activations);
     EXPECT_GT(adaptive.stats.victimRowsRefreshed,
               statics.stats.victimRowsRefreshed);
+}
+
+namespace
+{
+
+/** A triggered refresh of rows [lo, hi]. */
+RefreshAction
+refreshOf(RowAddr lo, RowAddr hi)
+{
+    RefreshAction act;
+    act.lo = lo;
+    act.hi = hi;
+    act.rowCount = hi - lo + 1;
+    return act;
+}
+
+/** Play @p stream through a ledger the way a replay lane does,
+ *  answering activation i with act(i); the ledger's maximum. */
+std::uint32_t
+playLedger(const std::vector<RowAddr> &stream,
+           const std::function<RefreshAction(std::size_t)> &act)
+{
+    DisturbanceLedger ledger(std::make_unique<RecordedStreamSource>(stream),
+                             kRows);
+    std::size_t i = 0;
+    for (;;) {
+        const RowAddr *rows = nullptr;
+        std::size_t n = 0;
+        const SourceChunk c = ledger.next(&rows, &n);
+        if (c == SourceChunk::End)
+            return ledger.maxReached();
+        for (std::size_t k = 0; c == SourceChunk::Rows && k < n; ++k)
+            ledger.onRefreshAction(rows[k], act(i++));
+    }
+}
+
+/** The maximum after 7 activations of @p row, the 4th answered by a
+ *  refresh of [lo, hi]. */
+std::uint32_t
+maxAfterRefresh(RowAddr row, RowAddr lo, RowAddr hi)
+{
+    return playLedger(std::vector<RowAddr>(7, row), [&](std::size_t i) {
+        return i == 3 ? refreshOf(lo, hi) : RefreshAction{};
+    });
+}
+
+} // namespace
+
+TEST(DisturbanceLedger, RestartsARowOnceEveryVictimIsRefreshed)
+{
+    EXPECT_EQ(maxAfterRefresh(10, 9, 11), 4u);
+    EXPECT_EQ(maxAfterRefresh(10, 9, 10), 7u) << "victim 11 not covered";
+    EXPECT_EQ(maxAfterRefresh(10, 10, 11), 7u) << "victim 9 not covered";
+    // A bank-edge row has one victim.
+    EXPECT_EQ(maxAfterRefresh(0, 1, 1), 4u);
+    EXPECT_EQ(maxAfterRefresh(kRows - 1, kRows - 2, kRows - 2), 4u);
+}
+
+TEST(DisturbanceLedger, EpochRestartsEveryRow)
+{
+    EXPECT_EQ(playLedger({5, 5, 5, kEpochMarker, 5, 5},
+                         [](std::size_t) { return RefreshAction{}; }),
+              3u);
+}
+
+TEST(DisturbanceLedger, ReplayThroughTheLedgerIsUnchanged)
+{
+    // The ledger passes its source's stream through and, for a
+    // closed-loop source, every RefreshAction back: the replay's
+    // scheme stats are those of the bare source.
+    AttackSourceParams p;
+    p.numRows = kRows;
+    p.targets = {100, 900, 1700, 2500};
+    p.targetFraction = 0.5;
+    p.actsPerEpoch = 20000;
+    p.epochs = 2;
+    p.seed = 21;
+    const SchemeConfig cfg = drcatConfig();
+    for (const bool closed : {false, true}) {
+        const auto make = [&]() -> std::unique_ptr<ActivationSource> {
+            if (closed)
+                return std::make_unique<RefreshAwareAttackerSource>(p);
+            return std::make_unique<SyntheticAttackSource>(p);
+        };
+        std::vector<std::unique_ptr<ActivationSource>> bare;
+        bare.push_back(make());
+        std::vector<std::unique_ptr<ActivationSource>> wrapped;
+        wrapped.push_back(std::make_unique<DisturbanceLedger>(make(), kRows));
+        const ReplayResult a = replaySources(bare, cfg, kRows);
+        const ReplayResult b = replaySources(wrapped, cfg, kRows);
+        expectStatsEqual(a.stats, b.stats);
+        EXPECT_EQ(a.epochs, b.epochs) << closed;
+        EXPECT_GT(a.stats.refreshEvents, 0u) << closed;
+        const auto &ledger =
+            static_cast<const DisturbanceLedger &>(*wrapped[0]);
+        EXPECT_GT(ledger.maxReached(), 0u) << closed;
+    }
 }
 
 } // namespace catsim

@@ -97,10 +97,10 @@ TEST(CounterCache, EpochResetsBacking)
     EXPECT_TRUE(cc.onActivate(0).triggered());
 }
 
-TEST(CounterCache, Name)
+TEST(CounterCache, Capacity)
 {
     CounterCache cc(65536, 2048, 8, 32768);
-    EXPECT_EQ(cc.name(), "CC_2048");
+    EXPECT_EQ(cc.capacity(), 2048u);
 }
 
 TEST(CounterCacheDeath, RejectsBadWays)
@@ -137,10 +137,6 @@ makeCacheWith(EvictionPolicyKind kind, std::uint64_t seed = 7)
 TEST(CounterCacheEviction, ParseAndNames)
 {
     EXPECT_EQ(parseEvictionPolicy("LRU"), EvictionPolicyKind::Lru);
-    EXPECT_EQ(parseEvictionPolicy("legacy"),
-              EvictionPolicyKind::Legacy);
-    EXPECT_EQ(parseEvictionPolicy("default"),
-              EvictionPolicyKind::Legacy);
     EXPECT_EQ(parseEvictionPolicy("lfu"), EvictionPolicyKind::Lfu);
     EXPECT_EQ(parseEvictionPolicy("Random"),
               EvictionPolicyKind::Random);
@@ -149,35 +145,28 @@ TEST(CounterCacheEviction, ParseAndNames)
 
 TEST(CounterCacheEviction, ParseDeathOnUnknown)
 {
-    EXPECT_EXIT(parseEvictionPolicy("plru"),
-                ::testing::ExitedWithCode(1), "eviction policy");
+    for (const char *name : {"plru", "legacy", "default"})
+        EXPECT_EXIT(parseEvictionPolicy(name),
+                    ::testing::ExitedWithCode(1), "eviction policy")
+            << name;
 }
 
-TEST(CounterCacheEviction, DefaultIsLegacyAndNameUnchanged)
+TEST(CounterCacheEviction, DefaultIsLru)
 {
-    CounterCache cc(65536, 2048, 8, 32768);
-    EXPECT_STREQ(cc.policy().name(), "legacy");
-    EXPECT_EQ(cc.name(), "CC_2048");
-    CounterCache lru(65536, 2048, 8, 32768,
-                     makeEvictionPolicy(EvictionPolicyKind::Lru, 1));
-    EXPECT_EQ(lru.name(), "CC_2048_lru");
-}
-
-TEST(CounterCacheEviction, LegacyMatchesLruOnWarmSets)
-{
-    // Once every way of a set is valid, legacy and LRU are the same
-    // policy (they differ only in invalid-way preference); a shared
-    // conflict stream must produce identical hit counts.
-    CounterCache legacy = makeCacheWith(EvictionPolicyKind::Legacy);
+    // A cache built without a policy evicts as LRU does on a conflict
+    // stream that overflows its sets.
+    CounterCache byDefault(65536, 64, 4, 100000);
     CounterCache lru = makeCacheWith(EvictionPolicyKind::Lru);
     for (int round = 0; round < 200; ++round) {
         const RowAddr row =
             static_cast<RowAddr>(16 * ((round * 7) % 9));
-        legacy.onActivate(row);
+        byDefault.onActivate(row);
         lru.onActivate(row);
     }
-    EXPECT_EQ(legacy.hits(), lru.hits());
-    EXPECT_EQ(legacy.misses(), lru.misses());
+    EXPECT_EQ(byDefault.hits(), lru.hits());
+    EXPECT_EQ(byDefault.misses(), lru.misses());
+    EXPECT_EQ(byDefault.stats(), lru.stats());
+    EXPECT_GT(lru.misses(), 9u) << "the stream must evict";
 }
 
 TEST(CounterCacheEviction, LfuKeepsFrequentRowLruEvictsIt)

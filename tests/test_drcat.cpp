@@ -182,10 +182,15 @@ TEST(Drcat, MergeNeverRisesAbovePresplitLevel)
         EXPECT_GE(tree.leafDepth(r), 3u); // log2(16) - 1
 }
 
-TEST(Drcat, Name)
+TEST(Drcat, FactoryBuildsAWeightedTree)
 {
-    EXPECT_EQ(makeCat(SchemeKind::Drcat, 64, 11, 32768)->name(),
-              "DRCAT_64");
+    const auto drcat = makeCat(SchemeKind::Drcat, 64, 11, 32768);
+    const CatTree::Params &p =
+        dynamic_cast<const TreeBundle &>(*drcat).tree().params();
+    EXPECT_EQ(p.numCounters, 64u);
+    EXPECT_EQ(p.maxLevels, 11u);
+    EXPECT_EQ(p.refreshThreshold, 32768u);
+    EXPECT_TRUE(p.enableWeights);
 }
 
 } // namespace catsim

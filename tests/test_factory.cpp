@@ -5,11 +5,26 @@
 
 #include <gtest/gtest.h>
 
+#include "core/counter_cache.hpp"
 #include "core/factory.hpp"
+#include "core/pra.hpp"
+#include "core/sca.hpp"
 #include "core/tree_bundle.hpp"
 
 namespace catsim
 {
+
+namespace
+{
+
+/** The tree parameters of a PRCAT/DRCAT scheme. */
+CatTree::Params
+treeParams(const MitigationScheme &scheme)
+{
+    return dynamic_cast<const TreeBundle &>(scheme).tree().params();
+}
+
+} // namespace
 
 TEST(Factory, ParsesNames)
 {
@@ -40,21 +55,28 @@ TEST(Factory, BuildsEveryKind)
     EXPECT_EQ(makeScheme(cfg, 65536), nullptr);
 
     cfg.kind = SchemeKind::Sca;
-    EXPECT_EQ(makeScheme(cfg, 65536)->name(), "SCA_64");
+    const auto sca = makeScheme(cfg, 65536);
+    EXPECT_EQ(dynamic_cast<const Sca &>(*sca).numCounters(), 64u);
 
     cfg.kind = SchemeKind::Pra;
     cfg.praProbability = 0.002;
-    EXPECT_EQ(makeScheme(cfg, 65536)->name(), "PRA_0.002");
+    const auto pra = makeScheme(cfg, 65536);
+    EXPECT_EQ(dynamic_cast<const Pra &>(*pra).probability(), 0.002);
 
     cfg.kind = SchemeKind::Prcat;
-    EXPECT_EQ(makeScheme(cfg, 65536)->name(), "PRCAT_64");
+    const CatTree::Params prcat = treeParams(*makeScheme(cfg, 65536));
+    EXPECT_EQ(prcat.numCounters, 64u);
+    EXPECT_FALSE(prcat.enableWeights);
 
     cfg.kind = SchemeKind::Drcat;
-    EXPECT_EQ(makeScheme(cfg, 65536)->name(), "DRCAT_64");
+    const CatTree::Params drcat = treeParams(*makeScheme(cfg, 65536));
+    EXPECT_EQ(drcat.numCounters, 64u);
+    EXPECT_TRUE(drcat.enableWeights);
 
     cfg.kind = SchemeKind::CounterCache;
     cfg.numCounters = 2048;
-    EXPECT_EQ(makeScheme(cfg, 65536)->name(), "CC_2048");
+    const auto cc = makeScheme(cfg, 65536);
+    EXPECT_EQ(dynamic_cast<const CounterCache &>(*cc).capacity(), 2048u);
 }
 
 TEST(Factory, CustomSplitScheduleReachesTree)
@@ -98,7 +120,7 @@ TEST(Factory, ExtensionAxisLabels)
     SchemeConfig cfg;
     cfg.kind = SchemeKind::CounterCache;
     cfg.numCounters = 2048;
-    EXPECT_EQ(cfg.label(), "CC_2048"); // legacy default: unchanged
+    EXPECT_EQ(cfg.label(), "CC_2048"); // the default policy is omitted
     cfg.evictionPolicy = EvictionPolicyKind::Lfu;
     EXPECT_EQ(cfg.label(), "CC_2048_lfu");
     // banksPerPool only marks CAT labels.
@@ -119,7 +141,8 @@ TEST(Factory, NonPow2CountersBuildAndRun)
     cfg.maxLevels = 11;
     cfg.threshold = 4096;
     auto scheme = makeScheme(cfg, 65536);
-    EXPECT_EQ(scheme->name(), "DRCAT_63");
+    EXPECT_EQ(treeParams(*scheme).numCounters, 63u);
+    EXPECT_TRUE(treeParams(*scheme).enableWeights);
     for (int i = 0; i < 10000; ++i)
         scheme->onActivate(static_cast<RowAddr>(i % 100));
     EXPECT_EQ(scheme->stats().activations, 10000u);

@@ -57,10 +57,9 @@ assertNoFalseNegative(MisraGries &mg, const std::vector<RowAddr> &acts,
 
 } // namespace
 
-TEST(MisraGries, NameAndEntryCount)
+TEST(MisraGries, EntryCount)
 {
     MisraGries mg(kRows, 8, 32768);
-    EXPECT_EQ(mg.name(), "MG_8");
     EXPECT_EQ(mg.numEntries(), 8u);
 }
 

@@ -88,9 +88,14 @@ TEST(Prcat, DeterministicReplay)
     }
 }
 
-TEST(Prcat, Name)
+TEST(Prcat, FactoryBuildsAnUnweightedTree)
 {
-    EXPECT_EQ(makePrcat(128, 11, 16384)->name(), "PRCAT_128");
+    const auto prcat = makePrcat(128, 11, 16384);
+    const CatTree::Params &p = treeOf(*prcat).params();
+    EXPECT_EQ(p.numCounters, 128u);
+    EXPECT_EQ(p.maxLevels, 11u);
+    EXPECT_EQ(p.refreshThreshold, 16384u);
+    EXPECT_FALSE(p.enableWeights);
 }
 
 TEST(Prcat, SmallConfigurations)

@@ -42,10 +42,9 @@ streamCorpus(std::size_t acts)
 
 } // namespace
 
-TEST(Rfm, NameAndBudget)
+TEST(Rfm, Budget)
 {
     Rfm rfm(kRows, 64);
-    EXPECT_EQ(rfm.name(), "RFM_64");
     EXPECT_EQ(rfm.budget(), 64u);
 }
 

@@ -143,10 +143,10 @@ TEST(Sca, BatchMatchesPerRowActivations)
         EXPECT_EQ(perRow.counterValue(g), batched.counterValue(g)) << g;
 }
 
-TEST(Sca, Name)
+TEST(Sca, NumCounters)
 {
     Sca sca(65536, 128, 1024);
-    EXPECT_EQ(sca.name(), "SCA_128");
+    EXPECT_EQ(sca.numCounters(), 128u);
 }
 
 TEST(ScaDeath, RejectsNonDividingCounters)

@@ -183,7 +183,10 @@ TEST(SharedPoolTree, PrcatEpochResetReturnsCountersToTheRank)
     EXPECT_GT(pool->inUse(), 32u) << "hammering must grow the tree";
     scheme.onEpoch(); // full reset: back to the pre-split charge
     EXPECT_EQ(pool->inUse(), 32u);
-    EXPECT_EQ(scheme.name(), "PRCAT_64_rank8");
+    EXPECT_EQ(scheme.sharedPool(), pool.get());
+    EXPECT_EQ(scheme.tree().params().presplitCounters, 64u);
+    EXPECT_EQ(scheme.tree().params().numCounters, 8u * 64u)
+        << "a pooled tree may grow into the whole rank's budget";
 }
 
 TEST(SharedPoolFactory, GroupsConsecutiveBanksPerPool)
@@ -211,7 +214,11 @@ TEST(SharedPoolFactory, GroupsConsecutiveBanksPerPool)
     EXPECT_EQ(pools[0]->capacity(), 4u * 16u);
     EXPECT_EQ(pools[8]->capacity(), 2u * 16u) << "tail group keeps "
                                                  "the per-bank budget";
-    EXPECT_EQ(schemes[0]->name(), "DRCAT_16_rank4");
+    const CatTree::Params &p =
+        dynamic_cast<const TreeBundle &>(*schemes[0]).tree().params();
+    EXPECT_TRUE(p.enableWeights);
+    EXPECT_EQ(p.presplitCounters, 16u);
+    EXPECT_EQ(p.numCounters, 4u * 16u);
 }
 
 TEST(SharedPoolReplay, InterleavedContentionIsFairAcrossBanks)

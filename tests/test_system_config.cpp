@@ -60,7 +60,7 @@ TEST(SystemConfigParse, EmptyKeepsPaperDefaults)
     EXPECT_EQ(sys.scheme.numCounters, 64u);
     EXPECT_EQ(sys.scheme.maxLevels, 11u);
     EXPECT_EQ(sys.scheme.threshold, 32768u);
-    EXPECT_EQ(sys.scheme.evictionPolicy, EvictionPolicyKind::Legacy);
+    EXPECT_EQ(sys.scheme.evictionPolicy, EvictionPolicyKind::Lru);
     EXPECT_EQ(sys.scheme.banksPerPool, 0u);
     EXPECT_EQ(sys.label(), "DRCAT_64@black/dual2ch");
 }
