@@ -9,10 +9,7 @@
  *            workload=black system=dual2ch scale=0.1 seed=42
  *            attack=none|heavy|medium|light kernel=1 p=0.002 eto=1
  *            kind=gaussian|multibank|manysided|halfdouble
- *                                          (alias: kernelkind=)
- *            rfmbudget=64
- *            policy=lru|lfu|random         (alias: eviction=)
- *            pool=K                        (alias: bankspool=)
+ *            rfmbudget=64 policy=lru|lfu|random pool=K
  *
  * Everything except scale=/eto=/trace= is read by SystemConfig::parse
  * (sim/system_config.hpp documents the full surface), so any config
@@ -30,6 +27,9 @@
  * through the system's AddressMapper into per-bank activation streams
  * (a kEpochMarker every N=epochrecords records, 0 = single epoch),
  * and replayed through the scheme; the replay stats are printed.
+ *
+ * A key that the chosen mode does not read (a typo, or epochrecords=
+ * without trace=) is fatal rather than silently ignored.
  *
  * Examples:
  *   ./build/examples/simulate
@@ -62,6 +62,9 @@ main(int argc, char **argv)
     const SystemPreset preset = parsed.preset;
     const WorkloadSpec &w = parsed.workload;
     const std::string system = systemPresetName(preset);
+    // Read by both modes, so a trace replay still accepts them.
+    const double scale = cfg.getDouble("scale", 0.1);
+    const bool withEto = cfg.getBool("eto", false);
 
     // External-trace mode: ingest, map into per-bank streams, replay.
     // Parsed after workload/attack so bogus values of those keys are
@@ -70,14 +73,15 @@ main(int argc, char **argv)
     if (!tracePath.empty()) {
         const TraceFormat format = parseTraceFormat(
             cfg.getString("traceformat", "native"));
+        const std::uint64_t epochRecords = cfg.getUint("epochrecords", 0);
+        cfg.rejectUnread();
         if (scheme.kind == SchemeKind::None)
             CATSIM_FATAL("trace replay needs a real scheme");
         VectorTrace trace = readTraceFileAs(tracePath, format);
         const TimingConfig sys = makeSystem(preset);
         const AddressMapper mapper(sys.geometry, sys.mapping);
-        const auto streams = traceBankStreams(
-            trace, mapper, sys.geometry,
-            cfg.getUint("epochrecords", 0));
+        const auto streams =
+            traceBankStreams(trace, mapper, sys.geometry, epochRecords);
         const ReplayResult r = replayActivations(
             streams, scheme, sys.geometry.rowsPerBank);
 
@@ -100,7 +104,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    ExperimentRunner runner(cfg.getDouble("scale", 0.1));
+    cfg.rejectUnread();
+    ExperimentRunner runner(scale);
 
     std::cout << "simulating " << w.label() << " on " << system
               << " with " << scheme.label()
@@ -140,7 +145,7 @@ main(int argc, char **argv)
                       TextTable::num(r.stats.victimRowsRefreshed)});
         sheet.addRow({"CAT splits", TextTable::num(r.stats.splits)});
         sheet.addRow({"DRCAT merges", TextTable::num(r.stats.merges)});
-        if (cfg.getBool("eto", false)) {
+        if (withEto) {
             sheet.addRow({"ETO",
                           TextTable::pct(
                               runner.evalEto(preset, w, scheme), 3)});

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     const auto threshold =
         static_cast<std::uint32_t>(cfg.getUint("threshold", 32768));
     const double scale = cfg.getDouble("scale", 0.1);
+    cfg.rejectUnread();
 
     const WorkloadProfile &profile = findWorkload(name);
     std::cout << "workload " << profile.name << " (" << profile.suite

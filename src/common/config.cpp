@@ -58,29 +58,31 @@ Config::set(const std::string &key, const std::string &value)
     values_[key] = value;
 }
 
-bool
-Config::has(const std::string &key) const
+const std::string *
+Config::find(const std::string &key) const
 {
-    return values_.count(key) != 0;
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
 }
 
 std::string
 Config::getString(const std::string &key, const std::string &def) const
 {
-    const auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+    const std::string *v = find(key);
+    return v ? *v : def;
 }
 
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t def) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *v = find(key);
+    if (!v)
         return def;
     try {
-        return std::stoll(it->second);
+        return std::stoll(*v);
     } catch (...) {
-        CATSIM_FATAL("config key '", key, "' value '", it->second,
+        CATSIM_FATAL("config key '", key, "' value '", *v,
                      "' is not an integer");
     }
 }
@@ -97,24 +99,23 @@ Config::getUint(const std::string &key, std::uint64_t def) const
 double
 Config::getDouble(const std::string &key, double def) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *v = find(key);
+    if (!v)
         return def;
     try {
-        return std::stod(it->second);
+        return std::stod(*v);
     } catch (...) {
-        CATSIM_FATAL("config key '", key, "' value '", it->second,
-                     "' is not a number");
+        CATSIM_FATAL("config key '", key, "' value '", *v, "' is not a number");
     }
 }
 
 bool
 Config::getBool(const std::string &key, bool def) const
 {
-    const auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *p = find(key);
+    if (!p)
         return def;
-    const std::string &v = it->second;
+    const std::string &v = *p;
     if (v == "1" || v == "true" || v == "yes" || v == "on")
         return true;
     if (v == "0" || v == "false" || v == "no" || v == "off")
@@ -122,14 +123,13 @@ Config::getBool(const std::string &key, bool def) const
     CATSIM_FATAL("config key '", key, "' value '", v, "' is not boolean");
 }
 
-std::vector<std::string>
-Config::keys() const
+void
+Config::rejectUnread() const
 {
-    std::vector<std::string> out;
-    out.reserve(values_.size());
-    for (const auto &[k, v] : values_)
-        out.push_back(k);
-    return out;
+    for (const auto &[k, v] : values_) {
+        if (read_.count(k) == 0)
+            CATSIM_FATAL("config key '", k, "' is unknown or unused here");
+    }
 }
 
 double

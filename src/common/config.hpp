@@ -2,9 +2,10 @@
  * @file
  * Lightweight key=value configuration with typed getters.
  *
- * Used by examples and bench binaries so experiments can be re-run with
- * different parameters without recompiling.  Parsing accepts
- * "key=value" tokens, from argv or one whitespace-separated string.
+ * Used by the example CLIs (simulate, workload_study) and by
+ * SystemConfig::parse, so experiments can be re-run with different
+ * parameters without recompiling.  Parsing accepts "key=value" tokens,
+ * from argv or one whitespace-separated string.
  */
 
 #ifndef CATSIM_COMMON_CONFIG_HPP
@@ -12,13 +13,17 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
-#include <vector>
 
 namespace catsim
 {
 
-/** String-keyed configuration dictionary. */
+/**
+ * String-keyed configuration dictionary.  The getters record which keys
+ * they were asked for (see rejectUnread), so one Config is not for
+ * concurrent use.
+ */
 class Config
 {
   public:
@@ -32,7 +37,6 @@ class Config
     static Config fromString(const std::string &text);
 
     void set(const std::string &key, const std::string &value);
-    bool has(const std::string &key) const;
 
     std::string getString(const std::string &key,
                           const std::string &def) const;
@@ -41,11 +45,19 @@ class Config
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
-    /** All keys, sorted (for reproducibility logging). */
-    std::vector<std::string> keys() const;
+    /**
+     * Fatal on the first key (in sorted order) that no getter has
+     * asked for: a misspelt or retired key would otherwise run the
+     * defaults silently.  Call it after the last read.
+     */
+    void rejectUnread() const;
 
   private:
+    /** Value of @p key, or nullptr; records that @p key was read. */
+    const std::string *find(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> read_;
 };
 
 /**

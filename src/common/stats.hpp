@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace catsim
 {
@@ -62,46 +61,6 @@ class RunningStat
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to
- * the first/last bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {
-    }
-
-    void
-    add(double x)
-    {
-        const double span = hi_ - lo_;
-        long idx = static_cast<long>((x - lo_) / span
-                                     * static_cast<double>(counts_.size()));
-        idx = std::clamp<long>(idx, 0,
-                               static_cast<long>(counts_.size()) - 1);
-        ++counts_[static_cast<std::size_t>(idx)];
-        ++total_;
-    }
-
-    std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t total() const { return total_; }
-    double bucketLow(std::size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i)
-               / static_cast<double>(counts_.size());
-    }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace catsim

@@ -23,7 +23,7 @@ Cycle
 MemoryController::issue(const MappedAddr &loc, bool is_write, Cycle not_before)
 {
     const BankId bid = loc.bankId();
-    const DramAccess access = dram_.issue(bid, loc.row, is_write, not_before);
+    const DramAccess access = dram_.issue(bid, is_write, not_before);
 
     const std::uint32_t flat = bid.flat(dram_.geometry());
     if (observer_)
@@ -111,12 +111,6 @@ MemoryController::onEpoch()
         if (s)
             s->onEpoch();
     }
-}
-
-const MitigationScheme *
-MemoryController::scheme(std::uint32_t bank_flat) const
-{
-    return schemes_.at(bank_flat).get();
 }
 
 SchemeStats

@@ -108,7 +108,6 @@ class MemoryController
     void drainAllWrites(Cycle now);
 
     const ControllerStats &stats() const { return stats_; }
-    const MitigationScheme *scheme(std::uint32_t bank_flat) const;
 
     /** Combined stats over all per-bank scheme instances. */
     SchemeStats combinedSchemeStats() const;

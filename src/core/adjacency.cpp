@@ -70,19 +70,6 @@ RowAdjacency::physicalToLogical(RowAddr pos) const
 }
 
 std::uint32_t
-RowAdjacency::victims(RowAddr row,
-                      std::array<RowAddr, 2> &victims) const
-{
-    const RowAddr pos = logicalToPhysical(row);
-    std::uint32_t n = 0;
-    if (pos > 0)
-        victims[n++] = physicalToLogical(pos - 1);
-    if (pos + 1 < numRows_)
-        victims[n++] = physicalToLogical(pos + 1);
-    return n;
-}
-
-std::uint32_t
 RowAdjacency::victimsWithin(RowAddr row, std::uint32_t radius,
                             std::array<RowAddr, 4> &out) const
 {

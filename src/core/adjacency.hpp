@@ -7,10 +7,11 @@
  * Schanstra, DELTA 2002).  The paper (Section VII) assumes "either the
  * memory controller knows which rows are physically adjacent or the
  * DRAM chip is responsible for refreshing the row and its neighbors".
- * Schemes that refresh exactly two victims (PRA, the counter cache)
- * consult one of these models; range-based schemes (SCA, CAT) refresh
- * a whole group plus its border and are insensitive to in-block
- * scrambling as long as remapping stays within the group granularity.
+ * No scheme or metric consults these models yet: every figure
+ * refreshes the logical neighbors row +/- 1.  Range-based schemes
+ * (SCA, CAT) refresh a whole group plus its border and are
+ * insensitive to in-block scrambling as long as remapping stays
+ * within the group granularity.
  */
 
 #ifndef CATSIM_CORE_ADJACENCY_HPP
@@ -51,16 +52,6 @@ class RowAdjacency
 
     /** Logical row at a physical position. */
     RowAddr physicalToLogical(RowAddr pos) const;
-
-    /**
-     * Logical ids of the rows physically adjacent to @p row.
-     *
-     * @param row     Aggressor (logical id).
-     * @param victims Output, up to 2 logical victim rows.
-     * @return Number of victims (1 at the bank edges, else 2).
-     */
-    std::uint32_t victims(RowAddr row,
-                          std::array<RowAddr, 2> &victims) const;
 
     /**
      * Logical ids of the rows within physical distance @p radius of

@@ -75,9 +75,8 @@ CounterCache::onActivate(RowAddr row)
         return {};
 
     backing_[row] = 0;
-    // Exact tracking: refresh only the two physical neighbors.
-    const RefreshAction act =
-        neighborRefresh(row, numRows_, adjacency_);
+    // Exact tracking: refresh only the two neighbors.
+    const RefreshAction act = neighborRefresh(row, numRows_);
     ++stats_.refreshEvents;
     stats_.victimRowsRefreshed += act.rowCount;
     return act;

@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/adjacency.hpp"
 #include "core/eviction_policy.hpp"
 #include "core/mitigation.hpp"
 
@@ -55,12 +54,6 @@ class CounterCache : public MitigationScheme
     /** The active victim-selection strategy. */
     const EvictionPolicy &policy() const { return *policy_; }
 
-    /** Physical-adjacency model for victim selection (may be null). */
-    void setAdjacency(const RowAdjacency *adjacency)
-    {
-        adjacency_ = adjacency;
-    }
-
   private:
     std::uint32_t cacheCounters_;
     std::uint32_t ways_;
@@ -73,7 +66,6 @@ class CounterCache : public MitigationScheme
     std::uint64_t tick_ = 0;
     Count hits_ = 0;
     Count misses_ = 0;
-    const RowAdjacency *adjacency_ = nullptr;
 };
 
 } // namespace catsim

@@ -94,12 +94,8 @@ SchemeConfig::parse(const Config &cfg)
         static_cast<std::uint32_t>(cfg.getUint("rfmbudget", 64));
     s.seed = cfg.getUint("schemeseed", 1);
     s.lfsrPrng = cfg.getBool("lfsr", false);
-    // `eviction=` and `bankspool=` are the historical simulate CLI
-    // spellings, kept as aliases of the canonical keys.
-    s.evictionPolicy = parseEvictionPolicy(
-        cfg.getString("policy", cfg.getString("eviction", "lru")));
-    s.banksPerPool = static_cast<std::uint32_t>(
-        cfg.getUint("pool", cfg.getUint("bankspool", 0)));
+    s.evictionPolicy = parseEvictionPolicy(cfg.getString("policy", "lru"));
+    s.banksPerPool = static_cast<std::uint32_t>(cfg.getUint("pool", 0));
     return s;
 }
 

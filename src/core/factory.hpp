@@ -84,8 +84,8 @@ struct SchemeConfig
     /**
      * Read the scheme keys of the key=value surface: scheme=,
      * counters=, levels=, threshold=, p=, lfsr=, ways=, rfmbudget=,
-     * schemeseed=, policy= (alias eviction=), pool= (alias
-     * bankspool=).  Missing keys keep the paper defaults above.
+     * schemeseed=, policy=, pool=.  Missing keys keep the paper
+     * defaults above.
      */
     static SchemeConfig parse(const Config &cfg);
 

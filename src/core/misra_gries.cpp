@@ -29,8 +29,7 @@ MisraGries::MisraGries(RowAddr num_rows, std::uint32_t num_entries,
 RefreshAction
 MisraGries::refreshAround(RowAddr row)
 {
-    const RefreshAction act =
-        neighborRefresh(row, numRows_, adjacency_);
+    const RefreshAction act = neighborRefresh(row, numRows_);
     ++stats_.refreshEvents;
     stats_.victimRowsRefreshed += act.rowCount;
     return act;

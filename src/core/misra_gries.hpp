@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/adjacency.hpp"
 #include "core/mitigation.hpp"
 
 namespace catsim
@@ -63,15 +62,6 @@ class MisraGries : public MitigationScheme
 
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
-
-    /**
-     * Use a physical-adjacency model for victim selection; must
-     * outlive this scheme, nullptr restores direct adjacency.
-     */
-    void setAdjacency(const RowAdjacency *adjacency)
-    {
-        adjacency_ = adjacency;
-    }
 
     std::uint32_t numEntries() const
     {
@@ -115,7 +105,6 @@ class MisraGries : public MitigationScheme
     std::vector<Entry> entries_;
     std::vector<std::uint32_t> slotOf_; //!< per row: entry + 1, 0 = none
     std::vector<std::uint64_t> free_;   //!< bit i: entries_[i].count == 0
-    const RowAdjacency *adjacency_ = nullptr;
 };
 
 } // namespace catsim

@@ -1,7 +1,5 @@
 #include "pra.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -31,25 +29,10 @@ Pra::Pra(RowAddr num_rows, double p, std::unique_ptr<PrngSource> prng)
 }
 
 RefreshAction
-neighborRefresh(RowAddr row, RowAddr num_rows,
-                const RowAdjacency *adjacency)
+neighborRefresh(RowAddr row, RowAddr num_rows)
 {
+    // The aggressor is skipped, so an edge row has a single victim.
     RefreshAction act;
-    if (adjacency) {
-        std::array<RowAddr, 2> v;
-        const std::uint32_t n = adjacency->victims(row, v);
-        if (n == 0)
-            return act;
-        act.lo = act.hi = v[0];
-        for (std::uint32_t i = 1; i < n; ++i) {
-            act.lo = std::min(act.lo, v[i]);
-            act.hi = std::max(act.hi, v[i]);
-        }
-        act.rowCount = n;
-        return act;
-    }
-    // Direct adjacency: the aggressor is skipped, so an edge row has a
-    // single victim.
     if (row == 0) {
         act.lo = act.hi = 1;
         act.rowCount = 1;
@@ -74,8 +57,7 @@ Pra::onActivate(RowAddr row)
     if (draw >= rule_.acceptBelow)
         return {};
 
-    const RefreshAction act =
-        neighborRefresh(row, numRows_, adjacency_);
+    const RefreshAction act = neighborRefresh(row, numRows_);
     ++stats_.refreshEvents;
     stats_.victimRowsRefreshed += act.rowCount;
     return act;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/adjacency.hpp"
 #include "core/mitigation.hpp"
 #include "core/prng_source.hpp"
 
@@ -53,29 +52,18 @@ class Pra : public MitigationScheme
     double probability() const { return p_; }
     unsigned bitsPerDraw() const { return rule_.bits; }
 
-    /**
-     * Use a physical-adjacency model for victim selection (paper
-     * Section VII / van de Goor scrambling).  The model must outlive
-     * this scheme; nullptr restores direct adjacency.
-     */
-    void setAdjacency(const RowAdjacency *adjacency)
-    {
-        adjacency_ = adjacency;
-    }
-
   private:
     double p_;
     PraDecisionRule rule_{};
     std::unique_ptr<PrngSource> prng_;
-    const RowAdjacency *adjacency_ = nullptr;
 };
 
 /**
- * Build a RefreshAction for the up-to-two physical victims of
- * @p row, shared by the exact-victim schemes (PRA, counter cache).
+ * Build a RefreshAction for the neighbors row - 1 and row + 1 of
+ * @p row (one at a bank edge), shared by the exact-victim schemes
+ * (PRA, counter cache, Misra-Gries, RFM).
  */
-RefreshAction neighborRefresh(RowAddr row, RowAddr num_rows,
-                              const RowAdjacency *adjacency);
+RefreshAction neighborRefresh(RowAddr row, RowAddr num_rows);
 
 } // namespace catsim
 

@@ -22,8 +22,7 @@ Rfm::onActivate(RowAddr row)
     if (++raa_ < budget_)
         return {};
     raa_ = 0;
-    const RefreshAction act =
-        neighborRefresh(row, numRows_, adjacency_);
+    const RefreshAction act = neighborRefresh(row, numRows_);
     ++stats_.refreshEvents;
     stats_.victimRowsRefreshed += act.rowCount;
     return act;

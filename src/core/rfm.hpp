@@ -18,7 +18,6 @@
 
 #include <cstdint>
 
-#include "core/adjacency.hpp"
 #include "core/mitigation.hpp"
 
 namespace catsim
@@ -37,21 +36,11 @@ class Rfm : public MitigationScheme
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
 
-    /**
-     * Use a physical-adjacency model for victim selection; must
-     * outlive this scheme, nullptr restores direct adjacency.
-     */
-    void setAdjacency(const RowAdjacency *adjacency)
-    {
-        adjacency_ = adjacency;
-    }
-
     std::uint32_t budget() const { return budget_; }
 
   private:
     std::uint32_t budget_;
     std::uint32_t raa_ = 0;
-    const RowAdjacency *adjacency_ = nullptr;
 };
 
 } // namespace catsim

@@ -48,9 +48,8 @@ class Bank
      *         accepted).
      */
     Cycle
-    access(Cycle cycle, RowAddr row, bool is_write)
+    access(Cycle cycle, bool is_write)
     {
-        lastRow_ = row;
         ++activations_;
         nextActAllowed_ = cycle + timing_->tRC;
         if (is_write) {
@@ -93,8 +92,6 @@ class Bank
             blockedUntil_ = until;
     }
 
-    Cycle blockedUntil() const { return blockedUntil_; }
-    RowAddr lastRow() const { return lastRow_; }
     Count activations() const { return activations_; }
     Count victimRowsRefreshed() const { return victimRowsRefreshed_; }
     Count victimRefreshEvents() const { return victimRefreshEvents_; }
@@ -103,7 +100,6 @@ class Bank
     const DramTiming *timing_;
     Cycle nextActAllowed_ = 0;
     Cycle blockedUntil_ = 0;
-    RowAddr lastRow_ = 0;
     Count activations_ = 0;
     Count victimRowsRefreshed_ = 0;
     Count victimRefreshEvents_ = 0;

@@ -36,8 +36,7 @@ DramSystem::applyAutoRefresh(const BankId &id, Cycle now)
 }
 
 DramAccess
-DramSystem::issue(const BankId &id, RowAddr row, bool is_write,
-                  Cycle not_before)
+DramSystem::issue(const BankId &id, bool is_write, Cycle not_before)
 {
     applyAutoRefresh(id, not_before);
     Bank &bank = banks_[id.flat(geometry_)];
@@ -50,7 +49,7 @@ DramSystem::issue(const BankId &id, RowAddr row, bool is_write,
     if (busFree > burstStart)
         at += busFree - burstStart;
 
-    const Cycle ready = bank.access(at, row, is_write);
+    const Cycle ready = bank.access(at, is_write);
     rank.recordActivate(at);
     busFree = at + timing_.tRCD + timing_.tCAS + timing_.tBURST;
     return {at, ready};
@@ -65,12 +64,6 @@ DramSystem::victimRefresh(const BankId &id, std::uint64_t rows, Cycle now)
 
 const Bank &
 DramSystem::bank(const BankId &id) const
-{
-    return banks_[id.flat(geometry_)];
-}
-
-Bank &
-DramSystem::bank(const BankId &id)
 {
     return banks_[id.flat(geometry_)];
 }

@@ -41,8 +41,7 @@ class DramSystem
      * not before @p not_before that the bank, the rank (tFAW/tRRD),
      * auto-refresh and the channel data bus allow, and commit it there.
      */
-    DramAccess issue(const BankId &id, RowAddr row, bool is_write,
-                     Cycle not_before);
+    DramAccess issue(const BankId &id, bool is_write, Cycle not_before);
 
     /**
      * Block the bank while victim rows are refreshed; returns the cycle
@@ -51,7 +50,6 @@ class DramSystem
     Cycle victimRefresh(const BankId &id, std::uint64_t rows, Cycle now);
 
     const Bank &bank(const BankId &id) const;
-    Bank &bank(const BankId &id);
     const DramGeometry &geometry() const { return geometry_; }
     const DramTiming &timing() const { return timing_; }
 

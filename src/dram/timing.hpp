@@ -6,6 +6,10 @@
  * an 800 MHz bus (Table I).  All values below are in bus cycles at
  * tCK = 1.25 ns.  Victim-row refreshes issued by a mitigation scheme
  * occupy the bank for one ACT+PRE pair (tRC) per refreshed row.
+ * Every access is ACT -> RD/WR with auto-precharge on a closed page,
+ * so the ACT -> PRE, column-to-column, write-to-read and
+ * read-to-precharge spacings need no field of their own: tRC and the
+ * write-recovery window cover them.
  */
 
 #ifndef CATSIM_DRAM_TIMING_HPP
@@ -22,18 +26,13 @@ namespace catsim
 struct DramTiming
 {
     double tCkNs = 1.25;        //!< bus clock period, ns
-    std::uint32_t cpuMult = 4;  //!< CPU clock multiplier (3.2 GHz cores)
 
     std::uint32_t tRCD = 11;    //!< ACT -> column command
     std::uint32_t tRP = 11;     //!< PRE -> ACT
     std::uint32_t tCAS = 11;    //!< column read -> first data
-    std::uint32_t tRAS = 28;    //!< ACT -> PRE
-    std::uint32_t tRC = 39;     //!< ACT -> ACT, same bank (tRAS + tRP)
-    std::uint32_t tCCD = 4;     //!< column command spacing
+    std::uint32_t tRC = 39;     //!< ACT -> ACT, same bank (ACT->PRE 28 + tRP)
     std::uint32_t tBURST = 4;   //!< data burst length on the bus
     std::uint32_t tWR = 12;     //!< write recovery
-    std::uint32_t tWTR = 6;     //!< write -> read turnaround
-    std::uint32_t tRTP = 6;     //!< read -> precharge
     std::uint32_t tRRD = 5;     //!< ACT -> ACT, different banks
     std::uint32_t tFAW = 24;    //!< four-activate window
     std::uint32_t tRFC = 128;   //!< auto-refresh command occupancy
@@ -59,9 +58,6 @@ struct DramTiming
     {
         return static_cast<double>(c) * tCkNs;
     }
-
-    /** Default DDR3-1600 part used throughout the paper. */
-    static DramTiming ddr3_1600();
 };
 
 } // namespace catsim

@@ -65,14 +65,6 @@ cmrpo(const PowerBreakdown &power, RowAddr rows_per_bank)
 }
 
 double
-cmrpoOf(const SchemeConfig &config, const SchemeStats &stats,
-        double exec_seconds, RowAddr rows_per_bank)
-{
-    return cmrpo(schemePower(config, stats, exec_seconds),
-                 rows_per_bank);
-}
-
-double
 eto(double baseline_seconds, double mitigated_seconds)
 {
     if (baseline_seconds <= 0.0)

@@ -47,10 +47,6 @@ PowerBreakdown schemePower(const SchemeConfig &config,
 /** CMRPO: power overhead relative to regular refresh of the bank. */
 double cmrpo(const PowerBreakdown &power, RowAddr rows_per_bank);
 
-/** Convenience: schemePower + cmrpo in one call. */
-double cmrpoOf(const SchemeConfig &config, const SchemeStats &stats,
-               double exec_seconds, RowAddr rows_per_bank);
-
 /**
  * ETO - execution time overhead: slowdown of a run with mitigation
  * relative to the unprotected baseline (paper Section VI).

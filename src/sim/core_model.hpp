@@ -1,16 +1,17 @@
 /**
  * @file
  * Lightweight out-of-order core front end (USIMM-style; paper Table I:
- * 3.2 GHz, 128-entry ROB, fetch width 4, retire width 2, pipeline
- * depth 10).
+ * 3.2 GHz, retire width 2).  Of Table I's core, only the retire width
+ * and the clock ratio are modelled; the ROB, fetch width and pipeline
+ * depth are not.
  *
  * The model consumes trace records {gap, op, addr}.  Non-memory
  * instructions retire at the retire width; reads are issued to the
  * memory controller and the core may run ahead until its memory-level
- * parallelism window (derived from the ROB size divided by the typical
- * instruction gap) is full, at which point it stalls on the oldest
- * outstanding read.  The window keeps its completion cycles sorted, so
- * retiring is a prefix erase and the stall waits on front().
+ * parallelism window (a fixed `mlp` outstanding reads) is full, at
+ * which point it stalls on the oldest outstanding read.  The window
+ * keeps its completion cycles sorted, so retiring is a prefix erase
+ * and the stall waits on front().
  *
  * Writes are posted: the controller acknowledges a write at its
  * arrival cycle, so the core never waits on one.  A full write queue
@@ -34,10 +35,7 @@ namespace catsim
 /** Core pipeline parameters (paper Table I). */
 struct CoreParams
 {
-    std::uint32_t robSize = 128;
-    std::uint32_t fetchWidth = 4;
     std::uint32_t retireWidth = 2;
-    std::uint32_t pipelineDepth = 10;
     std::uint32_t cpuMult = 4;  //!< CPU cycles per bus cycle
     std::uint32_t mlp = 16;      //!< max outstanding reads
 };

@@ -186,7 +186,6 @@ class SweepRunner
      * though cells finished before it are still journaled).
      */
     void setKeepGoing(bool keepGoing) { keepGoing_ = keepGoing; }
-    bool keepGoing() const { return keepGoing_; }
 
     /**
      * Per-cell errors from the most recent run* call (empty on full

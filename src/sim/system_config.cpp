@@ -61,9 +61,8 @@ SystemConfig::parse(const Config &cfg)
     WorkloadSpec &w = sys.workload;
     w.name = cfg.getString("workload", "black");
     w.seed = cfg.getUint("seed", 42);
-    // `kernelkind=` is the historical simulate CLI spelling.
-    w.attackKernelKind = parseAttackKernelKind(
-        cfg.getString("kind", cfg.getString("kernelkind", "gaussian")));
+    w.attackKernelKind =
+        parseAttackKernelKind(cfg.getString("kind", "gaussian"));
     const std::string attack =
         asciiLower(cfg.getString("attack", "none"));
     if (attack != "none") {

@@ -11,21 +11,19 @@
  * now the single reader of the key=value surface and
  * SystemConfig::format the single writer: `parse(fromString(format()))`
  * round-trips exactly, so a printed config line IS a reproduction
- * recipe.  The legacy simulate flags (`eviction=`, `bankspool=`,
- * `kernelkind=`) remain as aliases of the canonical keys.
+ * recipe.
  *
- * Key surface (all optional, shown with canonical names):
+ * Key surface (all optional):
  *   system=dual2ch|quad2ch|quad4ch
  *   workload=<profile> seed=<n>
  *   attack=none|heavy|medium|light kernel=<1..12>
  *   kind=gaussian|multibank|manysided|halfdouble
- *                                      (alias: kernelkind=)
  *   scheme=none|sca|pra|prcat|drcat|cc|mg|rfm
  *   counters=<M> levels=<L> threshold=<T>
  *   p=<PRA prob> lfsr=0|1 ways=<CC assoc> schemeseed=<n>
  *   rfmbudget=<ACTs per RFM command>
- *   policy=lru|lfu|random              (alias: eviction=)
- *   pool=<banks per shared pool>       (alias: bankspool=)
+ *   policy=lru|lfu|random
+ *   pool=<banks per shared pool>
  */
 
 #ifndef CATSIM_SIM_SYSTEM_CONFIG_HPP
@@ -80,10 +78,9 @@ struct SystemConfig
     SchemeConfig scheme;
 
     /**
-     * Read the full key=value surface (canonical keys and legacy
-     * aliases) from @p cfg; unknown values are fatal, missing keys
-     * keep paper defaults - byte-compatible with the historical
-     * simulate CLI parser.
+     * Read the full key=value surface from @p cfg; unknown values are
+     * fatal, missing keys keep paper defaults.  Keys parse() does not
+     * read are left for the caller's Config::rejectUnread.
      */
     static SystemConfig parse(const Config &cfg);
 

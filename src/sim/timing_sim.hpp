@@ -48,7 +48,7 @@ namespace catsim
 struct TimingConfig
 {
     DramGeometry geometry = DramGeometry::dualCore2Ch();
-    DramTiming timing = DramTiming::ddr3_1600();
+    DramTiming timing;
     MappingPolicy mapping = MappingPolicy::RowRankBankChanCol;
     CoreParams core;
     std::uint32_t numCores = 2;

@@ -46,7 +46,6 @@ AttackWorkload::AttackWorkload(const WorkloadProfile &benign,
       mapper_(mapper),
       mode_(mode),
       targetFraction_(attackTargetFraction(mode)),
-      streamSeed_(stream_seed),
       length_(length),
       rng_(stream_seed),
       benign_(benign, geometry, mapper, stream_seed ^ 0xBEEFULL, length)
@@ -56,14 +55,6 @@ AttackWorkload::AttackWorkload(const WorkloadProfile &benign,
         t.resize(targets_per_bank);
     makeAttackKernel(kernel_kind)
         ->pickTargets(targets_, geometry_, kernel_seed);
-}
-
-void
-AttackWorkload::rewind()
-{
-    produced_ = 0;
-    rng_ = Xoshiro256StarStar(streamSeed_);
-    benign_.rewind();
 }
 
 bool
@@ -96,11 +87,9 @@ AttackWorkload::next(TraceRecord &out)
         return true;
     }
 
-    if (!benign_.next(out)) {
-        benign_.rewind();
-        if (!benign_.next(out))
-            return false;
-    }
+    // benign_ holds length_ records and yields at most one per record
+    // of this stream, so it cannot run out first.
+    benign_.next(out);
     ++produced_;
     return true;
 }

@@ -65,7 +65,6 @@ class AttackWorkload : public TraceStream
                        AttackKernelKind::Gaussian);
 
     bool next(TraceRecord &out) override;
-    void rewind() override;
 
     /** Target rows of one bank (for tests). */
     const std::vector<RowAddr> &targets(std::uint32_t bank_flat) const;
@@ -75,7 +74,6 @@ class AttackWorkload : public TraceStream
     const AddressMapper &mapper_;
     AttackMode mode_;
     double targetFraction_;
-    std::uint64_t streamSeed_;
     std::uint64_t length_;
     std::uint64_t produced_ = 0;
     Xoshiro256StarStar rng_;

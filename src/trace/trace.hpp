@@ -39,9 +39,6 @@ class TraceStream
 
     /** Fetch the next record; false at end of stream. */
     virtual bool next(TraceRecord &out) = 0;
-
-    /** Restart from the beginning (same sequence). */
-    virtual void rewind() = 0;
 };
 
 /** In-memory trace, also used as the file reader's buffer. */
@@ -62,8 +59,6 @@ class VectorTrace : public TraceStream
         out = records_[pos_++];
         return true;
     }
-
-    void rewind() override { pos_ = 0; }
 
     void push(const TraceRecord &r) { records_.push_back(r); }
     std::size_t size() const { return records_.size(); }

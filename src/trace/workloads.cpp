@@ -99,7 +99,6 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile,
     : profile_(profile),
       geometry_(geometry),
       mapper_(mapper),
-      seed_(seed),
       length_(length),
       gapCap_(20.0 * profile.meanGap),
       burstMean_(profile.rowBurst > 1.0 ? profile.rowBurst - 1.0 : 0.0),
@@ -113,16 +112,6 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile,
     const auto foot = static_cast<std::uint64_t>(
         profile_.footprintFraction * geometry_.rowsPerBank);
     coldRows_ = foot ? foot : 1;
-}
-
-void
-SyntheticWorkload::rewind()
-{
-    produced_ = 0;
-    phase_ = 0;
-    phaseLeft_ = profile_.phaseEvery;
-    burstLeft_ = 0;
-    rng_ = Xoshiro256StarStar(seed_);
 }
 
 bool

@@ -70,7 +70,6 @@ class SyntheticWorkload : public TraceStream
                       std::uint64_t length);
 
     bool next(TraceRecord &out) override;
-    void rewind() override;
 
     const WorkloadProfile &profile() const { return profile_; }
 
@@ -87,7 +86,6 @@ class SyntheticWorkload : public TraceStream
     WorkloadProfile profile_;
     DramGeometry geometry_;
     const AddressMapper &mapper_;
-    std::uint64_t seed_;
     std::uint64_t length_;
     // Per-profile constants of makeRecord, fixed at construction.
     double gapCap_;          //!< gaps truncate at 20x the mean

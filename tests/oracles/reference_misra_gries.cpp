@@ -29,8 +29,7 @@ ReferenceMisraGries::ReferenceMisraGries(RowAddr num_rows,
 RefreshAction
 ReferenceMisraGries::refreshAround(RowAddr row)
 {
-    const RefreshAction act =
-        neighborRefresh(row, numRows_, adjacency_);
+    const RefreshAction act = neighborRefresh(row, numRows_);
     ++stats_.refreshEvents;
     stats_.victimRowsRefreshed += act.rowCount;
     return act;

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/adjacency.hpp"
 #include "core/mitigation.hpp"
 
 namespace catsim
@@ -40,11 +39,6 @@ class ReferenceMisraGries : public MitigationScheme
 
     RefreshAction onActivate(RowAddr row) override;
     void onEpoch() override;
-
-    void setAdjacency(const RowAdjacency *adjacency)
-    {
-        adjacency_ = adjacency;
-    }
 
     std::uint32_t trackedCount(RowAddr row) const;
     std::uint64_t decrements() const { return dec_; }
@@ -63,7 +57,6 @@ class ReferenceMisraGries : public MitigationScheme
     std::uint32_t threshold_;
     std::uint64_t dec_ = 0;
     std::vector<Entry> entries_;
-    const RowAdjacency *adjacency_ = nullptr;
 };
 
 } // namespace catsim

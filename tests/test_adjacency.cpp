@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the physical row-adjacency models and their integration
- * into the exact-victim schemes.
+ * Tests for the physical row-adjacency models and the exact-victim
+ * schemes' shared neighbor-refresh helper.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/adjacency.hpp"
-#include "core/counter_cache.hpp"
 #include "core/pra.hpp"
 
 namespace catsim
@@ -42,9 +43,9 @@ TEST_P(AdjacencyKinds, MappingStaysInBlock)
 TEST_P(AdjacencyKinds, VictimsAreCorrectPhysicalNeighbors)
 {
     RowAdjacency adj(GetParam(), 4096, 256, 11);
-    std::array<RowAddr, 2> v;
+    std::array<RowAddr, 4> v;
     for (RowAddr r = 0; r < 4096; r += 7) {
-        const std::uint32_t n = adj.victims(r, v);
+        const std::uint32_t n = adj.victimsWithin(r, 1, v);
         const RowAddr pos = adj.logicalToPhysical(r);
         ASSERT_EQ(n, (pos == 0 || pos == 4095) ? 1u : 2u);
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -78,48 +79,12 @@ TEST(Adjacency, MirroredSeparatesLogicalNeighbors)
     EXPECT_GT(p1 > p0 ? p1 - p0 : p0 - p1, 1u);
 }
 
-TEST(Adjacency, PraUsesModelForVictims)
-{
-    RowAdjacency adj(RowAdjacency::Kind::BlockMirrored, 65536, 256);
-    Pra pra(65536, 0.5, std::make_unique<TruePrng>(3));
-    pra.setAdjacency(&adj);
-    std::array<RowAddr, 2> expected;
-    const std::uint32_t n = adj.victims(1000, expected);
-    ASSERT_EQ(n, 2u);
-    for (int i = 0; i < 200; ++i) {
-        const auto act = pra.onActivate(1000);
-        if (!act.triggered())
-            continue;
-        EXPECT_EQ(act.rowCount, 2u);
-        EXPECT_EQ(act.lo, std::min(expected[0], expected[1]));
-        EXPECT_EQ(act.hi, std::max(expected[0], expected[1]));
-        return;
-    }
-    FAIL() << "p=0.5 never triggered";
-}
-
-TEST(Adjacency, CounterCacheUsesModelForVictims)
-{
-    RowAdjacency adj(RowAdjacency::Kind::Scrambled, 65536, 256, 99);
-    CounterCache cc(65536, 2048, 8, 16);
-    cc.setAdjacency(&adj);
-    RefreshAction act;
-    for (int i = 0; i < 16; ++i)
-        act = cc.onActivate(5000);
-    ASSERT_TRUE(act.triggered());
-    std::array<RowAddr, 2> expected;
-    const std::uint32_t n = adj.victims(5000, expected);
-    ASSERT_EQ(n, act.rowCount);
-    EXPECT_EQ(act.lo, std::min(expected[0], expected[1]));
-    EXPECT_EQ(act.hi, std::max(expected[0], expected[1]));
-}
-
 TEST(Adjacency, NeighborRefreshHelperEdges)
 {
-    const auto lowEdge = neighborRefresh(0, 4096, nullptr);
+    const auto lowEdge = neighborRefresh(0, 4096);
     EXPECT_EQ(lowEdge.rowCount, 1u);
     EXPECT_EQ(lowEdge.lo, 1u);
-    const auto highEdge = neighborRefresh(4095, 4096, nullptr);
+    const auto highEdge = neighborRefresh(4095, 4096);
     EXPECT_EQ(highEdge.rowCount, 1u);
     EXPECT_EQ(highEdge.hi, 4094u);
 }

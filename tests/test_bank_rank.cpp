@@ -13,27 +13,27 @@ namespace catsim
 
 TEST(Bank, ActToActRespectsTrc)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Bank bank(t);
     EXPECT_EQ(bank.earliestActivate(100), 100u);
-    bank.access(100, 5, false);
+    bank.access(100, false);
     EXPECT_EQ(bank.earliestActivate(100), 100u + t.tRC);
     EXPECT_EQ(bank.earliestActivate(200), 200u);
 }
 
 TEST(Bank, ReadLatency)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Bank bank(t);
-    const Cycle done = bank.access(0, 1, false);
+    const Cycle done = bank.access(0, false);
     EXPECT_EQ(done, t.tRCD + t.tCAS + t.tBURST);
 }
 
 TEST(Bank, WriteExtendsBusyWindow)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Bank bank(t);
-    bank.access(0, 1, true);
+    bank.access(0, true);
     // Write recovery pushes the next ACT past tRC.
     const Cycle writeBusy =
         t.tRCD + t.tCAS + t.tBURST + t.tWR + t.tRP;
@@ -43,7 +43,7 @@ TEST(Bank, WriteExtendsBusyWindow)
 
 TEST(Bank, VictimRefreshBlocksForTrcPerRow)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Bank bank(t);
     const Cycle freeAt = bank.victimRefresh(1000, 10);
     EXPECT_EQ(freeAt, 1000u + 10u * t.tRC);
@@ -54,29 +54,28 @@ TEST(Bank, VictimRefreshBlocksForTrcPerRow)
 
 TEST(Bank, VictimRefreshWaitsForBusyBank)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Bank bank(t);
-    bank.access(100, 1, false);
+    bank.access(100, false);
     const Cycle freeAt = bank.victimRefresh(100, 2);
     EXPECT_EQ(freeAt, 100u + t.tRC + 2u * t.tRC);
 }
 
 TEST(Bank, TracksActivations)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Bank bank(t);
     Cycle c = 0;
     for (int i = 0; i < 5; ++i) {
         c = bank.earliestActivate(c);
-        bank.access(c, static_cast<RowAddr>(i), false);
+        bank.access(c, false);
     }
     EXPECT_EQ(bank.activations(), 5u);
-    EXPECT_EQ(bank.lastRow(), 4u);
 }
 
 TEST(Rank, TrrdSpacing)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Rank rank(t);
     rank.recordActivate(100);
     EXPECT_EQ(rank.earliestActivate(100), 100u + t.tRRD);
@@ -85,7 +84,7 @@ TEST(Rank, TrrdSpacing)
 
 TEST(Rank, FourActivateWindow)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Rank rank(t);
     // Four back-to-back ACTs at tRRD spacing.
     Cycle c = 0;
@@ -100,7 +99,7 @@ TEST(Rank, FourActivateWindow)
 
 TEST(Rank, AutoRefreshSchedule)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     Rank rank(t);
     EXPECT_EQ(rank.autoRefreshDue(0), 0u);
     EXPECT_EQ(rank.autoRefreshDue(t.tREFI - 1), 0u);
@@ -114,7 +113,7 @@ TEST(Rank, AutoRefreshSchedule)
 
 TEST(Timing, IntervalCycles)
 {
-    const DramTiming t = DramTiming::ddr3_1600();
+    const DramTiming t;
     // 64 ms at 1.25 ns per cycle = 51.2 M cycles.
     EXPECT_EQ(t.refreshIntervalCycles(), 51200000u);
     EXPECT_DOUBLE_EQ(t.cyclesToNs(8), 10.0);

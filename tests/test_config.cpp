@@ -29,7 +29,6 @@ TEST(Config, Defaults)
     EXPECT_EQ(cfg.getInt("missing", -3), -3);
     EXPECT_EQ(cfg.getString("missing", "x"), "x");
     EXPECT_TRUE(cfg.getBool("missing", true));
-    EXPECT_FALSE(cfg.has("missing"));
 }
 
 TEST(Config, BoolParsing)
@@ -53,15 +52,17 @@ TEST(Config, SetOverrides)
     EXPECT_EQ(cfg.getInt("k", 0), 2);
 }
 
-TEST(Config, KeysSorted)
+TEST(ConfigDeath, RejectUnreadNamesTheKey)
 {
-    Config cfg;
-    cfg.set("b", "1");
-    cfg.set("a", "2");
-    const auto keys = cfg.keys();
-    ASSERT_EQ(keys.size(), 2u);
-    EXPECT_EQ(keys[0], "a");
-    EXPECT_EQ(keys[1], "b");
+    const char *argv[] = {"prog", "scheme=pra", "sheme=pra", "scale=0.05"};
+    const Config cfg = Config::fromArgs(4, argv);
+    EXPECT_EQ(cfg.getString("scheme", ""), "pra");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("scale", 0.1), 0.05);
+    EXPECT_EQ(cfg.getUint("counters", 64), 64u); // absent keys are fine
+    EXPECT_EXIT(cfg.rejectUnread(), ::testing::ExitedWithCode(1),
+                "config key 'sheme' is unknown or unused here");
+    EXPECT_EQ(cfg.getString("sheme", ""), "pra");
+    cfg.rejectUnread(); // every key has now been read
 }
 
 TEST(ExperimentScale, DefaultsToOne)

@@ -17,7 +17,6 @@ struct Fixture
 {
     Fixture()
         : geometry(DramGeometry::dualCore2Ch()),
-          timing(DramTiming::ddr3_1600()),
           dram(geometry, timing),
           mapper(geometry, MappingPolicy::RowRankBankChanCol)
     {

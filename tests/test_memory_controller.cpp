@@ -18,7 +18,6 @@ struct Fixture
     Fixture(SchemeKind kind = SchemeKind::None,
             std::uint32_t threshold = 32768)
         : geometry(DramGeometry::dualCore2Ch()),
-          timing(DramTiming::ddr3_1600()),
           dram(geometry, timing),
           mapper(geometry, MappingPolicy::RowRankBankChanCol)
     {

@@ -229,22 +229,6 @@ TEST(MisraGries, BatchMatchesPerActivationStats)
             << "row " << row;
 }
 
-TEST(MisraGries, AdjacencyModelSelectsPhysicalVictims)
-{
-    const RowAdjacency adj(RowAdjacency::Kind::BlockMirrored, kRows);
-    MisraGries mg(kRows, 4, 2);
-    mg.setAdjacency(&adj);
-    mg.onActivate(1000);
-    const RefreshAction act = mg.onActivate(1000);
-    ASSERT_TRUE(act.triggered());
-    std::array<RowAddr, 2> victims{};
-    const std::uint32_t n = adj.victims(1000, victims);
-    ASSERT_EQ(n, 2u);
-    EXPECT_EQ(act.lo, std::min(victims[0], victims[1]));
-    EXPECT_EQ(act.hi, std::max(victims[0], victims[1]));
-    EXPECT_EQ(act.rowCount, 2u);
-}
-
 namespace
 {
 
@@ -259,13 +243,10 @@ constexpr std::uint32_t kDiffSizes[] = {1, 63, 64, 65, 130};
  */
 void
 expectMatchesReference(std::uint32_t entries, std::uint32_t threshold,
-                       const std::vector<RowAddr> &acts,
-                       const RowAdjacency *adjacency = nullptr)
+                       const std::vector<RowAddr> &acts)
 {
     MisraGries mg(kRows, entries, threshold);
     ReferenceMisraGries ref(kRows, entries, threshold);
-    mg.setAdjacency(adjacency);
-    ref.setAdjacency(adjacency);
     for (std::size_t i = 0; i < acts.size(); ++i) {
         const RowAddr row = acts[i];
         if (row == kEpochMarker) {
@@ -392,14 +373,6 @@ TEST(MisraGriesDiff, EpochResetsMidStream)
     }
     for (const std::uint32_t k : kDiffSizes)
         ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 60, acts));
-}
-
-TEST(MisraGriesDiff, BlockMirroredAdjacency)
-{
-    const RowAdjacency adj(RowAdjacency::Kind::BlockMirrored, kRows);
-    const auto acts = hammerStream(30000, 9);
-    for (const std::uint32_t k : kDiffSizes)
-        ASSERT_NO_FATAL_FAILURE(expectMatchesReference(k, 40, acts, &adj));
 }
 
 TEST(MisraGriesDiff, InstallPicksLowestFreeEntry)

@@ -3,8 +3,7 @@
  * Property tests for the DDR5 RFM-style scheme: an RFM refresh is
  * issued within the configured activation budget on every bank under
  * random, burst, and many-sided streams; refresh accounting is
- * identical through onActivate and onActivateBatch; victims follow the
- * physical-adjacency model.
+ * identical through onActivate and onActivateBatch.
  */
 
 #include <gtest/gtest.h>
@@ -79,19 +78,6 @@ TEST(Rfm, BurstRefreshesTheSampledRowsVictims)
     EXPECT_EQ(act.hi, 501u);
     EXPECT_EQ(act.rowCount, 2u) << "aggressor itself not refreshed";
     EXPECT_EQ(rfm.stats().victimRowsRefreshed, 2u);
-}
-
-TEST(Rfm, AdjacencyModelSelectsPhysicalVictims)
-{
-    const RowAdjacency adj(RowAdjacency::Kind::BlockMirrored, kRows);
-    Rfm rfm(kRows, 1);
-    rfm.setAdjacency(&adj);
-    const RefreshAction act = rfm.onActivate(1000);
-    ASSERT_TRUE(act.triggered());
-    std::array<RowAddr, 2> victims{};
-    ASSERT_EQ(adj.victims(1000, victims), 2u);
-    EXPECT_EQ(act.lo, std::min(victims[0], victims[1]));
-    EXPECT_EQ(act.hi, std::max(victims[0], victims[1]));
 }
 
 TEST(Rfm, EpochResetsRollingCounter)

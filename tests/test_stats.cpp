@@ -50,33 +50,4 @@ TEST(RunningStat, Reset)
     EXPECT_DOUBLE_EQ(s.sum(), 0.0);
 }
 
-TEST(Histogram, Bucketing)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.6);
-    h.add(9.9);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClamps)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0);
-    h.add(100.0);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-}
-
-TEST(Histogram, BucketLow)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.bucketLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-}
-
 } // namespace catsim

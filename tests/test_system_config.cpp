@@ -1,11 +1,13 @@
 /**
  * @file
- * The unified SystemConfig surface: parse defaults, legacy aliases,
- * and the parse(format()) round-trip that makes a printed config line
- * a reproduction recipe.
+ * The unified SystemConfig surface: parse defaults, the retired alias
+ * keys, and the parse(format()) round-trip that makes a printed config
+ * line a reproduction recipe.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "sim/sweep.hpp"
 #include "sim/system_config.hpp"
@@ -15,12 +17,26 @@ using namespace catsim;
 namespace
 {
 
-/** Round-trip through format() and compare every field. */
+/** parse() @p line, then reject any key it did not read, as the
+ *  example CLIs do. */
+SystemConfig
+parseStrict(const std::string &line)
+{
+    const Config cfg = Config::fromString(line);
+    const SystemConfig sys = SystemConfig::parse(cfg);
+    cfg.rejectUnread();
+    return sys;
+}
+
+/**
+ * Round-trip through format() and compare every field.  The strict
+ * parse also checks that parse() reads every key format() writes.
+ */
 void
 expectRoundTrip(const SystemConfig &sys)
 {
     const std::string line = sys.format();
-    const SystemConfig back = SystemConfig::parse(line);
+    const SystemConfig back = parseStrict(line);
     EXPECT_EQ(back.format(), line) << line;
     EXPECT_EQ(back.preset, sys.preset);
     EXPECT_EQ(back.workload.name, sys.workload.name);
@@ -63,28 +79,6 @@ TEST(SystemConfigParse, EmptyKeepsPaperDefaults)
     EXPECT_EQ(sys.scheme.evictionPolicy, EvictionPolicyKind::Lru);
     EXPECT_EQ(sys.scheme.banksPerPool, 0u);
     EXPECT_EQ(sys.label(), "DRCAT_64@black/dual2ch");
-}
-
-TEST(SystemConfigParse, LegacySimulateFlagsAreAliases)
-{
-    const SystemConfig legacy = SystemConfig::parse(
-        "scheme=cc eviction=lru bankspool=8 kernelkind=multibank "
-        "attack=medium");
-    const SystemConfig canonical = SystemConfig::parse(
-        "scheme=cc policy=lru pool=8 kind=multibank attack=medium");
-    EXPECT_EQ(legacy.format(), canonical.format());
-    EXPECT_EQ(legacy.scheme.evictionPolicy, EvictionPolicyKind::Lru);
-    EXPECT_EQ(legacy.scheme.banksPerPool, 8u);
-    EXPECT_EQ(legacy.workload.attackKernelKind,
-              AttackKernelKind::MultiBank);
-}
-
-TEST(SystemConfigParse, CanonicalKeysWinOverAliases)
-{
-    const SystemConfig sys =
-        SystemConfig::parse("policy=lfu eviction=lru pool=4 bankspool=8");
-    EXPECT_EQ(sys.scheme.evictionPolicy, EvictionPolicyKind::Lfu);
-    EXPECT_EQ(sys.scheme.banksPerPool, 4u);
 }
 
 TEST(SystemConfigFormat, DefaultsAreOmitted)
@@ -215,6 +209,22 @@ TEST(SystemConfigParse, BadValuesAreFatal)
                 ::testing::ExitedWithCode(1), "attack must be");
     EXPECT_EXIT(SystemConfig::parse("scheme=warp"),
                 ::testing::ExitedWithCode(1), "unknown scheme");
+}
+
+TEST(SystemConfigDeath, RetiredAliasesAreUnknownKeys)
+{
+    const SystemConfig canonical = parseStrict(
+        "scheme=cc policy=lfu pool=8 kind=multibank attack=medium");
+    EXPECT_EQ(canonical.scheme.evictionPolicy, EvictionPolicyKind::Lfu);
+    EXPECT_EQ(canonical.scheme.banksPerPool, 8u);
+    EXPECT_EQ(canonical.workload.attackKernelKind,
+              AttackKernelKind::MultiBank);
+
+    for (const std::string key : {"eviction", "bankspool", "kernelkind"})
+        EXPECT_EXIT(parseStrict("scheme=cc attack=medium " + key + "=8"),
+                    ::testing::ExitedWithCode(1),
+                    "config key '" + key + "' is unknown or unused here")
+            << key;
 }
 
 TEST(SweepCellLabel, RoutesThroughSystemConfig)

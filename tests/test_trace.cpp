@@ -27,18 +27,6 @@ TEST(VectorTrace, PushAndIterate)
     EXPECT_FALSE(t.next(r));
 }
 
-TEST(VectorTrace, Rewind)
-{
-    VectorTrace t;
-    t.push({1, false, 0x10});
-    TraceRecord r;
-    ASSERT_TRUE(t.next(r));
-    ASSERT_FALSE(t.next(r));
-    t.rewind();
-    ASSERT_TRUE(t.next(r));
-    EXPECT_EQ(r.addr, 0x10u);
-}
-
 TEST(TraceFile, RoundTrip)
 {
     const std::string path = ::testing::TempDir() + "/catsim_trace.txt";

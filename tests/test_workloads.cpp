@@ -82,21 +82,6 @@ TEST(Workloads, RespectsLength)
     EXPECT_EQ(n, 1234u);
 }
 
-TEST(Workloads, RewindReproducesStream)
-{
-    Env env;
-    SyntheticWorkload w(findWorkload("face"), env.geometry, env.mapper,
-                        9, 5000);
-    std::vector<Addr> first;
-    TraceRecord r;
-    while (w.next(r))
-        first.push_back(r.addr);
-    w.rewind();
-    std::size_t i = 0;
-    while (w.next(r))
-        ASSERT_EQ(r.addr, first[i++]);
-}
-
 TEST(Workloads, ReadRatioApproximate)
 {
     Env env;
