@@ -6,10 +6,12 @@
  * an 800 MHz bus (Table I).  All values below are in bus cycles at
  * tCK = 1.25 ns.  Victim-row refreshes issued by a mitigation scheme
  * occupy the bank for one ACT+PRE pair (tRC) per refreshed row.
- * Every access is ACT -> RD/WR with auto-precharge on a closed page,
- * so the ACT -> PRE, column-to-column, write-to-read and
- * read-to-precharge spacings need no field of their own: tRC and the
- * write-recovery window cover them.
+ * Every access is ACT -> RD/WR with auto-precharge on a closed page.
+ * On one bank the ACT -> PRE and read-to-precharge spacings fall
+ * inside tRC and the write-recovery window, so they need no field of
+ * their own.  Across banks, column spacing is the channel's data-bus
+ * slot (tBURST); the write-to-read turnaround within a rank is not
+ * modelled.
  */
 
 #ifndef CATSIM_DRAM_TIMING_HPP

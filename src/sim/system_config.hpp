@@ -84,10 +84,16 @@ struct SystemConfig
      */
     static SystemConfig parse(const Config &cfg);
 
-    /** Convenience: parse a "key=value ..." string. */
+    /**
+     * Parse a "key=value ..." string; a key parse() does not read is
+     * fatal, as in the example CLIs.
+     */
     static SystemConfig parse(const std::string &text)
     {
-        return parse(Config::fromString(text));
+        const Config cfg = Config::fromString(text);
+        SystemConfig sys = parse(cfg);
+        cfg.rejectUnread();
+        return sys;
     }
 
     /**

@@ -82,8 +82,6 @@ AttackWorkload::next(TraceRecord &out)
         out.isWrite = false;
         out.addr = mapper_.compose(loc);
         ++produced_;
-        // Keep the benign stream position advancing so the mix ratio
-        // controls row composition, not sequence length.
         return true;
     }
 

@@ -20,8 +20,8 @@
  *    every victim is squeezed from both physical neighbors.
  *  - HalfDoubleKernel: far aggressor pairs (v-2, v+2) reaching each
  *    victim at physical distance 2, the Half-Double blast-radius-2
- *    pattern; victim accounting flows through RowAdjacency's radius-2
- *    neighborhood.
+ *    pattern.  No scheme or metric applies a blast radius yet: every
+ *    scheme still refreshes the logical +/-1 neighbours.
  */
 
 #ifndef CATSIM_TRACE_ATTACK_KERNEL_HPP

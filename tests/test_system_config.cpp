@@ -17,26 +17,16 @@ using namespace catsim;
 namespace
 {
 
-/** parse() @p line, then reject any key it did not read, as the
- *  example CLIs do. */
-SystemConfig
-parseStrict(const std::string &line)
-{
-    const Config cfg = Config::fromString(line);
-    const SystemConfig sys = SystemConfig::parse(cfg);
-    cfg.rejectUnread();
-    return sys;
-}
-
 /**
- * Round-trip through format() and compare every field.  The strict
- * parse also checks that parse() reads every key format() writes.
+ * Round-trip through format() and compare every field.  The string
+ * parse rejects unread keys, so this also checks that parse() reads
+ * every key format() writes.
  */
 void
 expectRoundTrip(const SystemConfig &sys)
 {
     const std::string line = sys.format();
-    const SystemConfig back = parseStrict(line);
+    const SystemConfig back = SystemConfig::parse(line);
     EXPECT_EQ(back.format(), line) << line;
     EXPECT_EQ(back.preset, sys.preset);
     EXPECT_EQ(back.workload.name, sys.workload.name);
@@ -213,7 +203,7 @@ TEST(SystemConfigParse, BadValuesAreFatal)
 
 TEST(SystemConfigDeath, RetiredAliasesAreUnknownKeys)
 {
-    const SystemConfig canonical = parseStrict(
+    const SystemConfig canonical = SystemConfig::parse(
         "scheme=cc policy=lfu pool=8 kind=multibank attack=medium");
     EXPECT_EQ(canonical.scheme.evictionPolicy, EvictionPolicyKind::Lfu);
     EXPECT_EQ(canonical.scheme.banksPerPool, 8u);
@@ -221,7 +211,8 @@ TEST(SystemConfigDeath, RetiredAliasesAreUnknownKeys)
               AttackKernelKind::MultiBank);
 
     for (const std::string key : {"eviction", "bankspool", "kernelkind"})
-        EXPECT_EXIT(parseStrict("scheme=cc attack=medium " + key + "=8"),
+        EXPECT_EXIT(SystemConfig::parse("scheme=cc attack=medium " +
+                                        key + "=8"),
                     ::testing::ExitedWithCode(1),
                     "config key '" + key + "' is unknown or unused here")
             << key;
