@@ -1,20 +1,26 @@
 /**
  * @file
- * Differential suite: the production runTiming scan loop must
- * reproduce the frozen historical loop (oracles/reference_timing_sim.hpp)
+ * Differential suite: the production timing front ends must reproduce
+ * the frozen historical simulator (oracles/reference_timing_sim.hpp)
  * bit for bit - every TimingResult field, including the recorded
- * per-bank activation streams and the per-bank scheme statistics -
- * across the scheme matrices of the shipped figure benches, multi-core
- * streams, epoch scales, and recording on/off.  This is the timing
- * front end's ReferenceCatTree: any change to which core steps next
- * or when an epoch boundary fires shows up here first.
+ * per-bank activation streams and the per-bank scheme statistics.
+ * runTiming is checked across the scheme matrices of the shipped
+ * figure benches, multi-core streams, epoch scales, and recording
+ * on/off; runTimingOnSources across open- and closed-loop attacker
+ * fleets.  The oracle carries its own frozen core window, posted-write
+ * queue and DRAM issue logic, so this is the timing front end's
+ * ReferenceCatTree for every layer from the loop down to the banks:
+ * any change to which core steps next, when an epoch boundary fires,
+ * when a read completes or where an ACT issues shows up here first.
  */
 
 #include <gtest/gtest.h>
 
 #include "oracles/reference_timing_sim.hpp"
+#include "sim/experiment.hpp"
 #include "sim/timing_sim.hpp"
 #include "trace/attack.hpp"
+#include "trace/attack_kernel.hpp"
 #include "trace/workloads.hpp"
 
 namespace catsim
@@ -243,6 +249,81 @@ TEST(TimingDiff, BaselineRecordedStreams)
 {
     TimingConfig sys = smallSystem(SchemeKind::None);
     runDiff(sys, 60000, "comm1");
+}
+
+namespace
+{
+
+/**
+ * A Gaussian-placed Medium attacker on every bank, built as
+ * ExperimentRunner::evalAdaptiveEto builds its fleets (two scaled
+ * epochs at one ACT per tRC); closed loop when @p refresh_aware.
+ */
+std::vector<std::unique_ptr<ActivationSource>>
+mediumFleet(const TimingConfig &sys, double scale, bool refresh_aware)
+{
+    const double epochCycles =
+        static_cast<double>(sys.timing.refreshIntervalCycles()) * scale;
+    std::vector<std::vector<RowAddr>> targets(sys.geometry.totalBanks());
+    for (auto &t : targets)
+        t.resize(4);
+    makeAttackKernel(AttackKernelKind::Gaussian)
+        ->pickTargets(targets, sys.geometry, 1);
+
+    std::vector<std::unique_ptr<ActivationSource>> fleet;
+    for (std::uint32_t b = 0; b < targets.size(); ++b) {
+        AttackSourceParams p;
+        p.numRows = sys.geometry.rowsPerBank;
+        p.targets = std::move(targets[b]);
+        p.targetFraction = attackTargetFraction(AttackMode::Medium);
+        p.actsPerEpoch = static_cast<std::uint64_t>(
+            epochCycles / static_cast<double>(sys.timing.tRC));
+        p.epochs = 2;
+        p.seed = 42 * 1000003ULL + b;
+        if (refresh_aware)
+            fleet.push_back(
+                std::make_unique<RefreshAwareAttackerSource>(p));
+        else
+            fleet.push_back(std::make_unique<SyntheticAttackSource>(p));
+    }
+    return fleet;
+}
+
+} // namespace
+
+/**
+ * The closed-loop ETO legs: runTimingOnSources over Static and
+ * RefreshAware Medium fleets against PRCAT_64, DRCAT_64 and PRA at
+ * scale 0.02 (scaled threshold), recording on, each side on a fresh,
+ * identically seeded fleet.  Victim refreshes block banks and the
+ * refresh-aware sources re-aim on every RefreshAction, so the write
+ * path aside, every layer of the request path runs here.
+ */
+TEST(TimingDiff, StimulusFleetsMatchTheFrozenLoop)
+{
+    constexpr double kScaleValue = 0.02;
+    const ExperimentRunner runner(kScaleValue);
+    for (const bool refreshAware : {false, true}) {
+        for (const SchemeKind kind :
+             {SchemeKind::Prcat, SchemeKind::Drcat, SchemeKind::Pra}) {
+            TimingConfig sys = makeSystem(SystemPreset::DualCore2Ch);
+            sys.scheme.kind = kind;
+            sys.scheme.numCounters = 64;
+            sys.scheme.maxLevels = 11;
+            sys.scheme.threshold = runner.scaledThreshold(32768);
+            sys.recordActivations = true;
+            sys.epochScale = kScaleValue;
+            SCOPED_TRACE(std::string(refreshAware ? "RefreshAware "
+                                                  : "Static ")
+                         + std::to_string(static_cast<int>(kind)));
+            const TimingResult actual = runTimingOnSources(
+                sys, mediumFleet(sys, kScaleValue, refreshAware));
+            const TimingResult ref = referenceRunTimingOnSources(
+                sys, mediumFleet(sys, kScaleValue, refreshAware));
+            EXPECT_GT(ref.controller.victimRefreshEvents, 0u);
+            expectIdentical(actual, ref);
+        }
+    }
 }
 
 } // namespace catsim
