@@ -22,14 +22,23 @@ splitPair(const std::string &token)
 
 } // namespace
 
+void
+Config::setToken(const std::string &token)
+{
+    auto [k, v] = splitPair(token);
+    // A second token for one key would silently replace the first, so
+    // `scheme=pra scheme=cc` would run CC: refuse it instead.
+    if (values_.count(k) != 0)
+        CATSIM_FATAL("config key '", k, "' is given more than once");
+    values_.emplace(std::move(k), std::move(v));
+}
+
 Config
 Config::fromArgs(int argc, const char *const *argv)
 {
     Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        auto [k, v] = splitPair(argv[i]);
-        cfg.set(k, v);
-    }
+    for (int i = 1; i < argc; ++i)
+        cfg.setToken(argv[i]);
     return cfg;
 }
 
@@ -44,10 +53,8 @@ Config::fromString(const std::string &text)
             text.substr(pos, end == std::string::npos ? std::string::npos
                                                       : end - pos);
         pos = end == std::string::npos ? text.size() : end + 1;
-        if (token.empty())
-            continue;
-        auto [k, v] = splitPair(token);
-        cfg.set(k, v);
+        if (!token.empty())
+            cfg.setToken(token);
     }
     return cfg;
 }

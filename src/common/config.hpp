@@ -29,13 +29,18 @@ class Config
   public:
     Config() = default;
 
-    /** Parse argv-style "key=value" tokens; unknown tokens are fatal. */
+    /**
+     * Parse argv-style "key=value" tokens.  A token without '=' and a
+     * key given twice are fatal.
+     */
     static Config fromArgs(int argc, const char *const *argv);
 
     /** Parse a whitespace-separated "key=value ..." string (what
-     *  SystemConfig::format emits; completes the round-trip). */
+     *  SystemConfig::format emits; completes the round-trip), with
+     *  fromArgs' rules. */
     static Config fromString(const std::string &text);
 
+    /** Set @p key, replacing any earlier value. */
     void set(const std::string &key, const std::string &value);
 
     std::string getString(const std::string &key,
@@ -53,6 +58,9 @@ class Config
     void rejectUnread() const;
 
   private:
+    /** Add one parsed "key=value" token; fatal on a repeated key. */
+    void setToken(const std::string &token);
+
     /** Value of @p key, or nullptr; records that @p key was read. */
     const std::string *find(const std::string &key) const;
 

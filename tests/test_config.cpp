@@ -65,6 +65,22 @@ TEST(ConfigDeath, RejectUnreadNamesTheKey)
     cfg.rejectUnread(); // every key has now been read
 }
 
+TEST(ConfigDeath, RepeatedKeyIsFatalInBothParsers)
+{
+    // Each parsed token sets its key once: a repeat names the key
+    // instead of letting the last value win.
+    const char *argv[] = {"prog", "scheme=pra", "scheme=cc", "scale=0.01"};
+    EXPECT_EXIT(Config::fromArgs(4, argv), ::testing::ExitedWithCode(1),
+                "config key 'scheme' is given more than once");
+    EXPECT_EXIT(Config::fromString("scale=0.01 counters=64 counters=64"),
+                ::testing::ExitedWithCode(1),
+                "config key 'counters' is given more than once");
+    // Distinct keys, and an empty value, still parse.
+    const Config cfg = Config::fromString("scheme= schemes=cc");
+    EXPECT_EQ(cfg.getString("scheme", "x"), "");
+    EXPECT_EQ(cfg.getString("schemes", ""), "cc");
+}
+
 TEST(ExperimentScale, DefaultsToOne)
 {
     // The test environment does not set CATSIM_SCALE (and if it does,
