@@ -6,8 +6,9 @@
  * reference), CAT tree traversal/growth, and the PRNG/Zipf substrates.
  * These support the paper's latency claims (Section VII-A: PRCAT
  * lookup is far cheaper than a DRAM row activation).  Also covers the
- * timing front end (trace generation, and runTiming over pre-generated
- * traces, in records per second) and the sweep engine: parallelFor's
+ * timing front ends (trace generation and runTiming over pre-generated
+ * traces, in records per second; one mitigated runTimingOnSources leg,
+ * in activations per second) and the sweep engine: parallelFor's
  * per-call overhead and a small end-to-end SweepRunner grid.
  */
 
@@ -28,6 +29,8 @@
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 #include "sim/timing_sim.hpp"
+#include "trace/attack.hpp"
+#include "trace/attack_kernel.hpp"
 #include "trace/workloads.hpp"
 #include "core/cat_tree.hpp"
 #include "core/counter_cache.hpp"
@@ -502,6 +505,54 @@ BM_FrontEndRunTiming(benchmark::State &state, const char *profile)
 }
 BENCHMARK_CAPTURE(BM_FrontEndRunTiming, comm1, "comm1")
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_FrontEndRunTimingOnSources(benchmark::State &state)
+{
+    // One mitigated closed-loop ETO leg through runTimingOnSources:
+    // the dual-core preset, a Static Medium Gaussian fleet (two scaled
+    // epochs at one ACT per tRC per bank, as evalAdaptiveEto builds
+    // it), PRCAT_64 at the scaled threshold, scale 0.02.  Building the
+    // fleet is untimed; drawing its rows is part of the leg.  Reported
+    // in activations per second.
+    constexpr double kScaleValue = 0.02;
+    TimingConfig sys = makeSystem(SystemPreset::DualCore2Ch);
+    sys.scheme.kind = SchemeKind::Prcat;
+    sys.scheme.numCounters = 64;
+    sys.scheme.maxLevels = 11;
+    sys.scheme.threshold = ExperimentRunner(kScaleValue).scaledThreshold(32768);
+    sys.epochScale = kScaleValue;
+    const auto actsPerEpoch = static_cast<std::uint64_t>(
+        static_cast<double>(sys.timing.refreshIntervalCycles())
+        * kScaleValue / static_cast<double>(sys.timing.tRC));
+    std::vector<std::vector<RowAddr>> targets(sys.geometry.totalBanks());
+    for (auto &t : targets)
+        t.resize(4);
+    makeAttackKernel(AttackKernelKind::Gaussian)
+        ->pickTargets(targets, sys.geometry, 1);
+
+    Count acts = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<std::unique_ptr<ActivationSource>> fleet;
+        for (std::uint32_t b = 0; b < targets.size(); ++b) {
+            AttackSourceParams p;
+            p.numRows = sys.geometry.rowsPerBank;
+            p.targets = targets[b];
+            p.targetFraction = attackTargetFraction(AttackMode::Medium);
+            p.actsPerEpoch = actsPerEpoch;
+            p.epochs = 2;
+            p.seed = 42 * 1000003ULL + b;
+            fleet.push_back(std::make_unique<SyntheticAttackSource>(p));
+        }
+        state.ResumeTiming();
+        const TimingResult res = runTimingOnSources(sys, fleet);
+        acts += res.totalActivations;
+        benchmark::DoNotOptimize(res.execCycles);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(acts));
+}
+BENCHMARK(BM_FrontEndRunTimingOnSources)->Unit(benchmark::kMillisecond);
 
 void
 BM_ParallelForOverhead(benchmark::State &state)

@@ -13,6 +13,13 @@
  * watermark (write-drain mode), and contend with reads for banks and
  * the data bus.
  *
+ * Each channel's write queue is a fixed 64-slot ring: a drain issues
+ * the oldest writes first and advances the ring's head, so queueing
+ * and draining never allocate or move entries.  The submit calls and
+ * the issue step under them are inline, down to DramSystem::issue;
+ * only a drain, the activation observers and a scheme's onActivate
+ * are calls.
+ *
  * Every ACT is reported to the bank's mitigation scheme; a triggered
  * RefreshAction blocks the bank for tRC per victim row, which is how
  * mitigation cost turns into execution-time overhead (ETO).
@@ -21,9 +28,9 @@
 #ifndef CATSIM_CONTROLLER_MEMORY_CONTROLLER_HPP
 #define CATSIM_CONTROLLER_MEMORY_CONTROLLER_HPP
 
+#include <array>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
@@ -80,7 +87,11 @@ class MemoryController
      *
      * @return Bus cycle at which read data is available.
      */
-    Cycle submitRead(const MemRequest &req);
+    Cycle
+    submitRead(const MemRequest &req)
+    {
+        return read(mapper_.map(req.addr), req.arrival);
+    }
 
     /**
      * Submit a read whose DRAM coordinates (@p req.loc) the caller
@@ -88,7 +99,11 @@ class MemoryController
      * sources that speak (bank, row) natively.  Same arbitration,
      * write-drain, and mitigation path as submitRead.
      */
-    Cycle submitMapped(const MemRequest &req);
+    Cycle
+    submitMapped(const MemRequest &req)
+    {
+        return read(req.loc, req.arrival);
+    }
 
     /**
      * Submit a posted write.  A full write queue first drains down to
@@ -99,7 +114,17 @@ class MemoryController
      * @return The arrival cycle, always: the core never waits on a
      *         write.
      */
-    Cycle submitWrite(const MemRequest &req);
+    Cycle
+    submitWrite(const MemRequest &req)
+    {
+        const MappedAddr loc = mapper_.map(req.addr);
+        ++stats_.writes;
+        WriteQueue &wq = writeQ_[loc.channel];
+        drainIfFull(wq, req.arrival);
+        wq.slots[(wq.head + wq.size) % kWriteQueueCapacity] = loc;
+        ++wq.size;
+        return req.arrival;
+    }
 
     /** Auto-refresh epoch boundary: informs every bank's scheme. */
     void onEpoch();
@@ -119,17 +144,69 @@ class MemoryController
     static constexpr std::size_t kWriteDrainLow = 48;
 
   private:
+    /** One channel's posted writes: a FIFO ring, oldest at head. */
+    struct WriteQueue
+    {
+        std::array<MappedAddr, kWriteQueueCapacity> slots;
+        std::size_t head = 0;
+        std::size_t size = 0;
+    };
+
     /** A read at @p loc: drain a full write queue, then issue it. */
-    Cycle read(const MappedAddr &loc, Cycle arrival);
+    Cycle
+    read(const MappedAddr &loc, Cycle arrival)
+    {
+        ++stats_.reads;
+        // Write-drain has priority when the queue is saturated;
+        // otherwise reads bypass queued writes (standard read-priority
+        // scheduling).
+        drainIfFull(writeQ_[loc.channel], arrival);
+        return issue(loc, false, arrival);
+    }
+
+    /** Drain a saturated queue to the low watermark at @p now. */
+    void
+    drainIfFull(WriteQueue &wq, Cycle now)
+    {
+        if (wq.size >= kWriteQueueCapacity) {
+            drainWrites(wq, kWriteDrainLow, now);
+            ++stats_.writeDrains;
+        }
+    }
+
     /** Issue one transaction into the DRAM timeline. */
-    Cycle issue(const MappedAddr &loc, bool is_write, Cycle not_before);
-    void drainWrites(std::uint32_t channel, std::size_t down_to,
-                     Cycle now);
+    Cycle
+    issue(const MappedAddr &loc, bool is_write, Cycle not_before)
+    {
+        const BankId bid = loc.bankId();
+        const DramAccess access = dram_.issue(bid, is_write, not_before);
+
+        const std::uint32_t flat = bid.flat(dram_.geometry());
+        if (observer_)
+            observer_(flat, loc.row);
+        RefreshAction act;
+        if (MitigationScheme *scheme = schemes_[flat].get()) {
+            act = scheme->onActivate(loc.row);
+            if (act.triggered()) {
+                dram_.victimRefresh(bid, act.rowCount, access.issued);
+                ++stats_.victimRefreshEvents;
+                stats_.victimRowsRefreshed += act.rowCount;
+            }
+        }
+        if (refreshObserver_)
+            refreshObserver_(flat, loc.row, act);
+        if (access.ready > stats_.lastCompletion)
+            stats_.lastCompletion = access.ready;
+        return access.ready;
+    }
+
+    /** Issue @p wq's oldest writes until @p down_to remain. */
+    void drainWrites(WriteQueue &wq, std::size_t down_to, Cycle now);
 
     DramSystem &dram_;
     const AddressMapper &mapper_;
     std::vector<std::unique_ptr<MitigationScheme>> schemes_; //!< per bank
-    std::vector<std::vector<MappedAddr>> writeQ_;            //!< per chan
+    std::vector<WriteQueue> writeQ_;                         //!< per chan
     ControllerStats stats_;
     ActivationObserver observer_;
     RefreshActionObserver refreshObserver_;

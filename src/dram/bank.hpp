@@ -9,6 +9,11 @@
  * auto-refresh both appear as "blocked until" windows; requests that
  * arrive during a window wait, which is the source of the paper's
  * execution time overhead (ETO).
+ *
+ * A bank holds only its own cycles and counts.  The DDR constants
+ * live once, in the owning DramSystem, which passes them to the calls
+ * that need them; every call is inline, so DramSystem::issue compiles
+ * to straight-line code over the bank's fields.
  */
 
 #ifndef CATSIM_DRAM_BANK_HPP
@@ -26,8 +31,6 @@ namespace catsim
 class Bank
 {
   public:
-    explicit Bank(const DramTiming &timing) : timing_(&timing) {}
-
     /** Earliest cycle at which a new ACT may be issued. */
     Cycle
     earliestActivate(Cycle now) const
@@ -48,22 +51,19 @@ class Bank
      *         accepted).
      */
     Cycle
-    access(Cycle cycle, bool is_write)
+    access(Cycle cycle, bool is_write, const DramTiming &t)
     {
         ++activations_;
-        nextActAllowed_ = cycle + timing_->tRC;
+        nextActAllowed_ = cycle + t.tRC;
         if (is_write) {
             // Writes complete at the controller once data is on the bus;
             // write recovery extends the bank-busy window.
-            const Cycle busy = cycle + timing_->tRCD + timing_->tCAS
-                               + timing_->tBURST + timing_->tWR
-                               + timing_->tRP;
+            const Cycle busy =
+                cycle + t.tRCD + t.tCAS + t.tBURST + t.tWR + t.tRP;
             if (busy > nextActAllowed_)
                 nextActAllowed_ = busy;
-            return cycle + timing_->tRCD + timing_->tCAS
-                   + timing_->tBURST;
         }
-        return cycle + timing_->tRCD + timing_->tCAS + timing_->tBURST;
+        return cycle + t.tRCD + t.tCAS + t.tBURST;
     }
 
     /**
@@ -73,10 +73,10 @@ class Bank
      * @return Cycle at which the bank becomes available again.
      */
     Cycle
-    victimRefresh(Cycle now, std::uint64_t rows)
+    victimRefresh(Cycle now, std::uint64_t rows, const DramTiming &t)
     {
         const Cycle start = earliestActivate(now);
-        blockedUntil_ = start + timing_->victimRefreshCycles(rows);
+        blockedUntil_ = start + t.victimRefreshCycles(rows);
         if (blockedUntil_ > nextActAllowed_)
             nextActAllowed_ = blockedUntil_;
         victimRowsRefreshed_ += rows;
@@ -97,7 +97,6 @@ class Bank
     Count victimRefreshEvents() const { return victimRefreshEvents_; }
 
   private:
-    const DramTiming *timing_;
     Cycle nextActAllowed_ = 0;
     Cycle blockedUntil_ = 0;
     Count activations_ = 0;

@@ -7,6 +7,11 @@
  * request's earliest issue slot, commits the access there, and returns
  * the slot and the data-ready cycle.  Victim refreshes requested by a
  * mitigation scheme block the target bank for tRC per refreshed row.
+ *
+ * issue() and the auto-refresh catch-up it starts with are inline
+ * header code: the controller's submit path reaches a bank without a
+ * call.  The DDR constants are read from this object's one DramTiming,
+ * which it passes to the Bank and Rank calls that need them.
  */
 
 #ifndef CATSIM_DRAM_DRAM_SYSTEM_HPP
@@ -41,13 +46,40 @@ class DramSystem
      * not before @p not_before that the bank, the rank (tFAW/tRRD),
      * auto-refresh and the channel data bus allow, and commit it there.
      */
-    DramAccess issue(const BankId &id, bool is_write, Cycle not_before);
+    DramAccess
+    issue(const BankId &id, bool is_write, Cycle not_before)
+    {
+        const std::uint32_t r = rankIndex(id);
+        applyAutoRefresh(r, not_before);
+        Bank &bank = banks_[r * geometry_.banksPerRank + id.bank];
+        Rank &rank = ranks_[r];
+
+        Cycle at = rank.earliestActivate(bank.earliestActivate(not_before),
+                                         timing_);
+        // The data burst needs the channel bus tRCD+tCAS after the ACT.
+        Cycle &busFree = busFreeAt_[id.channel];
+        const Cycle burstStart = at + timing_.tRCD + timing_.tCAS;
+        if (busFree > burstStart)
+            at += busFree - burstStart;
+
+        const Cycle ready = bank.access(at, is_write, timing_);
+        rank.recordActivate(at);
+        busFree = at + timing_.tRCD + timing_.tCAS + timing_.tBURST;
+        return {at, ready};
+    }
 
     /**
      * Block the bank while victim rows are refreshed; returns the cycle
      * the bank frees up.
      */
-    Cycle victimRefresh(const BankId &id, std::uint64_t rows, Cycle now);
+    Cycle
+    victimRefresh(const BankId &id, std::uint64_t rows, Cycle now)
+    {
+        const std::uint32_t r = rankIndex(id);
+        applyAutoRefresh(r, now);
+        return banks_[r * geometry_.banksPerRank + id.bank].victimRefresh(
+            now, rows, timing_);
+    }
 
     const Bank &bank(const BankId &id) const;
     const DramGeometry &geometry() const { return geometry_; }
@@ -67,8 +99,17 @@ class DramSystem
         return id.channel * geometry_.ranksPerChannel + id.rank;
     }
 
-    /** Block the banks of @p id's rank for every auto-refresh due by now. */
-    void applyAutoRefresh(const BankId &id, Cycle now);
+    /** Block rank @p r's banks for every auto-refresh due by @p now. */
+    void
+    applyAutoRefresh(std::uint32_t r, Cycle now)
+    {
+        Rank &rank = ranks_[r];
+        for (Cycle end; (end = rank.autoRefreshDue(now, timing_)) != 0;) {
+            Bank *banks = &banks_[r * geometry_.banksPerRank];
+            for (std::uint32_t b = 0; b < geometry_.banksPerRank; ++b)
+                banks[b].blockUntil(end);
+        }
+    }
 
     DramGeometry geometry_;
     DramTiming timing_;

@@ -2,6 +2,11 @@
  * @file
  * Per-rank DRAM constraints: the four-activate window (tFAW), ACT-to-ACT
  * spacing (tRRD) and distributed auto-refresh (tREFI/tRFC).
+ *
+ * Like Bank, a rank holds only its own state: the owning DramSystem
+ * passes its one copy of the DDR constants to the inline calls that
+ * read them.  The last four ACT cycles sit in a fixed four-slot ring
+ * whose next slot is the oldest.
  */
 
 #ifndef CATSIM_DRAM_RANK_HPP
@@ -20,24 +25,25 @@ namespace catsim
 class Rank
 {
   public:
+    /** The first auto-refresh falls due one tREFI in. */
     explicit Rank(const DramTiming &timing)
-        : timing_(&timing), nextAutoRefresh_(timing.tREFI)
+        : nextAutoRefresh_(timing.tREFI)
     {
         actWindow_.fill(0);
     }
 
     /** Earliest ACT issue respecting tRRD and tFAW. */
     Cycle
-    earliestActivate(Cycle now) const
+    earliestActivate(Cycle now, const DramTiming &t) const
     {
-        Cycle t = now;
-        if (lastAct_ + timing_->tRRD > t && lastActValid_)
-            t = lastAct_ + timing_->tRRD;
+        Cycle at = now;
+        if (lastAct_ + t.tRRD > at && lastActValid_)
+            at = lastAct_ + t.tRRD;
         // Oldest of the last four ACTs bounds the tFAW window.
         const Cycle oldest = actWindow_[head_];
-        if (actCount_ >= 4 && oldest + timing_->tFAW > t)
-            t = oldest + timing_->tFAW;
-        return t;
+        if (actCount_ >= 4 && oldest + t.tFAW > at)
+            at = oldest + t.tFAW;
+        return at;
     }
 
     /** Record an ACT at @p cycle. */
@@ -58,20 +64,19 @@ class Rank
      * until the returned cycle.
      */
     Cycle
-    autoRefreshDue(Cycle now)
+    autoRefreshDue(Cycle now, const DramTiming &t)
     {
         if (now < nextAutoRefresh_)
             return 0;
         const Cycle start = nextAutoRefresh_;
-        nextAutoRefresh_ += timing_->tREFI;
+        nextAutoRefresh_ += t.tREFI;
         ++autoRefreshes_;
-        return start + timing_->tRFC;
+        return start + t.tRFC;
     }
 
     Count autoRefreshes() const { return autoRefreshes_; }
 
   private:
-    const DramTiming *timing_;
     std::array<Cycle, 4> actWindow_;
     std::size_t head_ = 0;
     std::uint64_t actCount_ = 0;

@@ -133,12 +133,12 @@ runTiming(const TimingConfig &config, const StreamFactory &make_stream)
     TimingResult res;
     recordStreams(config, mc, res);
 
-    std::vector<std::unique_ptr<CoreModel>> cores;
+    // The cores sit side by side, so the scan below reads each one's
+    // clock without a pointer hop.
+    std::vector<CoreModel> cores;
     cores.reserve(config.numCores);
-    for (CoreId c = 0; c < config.numCores; ++c) {
-        cores.push_back(std::make_unique<CoreModel>(
-            c, config.core, make_stream(c), mc));
-    }
+    for (CoreId c = 0; c < config.numCores; ++c)
+        cores.emplace_back(c, config.core, make_stream(c), mc);
 
     // Step the earliest live core one record at a time (the lowest id
     // wins a tie); cores' clocks only move forward, so requests reach
@@ -146,10 +146,10 @@ runTiming(const TimingConfig &config, const StreamFactory &make_stream)
     EpochClock epochs(config, mc, res);
     for (;;) {
         CoreModel *earliest = nullptr;
-        for (auto &core : cores) {
-            if (!core->done()
-                && (!earliest || core->time() < earliest->time()))
-                earliest = core.get();
+        for (CoreModel &core : cores) {
+            if (!core.done()
+                && (!earliest || core.time() < earliest->time()))
+                earliest = &core;
         }
         if (!earliest)
             break;
@@ -158,9 +158,9 @@ runTiming(const TimingConfig &config, const StreamFactory &make_stream)
     }
 
     Cycle end = 0;
-    for (auto &core : cores) {
-        core->drain();
-        end = std::max(end, static_cast<Cycle>(core->time()));
+    for (CoreModel &core : cores) {
+        core.drain();
+        end = std::max(end, static_cast<Cycle>(core.time()));
     }
     finishResult(res, config, end, mc, dram);
     return res;

@@ -11,13 +11,15 @@
  *    requests reach the controller in arrival order (exact for
  *    closed-page FR-FCFS, which has no row hits to reorder for).
  *    Bit-identical to the frozen reference loop referenceRunTiming
- *    (tests/oracles/reference_timing_sim.hpp).
+ *    (tests/oracles/reference_timing_sim.hpp), which also freezes the
+ *    core window, controller and DRAM layers below it.
  *  - runTimingOnSources: stimulus-driven banks.  Every live DRAM bank
  *    issues one ACT per tRC round from its ActivationSource, in flat
  *    bank order, on one shared clock (the fastest legal ACT cadence);
  *    closed-loop sources observe every RefreshAction mid-flight and
  *    can re-aim, which is what makes ETO under an adaptive attacker
- *    expressible at all.
+ *    expressible at all.  Bit-identical to the frozen
+ *    referenceRunTimingOnSources on the same frozen layers.
  *
  * Both fire every (scaled) 64 ms auto-refresh boundary at or before
  * the next issue time before that issue - a boundary wins a tie - and

@@ -253,7 +253,11 @@ class RefController
         return read(mapper_.map(req.addr), req.arrival);
     }
 
-    Cycle submitMapped(const MemRequest &req) { return read(req.loc, req.arrival); }
+    Cycle
+    submitMapped(const MemRequest &req)
+    {
+        return read(req.loc, req.arrival);
+    }
 
     Cycle
     submitWrite(const MemRequest &req)
@@ -298,7 +302,11 @@ class RefController
         return sum;
     }
 
-    void setActivationObserver(ActivationObserver obs) { observer_ = std::move(obs); }
+    void
+    setActivationObserver(ActivationObserver obs)
+    {
+        observer_ = std::move(obs);
+    }
 
     void
     setRefreshActionObserver(RefreshActionObserver obs)

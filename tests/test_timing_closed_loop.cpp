@@ -16,8 +16,9 @@
  * clock when nothing outlasts it), and an epoch boundary fires before
  * an ACT issued at the same cycle.  They also freeze whole results of
  * the trace front end (runTiming): its oracle, referenceRunTiming,
- * runs on the same generators, core, controller, mapper and DRAM, so
- * these pins are what sees a change below its loop.
+ * freezes the core, controller and DRAM layers but shares the
+ * generators and the mapper, so these pins are what sees a change to
+ * those.
  */
 
 #include <gtest/gtest.h>
