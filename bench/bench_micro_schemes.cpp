@@ -29,8 +29,6 @@
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 #include "sim/timing_sim.hpp"
-#include "trace/attack.hpp"
-#include "trace/attack_kernel.hpp"
 #include "trace/workloads.hpp"
 #include "core/cat_tree.hpp"
 #include "core/counter_cache.hpp"
@@ -510,41 +508,24 @@ void
 BM_FrontEndRunTimingOnSources(benchmark::State &state)
 {
     // One mitigated closed-loop ETO leg through runTimingOnSources:
-    // the dual-core preset, a Static Medium Gaussian fleet (two scaled
-    // epochs at one ACT per tRC per bank, as evalAdaptiveEto builds
-    // it), PRCAT_64 at the scaled threshold, scale 0.02.  Building the
-    // fleet is untimed; drawing its rows is part of the leg.  Reported
-    // in activations per second.
+    // the dual-core preset, the Static Medium Gaussian fleet
+    // evalAdaptiveEto runs (two scaled epochs at one ACT per tRC per
+    // bank), PRCAT_64 at the scaled threshold, scale 0.02.  Building
+    // the fleet is untimed; drawing its rows is part of the leg.
+    // Reported in activations per second.
     constexpr double kScaleValue = 0.02;
+    const ExperimentRunner runner(kScaleValue);
     TimingConfig sys = makeSystem(SystemPreset::DualCore2Ch);
     sys.scheme.kind = SchemeKind::Prcat;
     sys.scheme.numCounters = 64;
     sys.scheme.maxLevels = 11;
-    sys.scheme.threshold = ExperimentRunner(kScaleValue).scaledThreshold(32768);
+    sys.scheme.threshold = runner.scaledThreshold(32768);
     sys.epochScale = kScaleValue;
-    const auto actsPerEpoch = static_cast<std::uint64_t>(
-        static_cast<double>(sys.timing.refreshIntervalCycles())
-        * kScaleValue / static_cast<double>(sys.timing.tRC));
-    std::vector<std::vector<RowAddr>> targets(sys.geometry.totalBanks());
-    for (auto &t : targets)
-        t.resize(4);
-    makeAttackKernel(AttackKernelKind::Gaussian)
-        ->pickTargets(targets, sys.geometry, 1);
-
+    const AdaptiveAttackSpec attack; // Static, Medium, kernel 1
     Count acts = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        std::vector<std::unique_ptr<ActivationSource>> fleet;
-        for (std::uint32_t b = 0; b < targets.size(); ++b) {
-            AttackSourceParams p;
-            p.numRows = sys.geometry.rowsPerBank;
-            p.targets = targets[b];
-            p.targetFraction = attackTargetFraction(AttackMode::Medium);
-            p.actsPerEpoch = actsPerEpoch;
-            p.epochs = 2;
-            p.seed = 42 * 1000003ULL + b;
-            fleet.push_back(std::make_unique<SyntheticAttackSource>(p));
-        }
+        auto fleet = runner.adaptiveSources(sys, attack);
         state.ResumeTiming();
         const TimingResult res = runTimingOnSources(sys, fleet);
         acts += res.totalActivations;

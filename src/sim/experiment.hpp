@@ -241,6 +241,16 @@ class ExperimentRunner
      *  stimulus pass, however many schemes the pass fed. */
     std::uint64_t stimulusPasses() const { return stimulusPasses_.load(); }
 
+    /**
+     * Live per-bank attacker sources for one closed-loop scenario, as
+     * every evalAdaptive* leg gets them: a fresh, identically seeded
+     * fleet per call (sources are stateful).  Not counted in
+     * stimulusPasses().
+     */
+    std::vector<std::unique_ptr<ActivationSource>> adaptiveSources(
+        const TimingConfig &sys,
+        const AdaptiveAttackSpec &attack) const;
+
   private:
     /** A cached baseline plus the mapper its streams were built with. */
     struct BaselineEntry
@@ -258,10 +268,6 @@ class ExperimentRunner
                                 const TimingConfig &sys,
                                 std::uint64_t records,
                                 const AddressMapper &mapper) const;
-    /** Live per-bank attacker sources for one closed-loop scenario. */
-    std::vector<std::unique_ptr<ActivationSource>> adaptiveSources(
-        const TimingConfig &sys,
-        const AdaptiveAttackSpec &attack) const;
     /** adaptiveSources for one stimulus pass, counted. */
     std::vector<std::unique_ptr<ActivationSource>> adaptiveFleet(
         const TimingConfig &sys, const AdaptiveAttackSpec &attack);

@@ -20,7 +20,6 @@
 #include "sim/experiment.hpp"
 #include "sim/timing_sim.hpp"
 #include "trace/attack.hpp"
-#include "trace/attack_kernel.hpp"
 #include "trace/workloads.hpp"
 
 namespace catsim
@@ -251,51 +250,12 @@ TEST(TimingDiff, BaselineRecordedStreams)
     runDiff(sys, 60000, "comm1");
 }
 
-namespace
-{
-
-/**
- * A Gaussian-placed Medium attacker on every bank, built as
- * ExperimentRunner::evalAdaptiveEto builds its fleets (two scaled
- * epochs at one ACT per tRC); closed loop when @p refresh_aware.
- */
-std::vector<std::unique_ptr<ActivationSource>>
-mediumFleet(const TimingConfig &sys, double scale, bool refresh_aware)
-{
-    const double epochCycles =
-        static_cast<double>(sys.timing.refreshIntervalCycles()) * scale;
-    std::vector<std::vector<RowAddr>> targets(sys.geometry.totalBanks());
-    for (auto &t : targets)
-        t.resize(4);
-    makeAttackKernel(AttackKernelKind::Gaussian)
-        ->pickTargets(targets, sys.geometry, 1);
-
-    std::vector<std::unique_ptr<ActivationSource>> fleet;
-    for (std::uint32_t b = 0; b < targets.size(); ++b) {
-        AttackSourceParams p;
-        p.numRows = sys.geometry.rowsPerBank;
-        p.targets = std::move(targets[b]);
-        p.targetFraction = attackTargetFraction(AttackMode::Medium);
-        p.actsPerEpoch = static_cast<std::uint64_t>(
-            epochCycles / static_cast<double>(sys.timing.tRC));
-        p.epochs = 2;
-        p.seed = 42 * 1000003ULL + b;
-        if (refresh_aware)
-            fleet.push_back(
-                std::make_unique<RefreshAwareAttackerSource>(p));
-        else
-            fleet.push_back(std::make_unique<SyntheticAttackSource>(p));
-    }
-    return fleet;
-}
-
-} // namespace
-
 /**
  * The closed-loop ETO legs: runTimingOnSources over Static and
  * RefreshAware Medium fleets against PRCAT_64, DRCAT_64 and PRA at
- * scale 0.02 (scaled threshold), recording on, each side on a fresh,
- * identically seeded fleet.  Victim refreshes block banks and the
+ * scale 0.02 (scaled threshold), recording on, each side on a fresh
+ * fleet from ExperimentRunner::adaptiveSources, the one the ETO legs
+ * run.  Victim refreshes block banks and the
  * refresh-aware sources re-aim on every RefreshAction, so the write
  * path aside, every layer of the request path runs here.
  */
@@ -303,7 +263,10 @@ TEST(TimingDiff, StimulusFleetsMatchTheFrozenLoop)
 {
     constexpr double kScaleValue = 0.02;
     const ExperimentRunner runner(kScaleValue);
-    for (const bool refreshAware : {false, true}) {
+    for (const AttackerKind attacker :
+         {AttackerKind::Static, AttackerKind::RefreshAware}) {
+        AdaptiveAttackSpec attack; // Medium, kernel 1, two epochs
+        attack.attacker = attacker;
         for (const SchemeKind kind :
              {SchemeKind::Prcat, SchemeKind::Drcat, SchemeKind::Pra}) {
             TimingConfig sys = makeSystem(SystemPreset::DualCore2Ch);
@@ -313,13 +276,12 @@ TEST(TimingDiff, StimulusFleetsMatchTheFrozenLoop)
             sys.scheme.threshold = runner.scaledThreshold(32768);
             sys.recordActivations = true;
             sys.epochScale = kScaleValue;
-            SCOPED_TRACE(std::string(refreshAware ? "RefreshAware "
-                                                  : "Static ")
+            SCOPED_TRACE(std::string(attackerKindName(attacker)) + " "
                          + std::to_string(static_cast<int>(kind)));
             const TimingResult actual = runTimingOnSources(
-                sys, mediumFleet(sys, kScaleValue, refreshAware));
+                sys, runner.adaptiveSources(sys, attack));
             const TimingResult ref = referenceRunTimingOnSources(
-                sys, mediumFleet(sys, kScaleValue, refreshAware));
+                sys, runner.adaptiveSources(sys, attack));
             EXPECT_GT(ref.controller.victimRefreshEvents, 0u);
             expectIdentical(actual, ref);
         }
