@@ -121,7 +121,7 @@ class CoreModel
         // Keep the window sorted: insert after the last completion not
         // later than this one, moving the later ones up a slot.  Reads
         // on one channel complete in issue order, so the scan from the
-        // back stops at or near the end.
+        // back stops within a few slots of the end.
         const Cycle done = controller_.submitRead(req);
         std::size_t at = inflight_;
         for (; at != 0; --at) {
