@@ -255,9 +255,9 @@ TEST(TimingDiff, BaselineRecordedStreams)
  * RefreshAware Medium fleets against PRCAT_64, DRCAT_64 and PRA at
  * scale 0.02 (scaled threshold), recording on, each side on a fresh
  * fleet from ExperimentRunner::adaptiveSources, the one the ETO legs
- * run.  Victim refreshes block banks and the
- * refresh-aware sources re-aim on every RefreshAction, so the write
- * path aside, every layer of the request path runs here.
+ * run.  Victim refreshes block banks and the refresh-aware sources
+ * re-aim on every RefreshAction, so the write path aside, every layer
+ * of the request path runs here.
  */
 TEST(TimingDiff, StimulusFleetsMatchTheFrozenLoop)
 {
